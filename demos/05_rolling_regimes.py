@@ -27,7 +27,7 @@ series = ReturnSeries(
 )
 
 config = RollingConfig(window=500, step=10)
-results = roll(series, config, workers=4)
+results = roll(series, config)
 print(f"{len(results)} windows of {config.window}, step {config.step}")
 
 # Course of the estimate: mean H over blocks of 25 windows.

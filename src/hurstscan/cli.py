@@ -221,12 +221,7 @@ def cmd_roll(args) -> int:
         garch_mode=args.garch_mode,
         stamp=args.stamp,
     )
-
-    def progress(done, total):
-        if done % 250 == 0 or done == total:
-            print(f"window {done}/{total}", file=sys.stderr)
-
-    results = roll(series, config, workers=args.workers, progress=progress)
+    results = roll(series, config)
 
     csv_path = out_dir / f"{stem}.rolling.csv"
     write_rolling_csv(results, csv_path)
@@ -238,7 +233,7 @@ def cmd_roll(args) -> int:
         args,
         "roll",
         [args.input],
-        {**config.to_dict(), "workers": args.workers, "returns": args.returns},
+        {**config.to_dict(), "returns": args.returns},
         outputs,
         started,
     )
@@ -375,9 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["end", "start", "center"],
         default="end",
         help="which window day dates each result row (default: end)",
-    )
-    p_roll.add_argument(
-        "--workers", type=int, default=1, help="worker threads for windows (default: 1)"
     )
     _add_out_dir_flag(p_roll)
     p_roll.set_defaults(func=cmd_roll)

@@ -18,7 +18,6 @@ its scaling fit:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +37,11 @@ __all__ = [
 ]
 
 
+def _check_rescaled(r) -> None:
+    if not np.all(np.isfinite(r)) or np.any(r <= 0):
+        raise InputError("rescaled fluctuations must be finite and positive")
+
+
 @dataclass(frozen=True)
 class RescaledFluctuations:
     """Squared average fluctuations divided by their fitted scaling, per horizon."""
@@ -50,8 +54,7 @@ class RescaledFluctuations:
         r = np.asarray(self.r_values, dtype=float)
         if scales.ndim != 1 or r.shape != scales.shape:
             raise InputError("scales and r_values must be 1-d arrays of equal length")
-        if not np.all(np.isfinite(r)) or np.any(r <= 0):
-            raise InputError("rescaled fluctuations must be finite and positive")
+        _check_rescaled(r)
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "r_values", r)
 
@@ -76,18 +79,44 @@ class LiquidityIndicators:
         }
 
 
-def rescale(fp: FluctuationProfile, fit: ScalingFit) -> RescaledFluctuations:
-    """R(s) = F_2(s)^2 / s^(2*H) with H the same window's q=2 estimate."""
+def _rescale_rows(scales, fq, hurst) -> np.ndarray:
+    """R(s) = F_2(s)^2 / s^(2*H) along the last axis of ``fq``, one H per row."""
+    s = np.asarray(scales, dtype=float)
+    r = fq**2 / s ** (2.0 * np.asarray(hurst, dtype=float)[..., None])
+    _check_rescaled(r)
+    return r
+
+
+def _spread_rows(r):
+    """(f_sigma, f_range, f_ratio) of rescaled fluctuations along the last axis."""
+    if r.shape[-1] < 2:
+        raise InputError("need at least 2 scales")
+    dev = r - r.mean(axis=-1, keepdims=True)
+    hi, lo = r.max(axis=-1), r.min(axis=-1)
+    return np.sqrt(np.sum(dev * dev, axis=-1) / (r.shape[-1] - 1)), hi - lo, hi / lo
+
+
+def _indicator_rows(scales, fq, hurst, log_intercept):
+    """(f0, f_sigma, f_range, f_ratio) for every row of q=2 fluctuations and its fit."""
+    return (np.exp(log_intercept), *_spread_rows(_rescale_rows(scales, fq, hurst)))
+
+
+def _require_q2(fp: FluctuationProfile, fit: ScalingFit) -> None:
     if fp.q != 2.0 or fit.q != 2.0:
         raise InputError("rescaling is defined for the q = 2 profile and its fit")
-    s = fp.scales.astype(float)
-    r = fp.fq**2 / s ** (2.0 * fit.hurst)
-    return RescaledFluctuations(scales=fp.scales, r_values=r)
+
+
+def rescale(fp: FluctuationProfile, fit: ScalingFit) -> RescaledFluctuations:
+    """R(s) = F_2(s)^2 / s^(2*H) with H the same window's q=2 estimate."""
+    _require_q2(fp, fit)
+    return RescaledFluctuations(
+        scales=fp.scales, r_values=_rescale_rows(fp.scales, fp.fq, fit.hurst)
+    )
 
 
 def f_zero(fit: ScalingFit) -> float:
     """Short-horizon activity level: exp of the fitted log-intercept."""
-    return math.exp(fit.log_intercept)
+    return float(np.exp(fit.log_intercept))
 
 
 def f_sigma(rf: RescaledFluctuations) -> float:
@@ -96,30 +125,23 @@ def f_sigma(rf: RescaledFluctuations) -> float:
     The mean uses denominator n (number of horizons), the squared
     deviations n - 1.
     """
-    if rf.r_values.size < 2:
-        raise InputError("need at least 2 scales")
-    dev = rf.r_values - rf.r_values.mean()
-    return float(np.sqrt(np.dot(dev, dev) / (rf.r_values.size - 1)))
+    return float(_spread_rows(rf.r_values)[0])
 
 
 def f_range(rf: RescaledFluctuations) -> float:
     """Spread of the rescaled fluctuations: max R - min R."""
-    return float(rf.r_values.max() - rf.r_values.min())
+    return float(_spread_rows(rf.r_values)[1])
 
 
 def f_ratio(rf: RescaledFluctuations) -> float:
     """max R / min R; exactly 1 when variance scaling is exact."""
-    if np.any(rf.r_values <= 0):
-        raise InputError("rescaled fluctuations must be positive")
-    return float(rf.r_values.max() / rf.r_values.min())
+    return float(_spread_rows(rf.r_values)[2])
 
 
 def liquidity_indicators(fp: FluctuationProfile, fit: ScalingFit) -> LiquidityIndicators:
     """All four measures for one window's q=2 profile and fit."""
-    rf = rescale(fp, fit)
+    _require_q2(fp, fit)
+    f0, sigma, spread, ratio = _indicator_rows(fp.scales, fp.fq, fit.hurst, fit.log_intercept)
     return LiquidityIndicators(
-        f0=f_zero(fit),
-        f_sigma=f_sigma(rf),
-        f_range=f_range(rf),
-        f_ratio=f_ratio(rf),
+        f0=float(f0), f_sigma=float(sigma), f_range=float(spread), f_ratio=float(ratio)
     )

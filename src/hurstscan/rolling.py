@@ -2,10 +2,13 @@
 
 One window result carries the q=2 Hurst exponent, the fit diagnostics
 and the four liquidity indicators, stamped with the window's last date
-by default (the values are "known as of" that day).  Window computations
-are independent and may fan out to worker threads; results are always
-assembled in chronological order, so the output is identical for any
-worker count.
+by default (the values are "known as of" that day).  Results come in
+chronological order.
+
+With one whole-sample GARCH fit and detrending order >= 1, windows
+share their segments' fluctuations, and one array pass over
+(windows x scales) analyzes every window at once.  Per-window GARCH
+fits and order-0 detrending run ``mfdfa`` on each window instead.
 """
 from __future__ import annotations
 
@@ -13,16 +16,16 @@ import csv
 import datetime as dt
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import InputError, NumericalError
 from .garch import garch_fit
 from .ingest import ReturnSeries
-from .liquidity import LiquidityIndicators, liquidity_indicators
-from .scaling import mfdfa
+from .liquidity import LiquidityIndicators, _indicator_rows, liquidity_indicators
+from .scaling import _check_fluctuations, _fit_loglog, mfdfa
 
 __all__ = [
     "RollingConfig",
@@ -86,6 +89,8 @@ class RollingConfig:
             raise InputError("s_max must not exceed window / 4")
         if self.window < 10 * self.s_min:
             raise InputError("window must be at least 10 * s_min")
+        if 0.0 in self.q_set:
+            raise InputError("q = 0 is not supported")
         if 2.0 not in self.q_set:
             raise InputError("q_set must include 2 (the liquidity measures need it)")
         if self.garch_mode not in GARCH_MODES:
@@ -164,12 +169,74 @@ def _analyze_values(values, date, config: RollingConfig, converged: bool) -> Win
     )
 
 
-def roll(
-    returns: ReturnSeries,
-    config: RollingConfig = RollingConfig(),
-    workers: int = 1,
-    progress=None,
-) -> list[WindowResult]:
+def _shared_segment_windows(values: np.ndarray, starts: np.ndarray, config: RollingConfig):
+    """Scaling fit and indicators of every window of ``values`` in one pass per scale.
+
+    Over one segment, a window's profile differs from the running sum
+    of the values started at the segment's first point only by a
+    constant plus a linear term.  Detrending of order >= 1 removes both,
+    so a segment's squared fluctuation depends only on its absolute
+    start and its scale, not on the window.  Each scale's fluctuations
+    are computed once for every start position, then gathered into each
+    window's forward and backward segments in ``mfdfa``'s order.  The
+    running sums stay at the size of one segment, so their rounding
+    is no larger than that of ``mfdfa``'s per-window profile.
+
+    Returns (hurst, log_intercept, stderr_hurst, r_squared, f0, f_sigma,
+    f_range, f_ratio), one array entry per window; raises the same
+    InputError as ``mfdfa`` + ``liquidity_indicators`` on a degenerate
+    window.
+    """
+    w = config.window
+    scales = np.asarray(config.scales())
+    steps = values - values.mean()
+    # changes[t]: how many of values[1..t] differ from their predecessor
+    changes = np.concatenate(([0], np.cumsum(values[1:] != values[:-1])))
+    has_zero = np.zeros(starts.size, dtype=bool)
+    fq = {q: np.empty((starts.size, scales.size)) for q in config.q_set}
+    for j, s in enumerate(scales):
+        x = np.arange(s, dtype=float)
+        basis = np.linalg.qr(np.vander(x, config.detrend_order + 1, increasing=True))[0]
+        # row a: the profile over [a, a + s) up to a constant
+        segments = np.cumsum(sliding_window_view(steps, s), axis=1)
+        residuals = segments - (segments @ basis) @ basis.T
+        f2_at = np.mean(residuals**2, axis=1)
+        # Over a run of equal values the profile is a straight line with
+        # zero residual, which the running sums reproduce only up to
+        # rounding; make it exact, so a window of equal values is
+        # rejected as degenerate just as mfdfa rejects it.
+        f2_at[changes[s - 1 :] == changes[1 : changes.size - s + 2]] = 0.0
+        k = np.arange(w // s)
+        f2 = f2_at[starts[:, None] + np.concatenate([k * s, w - (k + 1) * s])]
+        has_zero |= np.any(f2 == 0.0, axis=1)
+        with np.errstate(divide="ignore"):
+            for q in config.q_set:
+                fq[q][:, j] = np.mean(f2 ** (q / 2.0), axis=1) ** (1.0 / q)
+
+    def check(rows):
+        # mfdfa's order within one window: per q, the negative-q rule, then F_q > 0
+        for q in config.q_set:
+            if q < 0 and np.any(has_zero[rows]):
+                raise InputError("zero segment fluctuation with negative q")
+            _check_fluctuations(fq[q][rows])
+
+    try:
+        check(slice(None))
+    except InputError:
+        # report the error of the first bad window, as the per-window path does
+        for i in range(starts.size):
+            check(i)
+    hurst, intercept, r_squared, stderr = _fit_loglog(scales, fq[2.0])
+    return (
+        hurst,
+        intercept,
+        stderr,
+        r_squared,
+        *_indicator_rows(scales, fq[2.0], hurst, intercept),
+    )
+
+
+def roll(returns: ReturnSeries, config: RollingConfig = RollingConfig()) -> list[WindowResult]:
     """Run the full pipeline over every sliding window position.
 
     In whole-sample mode the series is GARCH-filtered once and the
@@ -177,32 +244,18 @@ def roll(
     is fitted and filtered independently; a window whose fit raises
     still produces scaling results on its unfiltered returns, flagged
     ``garch_converged=False``, so one bad window cannot abort a long run.
-
-    ``progress``, if given, is called as progress(done, total) from the
-    assembling thread.
     """
     n = len(returns)
-    if n < config.window:
-        raise InputError(f"series length {n} is shorter than window {config.window}")
-    starts = range(0, n - config.window + 1, config.step)
-    total = len(starts)
+    w = config.window
+    if n < w:
+        raise InputError(f"series length {n} is shorter than window {w}")
+    starts = np.arange(0, n - w + 1, config.step)
+    dates = [_stamp_date(returns.dates, i, w, config.stamp) for i in starts]
 
-    if config.garch_mode == "whole-sample":
-        fit = garch_fit(returns.values)
-        filtered = returns.values / np.sqrt(fit.h)
-        converged = fit.converged
-
-        def one_window(i: int) -> WindowResult:
-            date = _stamp_date(returns.dates, i, config.window, config.stamp)
-            return _analyze_values(
-                filtered[i : i + config.window], date, config, converged
-            )
-
-    else:
-
-        def one_window(i: int) -> WindowResult:
-            date = _stamp_date(returns.dates, i, config.window, config.stamp)
-            window_values = returns.values[i : i + config.window]
+    if config.garch_mode == "per-window":
+        results = []
+        for i, date in zip(starts, dates):
+            window_values = returns.values[i : i + w]
             try:
                 fit = garch_fit(window_values)
                 values = window_values / np.sqrt(fit.h)
@@ -210,23 +263,31 @@ def roll(
             except (InputError, NumericalError):
                 values = window_values
                 converged = False
-            return _analyze_values(values, date, config, converged)
+            results.append(_analyze_values(values, date, config, converged))
+        return results
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(one_window, i) for i in starts]
-            results = []
-            for k, fut in enumerate(futures):
-                results.append(fut.result())
-                if progress is not None:
-                    progress(k + 1, total)
-    else:
-        results = []
-        for k, i in enumerate(starts):
-            results.append(one_window(i))
-            if progress is not None:
-                progress(k + 1, total)
-    return results
+    fit = garch_fit(returns.values)
+    filtered = returns.values / np.sqrt(fit.h)
+    if config.detrend_order == 0:
+        return [
+            _analyze_values(filtered[i : i + w], date, config, fit.converged)
+            for i, date in zip(starts, dates)
+        ]
+    columns = (a.tolist() for a in _shared_segment_windows(filtered, starts, config))
+    return [
+        WindowResult(
+            date=date,
+            hurst=hurst,
+            log_intercept=intercept,
+            stderr_hurst=stderr,
+            r_squared=r_squared,
+            indicators=LiquidityIndicators(f0=f0, f_sigma=sigma, f_range=spread, f_ratio=ratio),
+            garch_converged=fit.converged,
+        )
+        for date, hurst, intercept, stderr, r_squared, f0, sigma, spread, ratio in zip(
+            dates, *columns
+        )
+    ]
 
 
 def detect_regimes(results, threshold: float) -> list[RegimeRun]:

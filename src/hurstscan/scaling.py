@@ -30,6 +30,15 @@ __all__ = [
 ]
 
 
+def _check_fluctuations(fq) -> None:
+    """Reject any F_q(s) that is non-finite or not positive, in an array of any shape."""
+    if not np.all(np.isfinite(fq)) or np.any(fq <= 0):
+        raise InputError(
+            "fluctuations must be finite and positive; "
+            "zero fluctuation indicates a degenerate (e.g. constant) input series"
+        )
+
+
 @dataclass(frozen=True)
 class FluctuationProfile:
     """Average fluctuations F_q(s) over a set of scales for one moment order q."""
@@ -47,11 +56,7 @@ class FluctuationProfile:
             raise InputError("empty scale set")
         if np.any(np.diff(scales) <= 0):
             raise InputError("scales must be strictly increasing")
-        if not np.all(np.isfinite(fq)) or np.any(fq <= 0):
-            raise InputError(
-                "fluctuations must be finite and positive; "
-                "zero fluctuation indicates a degenerate (e.g. constant) input series"
-            )
+        _check_fluctuations(fq)
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "fq", fq)
 
@@ -169,27 +174,40 @@ def fit_scaling(fp: FluctuationProfile) -> ScalingFit:
     of the scaling prefactor; the slope standard error uses the usual
     OLS formula with n - 2 degrees of freedom.
     """
-    n = fp.scales.size
-    if n < 3:
+    if fp.scales.size < 3:
         raise InputError("need at least 3 scales to fit")
-    x = np.log(fp.scales.astype(float))
-    y = np.log(fp.fq)
-    dx = x - x.mean()
-    sxx = float(np.dot(dx, dx))
-    slope = float(np.dot(dx, y - y.mean()) / sxx)
-    intercept = float(y.mean() - slope * x.mean())
-    resid = y - (intercept + slope * x)
-    ssr = float(np.dot(resid, resid))
-    sst = float(np.dot(y - y.mean(), y - y.mean()))
-    r_squared = 1.0 - ssr / sst if sst > 0.0 else 1.0
-    stderr = float(np.sqrt(ssr / (n - 2) / sxx))
+    slope, intercept, r_squared, stderr = _fit_loglog(fp.scales, fp.fq)
     return ScalingFit(
         q=fp.q,
-        hurst=slope,
-        log_intercept=intercept,
-        r_squared=r_squared,
-        stderr_hurst=stderr,
+        hurst=float(slope),
+        log_intercept=float(intercept),
+        r_squared=float(r_squared),
+        stderr_hurst=float(stderr),
     )
+
+
+def _fit_loglog(scales, fq):
+    """OLS of ln F on ln s along the last axis of ``fq``.
+
+    Returns (slope, intercept, r_squared, stderr_slope), each with the
+    leading shape of ``fq``: one window's F_q(s) gives scalars, a
+    (windows x scales) array gives one fit per row.
+    """
+    x = np.log(np.asarray(scales, dtype=float))
+    y = np.log(fq)
+    dx = x - x.mean()
+    sxx = np.sum(dx * dx)
+    y_mean = y.mean(axis=-1, keepdims=True)
+    dy = y - y_mean
+    slope = np.sum(dx * dy, axis=-1, keepdims=True) / sxx
+    intercept = y_mean - slope * x.mean()
+    resid = y - (intercept + slope * x)
+    ssr = np.sum(resid * resid, axis=-1)
+    sst = np.sum(dy * dy, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_squared = np.where(sst > 0.0, 1.0 - ssr / sst, 1.0)
+    stderr = np.sqrt(ssr / (x.size - 2) / sxx)
+    return slope[..., 0], intercept[..., 0], r_squared, stderr
 
 
 def mfdfa(

@@ -12,7 +12,14 @@ import datetime as dt
 
 import numpy as np
 
-from hurstscan import ReturnSeries, synthetic_dates
+from hurstscan import (
+    ReturnSeries,
+    WindowResult,
+    garch_fit,
+    liquidity_indicators,
+    mfdfa,
+    synthetic_dates,
+)
 
 # filled by test_acceptance, printed by the conftest terminal-summary hook
 ACCEPTANCE_LINES: list[str] = []
@@ -60,3 +67,68 @@ def sample_kurtosis(x) -> float:
 def make_return_series(values, start: dt.date = dt.date(2000, 1, 3)) -> ReturnSeries:
     values = np.asarray(values, dtype=float)
     return ReturnSeries(dates=synthetic_dates(values.size, start), values=values)
+
+
+def reference_roll(series: ReturnSeries, config) -> list[WindowResult]:
+    """Whole-sample rolling analysis one window at a time through mfdfa.
+
+    The oracle for roll()'s shared-segment kernel: fit GARCH once, then
+    run mfdfa and liquidity_indicators on every filtered window slice.
+    """
+    fit = garch_fit(series.values)
+    filtered = series.values / np.sqrt(fit.h)
+    w = config.window
+    offset = {"end": w - 1, "start": 0, "center": (w - 1) // 2}[config.stamp]
+    results = []
+    for i in range(0, len(series) - w + 1, config.step):
+        fp, scaling_fit = mfdfa(
+            filtered[i : i + w], config.scales(), config.q_set, config.detrend_order
+        )[2.0]
+        results.append(
+            WindowResult(
+                date=series.dates[i + offset],
+                hurst=scaling_fit.hurst,
+                log_intercept=scaling_fit.log_intercept,
+                stderr_hurst=scaling_fit.stderr_hurst,
+                r_squared=scaling_fit.r_squared,
+                indicators=liquidity_indicators(fp, scaling_fit),
+                garch_converged=fit.converged,
+            )
+        )
+    return results
+
+
+def assert_results_close(got, want, rel: float = 1e-12) -> None:
+    """Equal dates and GARCH flags; every float field within ``rel`` relative.
+
+    A field is compared relative to the larger of its own size and the
+    size of what it is computed from.  The log-log fit statistics
+    (hurst, log_intercept, stderr_hurst, r_squared) are of order 1 and
+    come from differences of ln F(s); f_sigma and f_range are spreads of
+    R(s), which is of order f0**2.  Near a perfect or a useless fit, or
+    near exact scaling, these fields are differences of nearly equal
+    numbers and carry rounding error of their inputs' size, not their
+    own: with 3 scales, ln F(s) differing in the 16th digit moves
+    stderr_hurst by ~1e-15 even when stderr_hurst itself is 1e-4.
+    """
+    assert len(got) == len(want)
+    for k, (a, b) in enumerate(zip(got, want)):
+        da = {**a.to_dict(), "log_intercept": a.log_intercept}
+        db = {**b.to_dict(), "log_intercept": b.log_intercept}
+        assert da.keys() == db.keys()
+        spread_scale = max(da["f0"], db["f0"]) ** 2
+        floor = {
+            "hurst": 1.0,
+            "log_intercept": 1.0,
+            "stderr_hurst": 1.0,
+            "r_squared": 1.0,
+            "f_sigma": spread_scale,
+            "f_range": spread_scale,
+        }
+        for key, x in da.items():
+            y = db[key]
+            if isinstance(y, float):
+                scale = max(abs(x), abs(y), floor.get(key, 0.0))
+                assert abs(x - y) <= rel * scale, (k, key, x, y)
+            else:
+                assert x == y, (k, key, x, y)

@@ -13,7 +13,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import ACCEPTANCE_LINES, make_return_series, naive_segment_fluctuations
+from helpers import (
+    ACCEPTANCE_LINES,
+    assert_results_close,
+    make_return_series,
+    naive_segment_fluctuations,
+    reference_roll,
+)
 from hurstscan import (
     FluctuationProfile,
     RollingConfig,
@@ -29,6 +35,7 @@ from hurstscan import (
     log_returns,
     max_drawdown,
     mfdfa,
+    read_rolling_csv,
     roll,
     segment_fluctuations,
     write_rolling_csv,
@@ -170,16 +177,29 @@ def test_criterion_6_rolling_regime_contrast():
     )
 
 
-def test_criterion_7_determinism_and_parallel_equivalence(tmp_path):
+def test_criterion_7_determinism_and_kernel_equivalence(tmp_path):
     series = _spliced_series()
     config = RollingConfig(window=500, step=10)
     paths = []
-    for workers, name in ((1, "serial.csv"), (8, "parallel.csv")):
+    for name in ("first.csv", "second.csv"):
         path = tmp_path / name
-        write_rolling_csv(roll(series, config, workers=workers), path)
+        write_rolling_csv(roll(series, config), path)
         paths.append(path)
-    ok = paths[0].read_bytes() == paths[1].read_bytes()
-    verdict(7, ok, "rolling CSVs byte-identical at 1 and 8 workers")
+    identical = paths[0].read_bytes() == paths[1].read_bytes()
+    reference = tmp_path / "reference.csv"
+    write_rolling_csv(reference_roll(series, config), reference)
+    try:
+        assert_results_close(read_rolling_csv(paths[0]), read_rolling_csv(reference))
+        close = True
+    except AssertionError:
+        close = False
+    ok = identical and close
+    verdict(
+        7,
+        ok,
+        "rolling CSVs byte-identical across two runs; shared-segment kernel CSV "
+        "equals the per-window mfdfa reference within 1e-12",
+    )
 
 
 def test_criterion_8_real_data_optional():

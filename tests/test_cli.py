@@ -114,16 +114,21 @@ class TestRoll:
         run(["synth", "--kind", "garch", "--omega", "0.1", "--alpha", "0.1",
              "--beta", "0.8", "--n", "560", "--seed", "7", "--out", "g.csv"])
         assert run(["roll", "g.csv", "--returns", "--out-dir", "s1"]) == 0
-        assert "window" in capsys.readouterr().err  # progress on stderr
         assert run(["roll", "g.csv", "--returns", "--step", "5", "--out-dir", "s5"]) == 0
         fine = (workdir / "s1" / "g.rolling.csv").read_text().splitlines()
         coarse = (workdir / "s5" / "g.rolling.csv").read_text().splitlines()
         assert fine[0] == ROLLING_HEADER
         assert coarse[1:] == fine[1::5]
-        assert run(["roll", "g.csv", "--returns", "--workers", "4", "--out-dir", "w4"]) == 0
-        assert (workdir / "w4" / "g.rolling.csv").read_bytes() == (
+        assert run(["roll", "g.csv", "--returns", "--out-dir", "again"]) == 0
+        assert (workdir / "again" / "g.rolling.csv").read_bytes() == (
             workdir / "s1" / "g.rolling.csv"
         ).read_bytes()
+        capsys.readouterr()
+        # there is no thread pool to size: --workers is a usage error
+        with pytest.raises(SystemExit) as exc:
+            run(["roll", "g.csv", "--returns", "--workers", "4", "--out-dir", "w4"])
+        assert exc.value.code == 1
+        assert "--workers" in capsys.readouterr().err
 
     def test_series_shorter_than_window(self, workdir, capsys):
         synth_fgn(workdir, name="short.csv", n=400)

@@ -2,8 +2,10 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import make_return_series
+from helpers import assert_results_close, make_return_series, reference_roll
 from hurstscan import (
     InputError,
     LiquidityIndicators,
@@ -53,6 +55,10 @@ class TestRollingConfig:
     def test_q_set_must_include_two(self):
         with pytest.raises(InputError):
             RollingConfig(q_set=(1.0, 3.0))
+
+    def test_q_zero_rejected(self):
+        with pytest.raises(InputError, match="q = 0"):
+            RollingConfig(q_set=(0.0, 2.0))
 
     def test_bad_mode(self):
         with pytest.raises(InputError):
@@ -111,11 +117,61 @@ class TestRoll:
         series = spliced_series(seed=3)
         assert result_dicts(roll(series, FAST)) == result_dicts(roll(series, FAST))
 
-    def test_parallel_equivalence(self):
+    def test_kernel_matches_reference(self):
         series = spliced_series(seed=4)
-        serial = roll(series, FAST, workers=1)
-        parallel = roll(series, FAST, workers=4)
-        assert result_dicts(serial) == result_dicts(parallel)
+        assert_results_close(roll(series, FAST), reference_roll(series, FAST))
+
+    def test_order_zero_uses_reference_path(self):
+        series = make_return_series(gen_garch(560, 0.1, 0.1, 0.8, seed=5))
+        config = RollingConfig(step=20, detrend_order=0, s_min=10)
+        assert result_dicts(roll(series, config)) == result_dicts(reference_roll(series, config))
+
+    def test_flat_windows_rejected_on_both_paths(self):
+        # windows inside the zero tail have an identically zero profile
+        values = np.concatenate(
+            [gen_garch(1000, omega=1e-6, alpha=0.08, beta=0.91, seed=3), np.zeros(600)]
+        )
+        series = make_return_series(values)
+        for q_set, message in (((2.0,), "degenerate"), ((-2.0, 2.0), "negative q")):
+            config = RollingConfig(window=500, step=50, q_set=q_set)
+            with pytest.raises(InputError, match=message) as kernel:
+                roll(series, config)
+            with pytest.raises(InputError) as reference:
+                reference_roll(series, config)
+            assert str(kernel.value) == str(reference.value)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        order=st.sampled_from([1, 2]),
+        s_min_extra=st.integers(0, 8),
+        window_extra=st.integers(0, 120),
+        s_max_frac=st.floats(0.0, 1.0),
+        tail=st.integers(0, 80),
+        step=st.integers(1, 17),
+        other_qs=st.lists(
+            st.sampled_from([-4.0, -2.0, -0.5, 0.5, 1.0, 3.0]), max_size=3, unique=True
+        ),
+        q_pos=st.integers(0, 3),
+        stamp=st.sampled_from(["end", "start", "center"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_matches_reference_property(
+        self, seed, order, s_min_extra, window_extra, s_max_frac, tail, step, other_qs,
+        q_pos, stamp,
+    ):
+        s_min = order + 2 + s_min_extra
+        window = 10 * s_min + window_extra
+        s_max = s_min + 2 + int(s_max_frac * (window // 4 - s_min - 2))
+        q_set = list(other_qs)
+        q_set.insert(min(q_pos, len(q_set)), 2.0)
+        config = RollingConfig(
+            window=window, step=step, s_min=s_min, s_max=s_max, q_set=tuple(q_set),
+            detrend_order=order, stamp=stamp,
+        )
+        rng = np.random.default_rng(seed)
+        n = max(window, 100) + tail
+        series = make_return_series(rng.standard_normal(n) * np.exp(rng.normal(-4, 1)))
+        assert_results_close(roll(series, config), reference_roll(series, config))
 
     def test_per_window_independence(self):
         series = make_return_series(gen_garch(700, 0.1, 0.1, 0.8, seed=6))
@@ -143,12 +199,6 @@ class TestRoll:
         results = roll(series, config)
         assert [r.garch_converged for r in results] == [False, True]
         assert np.isfinite(results[0].hurst)
-
-    def test_progress_reported(self):
-        series = make_return_series(gen_garch(520, 0.1, 0.1, 0.8, seed=8))
-        seen = []
-        roll(series, RollingConfig(step=10), progress=lambda done, total: seen.append((done, total)))
-        assert seen[-1] == (3, 3)
 
 
 class TestDetectRegimes:
