@@ -27,8 +27,7 @@ print(f"persistence alpha+beta = {p.alpha + p.beta:.3f}")
 print(f"implied unconditional var {p.omega / (1 - p.alpha - p.beta):.3f} "
       f"vs sample {r.var(ddof=1):.3f}")
 
-filtered = garch_filter(r, fit)
-z = filtered.values
+z = garch_filter(r, fit)
 print("\nafter standardizing by the fitted volatility path:")
 print(f"  variance {z.var(ddof=1):.4f} (want 1)")
 print(f"  excess kurtosis {excess_kurtosis(r):+.3f} -> {excess_kurtosis(z):+.3f}")

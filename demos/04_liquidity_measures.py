@@ -35,14 +35,13 @@ print(f"\nfGn window, n=500, H=0.7 (fitted {fit.hurst:.3f})")
 print(f"  f0={ind.f0:.4f}  f_sigma={ind.f_sigma:.4f}  "
       f"f_range={ind.f_range:.4f}  f_ratio={ind.f_ratio:.4f}")
 
-rs = rescale(profile, fit)
+r = rescale(profile, fit)  # R(s), one value per entry of profile.scales
 print("  R(s) summary: min={:.4f} max={:.4f} at s={} and s={}".format(
-    rs.r_values.min(), rs.r_values.max(),
-    rs.scales[rs.r_values.argmin()], rs.scales[rs.r_values.argmax()]))
+    r.min(), r.max(), profile.scales[r.argmin()], profile.scales[r.argmax()]))
 
 # The two spread measures are tied: f_range = (f_ratio - 1) * min R(s).
 lhs = ind.f_range
-rhs = (ind.f_ratio - 1) * rs.r_values.min()
+rhs = (ind.f_ratio - 1) * r.min()
 print(f"  identity f_range = (f_ratio - 1) * min R: {lhs:.6f} vs {rhs:.6f}")
 
 # More scatter in the profile inflates every deviation measure.

@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .exceptions import InputError, NumericalError
 from .garch import (
-    FilteredReturns,
     GarchFit,
     GarchParams,
     garch_filter,
@@ -31,16 +30,7 @@ from .ingest import (
     save_returns,
     synthetic_dates,
 )
-from .liquidity import (
-    LiquidityIndicators,
-    RescaledFluctuations,
-    f_range,
-    f_ratio,
-    f_sigma,
-    f_zero,
-    liquidity_indicators,
-    rescale,
-)
+from .liquidity import LiquidityIndicators, liquidity_indicators, rescale
 from .rolling import (
     RegimeRun,
     RollingConfig,
@@ -56,7 +46,6 @@ from .scaling import (
     ScalingFit,
     average_fluctuation,
     build_profile,
-    classify_persistence,
     fit_scaling,
     mfdfa,
     segment_fluctuations,
@@ -79,7 +68,6 @@ __all__ = [
     "synthetic_dates",
     "GarchParams",
     "GarchFit",
-    "FilteredReturns",
     "variance_path",
     "garch_loglik",
     "garch_fit",
@@ -91,14 +79,8 @@ __all__ = [
     "average_fluctuation",
     "fit_scaling",
     "mfdfa",
-    "classify_persistence",
-    "RescaledFluctuations",
     "LiquidityIndicators",
     "rescale",
-    "f_zero",
-    "f_sigma",
-    "f_range",
-    "f_ratio",
     "liquidity_indicators",
     "RollingConfig",
     "WindowResult",

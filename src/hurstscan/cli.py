@@ -23,7 +23,7 @@ from . import __version__
 from .exceptions import InputError, NumericalError
 from .garch import garch_filter, garch_fit
 from .ingest import CsvLayout, load_prices, load_returns, log_returns, synthetic_dates
-from .liquidity import liquidity_indicators
+from .liquidity import _check_has_q2, liquidity_indicators
 from .rolling import (
     RollingConfig,
     detect_regimes,
@@ -156,8 +156,7 @@ def cmd_analyze(args) -> int:
     stem = Path(args.input).stem
     series = _load_return_series(args)
     qs = _q_list(args)
-    if 2.0 not in qs:
-        raise InputError("--q must include 2 (the liquidity measures need it)")
+    _check_has_q2(qs)
 
     outputs: dict[str, Path] = {}
     config = {
@@ -172,7 +171,7 @@ def cmd_analyze(args) -> int:
     values = series.values
     if args.garch:
         fit = garch_fit(values)
-        values = garch_filter(series, fit).values
+        values = garch_filter(series, fit)
         garch_path = out_dir / f"{stem}.garch.json"
         with open(garch_path, "w", encoding="utf-8") as fh:
             json.dump(fit.to_dict(), fh, indent=2)

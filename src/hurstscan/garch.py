@@ -22,7 +22,6 @@ from .exceptions import InputError, NumericalError
 __all__ = [
     "GarchParams",
     "GarchFit",
-    "FilteredReturns",
     "variance_path",
     "garch_loglik",
     "garch_fit",
@@ -42,7 +41,12 @@ MIN_FIT_LENGTH = 100
 
 @dataclass(frozen=True)
 class GarchParams:
-    """GARCH(1,1) parameters; covariance stationarity (alpha + beta < 1) enforced."""
+    """GARCH(1,1) parameters; covariance stationarity (alpha + beta < 1) enforced.
+
+    The one home of the parameter rules: the generators build a
+    GarchParams to validate theirs.  Every check is a positive
+    comparison, so NaN fails it.
+    """
 
     omega: float
     alpha: float
@@ -51,9 +55,11 @@ class GarchParams:
     def __post_init__(self):
         if not (self.omega > 0 and np.isfinite(self.omega)):
             raise InputError(f"omega must be positive and finite, got {self.omega}")
-        if self.alpha < 0 or self.beta < 0:
-            raise InputError("alpha and beta must be non-negative")
-        if self.alpha + self.beta >= 1.0:
+        if not (self.alpha >= 0 and self.beta >= 0):
+            raise InputError(
+                f"alpha and beta must be non-negative, got {self.alpha} and {self.beta}"
+            )
+        if not self.alpha + self.beta < 1.0:
             raise InputError(
                 f"alpha + beta = {self.alpha + self.beta} >= 1 violates stationarity"
             )
@@ -89,14 +95,6 @@ class GarchFit:
             fh.write("h\n")
             for v in self.h:
                 fh.write(f"{float(v)!r}\n")
-
-
-@dataclass(frozen=True)
-class FilteredReturns:
-    """Returns standardized by conditional volatility: values[t] = r_t / sqrt(h_t)."""
-
-    values: np.ndarray
-    dates: tuple | None = None
 
 
 def _return_values(returns) -> np.ndarray:
@@ -225,12 +223,11 @@ def garch_fit(
     )
 
 
-def garch_filter(returns, fit: GarchFit) -> FilteredReturns:
+def garch_filter(returns, fit: GarchFit) -> np.ndarray:
     """Standardize returns by the fitted conditional volatility: r_t / sqrt(h_t)."""
     r = _return_values(returns)
     if r.size != fit.h.size:
         raise InputError(
             f"length mismatch: {r.size} returns vs variance path of {fit.h.size}"
         )
-    dates = getattr(returns, "dates", None)
-    return FilteredReturns(values=r / np.sqrt(fit.h), dates=dates)
+    return r / np.sqrt(fit.h)

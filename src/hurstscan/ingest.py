@@ -1,7 +1,9 @@
 """Price-file loading, log returns, and descriptive statistics.
 
-CSV files are UTF-8 with one header row by default; the date and value
-columns are configurable by name or position.  Dates are ISO-8601
+CSV files are UTF-8 (a leading byte-order mark is skipped) with one
+header row by default; the date and value columns are configurable by
+name or position.  Every value must be a finite number: ``nan`` or
+``inf`` cells fail at load time with the file and line.  Dates are ISO-8601
 (YYYY-MM-DD) and rows are sorted ascending by date on load, with
 duplicate dates rejected.  Missing trading days are simply absent rows.
 Floats are written with ``repr`` so a save/load round trip is
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,6 +103,17 @@ class ReturnSeries:
         return self.values.size
 
 
+def _finite_float(text, path, line: int, what: str = "value") -> float:
+    """Parse one CSV cell as a finite float, or fail naming the file and line."""
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        raise InputError(f"{path}:{line}: unparsable {what} {text!r}") from None
+    if not math.isfinite(value):
+        raise InputError(f"{path}:{line}: non-finite {what} {text!r}")
+    return value
+
+
 def _resolve_columns(header_row, layout: CsvLayout, path):
     def resolve(col):
         if isinstance(col, int):
@@ -116,7 +130,7 @@ def _resolve_columns(header_row, layout: CsvLayout, path):
 
 def _read_dated_values(path, layout: CsvLayout):
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError:
         raise InputError(f"file not found: {path}") from None
     rows = []
@@ -142,13 +156,7 @@ def _read_dated_values(path, layout: CsvLayout):
                 raise InputError(
                     f"{path}:{line}: unparsable date {row[date_idx]!r}"
                 ) from None
-            try:
-                value = float(row[value_idx])
-            except ValueError:
-                raise InputError(
-                    f"{path}:{line}: unparsable value {row[value_idx]!r}"
-                ) from None
-            rows.append((date, value, line))
+            rows.append((date, _finite_float(row[value_idx], path, line), line))
     if not rows:
         raise InputError(f"{path}: no data rows")
     rows.sort(key=lambda item: item[0])

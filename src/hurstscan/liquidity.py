@@ -6,15 +6,19 @@ far they spread is a gauge of how unevenly trading activity is
 distributed across horizons: a calm market shows near-exact scaling,
 a stressed one shows horizon dominance and dispersed R(s).
 
-Four summary measures are computed from a q=2 fluctuation profile and
-its scaling fit:
+``liquidity_indicators`` condenses a q=2 fluctuation profile and its
+scaling fit into one ``LiquidityIndicators`` record, whose four fields
+are the measures:
 
 * ``f0``      -- exp(log-intercept), the fitted fluctuation extrapolated
                  to the shortest horizon (numerically the fitted value
                  at s = 1);
-* ``f_sigma`` -- sample standard deviation of R(s) across horizons;
+* ``f_sigma`` -- sample standard deviation of R(s) across horizons (mean
+                 over n horizons, squared deviations over n - 1);
 * ``f_range`` -- max R(s) - min R(s);
 * ``f_ratio`` -- max R(s) / min R(s), equal to 1 under exact scaling.
+
+``rescale`` returns R(s) itself, one value per scale.
 """
 from __future__ import annotations
 
@@ -25,16 +29,7 @@ import numpy as np
 from .exceptions import InputError
 from .scaling import FluctuationProfile, ScalingFit
 
-__all__ = [
-    "RescaledFluctuations",
-    "LiquidityIndicators",
-    "rescale",
-    "f_zero",
-    "f_sigma",
-    "f_range",
-    "f_ratio",
-    "liquidity_indicators",
-]
+__all__ = ["LiquidityIndicators", "rescale", "liquidity_indicators"]
 
 
 def _check_rescaled(r) -> None:
@@ -42,21 +37,10 @@ def _check_rescaled(r) -> None:
         raise InputError("rescaled fluctuations must be finite and positive")
 
 
-@dataclass(frozen=True)
-class RescaledFluctuations:
-    """Squared average fluctuations divided by their fitted scaling, per horizon."""
-
-    scales: np.ndarray
-    r_values: np.ndarray
-
-    def __post_init__(self):
-        scales = np.asarray(self.scales, dtype=int)
-        r = np.asarray(self.r_values, dtype=float)
-        if scales.ndim != 1 or r.shape != scales.shape:
-            raise InputError("scales and r_values must be 1-d arrays of equal length")
-        _check_rescaled(r)
-        object.__setattr__(self, "scales", scales)
-        object.__setattr__(self, "r_values", r)
+def _check_has_q2(q_set) -> None:
+    """The measures come from the q = 2 profile, so every q set must contain 2."""
+    if 2.0 not in q_set:
+        raise InputError("q set must include 2 (the liquidity measures need it)")
 
 
 @dataclass(frozen=True)
@@ -67,7 +51,9 @@ class LiquidityIndicators:
     f_ratio: float
 
     def __post_init__(self):
-        if self.f0 <= 0 or self.f_sigma < 0 or self.f_range < 0 or self.f_ratio < 1.0 - 1e-12:
+        if not (
+            self.f0 > 0 and self.f_sigma >= 0 and self.f_range >= 0 and self.f_ratio >= 1.0 - 1e-12
+        ):
             raise InputError("inconsistent indicator values")
 
     def to_dict(self) -> dict:
@@ -106,36 +92,10 @@ def _require_q2(fp: FluctuationProfile, fit: ScalingFit) -> None:
         raise InputError("rescaling is defined for the q = 2 profile and its fit")
 
 
-def rescale(fp: FluctuationProfile, fit: ScalingFit) -> RescaledFluctuations:
-    """R(s) = F_2(s)^2 / s^(2*H) with H the same window's q=2 estimate."""
+def rescale(fp: FluctuationProfile, fit: ScalingFit) -> np.ndarray:
+    """R(s) = F_2(s)^2 / s^(2*H) with H the same window's q=2 estimate, aligned with fp.scales."""
     _require_q2(fp, fit)
-    return RescaledFluctuations(
-        scales=fp.scales, r_values=_rescale_rows(fp.scales, fp.fq, fit.hurst)
-    )
-
-
-def f_zero(fit: ScalingFit) -> float:
-    """Short-horizon activity level: exp of the fitted log-intercept."""
-    return float(np.exp(fit.log_intercept))
-
-
-def f_sigma(rf: RescaledFluctuations) -> float:
-    """Sample standard deviation of the rescaled fluctuations across horizons.
-
-    The mean uses denominator n (number of horizons), the squared
-    deviations n - 1.
-    """
-    return float(_spread_rows(rf.r_values)[0])
-
-
-def f_range(rf: RescaledFluctuations) -> float:
-    """Spread of the rescaled fluctuations: max R - min R."""
-    return float(_spread_rows(rf.r_values)[1])
-
-
-def f_ratio(rf: RescaledFluctuations) -> float:
-    """max R / min R; exactly 1 when variance scaling is exact."""
-    return float(_spread_rows(rf.r_values)[2])
+    return _rescale_rows(fp.scales, fp.fq, fit.hurst)
 
 
 def liquidity_indicators(fp: FluctuationProfile, fit: ScalingFit) -> LiquidityIndicators:

@@ -22,10 +22,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import InputError, NumericalError
-from .garch import garch_fit
-from .ingest import ReturnSeries
-from .liquidity import LiquidityIndicators, _indicator_rows, liquidity_indicators
-from .scaling import _check_fluctuations, _fit_loglog, mfdfa
+from .garch import garch_filter, garch_fit
+from .ingest import ReturnSeries, _finite_float
+from .liquidity import LiquidityIndicators, _check_has_q2, _indicator_rows, liquidity_indicators
+from .scaling import _check_fluctuations, _check_qs, _check_scale_range, _fit_loglog, mfdfa
 
 __all__ = [
     "RollingConfig",
@@ -76,23 +76,16 @@ class RollingConfig:
     def __post_init__(self):
         if self.s_max is None:
             object.__setattr__(self, "s_max", self.window // 10)
-        object.__setattr__(self, "q_set", tuple(float(q) for q in self.q_set))
+        object.__setattr__(self, "q_set", _check_qs(self.q_set))
+        _check_has_q2(self.q_set)
         if self.step < 1:
             raise InputError("step must be at least 1")
-        if self.detrend_order < 0:
-            raise InputError("detrend order must be non-negative")
-        if self.s_min < self.detrend_order + 2:
-            raise InputError("s_min must be at least detrend_order + 2")
+        # the kernel never calls segment_fluctuations, so check the window here
+        _check_scale_range(self.s_min, self.s_max, self.detrend_order, self.window)
         if self.s_max < self.s_min + 2:
             raise InputError("need at least 3 scales: s_max must be >= s_min + 2")
-        if self.s_max > self.window // 4:
-            raise InputError("s_max must not exceed window / 4")
         if self.window < 10 * self.s_min:
             raise InputError("window must be at least 10 * s_min")
-        if 0.0 in self.q_set:
-            raise InputError("q = 0 is not supported")
-        if 2.0 not in self.q_set:
-            raise InputError("q_set must include 2 (the liquidity measures need it)")
         if self.garch_mode not in GARCH_MODES:
             raise InputError(f"garch_mode must be one of {GARCH_MODES}")
         if self.stamp not in STAMP_CHOICES:
@@ -258,7 +251,7 @@ def roll(returns: ReturnSeries, config: RollingConfig = RollingConfig()) -> list
             window_values = returns.values[i : i + w]
             try:
                 fit = garch_fit(window_values)
-                values = window_values / np.sqrt(fit.h)
+                values = garch_filter(window_values, fit)
                 converged = fit.converged
             except (InputError, NumericalError):
                 values = window_values
@@ -267,7 +260,7 @@ def roll(returns: ReturnSeries, config: RollingConfig = RollingConfig()) -> list
         return results
 
     fit = garch_fit(returns.values)
-    filtered = returns.values / np.sqrt(fit.h)
+    filtered = garch_filter(returns, fit)
     if config.detrend_order == 0:
         return [
             _analyze_values(filtered[i : i + w], date, config, fit.converged)
@@ -349,7 +342,7 @@ def write_rolling_jsonl(results, path) -> None:
 def read_rolling_csv(path) -> list[WindowResult]:
     """Read back a rolling CSV produced by write_rolling_csv."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError:
         raise InputError(f"file not found: {path}") from None
     results = []
@@ -359,25 +352,29 @@ def read_rolling_csv(path) -> list[WindowResult]:
         if missing:
             raise InputError(f"{path}: missing columns {sorted(missing)}")
         for row in reader:
+            num = {
+                col: _finite_float(row[col], path, reader.line_num, col)
+                for col in ROLLING_CSV_COLUMNS[1:-1]
+            }
             try:
                 results.append(
                     WindowResult(
                         date=dt.date.fromisoformat(row["date"]),
-                        hurst=float(row["hurst"]),
+                        hurst=num["hurst"],
                         # f0 = exp(log_intercept), so the intercept is recoverable
-                        log_intercept=math.log(float(row["f0"])),
-                        stderr_hurst=float(row["stderr_hurst"]),
-                        r_squared=float(row["r_squared"]),
+                        log_intercept=math.log(num["f0"]),
+                        stderr_hurst=num["stderr_hurst"],
+                        r_squared=num["r_squared"],
                         indicators=LiquidityIndicators(
-                            f0=float(row["f0"]),
-                            f_sigma=float(row["f_sigma"]),
-                            f_range=float(row["f_range"]),
-                            f_ratio=float(row["f_ratio"]),
+                            f0=num["f0"],
+                            f_sigma=num["f_sigma"],
+                            f_range=num["f_range"],
+                            f_ratio=num["f_ratio"],
                         ),
                         garch_converged=row["garch_converged"] == "true",
                     )
                 )
-            except (ValueError, InputError) as exc:
+            except (TypeError, ValueError, InputError) as exc:
                 raise InputError(f"{path}:{reader.line_num}: bad row ({exc})") from None
     if not results:
         raise InputError(f"{path}: no data rows")

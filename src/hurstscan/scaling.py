@@ -11,6 +11,7 @@ is the generalized Hurst exponent H(q).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -26,7 +27,6 @@ __all__ = [
     "average_fluctuation",
     "fit_scaling",
     "mfdfa",
-    "classify_persistence",
 ]
 
 
@@ -36,6 +36,29 @@ def _check_fluctuations(fq) -> None:
         raise InputError(
             "fluctuations must be finite and positive; "
             "zero fluctuation indicates a degenerate (e.g. constant) input series"
+        )
+
+
+def _check_qs(qs) -> tuple[float, ...]:
+    """The moment orders as floats: a non-empty set of finite q != 0."""
+    q_set = tuple(map(float, qs))
+    if not q_set:
+        raise InputError("empty q set")
+    if 0.0 in q_set:
+        raise InputError("q = 0 is not supported")
+    if not all(map(math.isfinite, q_set)):
+        raise InputError(f"q must be finite, got {list(q_set)}")
+    return q_set
+
+
+def _check_scale_range(s_min: int, s_max: int, order: int, length: int) -> None:
+    """Every scale s of a series of ``length`` points needs order + 2 <= s <= length // 4."""
+    if not order >= 0:
+        raise InputError("polynomial order must be non-negative")
+    if not (order + 2 <= s_min and s_max <= length // 4):
+        raise InputError(
+            f"scales {s_min}..{s_max} out of range [{order + 2}, {length // 4}] "
+            f"for series length {length}"
         )
 
 
@@ -128,12 +151,7 @@ def segment_fluctuations(profile, s: int, order: int = 1) -> np.ndarray:
     t = prof.size
     s = int(s)
     order = int(order)
-    if order < 0:
-        raise InputError("polynomial order must be non-negative")
-    if s < order + 2 or s > t // 4:
-        raise InputError(
-            f"scale {s} out of range [{order + 2}, {t // 4}] for series length {t}"
-        )
+    _check_scale_range(s, s, order, t)
     ns = t // s
     forward = prof[: ns * s].reshape(ns, s)
     backward = prof[t - ns * s :].reshape(ns, s)[::-1]
@@ -159,9 +177,7 @@ def average_fluctuation(segment_f2, q: float) -> float:
         raise InputError("no segment fluctuations to average")
     if np.any(f2 < 0):
         raise InputError("squared fluctuations must be non-negative")
-    q = float(q)
-    if q == 0.0:
-        raise InputError("q = 0 is not supported")
+    (q,) = _check_qs((q,))
     if q < 0 and np.any(f2 == 0.0):
         raise InputError("zero segment fluctuation with negative q")
     return float(np.mean(f2 ** (q / 2.0)) ** (1.0 / q))
@@ -215,7 +231,6 @@ def mfdfa(
     scales: Sequence[int],
     qs: Iterable[float] = (2.0,),
     order: int = 1,
-    cumulate: bool = True,
 ) -> dict[float, tuple[FluctuationProfile, ScalingFit]]:
     """Full MF-DFA: fluctuation profile and scaling fit for every q.
 
@@ -226,13 +241,9 @@ def mfdfa(
     scales : sequence of int
         Segment lengths; the series must be at least 4 times the largest.
     qs : iterable of float
-        Moment orders; q = 0 is rejected.
+        Moment orders; each must be finite and q = 0 is rejected.
     order : int
         Detrending polynomial order (1 = linear).
-    cumulate : bool
-        Build the profile (cumulative demeaned sum) before segmenting.
-        On by default, which is the standard procedure for noise-like
-        input; disable only when the input is already integrated.
 
     Returns
     -------
@@ -241,18 +252,10 @@ def mfdfa(
     scale_arr = np.unique(np.asarray(list(scales), dtype=int))
     if scale_arr.size == 0:
         raise InputError("empty scale set")
-    q_list = [float(q) for q in qs]
-    if not q_list:
-        raise InputError("empty q set")
-    if any(q == 0.0 for q in q_list):
-        raise InputError("q = 0 is not supported")
-
+    q_list = _check_qs(qs)
     x = np.asarray(series, dtype=float)
-    if x.size < 4 * int(scale_arr[-1]):
-        raise InputError(
-            f"series length {x.size} is below 4*max(scales) = {4 * int(scale_arr[-1])}"
-        )
-    prof = build_profile(x) if cumulate else x
+    _check_scale_range(int(scale_arr[0]), int(scale_arr[-1]), order, x.size)
+    prof = build_profile(x)
 
     seg_f2 = [segment_fluctuations(prof, int(s), order) for s in scale_arr]
     out: dict[float, tuple[FluctuationProfile, ScalingFit]] = {}
@@ -262,19 +265,3 @@ def mfdfa(
         out[q] = (fp, fit_scaling(fp))
     return out
 
-
-def classify_persistence(hurst: float, band: float = 0.01) -> str:
-    """Label a Hurst exponent as anti-persistent, uncorrelated, or persistent.
-
-    Values within ``band`` of 0.5 count as uncorrelated.
-    """
-    h = float(hurst)
-    if not np.isfinite(h):
-        raise InputError("hurst must be finite")
-    if band < 0:
-        raise InputError("band must be non-negative")
-    if h < 0.5 - band:
-        return "anti-persistent"
-    if h > 0.5 + band:
-        return "persistent"
-    return "uncorrelated"

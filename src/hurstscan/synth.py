@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InputError, NumericalError
+from .garch import GarchParams
 
 __all__ = [
     "GeneratorSpec",
@@ -35,13 +36,18 @@ def fgn_autocovariance(k, hurst: float, sigma: float = 1.0) -> np.ndarray:
     return 0.5 * sigma**2 * ((k + 1) ** h2 - 2 * k**h2 + np.abs(k - 1) ** h2)
 
 
+def _check_size(n: int, sigma: float = 1.0, min_n: int = 1) -> None:
+    """Length and noise scale of every generator: n >= min_n, sigma positive and finite."""
+    if not n >= min_n:
+        raise InputError(f"n must be at least {min_n}")
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise InputError(f"sigma must be positive and finite, got {sigma}")
+
+
 def _check_fgn_params(n: int, hurst: float, sigma: float) -> None:
     if not 0.0 < hurst < 1.0:
         raise InputError(f"hurst must be in (0, 1), got {hurst}")
-    if n < 2:
-        raise InputError("n must be at least 2")
-    if sigma <= 0:
-        raise InputError("sigma must be positive")
+    _check_size(n, sigma, min_n=2)
 
 
 def gen_fgn(n: int, hurst: float, sigma: float = 1.0, seed: int = 0) -> np.ndarray:
@@ -93,10 +99,7 @@ def _embedding_eigenvalues(m: int, hurst: float, sigma: float) -> np.ndarray:
 
 def gen_white(n: int, sigma: float = 1.0, seed: int = 0) -> np.ndarray:
     """IID Gaussian noise with standard deviation sigma."""
-    if n < 1:
-        raise InputError("n must be at least 1")
-    if sigma <= 0:
-        raise InputError("sigma must be positive")
+    _check_size(n, sigma)
     return sigma * np.random.default_rng(seed).standard_normal(n)
 
 
@@ -114,18 +117,13 @@ def gen_garch(
     omega / (1 - alpha - beta) and the first ``burn`` draws are discarded
     so the returned sample is effectively stationary.
     """
-    if n < 1:
-        raise InputError("n must be at least 1")
+    _check_size(n)
     if burn < GARCH_BURN_IN:
         raise InputError(f"burn-in must be at least {GARCH_BURN_IN}")
-    if omega <= 0 or alpha < 0 or beta < 0 or alpha + beta >= 1:
-        raise InputError(
-            "GARCH parameters must satisfy omega > 0, alpha >= 0, beta >= 0, alpha + beta < 1"
-        )
+    h = GarchParams(omega, alpha, beta).unconditional_variance
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n + burn)
     r = np.empty(n + burn)
-    h = omega / (1.0 - alpha - beta)
     for t in range(n + burn):
         rt = math.sqrt(h) * z[t]
         r[t] = rt
@@ -153,28 +151,17 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in ("fgn", "gaussian-white", "garch"):
             raise InputError(f"unknown generator kind: {self.kind!r}")
-        if self.n < 1:
-            raise InputError("n must be positive")
         if self.kind == "fgn":
             if self.hurst is None:
                 raise InputError("fgn requires hurst")
             _check_fgn_params(self.n, self.hurst, self.sigma)
         elif self.kind == "gaussian-white":
-            if self.sigma <= 0:
-                raise InputError("sigma must be positive")
+            _check_size(self.n, self.sigma)
         else:
             if self.omega is None or self.alpha is None or self.beta is None:
                 raise InputError("garch requires omega, alpha and beta")
-            if (
-                self.omega <= 0
-                or self.alpha < 0
-                or self.beta < 0
-                or self.alpha + self.beta >= 1
-            ):
-                raise InputError(
-                    "GARCH parameters must satisfy omega > 0, alpha >= 0, "
-                    "beta >= 0, alpha + beta < 1"
-                )
+            _check_size(self.n)
+            GarchParams(self.omega, self.alpha, self.beta)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "n": int(self.n), "seed": int(self.seed)}

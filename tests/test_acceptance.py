@@ -133,7 +133,7 @@ def test_criterion_5_garch_recovery():
         fit = garch_fit(r)
         for key in truth:
             estimates[key].append(getattr(fit.params, key))
-        variances.append(float(np.var(garch_filter(r, fit).values, ddof=1)))
+        variances.append(float(np.var(garch_filter(r, fit), ddof=1)))
     elapsed = time.perf_counter() - started
     median_dev = max(abs(np.median(estimates[k]) - truth[k]) for k in truth)
     var_ok = all(0.9 <= v <= 1.1 for v in variances)

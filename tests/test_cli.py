@@ -44,6 +44,17 @@ class TestSynth:
         assert run(["synth", "--kind", "fgn", "--h", "1.2", "--n", "100"]) == 1
         assert "hurst" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ["--kind", "garch", "--omega", "1e-6", "--alpha", "nan", "--beta", "0.9"],
+            ["--kind", "gaussian-white", "--sigma", "nan"],
+        ],
+    )
+    def test_nan_parameter_exits_one_without_output(self, workdir, params):
+        assert run(["synth", *params, "--n", "600", "--out", "bad.csv"]) == 1
+        assert list(workdir.iterdir()) == []
+
     def test_no_dates_writes_single_column(self, workdir):
         run(["synth", "--kind", "gaussian-white", "--n", "50", "--no-dates", "--out", "w.csv"])
         lines = (workdir / "w.csv").read_text().splitlines()
@@ -167,6 +178,12 @@ class TestReport:
         self.write_rolling(workdir, [0.6, 0.6])
         run(["report", "run.rolling.csv", "--threshold", "0.7"])
         assert "below 0.7" in (workdir / "run.regimes.txt").read_text()
+
+    def test_nan_hurst_exits_one_naming_line(self, workdir, capsys):
+        self.write_rolling(workdir, [0.6, "nan", 0.6])
+        assert run(["report", "run.rolling.csv"]) == 1
+        assert "run.rolling.csv:3" in capsys.readouterr().err
+        assert not (workdir / "run.hurst.csv").exists()
 
     def test_malformed_input(self, workdir, capsys):
         (workdir / "bad.csv").write_text("date,hurst\n2000-01-03,0.5\n")

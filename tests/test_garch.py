@@ -119,7 +119,7 @@ class TestGarchFit:
             r = gen_white(5000, sigma=0.02, seed=seed)
             fit = garch_fit(r)
             assert np.all(np.abs(fit.h / 0.0004 - 1.0) < 0.10)
-            filtered = garch_filter(r, fit).values
+            filtered = garch_filter(r, fit)
             assert 0.9 <= np.var(filtered, ddof=1) <= 1.1
 
     @pytest.mark.xfail(
@@ -171,24 +171,24 @@ class TestGarchFilter:
         filtered = garch_filter(
             r, type(fit_like)(params=params, h=h, loglik=0.0, converged=True, iterations=0)
         )
-        np.testing.assert_allclose(filtered.values, r / 2.0)
+        np.testing.assert_allclose(filtered, r / 2.0)
 
     def test_zero_return_stays_zero(self):
         r = gen_garch(600, 0.1, 0.1, 0.8, seed=9).copy()
         r[300] = 0.0
         fit = garch_fit(r)
-        assert garch_filter(r, fit).values[300] == 0.0
+        assert garch_filter(r, fit)[300] == 0.0
 
     def test_roundtrip_reproduces_input(self):
         r = gen_garch(2000, 0.1, 0.1, 0.8, seed=10)
         fit = garch_fit(r)
-        back = garch_filter(r, fit).values * np.sqrt(fit.h)
+        back = garch_filter(r, fit) * np.sqrt(fit.h)
         np.testing.assert_allclose(back, r, rtol=1e-12)
 
     def test_kurtosis_reduced(self):
         r = gen_garch(20000, omega=0.1, alpha=0.15, beta=0.8, seed=11)
         fit = garch_fit(r)
-        filtered = garch_filter(r, fit).values
+        filtered = garch_filter(r, fit)
         assert sample_kurtosis(filtered) < sample_kurtosis(r)
 
     def test_length_mismatch(self):
@@ -196,8 +196,3 @@ class TestGarchFilter:
         fit = garch_fit(r)
         with pytest.raises(InputError):
             garch_filter(r[:-1], fit)
-
-    def test_dates_carried_through(self):
-        series = make_return_series(gen_garch(600, 0.1, 0.1, 0.8, seed=13))
-        filtered = garch_filter(series, garch_fit(series))
-        assert filtered.dates == series.dates

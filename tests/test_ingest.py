@@ -70,6 +70,18 @@ class TestLoadPrices:
         with pytest.raises(InputError, match=r":2"):
             load_prices(path)
 
+    def test_bom_header_loads(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_bytes("\ufeffdate,close\r\n2000-01-03,100\r\n2000-01-04,105\r\n".encode())
+        series = load_prices(path)
+        np.testing.assert_allclose(series.values, [100.0, 105.0])
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", " Infinity"])
+    def test_non_finite_value_reports_location(self, tmp_path, cell):
+        path = write(tmp_path, f"date,value\n2000-01-03,0.01\n2000-01-04,{cell}\n")
+        with pytest.raises(InputError, match=r"prices\.csv:3: non-finite"):
+            load_returns(path)
+
     def test_missing_column(self, tmp_path):
         path = write(tmp_path, "date,px\n2000-01-03,100\n")
         with pytest.raises(InputError, match="close"):

@@ -7,12 +7,7 @@ import pytest
 from hurstscan import (
     FluctuationProfile,
     InputError,
-    RescaledFluctuations,
     ScalingFit,
-    f_range,
-    f_ratio,
-    f_sigma,
-    f_zero,
     fit_scaling,
     gen_fgn,
     liquidity_indicators,
@@ -25,6 +20,19 @@ SCALES = np.arange(10, 51)
 
 def exact_profile(c: float, hurst: float) -> FluctuationProfile:
     return FluctuationProfile(q=2.0, scales=SCALES, fq=c * SCALES**hurst)
+
+
+def flat_fit(log_intercept: float = 0.0, hurst: float = 0.0) -> ScalingFit:
+    return ScalingFit(
+        q=2.0, hurst=hurst, log_intercept=log_intercept, r_squared=1.0, stderr_hurst=0.0
+    )
+
+
+def indicators_of(r_values, log_intercept: float = 0.0):
+    """Indicators of a window whose R(s) is ``r_values``: with H = 0, R(s) = F(s)^2."""
+    r = np.asarray(r_values, dtype=float)
+    fp = FluctuationProfile(q=2.0, scales=SCALES[: r.size], fq=np.sqrt(r))
+    return liquidity_indicators(fp, flat_fit(log_intercept))
 
 
 def pure_python_measures(scales, fq, hurst):
@@ -44,16 +52,17 @@ def pure_python_measures(scales, fq, hurst):
 class TestRescale:
     def test_exact_power_law_cancels(self):
         fp = exact_profile(2.0, 0.7)
-        rf = rescale(fp, fit_scaling(fp))
-        np.testing.assert_allclose(rf.r_values, 4.0, rtol=1e-12)
+        r = rescale(fp, fit_scaling(fp))
+        assert r.shape == fp.scales.shape
+        np.testing.assert_allclose(r, 4.0, rtol=1e-12)
 
     def test_doubled_endpoint_with_external_hurst(self):
         fq = SCALES**0.6
         fq[-1] *= 2.0
         fp = FluctuationProfile(q=2.0, scales=SCALES, fq=fq)
         fit = ScalingFit(q=2.0, hurst=0.6, log_intercept=0.0, r_squared=1.0, stderr_hurst=0.0)
-        rf = rescale(fp, fit)
-        assert rf.r_values[-1] == pytest.approx(4.0 * rf.r_values[0], rel=1e-12)
+        r = rescale(fp, fit)
+        assert r[-1] == pytest.approx(4.0 * r[0], rel=1e-12)
 
     def test_matches_recomputation_from_exported_csv(self, tmp_path):
         # recompute R(s) by hand from the CSV the library writes
@@ -63,8 +72,7 @@ class TestRescale:
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         r_hand = [float(r["fq"]) ** 2 / int(r["s"]) ** (2.0 * fit.hurst) for r in rows]
-        rf = rescale(fp, fit)
-        np.testing.assert_allclose(rf.r_values, r_hand, rtol=1e-12)
+        np.testing.assert_allclose(rescale(fp, fit), r_hand, rtol=1e-12)
 
     def test_requires_q_two(self):
         fp = FluctuationProfile(q=1.0, scales=SCALES, fq=SCALES**0.5)
@@ -75,41 +83,39 @@ class TestRescale:
 
 class TestFZero:
     def test_zero_intercept(self):
-        assert f_zero(ScalingFit(2.0, 0.5, 0.0, 1.0, 0.0)) == 1.0
+        assert indicators_of([1.0, 3.0], log_intercept=0.0).f0 == 1.0
 
     def test_log_two_intercept(self):
-        assert f_zero(ScalingFit(2.0, 0.5, math.log(2.0), 1.0, 0.0)) == pytest.approx(2.0)
+        assert indicators_of([1.0, 3.0], log_intercept=math.log(2.0)).f0 == pytest.approx(2.0)
 
     def test_exact_fit_recovers_prefactor(self):
-        fit = fit_scaling(exact_profile(0.04, 0.5))
-        assert f_zero(fit) == pytest.approx(0.04, rel=1e-12)
+        fp = exact_profile(0.04, 0.5)
+        assert liquidity_indicators(fp, fit_scaling(fp)).f0 == pytest.approx(0.04, rel=1e-12)
 
 
 class TestMeasures:
+    # R = [1, 3] comes from F = [1, sqrt(3)], whose square is 3 to within one ulp
     def test_f_sigma_two_point(self):
-        rf = RescaledFluctuations(scales=np.array([10, 11]), r_values=np.array([1.0, 3.0]))
-        assert f_sigma(rf) == pytest.approx(math.sqrt(2.0), abs=1e-14)
+        assert indicators_of([1.0, 3.0]).f_sigma == pytest.approx(math.sqrt(2.0), abs=1e-14)
 
     def test_f_sigma_constant_is_zero(self):
-        rf = RescaledFluctuations(scales=SCALES, r_values=np.full(SCALES.size, 2.5))
-        assert f_sigma(rf) == 0.0
+        assert indicators_of(np.full(SCALES.size, 2.5)).f_sigma == 0.0
 
     def test_f_sigma_needs_two_scales(self):
-        rf = RescaledFluctuations(scales=np.array([10]), r_values=np.array([1.0]))
-        with pytest.raises(InputError):
-            f_sigma(rf)
+        with pytest.raises(InputError, match="at least 2 scales"):
+            indicators_of([1.0])
 
     def test_f_range_two_point(self):
-        rf = RescaledFluctuations(scales=np.array([10, 11]), r_values=np.array([1.0, 3.0]))
-        assert f_range(rf) == 2.0
+        assert indicators_of([1.0, 3.0]).f_range == pytest.approx(2.0, rel=1e-15)
 
     def test_f_ratio_two_point(self):
-        rf = RescaledFluctuations(scales=np.array([10, 11]), r_values=np.array([1.0, 3.0]))
-        assert f_ratio(rf) == 3.0
+        assert indicators_of([1.0, 3.0]).f_ratio == pytest.approx(3.0, rel=1e-15)
 
     def test_nonpositive_rescaled_values_unconstructible(self):
-        with pytest.raises(InputError):
-            RescaledFluctuations(scales=np.array([10, 11]), r_values=np.array([1.0, 0.0]))
+        # s^(2H) overflows at H = 200, so R(s) = F^2 / s^(2H) underflows to 0
+        fp = FluctuationProfile(q=2.0, scales=np.array([10, 11]), fq=np.array([1.0, 1.0]))
+        with np.errstate(over="ignore"), pytest.raises(InputError, match="finite and positive"):
+            rescale(fp, flat_fit(hurst=200.0))
 
     def test_perturbed_profile_matches_pure_python(self):
         fq = 1.3 * SCALES**0.55
@@ -120,7 +126,7 @@ class TestMeasures:
         r_hand, sig_hand, range_hand, ratio_hand = pure_python_measures(
             SCALES, fq, fit.hurst
         )
-        np.testing.assert_allclose(rescale(fp, fit).r_values, r_hand, rtol=1e-10)
+        np.testing.assert_allclose(rescale(fp, fit), r_hand, rtol=1e-10)
         assert ind.f_sigma == pytest.approx(sig_hand, rel=1e-10)
         assert ind.f_range == pytest.approx(range_hand, rel=1e-10)
         assert ind.f_ratio == pytest.approx(ratio_hand, rel=1e-10)
@@ -163,10 +169,9 @@ class TestIndicators:
         fq[7] *= 1.9
         fp = FluctuationProfile(q=2.0, scales=SCALES, fq=fq)
         fit = fit_scaling(fp)
-        rf = rescale(fp, fit)
         ind = liquidity_indicators(fp, fit)
         assert ind.f_range == pytest.approx(
-            (ind.f_ratio - 1.0) * rf.r_values.min(), rel=1e-12
+            (ind.f_ratio - 1.0) * rescale(fp, fit).min(), rel=1e-12
         )
 
     def test_json_fields(self):

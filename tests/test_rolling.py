@@ -60,6 +60,14 @@ class TestRollingConfig:
         with pytest.raises(InputError, match="q = 0"):
             RollingConfig(q_set=(0.0, 2.0))
 
+    def test_q_inf_rejected(self):
+        with pytest.raises(InputError, match="q must be finite"):
+            RollingConfig(q_set=(2.0, float("inf")))
+
+    def test_scale_range_checked_against_window(self):
+        with pytest.raises(InputError, match=r"scales 10\.\.60 out of range \[3, 50\]"):
+            RollingConfig(window=200, s_min=10, s_max=60)
+
     def test_bad_mode(self):
         with pytest.raises(InputError):
             RollingConfig(garch_mode="hybrid")
@@ -284,4 +292,24 @@ class TestSerialization:
         path = tmp_path / "bad.csv"
         path.write_text("date,hurst\n2000-01-03,0.5\n")
         with pytest.raises(InputError, match="missing"):
+            read_rolling_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_read_rejects_non_finite_with_line(self, tmp_path, cell):
+        path = tmp_path / "run.rolling.csv"
+        path.write_text(
+            "date,hurst,stderr_hurst,r_squared,f0,f_sigma,f_range,f_ratio,garch_converged\n"
+            "2000-01-03,0.5,0.01,0.99,0.1,0.002,0.008,1.3,true\n"
+            f"2000-01-04,{cell},0.01,0.99,0.1,0.002,0.008,1.3,true\n"
+        )
+        with pytest.raises(InputError, match=r"run\.rolling\.csv:3: non-finite hurst"):
+            read_rolling_csv(path)
+
+    def test_read_rejects_short_row_with_line(self, tmp_path):
+        path = tmp_path / "run.rolling.csv"
+        path.write_text(
+            "date,hurst,stderr_hurst,r_squared,f0,f_sigma,f_range,f_ratio,garch_converged\n"
+            "2000-01-03,0.5,0.01\n"
+        )
+        with pytest.raises(InputError, match=r"run\.rolling\.csv:2"):
             read_rolling_csv(path)

@@ -9,7 +9,6 @@ from hurstscan import (
     InputError,
     average_fluctuation,
     build_profile,
-    classify_persistence,
     fit_scaling,
     gen_fgn,
     mfdfa,
@@ -174,7 +173,6 @@ class TestMfdfa:
         x = gen_fgn(10000, 0.7, seed=5)
         _, fit = mfdfa(x, range(10, 51))[2.0]
         assert 0.65 <= fit.hurst <= 0.75
-        assert classify_persistence(fit.hurst) == "persistent"
 
     def test_fgn_antipersistent(self):
         x = gen_fgn(10000, 0.3, seed=5)
@@ -207,26 +205,23 @@ class TestMfdfa:
         with pytest.raises(InputError):
             mfdfa(np.random.default_rng(0).normal(size=150), range(10, 51))
 
-    def test_cumulate_flag_consistency(self):
-        # feeding a prebuilt profile with cumulate off reproduces the default path
-        x = np.random.default_rng(8).normal(size=1000)
-        direct = mfdfa(x, range(10, 26))[2.0][1]
-        via_profile = mfdfa(build_profile(x), range(10, 26), cumulate=False)[2.0][1]
-        assert direct.hurst == via_profile.hurst
-        assert direct.log_intercept == via_profile.log_intercept
+    @pytest.mark.parametrize("q", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_q_rejected(self, q):
+        x = np.random.default_rng(3).normal(size=400)
+        with pytest.raises(InputError, match="q must be finite"):
+            mfdfa(x, range(10, 21), qs=(2.0, q))
+        with pytest.raises(InputError, match="q must be finite"):
+            average_fluctuation([1.0, 4.0], q)
+
+    def test_scale_below_detrending_order_rejected(self):
+        x = np.random.default_rng(4).normal(size=400)
+        with pytest.raises(InputError, match=r"scales 3\.\.20 out of range \[4, 100\]"):
+            mfdfa(x, range(3, 21), order=2)
 
     def test_results_keyed_and_ordered_by_scale(self):
         x = np.random.default_rng(2).normal(size=800)
         fp, _ = mfdfa(x, [20, 10, 15])[2.0]
         np.testing.assert_array_equal(fp.scales, [10, 15, 20])
-
-
-class TestClassifyPersistence:
-    def test_examples(self):
-        assert classify_persistence(0.5) == "uncorrelated"
-        assert classify_persistence(0.7, band=0.01) == "persistent"
-        assert classify_persistence(0.49, band=0.02) == "uncorrelated"
-        assert classify_persistence(0.3) == "anti-persistent"
 
 
 class TestFluctuationProfileType:

@@ -1,8 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from helpers import lag1_autocorr
 from hurstscan import (
+    GarchParams,
     GeneratorSpec,
     InputError,
     fgn_autocovariance,
@@ -171,3 +174,32 @@ class TestGeneratorSpec:
     def test_bad_length(self):
         with pytest.raises(InputError):
             GeneratorSpec(kind="fgn", n=0, seed=0, hurst=0.5)
+
+
+
+GARCH_OK = {"omega": 1e-6, "alpha": 0.08, "beta": 0.9}
+
+# (label, constructor, a valid set of its float parameters)
+GENERATORS = [
+    ("GarchParams", GarchParams, GARCH_OK),
+    ("gen_garch", partial(gen_garch, 100), GARCH_OK),
+    ("gen_white", partial(gen_white, 100), {"sigma": 1.0}),
+    ("gen_fgn", partial(gen_fgn, 100), {"hurst": 0.6, "sigma": 1.0}),
+    ("GeneratorSpec-fgn", partial(GeneratorSpec, "fgn", 100), {"hurst": 0.6, "sigma": 1.0}),
+    ("GeneratorSpec-white", partial(GeneratorSpec, "gaussian-white", 100), {"sigma": 1.0}),
+    ("GeneratorSpec-garch", partial(GeneratorSpec, "garch", 100), GARCH_OK),
+]
+
+
+@pytest.mark.parametrize(
+    "make, kwargs",
+    [
+        pytest.param(make, {**valid, name: bad}, id=f"{label}-{name}-{bad}")
+        for label, make, valid in GENERATORS
+        for name in valid
+        for bad in (float("nan"), float("inf"), float("-inf"))
+    ],
+)
+def test_non_finite_parameters_rejected(make, kwargs):
+    with pytest.raises(InputError):
+        make(**kwargs)
