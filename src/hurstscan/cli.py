@@ -22,7 +22,14 @@ from pathlib import Path
 from . import __version__
 from .exceptions import InputError, NumericalError
 from .garch import garch_filter, garch_fit
-from .ingest import CsvLayout, load_prices, load_returns, log_returns, synthetic_dates
+from .ingest import (
+    CsvLayout,
+    _write_dated_values,
+    load_prices,
+    load_returns,
+    log_returns,
+    synthetic_dates,
+)
 from .liquidity import _check_has_q2, liquidity_indicators
 from .rolling import (
     RollingConfig,
@@ -60,6 +67,13 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _write_json(path: Path, data) -> Path:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+    return path
+
+
 def _write_manifest(args, command: str, inputs, config: dict, outputs, started, seed=None):
     out_dir = _out_dir(args)
     manifest = {
@@ -75,11 +89,7 @@ def _write_manifest(args, command: str, inputs, config: dict, outputs, started, 
         "duration_seconds": time.perf_counter() - started,
     }
     stem = Path(next(iter(outputs.values()))).stem.split(".")[0]
-    manifest_path = out_dir / f"{stem}.{command}.manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    return manifest_path
+    return _write_json(out_dir / f"{stem}.{command}.manifest.json", manifest)
 
 
 def _layout(args) -> CsvLayout:
@@ -172,13 +182,12 @@ def cmd_analyze(args) -> int:
     if args.garch:
         fit = garch_fit(values)
         values = garch_filter(series, fit)
-        garch_path = out_dir / f"{stem}.garch.json"
-        with open(garch_path, "w", encoding="utf-8") as fh:
-            json.dump(fit.to_dict(), fh, indent=2)
-            fh.write("\n")
-        outputs["garch"] = garch_path
-
+    # compute everything before writing, so a failed run leaves no files
     results = mfdfa(values, range(args.s_min, args.s_max + 1), qs, args.detrend_order)
+    indicators = liquidity_indicators(*results[2.0])
+
+    if args.garch:
+        outputs["garch"] = _write_json(out_dir / f"{stem}.garch.json", fit.to_dict())
 
     for q in sorted(results):
         fp, _ = results[q]
@@ -186,19 +195,11 @@ def cmd_analyze(args) -> int:
         fp.write_csv(fluct_path)
         outputs[f"fluctuations_q{_q_tag(q)}"] = fluct_path
 
-    scaling_path = out_dir / f"{stem}.scaling.json"
-    with open(scaling_path, "w", encoding="utf-8") as fh:
-        json.dump([results[q][1].to_dict() for q in sorted(results)], fh, indent=2)
-        fh.write("\n")
-    outputs["scaling"] = scaling_path
-
-    fp2, fit2 = results[2.0]
-    indicators = liquidity_indicators(fp2, fit2)
-    indicators_path = out_dir / f"{stem}.indicators.json"
-    with open(indicators_path, "w", encoding="utf-8") as fh:
-        json.dump(indicators.to_dict(), fh, indent=2)
-        fh.write("\n")
-    outputs["indicators"] = indicators_path
+    fits = [results[q][1].to_dict() for q in sorted(results)]
+    outputs["scaling"] = _write_json(out_dir / f"{stem}.scaling.json", fits)
+    outputs["indicators"] = _write_json(
+        out_dir / f"{stem}.indicators.json", indicators.to_dict()
+    )
 
     manifest = _write_manifest(args, "analyze", [args.input], config, outputs, started)
     print(f"wrote {len(outputs)} files and {manifest}", file=sys.stderr)
@@ -257,12 +258,10 @@ def cmd_synth(args) -> int:
 
     name = args.out or f"{args.kind.replace('-', '_')}_n{args.n}_seed{args.seed}.csv"
     path = out_dir / name
-    with open(path, "w", encoding="utf-8") as fh:
-        if args.dates:
-            fh.write("date,value\n")
-            for date, value in zip(synthetic_dates(args.n, args.start_date), values):
-                fh.write(f"{date.isoformat()},{float(value)!r}\n")
-        else:
+    if args.dates:
+        _write_dated_values(synthetic_dates(args.n, args.start_date), values, path, "value")
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write("value\n")
             for value in values:
                 fh.write(f"{float(value)!r}\n")
@@ -281,19 +280,10 @@ def cmd_report(args) -> int:
     results = read_rolling_csv(args.input)
 
     outputs: dict[str, Path] = {}
-    indicators = {
-        "hurst": lambda r: r.hurst,
-        "f0": lambda r: r.indicators.f0,
-        "f_sigma": lambda r: r.indicators.f_sigma,
-        "f_range": lambda r: r.indicators.f_range,
-        "f_ratio": lambda r: r.indicators.f_ratio,
-    }
-    for name, getter in indicators.items():
+    rows = [r.to_dict() for r in results]
+    for name in ("hurst", "f0", "f_sigma", "f_range", "f_ratio"):
         path = out_dir / f"{stem}.{name}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("date,value\n")
-            for res in results:
-                fh.write(f"{res.date.isoformat()},{getter(res)!r}\n")
+        _write_dated_values([r.date for r in results], [row[name] for row in rows], path, "value")
         outputs[name] = path
 
     runs = detect_regimes(results, args.threshold)
@@ -386,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
     p_synth.add_argument("--h", type=float, default=None, help="Hurst exponent (fgn only)")
     p_synth.add_argument(
-        "--sigma", type=float, default=1.0, help="noise scale, fgn/white (default: 1.0)"
+        "--sigma", type=float, default=None, help="noise scale, fgn/white (default: 1.0)"
     )
     p_synth.add_argument("--omega", type=float, default=None, help="GARCH omega (garch only)")
     p_synth.add_argument("--alpha", type=float, default=None, help="GARCH alpha (garch only)")

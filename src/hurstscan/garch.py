@@ -89,13 +89,6 @@ class GarchFit:
             "iterations": int(self.iterations),
         }
 
-    def write_h_csv(self, path) -> None:
-        """Export the conditional-variance path as a one-column CSV."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("h\n")
-            for v in self.h:
-                fh.write(f"{float(v)!r}\n")
-
 
 def _return_values(returns) -> np.ndarray:
     values = getattr(returns, "values", returns)
@@ -164,13 +157,7 @@ def _pack_theta(omega, alpha, beta):
     return np.array([math.log(omega), math.log(alpha / rest), math.log(beta / rest)])
 
 
-def garch_fit(
-    returns,
-    *,
-    demean: bool = False,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> GarchFit:
+def garch_fit(returns, *, demean: bool = False) -> GarchFit:
     """Fit GARCH(1,1) by maximizing the Gaussian log-likelihood.
 
     Nelder-Mead over the transformed parameters, started from
@@ -206,7 +193,7 @@ def garch_fit(
         objective,
         theta0,
         method="Nelder-Mead",
-        options={"maxiter": max_iter, "fatol": tol, "xatol": tol},
+        options={"maxiter": DEFAULT_MAX_ITER, "fatol": DEFAULT_TOL, "xatol": DEFAULT_TOL},
     )
     omega, alpha, beta = _unpack_theta(result.x)
     params = GarchParams(omega=omega, alpha=alpha, beta=beta)

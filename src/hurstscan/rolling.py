@@ -5,10 +5,11 @@ and the four liquidity indicators, stamped with the window's last date
 by default (the values are "known as of" that day).  Results come in
 chronological order.
 
+Every mode analyzes all windows in one array pass over (windows x
+scales); only the source of the squared segment fluctuations differs.
 With one whole-sample GARCH fit and detrending order >= 1, windows
-share their segments' fluctuations, and one array pass over
-(windows x scales) analyzes every window at once.  Per-window GARCH
-fits and order-0 detrending run ``mfdfa`` on each window instead.
+share their segments and each is detrended once; per-window GARCH fits
+and order 0 give every window its own profile.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import csv
 import datetime as dt
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -24,8 +25,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .exceptions import InputError, NumericalError
 from .garch import garch_filter, garch_fit
 from .ingest import ReturnSeries, _finite_float
-from .liquidity import LiquidityIndicators, _check_has_q2, _indicator_rows, liquidity_indicators
-from .scaling import _check_fluctuations, _check_qs, _check_scale_range, _fit_loglog, mfdfa
+from .liquidity import LiquidityIndicators, _check_has_q2, _indicator_rows
+from .scaling import (
+    _check_fluctuations,
+    _check_qs,
+    _check_scale_range,
+    _fit_loglog,
+    _residual_f2,
+    _run_marker,
+    _segment_starts,
+    _zero_flat,
+)
 
 __all__ = [
     "RollingConfig",
@@ -95,16 +105,7 @@ class RollingConfig:
         return range(self.s_min, self.s_max + 1)
 
     def to_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "step": self.step,
-            "s_min": self.s_min,
-            "s_max": self.s_max,
-            "q_set": list(self.q_set),
-            "detrend_order": self.detrend_order,
-            "garch_mode": self.garch_mode,
-            "stamp": self.stamp,
-        }
+        return {**asdict(self), "q_set": list(self.q_set)}
 
 
 @dataclass(frozen=True)
@@ -140,30 +141,8 @@ class RegimeRun:
     n_windows: int
 
 
-def _stamp_date(dates, start_idx: int, window: int, stamp: str) -> dt.date:
-    if stamp == "end":
-        return dates[start_idx + window - 1]
-    if stamp == "start":
-        return dates[start_idx]
-    return dates[start_idx + (window - 1) // 2]
-
-
-def _analyze_values(values, date, config: RollingConfig, converged: bool) -> WindowResult:
-    results = mfdfa(values, config.scales(), config.q_set, config.detrend_order)
-    fp, fit = results[2.0]
-    return WindowResult(
-        date=date,
-        hurst=fit.hurst,
-        log_intercept=fit.log_intercept,
-        stderr_hurst=fit.stderr_hurst,
-        r_squared=fit.r_squared,
-        indicators=liquidity_indicators(fp, fit),
-        garch_converged=converged,
-    )
-
-
-def _shared_segment_windows(values: np.ndarray, starts: np.ndarray, config: RollingConfig):
-    """Scaling fit and indicators of every window of ``values`` in one pass per scale.
+def _shared_f2(values: np.ndarray, starts: np.ndarray, config: RollingConfig):
+    """Each scale's squared segment fluctuations of every window of one series.
 
     Over one segment, a window's profile differs from the running sum
     of the values started at the segment's first point only by a
@@ -175,32 +154,47 @@ def _shared_segment_windows(values: np.ndarray, starts: np.ndarray, config: Roll
     running sums stay at the size of one segment, so their rounding
     is no larger than that of ``mfdfa``'s per-window profile.
 
+    Yields one (windows x 2*(window // s)) array per scale.
+    """
+    steps = values - values.mean()
+    marker = _run_marker(values)
+    for s in config.scales():
+        # row a: the profile over [a, a + s) up to a constant
+        segments = np.cumsum(sliding_window_view(steps, s), axis=1)
+        f2_at = _residual_f2(segments, config.detrend_order)
+        _zero_flat(f2_at, marker, s, config.detrend_order, np.arange(f2_at.size))
+        yield f2_at[starts[:, None] + _segment_starts(config.window, s)]
+
+
+def _row_f2(rows: np.ndarray, config: RollingConfig):
+    """Like ``_shared_f2``, for a (windows x window) matrix whose every row is its own series.
+
+    Each row's profile is cut as ``segment_fluctuations`` cuts it.
+    """
+    m, w = rows.shape
+    order = config.detrend_order
+    profiles = np.cumsum(rows - rows.mean(axis=1, keepdims=True), axis=1)
+    marker = _run_marker(rows)
+    for s in config.scales():
+        ns = w // s
+        forward = profiles[:, : ns * s].reshape(m, ns, s)
+        backward = profiles[:, w - ns * s :].reshape(m, ns, s)[:, ::-1]
+        f2 = _residual_f2(np.concatenate([forward, backward], axis=1), order)
+        yield _zero_flat(f2, marker, s, order)
+
+
+def _window_columns(f2_per_scale, n_windows: int, config: RollingConfig):
+    """Scaling fit and indicators of every window from its squared segment fluctuations.
+
     Returns (hurst, log_intercept, stderr_hurst, r_squared, f0, f_sigma,
     f_range, f_ratio), one array entry per window; raises the same
     InputError as ``mfdfa`` + ``liquidity_indicators`` on a degenerate
     window.
     """
-    w = config.window
     scales = np.asarray(config.scales())
-    steps = values - values.mean()
-    # changes[t]: how many of values[1..t] differ from their predecessor
-    changes = np.concatenate(([0], np.cumsum(values[1:] != values[:-1])))
-    has_zero = np.zeros(starts.size, dtype=bool)
-    fq = {q: np.empty((starts.size, scales.size)) for q in config.q_set}
-    for j, s in enumerate(scales):
-        x = np.arange(s, dtype=float)
-        basis = np.linalg.qr(np.vander(x, config.detrend_order + 1, increasing=True))[0]
-        # row a: the profile over [a, a + s) up to a constant
-        segments = np.cumsum(sliding_window_view(steps, s), axis=1)
-        residuals = segments - (segments @ basis) @ basis.T
-        f2_at = np.mean(residuals**2, axis=1)
-        # Over a run of equal values the profile is a straight line with
-        # zero residual, which the running sums reproduce only up to
-        # rounding; make it exact, so a window of equal values is
-        # rejected as degenerate just as mfdfa rejects it.
-        f2_at[changes[s - 1 :] == changes[1 : changes.size - s + 2]] = 0.0
-        k = np.arange(w // s)
-        f2 = f2_at[starts[:, None] + np.concatenate([k * s, w - (k + 1) * s])]
+    has_zero = np.zeros(n_windows, dtype=bool)
+    fq = {q: np.empty((n_windows, scales.size)) for q in config.q_set}
+    for j, f2 in enumerate(f2_per_scale):
         has_zero |= np.any(f2 == 0.0, axis=1)
         with np.errstate(divide="ignore"):
             for q in config.q_set:
@@ -216,17 +210,12 @@ def _shared_segment_windows(values: np.ndarray, starts: np.ndarray, config: Roll
     try:
         check(slice(None))
     except InputError:
-        # report the error of the first bad window, as the per-window path does
-        for i in range(starts.size):
+        # report the error of the first bad window, as mfdfa on each window would
+        for i in range(n_windows):
             check(i)
     hurst, intercept, r_squared, stderr = _fit_loglog(scales, fq[2.0])
-    return (
-        hurst,
-        intercept,
-        stderr,
-        r_squared,
-        *_indicator_rows(scales, fq[2.0], hurst, intercept),
-    )
+    indicators = _indicator_rows(scales, fq[2.0], hurst, intercept)
+    return (hurst, intercept, stderr, r_squared, *indicators)
 
 
 def roll(returns: ReturnSeries, config: RollingConfig = RollingConfig()) -> list[WindowResult]:
@@ -243,43 +232,33 @@ def roll(returns: ReturnSeries, config: RollingConfig = RollingConfig()) -> list
     if n < w:
         raise InputError(f"series length {n} is shorter than window {w}")
     starts = np.arange(0, n - w + 1, config.step)
-    dates = [_stamp_date(returns.dates, i, w, config.stamp) for i in starts]
+    offset = {"end": w - 1, "start": 0, "center": (w - 1) // 2}[config.stamp]
+    dates = [returns.dates[i] for i in (starts + offset).tolist()]
 
     if config.garch_mode == "per-window":
-        results = []
-        for i, date in zip(starts, dates):
-            window_values = returns.values[i : i + w]
+        rows = sliding_window_view(returns.values, w)[starts]
+        converged = []
+        for k, window_values in enumerate(rows):
             try:
                 fit = garch_fit(window_values)
-                values = garch_filter(window_values, fit)
-                converged = fit.converged
+                rows[k] = garch_filter(window_values, fit)
+                converged.append(fit.converged)
             except (InputError, NumericalError):
-                values = window_values
-                converged = False
-            results.append(_analyze_values(values, date, config, converged))
-        return results
-
-    fit = garch_fit(returns.values)
-    filtered = garch_filter(returns, fit)
-    if config.detrend_order == 0:
-        return [
-            _analyze_values(filtered[i : i + w], date, config, fit.converged)
-            for i, date in zip(starts, dates)
-        ]
-    columns = (a.tolist() for a in _shared_segment_windows(filtered, starts, config))
+                converged.append(False)
+        f2_per_scale = _row_f2(rows, config)
+    else:
+        fit = garch_fit(returns.values)
+        filtered = garch_filter(returns, fit)
+        converged = [fit.converged] * starts.size
+        if config.detrend_order == 0:
+            # order 0 leaves a window's linear profile term in: no shared segments
+            f2_per_scale = _row_f2(sliding_window_view(filtered, w)[starts], config)
+        else:
+            f2_per_scale = _shared_f2(filtered, starts, config)
+    columns = (a.tolist() for a in _window_columns(f2_per_scale, starts.size, config))
     return [
-        WindowResult(
-            date=date,
-            hurst=hurst,
-            log_intercept=intercept,
-            stderr_hurst=stderr,
-            r_squared=r_squared,
-            indicators=LiquidityIndicators(f0=f0, f_sigma=sigma, f_range=spread, f_ratio=ratio),
-            garch_converged=fit.converged,
-        )
-        for date, hurst, intercept, stderr, r_squared, f0, sigma, spread, ratio in zip(
-            dates, *columns
-        )
+        WindowResult(date, hurst, intercept, stderr, r_squared, LiquidityIndicators(*ind), ok)
+        for date, ok, hurst, intercept, stderr, r_squared, *ind in zip(dates, converged, *columns)
     ]
 
 

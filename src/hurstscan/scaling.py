@@ -155,14 +155,54 @@ def segment_fluctuations(profile, s: int, order: int = 1) -> np.ndarray:
     ns = t // s
     forward = prof[: ns * s].reshape(ns, s)
     backward = prof[t - ns * s :].reshape(ns, s)[::-1]
-    segments = np.concatenate([forward, backward])
+    return _residual_f2(np.concatenate([forward, backward]), order)
 
-    # Orthonormal polynomial basis on the segment abscissa: residuals via
-    # projection, one matmul for all segments at a fixed scale.
-    x = np.arange(s, dtype=float)
+
+def _residual_f2(segments, order: int) -> np.ndarray:
+    """Mean squared residual of each segment (last axis) about its least-squares polynomial.
+
+    Orthonormal polynomial basis on the segment abscissa: residuals via
+    projection, one matmul for all segments at a fixed scale.
+    """
+    x = np.arange(segments.shape[-1], dtype=float)
     basis = np.linalg.qr(np.vander(x, order + 1, increasing=True))[0]
     residuals = segments - (segments @ basis) @ basis.T
-    return np.mean(residuals**2, axis=1)
+    return np.mean(residuals**2, axis=-1)
+
+
+def _segment_starts(length: int, s: int) -> np.ndarray:
+    """First profile position of each segment of a series, in segment_fluctuations' order."""
+    k = np.arange(length // s)
+    return np.concatenate([k * s, length - (k + 1) * s])
+
+
+def _run_marker(x) -> np.ndarray | None:
+    """marker[..., t]: how many of x[..., 1..t+1] differ from their predecessor.
+
+    One per series (or row of series), read by ``_zero_flat`` at every
+    scale; None when no two neighbours are equal, so nothing is flat.
+    """
+    changes = x[..., 1:] != x[..., :-1]
+    return None if changes.all() else np.cumsum(changes, axis=-1)
+
+
+def _zero_flat(f2, marker, s: int, order: int, starts=None):
+    """Set f2 = 0 exactly, in place, on segments whose profile detrending removes.
+
+    Over x[a+1] = ... = x[a+s-1] the profile of the segment starting at
+    a is a straight line, which order >= 1 removes up to rounding noise
+    that would pass for a tiny fluctuation.  A constant series is flat
+    for every order.  ``starts`` default to ``segment_fluctuations``'s.
+    """
+    if marker is None:
+        return f2
+    if starts is None:
+        starts = _segment_starts(marker.shape[-1] + 1, s)
+    flat = marker[..., -1:] == 0
+    if order >= 1:
+        flat = flat | (marker[..., starts + s - 2] == marker[..., starts])
+    f2[np.broadcast_to(flat, f2.shape)] = 0.0
+    return f2
 
 
 def average_fluctuation(segment_f2, q: float) -> float:
@@ -256,8 +296,12 @@ def mfdfa(
     x = np.asarray(series, dtype=float)
     _check_scale_range(int(scale_arr[0]), int(scale_arr[-1]), order, x.size)
     prof = build_profile(x)
+    marker = _run_marker(x)
 
-    seg_f2 = [segment_fluctuations(prof, int(s), order) for s in scale_arr]
+    seg_f2 = [
+        _zero_flat(segment_fluctuations(prof, s, order), marker, s, order)
+        for s in scale_arr.tolist()
+    ]
     out: dict[float, tuple[FluctuationProfile, ScalingFit]] = {}
     for q in q_list:
         fq = np.array([average_fluctuation(f2, q) for f2 in seg_f2])

@@ -103,32 +103,31 @@ def gen_white(n: int, sigma: float = 1.0, seed: int = 0) -> np.ndarray:
     return sigma * np.random.default_rng(seed).standard_normal(n)
 
 
-def gen_garch(
-    n: int,
-    omega: float,
-    alpha: float,
-    beta: float,
-    seed: int = 0,
-    burn: int = GARCH_BURN_IN,
-) -> np.ndarray:
+def gen_garch(n: int, omega: float, alpha: float, beta: float, seed: int = 0) -> np.ndarray:
     """Simulate a GARCH(1,1) path r_t = sqrt(h_t) * z_t with Gaussian innovations.
 
     The variance recursion starts at its unconditional level
-    omega / (1 - alpha - beta) and the first ``burn`` draws are discarded
-    so the returned sample is effectively stationary.
+    omega / (1 - alpha - beta) and the first GARCH_BURN_IN draws are
+    discarded so the returned sample is effectively stationary.
     """
     _check_size(n)
-    if burn < GARCH_BURN_IN:
-        raise InputError(f"burn-in must be at least {GARCH_BURN_IN}")
     h = GarchParams(omega, alpha, beta).unconditional_variance
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal(n + burn)
-    r = np.empty(n + burn)
-    for t in range(n + burn):
+    z = rng.standard_normal(n + GARCH_BURN_IN)
+    r = np.empty(n + GARCH_BURN_IN)
+    for t in range(n + GARCH_BURN_IN):
         rt = math.sqrt(h) * z[t]
         r[t] = rt
         h = omega + alpha * rt * rt + beta * h
-    return r[burn:]
+    return r[GARCH_BURN_IN:]
+
+
+# each kind's generator and the parameters it takes, in the order the spec records them
+_KINDS = {
+    "fgn": (gen_fgn, ("hurst", "sigma")),
+    "gaussian-white": (gen_white, ("sigma",)),
+    "garch": (gen_garch, ("omega", "alpha", "beta")),
+}
 
 
 @dataclass(frozen=True)
@@ -136,51 +135,50 @@ class GeneratorSpec:
     """Declarative description of a synthetic series: kind, length, parameters, seed.
 
     kind is one of "fgn" (needs hurst, optional sigma), "gaussian-white"
-    (optional sigma) or "garch" (needs omega, alpha, beta).
+    (optional sigma) or "garch" (needs omega, alpha, beta); a parameter
+    the kind does not take is rejected.  sigma defaults to 1.0.
     """
 
     kind: str
     n: int
     seed: int = 0
     hurst: float | None = None
-    sigma: float = 1.0
+    sigma: float | None = None
     omega: float | None = None
     alpha: float | None = None
     beta: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("fgn", "gaussian-white", "garch"):
+        if self.kind not in _KINDS:
             raise InputError(f"unknown generator kind: {self.kind!r}")
+        names = _KINDS[self.kind][1]
+        if "sigma" in names and self.sigma is None:
+            object.__setattr__(self, "sigma", 1.0)
+        unused = [
+            name
+            for name in ("hurst", "sigma", "omega", "alpha", "beta")
+            if name not in names and getattr(self, name) is not None
+        ]
+        if unused:
+            raise InputError(f"{self.kind} does not take {', '.join(unused)}")
+        missing = [name for name in names if getattr(self, name) is None]
+        if missing:
+            raise InputError(f"{self.kind} requires {', '.join(missing)}")
         if self.kind == "fgn":
-            if self.hurst is None:
-                raise InputError("fgn requires hurst")
             _check_fgn_params(self.n, self.hurst, self.sigma)
         elif self.kind == "gaussian-white":
             _check_size(self.n, self.sigma)
         else:
-            if self.omega is None or self.alpha is None or self.beta is None:
-                raise InputError("garch requires omega, alpha and beta")
             _check_size(self.n)
             GarchParams(self.omega, self.alpha, self.beta)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "n": int(self.n), "seed": int(self.seed)}
-        if self.kind == "fgn":
-            out["hurst"] = float(self.hurst)
-            out["sigma"] = float(self.sigma)
-        elif self.kind == "gaussian-white":
-            out["sigma"] = float(self.sigma)
-        else:
-            out.update(
-                omega=float(self.omega), alpha=float(self.alpha), beta=float(self.beta)
-            )
+        out.update((name, float(getattr(self, name))) for name in _KINDS[self.kind][1])
         return out
 
 
 def generate(spec: GeneratorSpec) -> np.ndarray:
     """Realize a GeneratorSpec as a numpy array."""
-    if spec.kind == "fgn":
-        return gen_fgn(spec.n, spec.hurst, spec.sigma, spec.seed)
-    if spec.kind == "gaussian-white":
-        return gen_white(spec.n, spec.sigma, spec.seed)
-    return gen_garch(spec.n, spec.omega, spec.alpha, spec.beta, spec.seed)
+    generator, names = _KINDS[spec.kind]
+    return generator(spec.n, seed=spec.seed, **{name: getattr(spec, name) for name in names})

@@ -13,6 +13,8 @@ import datetime as dt
 import numpy as np
 
 from hurstscan import (
+    InputError,
+    NumericalError,
     ReturnSeries,
     WindowResult,
     garch_fit,
@@ -70,20 +72,32 @@ def make_return_series(values, start: dt.date = dt.date(2000, 1, 3)) -> ReturnSe
 
 
 def reference_roll(series: ReturnSeries, config) -> list[WindowResult]:
-    """Whole-sample rolling analysis one window at a time through mfdfa.
+    """Rolling analysis one window at a time through mfdfa.
 
-    The oracle for roll()'s shared-segment kernel: fit GARCH once, then
-    run mfdfa and liquidity_indicators on every filtered window slice.
+    The oracle for roll()'s window kernel.  In whole-sample mode GARCH
+    is fitted once and every window slices the filtered series; in
+    per-window mode each window is fitted on its own, and a window whose
+    fit raises is analyzed on its raw values with converged=False.  Each
+    window then goes through mfdfa and liquidity_indicators.
     """
-    fit = garch_fit(series.values)
-    filtered = series.values / np.sqrt(fit.h)
     w = config.window
     offset = {"end": w - 1, "start": 0, "center": (w - 1) // 2}[config.stamp]
+    if config.garch_mode == "whole-sample":
+        fit = garch_fit(series.values)
+        filtered = series.values / np.sqrt(fit.h)
     results = []
     for i in range(0, len(series) - w + 1, config.step):
-        fp, scaling_fit = mfdfa(
-            filtered[i : i + w], config.scales(), config.q_set, config.detrend_order
-        )[2.0]
+        if config.garch_mode == "whole-sample":
+            values, converged = filtered[i : i + w], fit.converged
+        else:
+            values = series.values[i : i + w]
+            try:
+                window_fit = garch_fit(values)
+            except (InputError, NumericalError):
+                converged = False
+            else:
+                values, converged = values / np.sqrt(window_fit.h), window_fit.converged
+        fp, scaling_fit = mfdfa(values, config.scales(), config.q_set, config.detrend_order)[2.0]
         results.append(
             WindowResult(
                 date=series.dates[i + offset],
@@ -92,7 +106,7 @@ def reference_roll(series: ReturnSeries, config) -> list[WindowResult]:
                 stderr_hurst=scaling_fit.stderr_hurst,
                 r_squared=scaling_fit.r_squared,
                 indicators=liquidity_indicators(fp, scaling_fit),
-                garch_converged=fit.converged,
+                garch_converged=converged,
             )
         )
     return results

@@ -49,6 +49,10 @@ class TestSynth:
         [
             ["--kind", "garch", "--omega", "1e-6", "--alpha", "nan", "--beta", "0.9"],
             ["--kind", "gaussian-white", "--sigma", "nan"],
+            # parameters of other kinds are rejected, not ignored
+            ["--kind", "garch", "--omega", "1e-6", "--alpha", "0.08", "--beta", "0.9",
+             "--sigma", "nan", "--h", "7"],
+            ["--kind", "fgn", "--h", "0.6", "--omega", "1e-6"],
         ],
     )
     def test_nan_parameter_exits_one_without_output(self, workdir, params):
@@ -80,6 +84,12 @@ class TestAnalyze:
         (workdir / "flat.csv").write_text("\n".join(rows) + "\n")
         assert run(["analyze", "flat.csv", "--s-max", "25"]) == 1
         assert "degenerate" in capsys.readouterr().err
+
+    def test_failed_run_writes_no_files(self, workdir, capsys):
+        synth_fgn(workdir, name="x.csv", n=1000)
+        assert run(["analyze", "x.csv", "--returns", "--s-max", "400", "--out-dir", "out"]) == 1
+        assert "out of range" in capsys.readouterr().err
+        assert list((workdir / "out").iterdir()) == []
 
     def test_missing_file_exits_one_naming_path(self, workdir, capsys):
         assert run(["analyze", "missing.csv"]) == 1

@@ -148,9 +148,24 @@ class TestRoll:
                 reference_roll(series, config)
             assert str(kernel.value) == str(reference.value)
 
+    def test_flat_stretch_same_rule_on_both_paths(self):
+        # twelve zero returns: segments inside them have a straight-line profile
+        values = gen_garch(1200, omega=1e-6, alpha=0.08, beta=0.91, seed=3)
+        values[700:712] = 0.0
+        series = make_return_series(values)
+        config = RollingConfig(window=500, step=50, q_set=(-2.0, 2.0))
+        with pytest.raises(InputError, match="negative q") as kernel:
+            roll(series, config)
+        with pytest.raises(InputError) as reference:
+            reference_roll(series, config)
+        assert str(kernel.value) == str(reference.value)
+        config = RollingConfig(window=500, step=50)
+        assert_results_close(roll(series, config), reference_roll(series, config))
+
     @given(
         seed=st.integers(0, 2**32 - 1),
-        order=st.sampled_from([1, 2]),
+        order=st.sampled_from([0, 1, 2]),
+        garch_mode=st.sampled_from(["whole-sample", "per-window"]),
         s_min_extra=st.integers(0, 8),
         window_extra=st.integers(0, 120),
         s_max_frac=st.floats(0.0, 1.0),
@@ -161,11 +176,13 @@ class TestRoll:
         ),
         q_pos=st.integers(0, 3),
         stamp=st.sampled_from(["end", "start", "center"]),
+        flat_at=st.floats(0.0, 1.0),
+        flat_len=st.sampled_from([0, 0, 6, 40]),
     )
     @settings(max_examples=60, deadline=None)
     def test_kernel_matches_reference_property(
-        self, seed, order, s_min_extra, window_extra, s_max_frac, tail, step, other_qs,
-        q_pos, stamp,
+        self, seed, order, garch_mode, s_min_extra, window_extra, s_max_frac, tail, step,
+        other_qs, q_pos, stamp, flat_at, flat_len,
     ):
         s_min = order + 2 + s_min_extra
         window = 10 * s_min + window_extra
@@ -174,12 +191,23 @@ class TestRoll:
         q_set.insert(min(q_pos, len(q_set)), 2.0)
         config = RollingConfig(
             window=window, step=step, s_min=s_min, s_max=s_max, q_set=tuple(q_set),
-            detrend_order=order, stamp=stamp,
+            detrend_order=order, garch_mode=garch_mode, stamp=stamp,
         )
         rng = np.random.default_rng(seed)
         n = max(window, 100) + tail
-        series = make_return_series(rng.standard_normal(n) * np.exp(rng.normal(-4, 1)))
-        assert_results_close(roll(series, config), reference_roll(series, config))
+        values = rng.standard_normal(n) * np.exp(rng.normal(-4, 1))
+        # a stretch of zero returns: flat segments, or whole flat windows
+        flat_start = int(flat_at * (n - flat_len))
+        values[flat_start : flat_start + flat_len] = 0.0
+        series = make_return_series(values)
+        try:
+            want = reference_roll(series, config)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                roll(series, config)
+            assert str(got.value) == str(exc)
+        else:
+            assert_results_close(roll(series, config), want)
 
     def test_per_window_independence(self):
         series = make_return_series(gen_garch(700, 0.1, 0.1, 0.8, seed=6))

@@ -218,6 +218,21 @@ class TestMfdfa:
         with pytest.raises(InputError, match=r"scales 3\.\.20 out of range \[4, 100\]"):
             mfdfa(x, range(3, 21), order=2)
 
+    @pytest.mark.parametrize("c", [0.0, 0.1, 7.0, 0.3, 0.001])
+    def test_constant_series_degenerate_for_every_order(self, c):
+        # demeaning a constant leaves rounding noise, which must not be fitted
+        for order in (0, 1, 2):
+            with pytest.raises(InputError, match="degenerate"):
+                mfdfa(np.full(500, c), range(10, 51), order=order)
+
+    def test_flat_stretch_segments_are_exactly_zero(self):
+        x = np.random.default_rng(5).normal(size=400)
+        x[100:130] = 0.0
+        with pytest.raises(InputError, match="zero segment fluctuation with negative q"):
+            mfdfa(x, range(10, 21), qs=(-2.0, 2.0))
+        # constant detrending leaves the profile's slope over the stretch
+        mfdfa(x, range(10, 21), qs=(-2.0, 2.0), order=0)
+
     def test_results_keyed_and_ordered_by_scale(self):
         x = np.random.default_rng(2).normal(size=800)
         fp, _ = mfdfa(x, [20, 10, 15])[2.0]

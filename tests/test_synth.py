@@ -167,6 +167,22 @@ class TestGeneratorSpec:
         with pytest.raises(InputError):
             GeneratorSpec(kind="garch", n=100, seed=0, omega=0.1, alpha=0.6, beta=0.5)
 
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [
+            ("fgn", {"hurst": 0.6, "alpha": 0.1}),
+            ("gaussian-white", {"hurst": 0.6}),
+            ("garch", {"omega": 0.1, "alpha": 0.1, "beta": 0.8, "sigma": 1.0}),
+        ],
+    )
+    def test_parameters_of_other_kinds_rejected(self, kind, extra):
+        with pytest.raises(InputError, match="does not take"):
+            GeneratorSpec(kind=kind, n=100, **extra)
+
+    def test_sigma_defaults_to_one(self):
+        assert GeneratorSpec(kind="gaussian-white", n=10).to_dict()["sigma"] == 1.0
+        assert GeneratorSpec(kind="fgn", n=10, hurst=0.6).sigma == 1.0
+
     def test_unknown_kind(self):
         with pytest.raises(InputError):
             GeneratorSpec(kind="brownian", n=100, seed=0)
