@@ -23,6 +23,7 @@ from . import __version__
 from .exceptions import InputError, NumericalError
 from .garch import garch_filter, garch_fit
 from .ingest import (
+    SYNTHETIC_START,
     CsvLayout,
     _write_dated_values,
     load_prices,
@@ -243,7 +244,8 @@ def cmd_roll(args) -> int:
 
 def cmd_synth(args) -> int:
     started = time.perf_counter()
-    out_dir = _out_dir(args)
+    if not args.dates and args.start_date is not None:
+        raise InputError("--start-date needs dates; it has no effect with --no-dates")
     spec = GeneratorSpec(
         kind=args.kind,
         n=args.n,
@@ -256,10 +258,12 @@ def cmd_synth(args) -> int:
     )
     values = generate(spec)
 
+    out_dir = _out_dir(args)
     name = args.out or f"{args.kind.replace('-', '_')}_n{args.n}_seed{args.seed}.csv"
     path = out_dir / name
     if args.dates:
-        _write_dated_values(synthetic_dates(args.n, args.start_date), values, path, "value")
+        dates = synthetic_dates(args.n, args.start_date or SYNTHETIC_START)
+        _write_dated_values(dates, values, path, "value")
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("value\n")
@@ -398,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument(
         "--start-date",
         type=dt.date.fromisoformat,
-        default=dt.date(2000, 1, 3),
-        help="first synthetic date (default: 2000-01-03)",
+        default=None,
+        help=f"first synthetic date (default: {SYNTHETIC_START}; not with --no-dates)",
     )
     p_synth.add_argument(
         "--out", default=None, help="output file name (default: derived from kind/n/seed)"

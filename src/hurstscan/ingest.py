@@ -20,6 +20,8 @@ import numpy as np
 
 from .exceptions import InputError
 
+SYNTHETIC_START = dt.date(2000, 1, 3)  # first date of series with no natural calendar
+
 __all__ = [
     "CsvLayout",
     "PriceSeries",
@@ -230,7 +232,7 @@ def max_drawdown(
     return float(1.0 - np.min(selected / running_max))
 
 
-def synthetic_dates(n: int, start: dt.date = dt.date(2000, 1, 3)) -> tuple[dt.date, ...]:
+def synthetic_dates(n: int, start: dt.date = SYNTHETIC_START) -> tuple[dt.date, ...]:
     """n consecutive calendar dates, for series that have no natural calendar."""
     if n < 1:
         raise InputError("n must be at least 1")

@@ -166,8 +166,12 @@ def _residual_f2(segments, order: int) -> np.ndarray:
     """
     x = np.arange(segments.shape[-1], dtype=float)
     basis = np.linalg.qr(np.vander(x, order + 1, increasing=True))[0]
-    residuals = segments - (segments @ basis) @ basis.T
-    return np.mean(residuals**2, axis=-1)
+    # in place: a fresh full-size temporary per step and scale costs page
+    # faults whenever the allocator has handed the pages back in between
+    residuals = (segments @ basis) @ basis.T
+    np.subtract(segments, residuals, out=residuals)
+    np.square(residuals, out=residuals)
+    return np.mean(residuals, axis=-1)
 
 
 def _segment_starts(length: int, s: int) -> np.ndarray:

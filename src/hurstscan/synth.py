@@ -151,6 +151,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InputError(f"unknown generator kind: {self.kind!r}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise InputError(f"seed must be a non-negative integer, got {self.seed!r}")
         names = _KINDS[self.kind][1]
         if "sigma" in names and self.sigma is None:
             object.__setattr__(self, "sigma", 1.0)

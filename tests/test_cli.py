@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hurstscan
 from hurstscan import NumericalError
 from hurstscan.cli import main
 
@@ -58,6 +63,24 @@ class TestSynth:
     def test_nan_parameter_exits_one_without_output(self, workdir, params):
         assert run(["synth", *params, "--n", "600", "--out", "bad.csv"]) == 1
         assert list(workdir.iterdir()) == []
+
+    def test_negative_seed_exits_one_without_output(self, workdir, capsys):
+        args = ["synth", "--kind", "gaussian-white", "--n", "50", "--seed", "-1", "--out", "bad.csv"]
+        assert run(args) == 1
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+
+    def test_start_date_with_no_dates_exits_one_without_output(self, workdir, capsys):
+        args = ["synth", "--kind", "gaussian-white", "--n", "50", "--no-dates",
+                "--start-date", "2001-01-01", "--out", "bad.csv"]
+        assert run(args) == 1
+        assert "--start-date" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+
+    def test_start_date_sets_first_date(self, workdir):
+        run(["synth", "--kind", "gaussian-white", "--n", "3", "--start-date", "2001-02-03", "--out", "w.csv"])
+        lines = (workdir / "w.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["date", "2001-02-03", "2001-02-04", "2001-02-05"]
 
     def test_no_dates_writes_single_column(self, workdir):
         run(["synth", "--kind", "gaussian-white", "--n", "50", "--no-dates", "--out", "w.csv"])
@@ -244,6 +267,34 @@ class TestEnvironment:
              "--out-dir", str(workdir / "flag_out")])
         assert (workdir / "flag_out" / "w.csv").exists()
         assert not (workdir / "env_out" / "w.csv").exists()
+
+
+NO_SCIPY_CHECK = """
+import sys
+import hurstscan.cli as cli
+after_import = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert cli.main(["synth", "--kind", "garch", "--omega", "1e-6", "--alpha", "0.08",
+                 "--beta", "0.9", "--n", "700", "--out", "g.csv"]) == 0
+assert cli.main(["roll", "g.csv", "--returns", "--garch-mode", "per-window", "--step", "100"]) == 0
+assert cli.main(["analyze", "g.csv", "--returns"]) == 0
+after_runs = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+print(after_import, after_runs)
+"""
+
+
+def test_import_loads_no_scipy(tmp_path):
+    # start-up time: numpy is the only runtime dependency of the CLI, also
+    # once the GARCH fit and the scaling kernel have run
+    src = Path(hurstscan.__file__).resolve().parent.parent
+    path = [str(src), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    env.pop("HURSTSCAN_OUT_DIR", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_CHECK],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[] []"
 
 
 class TestHelp:

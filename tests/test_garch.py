@@ -3,17 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hurstscan.garch
 from helpers import make_return_series, sample_kurtosis
 from hurstscan import (
     GarchParams,
     InputError,
+    NumericalError,
     garch_filter,
     garch_fit,
     garch_loglik,
+    gen_fgn,
     gen_garch,
     gen_white,
     variance_path,
 )
+from hurstscan.garch import _box_derivatives, _natural_derivatives, _natural_params, _scan
+
+EPS = np.finfo(np.float64).eps
 
 # Hand-unrolled three-step recursion for r = [0.1, -0.2, 0.05],
 # omega = 0.01, alpha = 0.1, beta = 0.8, h1 = 0.01, computed with the
@@ -75,6 +81,106 @@ class TestVariancePath:
         assert np.all(h[1:] >= omega * (1 - 1e-12))
 
 
+def loop_filter(x, beta):
+    """y_t = x_t + beta * y_{t-1} from y_{-1} = 0, one value at a time."""
+    out, y = [], 0.0
+    for value in x:
+        y = value + beta * y
+        out.append(y)
+    return np.array(out)
+
+
+class TestBlockScan:
+    # The loop rounds once per step and the scan sums about 2*sqrt(n)
+    # non-negative terms per value; at n <= 3,000 both stay within a few
+    # hundred ulps, and 450 ulps is 1e-13.
+    RTOL = 450 * EPS
+
+    @given(
+        st.integers(min_value=2, max_value=3000),
+        st.integers(min_value=1, max_value=3),
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_plain_loop(self, n, rows, beta, seed):
+        x = np.random.default_rng(seed).random((rows, n))
+        got = _scan(x, beta)
+        for row, values in zip(got, x):
+            np.testing.assert_allclose(row, loop_filter(values, beta), rtol=self.RTOL, atol=0)
+
+    def test_variance_path_is_the_scan(self):
+        r = gen_garch(700, 1e-6, 0.08, 0.91, seed=1)
+        params = GarchParams(2e-6, 0.1, 0.85)
+        h = variance_path(r, params, h1=1e-4)
+        want = loop_filter(np.r_[1e-4, params.omega + params.alpha * r[:-1] ** 2], params.beta)
+        np.testing.assert_allclose(h, want, rtol=self.RTOL, atol=0)
+        assert h[0] == 1e-4
+
+
+class TestAnalyticDerivatives:
+    # Central differences of the log-likelihood: the score's error is of
+    # order EPS**(2/3) and the Hessian's (four-point second difference) of
+    # order EPS**(1/2), times |loglik| / |derivative|.  The tolerances are
+    # one root wider: EPS**(1/2) for the score and EPS**(1/3) for the Hessian,
+    # relative to the largest entry, in coordinates scaled by the point.
+    SCORE_RTOL = EPS ** (1 / 2)
+    HESS_RTOL = EPS ** (1 / 3)
+
+    @staticmethod
+    def finite_differences(f, point):
+        k = point.size
+        basis = np.eye(k)
+        d1 = EPS ** (1 / 3) * point
+        score = np.array(
+            [(f(point + d1[i] * basis[i]) - f(point - d1[i] * basis[i])) / (2 * d1[i]) for i in range(k)]
+        )
+        d2 = EPS ** (1 / 4) * point
+        hess = np.empty((k, k))
+        for i in range(k):
+            for j in range(k):
+                a, b = d2[i] * basis[i], d2[j] * basis[j]
+                hess[i, j] = (
+                    f(point + a + b) - f(point + a - b) - f(point - a + b) + f(point - a - b)
+                ) / (4 * d2[i] * d2[j])
+        return score, hess
+
+    def assert_close(self, analytic, numeric, point):
+        (score, hess), (fd_score, fd_hess) = analytic, numeric
+        scaled = np.outer(point, point)
+        assert np.max(np.abs((score - fd_score) * point)) <= self.SCORE_RTOL * np.max(np.abs(score * point))
+        assert np.max(np.abs((hess - fd_hess) * scaled)) <= self.HESS_RTOL * np.max(np.abs(hess * scaled))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_natural_parameters(self, seed):
+        r = gen_garch(400, 0.1, 0.1, 0.8, seed=seed)
+        h1 = float(np.var(r, ddof=1))
+        theta = np.array([0.12, 0.15, 0.7])
+        h = variance_path(r, GarchParams(*theta), h1)
+        analytic = _natural_derivatives(r * r, h, theta[2])
+        numeric = self.finite_differences(lambda t: garch_loglik(r, GarchParams(*t), h1), theta)
+        self.assert_close(analytic, numeric, theta)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_search_coordinates(self, seed):
+        # x = (omega / h_1, alpha + beta, alpha / (alpha + beta)); the fit
+        # differentiates on returns in units of sqrt(h_1), which moves the
+        # log-likelihood by a constant only
+        r = gen_garch(400, 1e-6, 0.08, 0.91, seed=seed)
+        h1 = float(np.var(r, ddof=1))
+        x = np.array([0.02, 0.95, 0.1])
+
+        def loglik(point):
+            u, alpha, beta = _natural_params(point)
+            return garch_loglik(r, GarchParams(u * h1, alpha, beta), h1)
+
+        u, alpha, beta = _natural_params(x)
+        z = r / np.sqrt(h1)
+        h = variance_path(z, GarchParams(u, alpha, beta), 1.0)
+        analytic = _box_derivatives(*_natural_derivatives(z * z, h, beta), x)
+        self.assert_close(analytic, self.finite_differences(loglik, x), x)
+
+
 class TestGarchLoglik:
     def test_zero_returns_unit_variance(self):
         ll = garch_loglik(np.zeros(2), GarchParams(1.0, 0.0, 0.0), h1=1.0)
@@ -113,27 +219,122 @@ class TestGarchFit:
             assert garch_loglik(r, params, h1) <= fit.loglik + 1e-9
 
     def test_white_noise_variance_level(self):
-        # on iid data the fitted variance path must sit at sigma^2 even
-        # though (alpha, beta) themselves are not identified there
-        for seed in (0, 1, 2):
+        # on iid data (alpha, beta) are not identified, and the maximum
+        # likelihood path need not stay within 10% of sigma^2 (seeds 2, 4, 9
+        # leave that band); against the truth oracle the fit must be at least
+        # as likely as the true constant variance and filter to unit variance
+        truth = GarchParams(0.0004, 0.0, 0.0)
+        for seed in range(20):
             r = gen_white(5000, sigma=0.02, seed=seed)
             fit = garch_fit(r)
-            assert np.all(np.abs(fit.h / 0.0004 - 1.0) < 0.10)
+            assert fit.loglik >= garch_loglik(r, truth, float(np.var(r, ddof=1))) - 1e-6
             filtered = garch_filter(r, fit)
             assert 0.9 <= np.var(filtered, ddof=1) <= 1.1
 
     @pytest.mark.xfail(
         strict=False,
         reason="on iid data the likelihood is flat in beta once alpha is 0, and "
-        "finite-sample variance drift pulls Nelder-Mead to the alpha+beta boundary; "
-        "the point estimates are not interpretable there even though the fitted "
-        "variance path is correct (see test_white_noise_variance_level)",
+        "finite-sample variance drift puts its maximum near the alpha+beta boundary "
+        "(alpha+beta = 0.994 on this seed); the point estimates are not interpretable "
+        "there even though the fitted variance path is correct "
+        "(see test_white_noise_variance_level)",
     )
     def test_white_noise_point_estimates(self):
         r = gen_white(5000, sigma=0.02, seed=1)
         fit = garch_fit(r)
         assert fit.params.alpha + fit.params.beta < 0.1
         assert fit.params.unconditional_variance == pytest.approx(0.0004, rel=0.1)
+
+    def test_realistic_persistence_reaches_the_optimum(self):
+        # daily-return scale at the persistence of real index returns: every
+        # fit must be at least as likely as the true parameters
+        truth = GarchParams(1e-6, 0.08, 0.91)
+        alpha_err, beta_err = [], []
+        for seed in range(20):
+            r = gen_garch(3000, truth.omega, truth.alpha, truth.beta, seed=seed)
+            fit = garch_fit(r)
+            assert fit.converged
+            assert fit.loglik >= garch_loglik(r, truth, float(np.var(r, ddof=1))) - 1e-6
+            alpha_err.append(abs(fit.params.alpha - truth.alpha))
+            beta_err.append(abs(fit.params.beta - truth.beta))
+        assert np.median(alpha_err) <= 0.03
+        assert np.median(beta_err) <= 0.03
+
+    @pytest.mark.parametrize("seed", [3, 9])
+    def test_alpha_beta_zero_corner(self, seed):
+        # ARCH(1) returns with a non-zero mean, fitted as-is: the search
+        # reaches alpha = beta = 0, where alpha / (alpha + beta) is not
+        # identified.  On seed 3 it must leave the corner along alpha for
+        # the ARCH(1) optimum; on seed 9 the optimum is the corner itself.
+        r = gen_garch(1000, omega=0.8, alpha=0.2, beta=0.0, seed=seed) + 5.0
+        fit = garch_fit(r)
+        assert fit.converged
+        h1 = float(np.var(r, ddof=1))
+        level = float(np.mean(r[1:] ** 2))
+        best_arch = max(
+            garch_loglik(r, GarchParams(omega, alpha, 0.0), h1)
+            for alpha in np.linspace(0.0, 0.1, 41)
+            for omega in np.linspace(0.8, 1.05, 51) * level
+        )
+        assert fit.loglik >= best_arch - 1e-9
+
+    @pytest.mark.parametrize("seed", [4201, 4205])
+    def test_escapes_constant_variance_faces(self, seed):
+        # long fGn: from the default start the search ends at alpha = 0, with
+        # alpha + beta = MAX_PERSISTENCE (seed 4201) or just below it (seed
+        # 4205), about 80 nats below the interior optimum
+        r = gen_fgn(20000, 0.7, 0.01, seed)
+        fit = garch_fit(r)
+        assert fit.converged
+        h1 = float(np.var(r, ddof=1))
+        grid = max(
+            garch_loglik(r, GarchParams((1.0 - alpha - beta) * h1, alpha, beta), h1)
+            for alpha in (0.02, 0.05, 0.1, 0.2)
+            for beta in (0.0, 0.2, 0.4, 0.6, 0.75)
+        )
+        assert fit.loglik >= grid - 1e-6
+
+    @pytest.mark.parametrize("n, sigma, seed", [(500, 3e-3, 7), (100, 1.0, 36)])
+    def test_converges_next_to_the_persistence_bound(self, n, sigma, seed):
+        # white noise whose optimum sits at alpha + beta = MAX_PERSISTENCE:
+        # steps that cross the bound must land on it, not creep towards it
+        r = gen_white(n, sigma=sigma, seed=seed)
+        fit = garch_fit(r)
+        assert fit.converged
+        truth = GarchParams(sigma**2, 0.0, 0.0)
+        assert fit.loglik >= garch_loglik(r, truth, float(np.var(r, ddof=1))) - 1e-6
+
+    @pytest.mark.parametrize("exponent", [-480, -8, 480])
+    def test_scale_free(self, exponent):
+        # multiplying returns by a power of two scales h_1 exactly, so the
+        # search sees the same numbers and only omega and h move
+        r = gen_garch(600, 1e-6, 0.05, 0.94, seed=1)
+        scale = 2.0**exponent
+        base, fit = garch_fit(r), garch_fit(r * scale)
+        assert fit.converged and fit.iterations == base.iterations
+        assert (fit.params.alpha, fit.params.beta) == (base.params.alpha, base.params.beta)
+        assert fit.params.omega == base.params.omega * scale**2
+        np.testing.assert_array_equal(fit.h, base.h * scale**2)
+
+    def test_variance_out_of_range_is_numerical_error(self):
+        r = gen_garch(600, 1e-6, 0.05, 0.94, seed=1)
+        with pytest.raises(NumericalError, match="sample variance"):
+            garch_fit(r * 1e160)
+
+    def test_reports_its_own_path_and_likelihood(self):
+        r = gen_garch(600, 1e-6, 0.05, 0.94, seed=2)
+        fit = garch_fit(r)
+        h1 = float(np.var(r, ddof=1))
+        np.testing.assert_array_equal(fit.h, variance_path(r, fit.params, h1))
+        assert fit.loglik == garch_loglik(r, fit.params, h1)
+
+    def test_iteration_cap_reports_not_converged(self, monkeypatch):
+        # one step per search; a second search runs when the first ends at
+        # alpha + beta = MAX_PERSISTENCE
+        monkeypatch.setattr(hurstscan.garch, "DEFAULT_MAX_ITER", 1)
+        fit = garch_fit(gen_garch(3000, 1e-6, 0.08, 0.91, seed=0))
+        assert 1 <= fit.iterations <= 2
+        assert not fit.converged
 
     def test_constant_returns_rejected(self):
         with pytest.raises(InputError):

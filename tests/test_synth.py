@@ -191,6 +191,11 @@ class TestGeneratorSpec:
         with pytest.raises(InputError):
             GeneratorSpec(kind="fgn", n=0, seed=0, hurst=0.5)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(InputError, match="seed must be a non-negative integer"):
+            GeneratorSpec(kind="gaussian-white", n=10, seed=seed)
+
 
 
 GARCH_OK = {"omega": 1e-6, "alpha": 0.08, "beta": 0.9}
