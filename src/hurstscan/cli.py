@@ -62,6 +62,7 @@ def _sha256(path: Path) -> str:
 
 
 def _out_dir(args) -> Path:
+    """The output directory, created if missing: call it once the results exist."""
     out = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
@@ -163,7 +164,6 @@ def _q_tag(q: float) -> str:
 
 def cmd_analyze(args) -> int:
     started = time.perf_counter()
-    out_dir = _out_dir(args)
     stem = Path(args.input).stem
     series = _load_return_series(args)
     qs = _q_list(args)
@@ -183,10 +183,12 @@ def cmd_analyze(args) -> int:
     if args.garch:
         fit = garch_fit(values)
         values = garch_filter(series, fit)
-    # compute everything before writing, so a failed run leaves no files
+    # compute everything before touching the output directory, so a
+    # failed run leaves neither files nor an empty directory
     results = mfdfa(values, range(args.s_min, args.s_max + 1), qs, args.detrend_order)
     indicators = liquidity_indicators(*results[2.0])
 
+    out_dir = _out_dir(args)
     if args.garch:
         outputs["garch"] = _write_json(out_dir / f"{stem}.garch.json", fit.to_dict())
 
@@ -209,7 +211,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_roll(args) -> int:
     started = time.perf_counter()
-    out_dir = _out_dir(args)
     stem = Path(args.input).stem
     series = _load_return_series(args)
     config = RollingConfig(
@@ -224,6 +225,7 @@ def cmd_roll(args) -> int:
     )
     results = roll(series, config)
 
+    out_dir = _out_dir(args)
     csv_path = out_dir / f"{stem}.rolling.csv"
     write_rolling_csv(results, csv_path)
     jsonl_path = out_dir / f"{stem}.rolling.jsonl"
@@ -279,10 +281,11 @@ def cmd_synth(args) -> int:
 
 def cmd_report(args) -> int:
     started = time.perf_counter()
-    out_dir = _out_dir(args)
     stem = Path(args.input).stem.split(".")[0]
     results = read_rolling_csv(args.input)
+    runs = detect_regimes(results, args.threshold)
 
+    out_dir = _out_dir(args)
     outputs: dict[str, Path] = {}
     rows = [r.to_dict() for r in results]
     for name in ("hurst", "f0", "f_sigma", "f_range", "f_ratio"):
@@ -290,7 +293,6 @@ def cmd_report(args) -> int:
         _write_dated_values([r.date for r in results], [row[name] for row in rows], path, "value")
         outputs[name] = path
 
-    runs = detect_regimes(results, args.threshold)
     regimes_path = out_dir / f"{stem}.regimes.txt"
     with open(regimes_path, "w", encoding="utf-8") as fh:
         fh.write(f"hurst regimes at threshold {args.threshold!r}\n")

@@ -7,10 +7,13 @@ same first-order linear filter, computed here by a numpy block scan.
 Fitting runs a projected Newton search with the exact score and Hessian
 on the box omega / h_1 >= OMEGA_FLOOR, 0 <= alpha + beta <=
 MAX_PERSISTENCE, 0 <= alpha / (alpha + beta) <= 1, so every point it
-evaluates is a valid, covariance-stationary GarchParams.  Dividing
-returns by the fitted sqrt(h_t) standardizes volatility across time,
-which is what makes fluctuation levels comparable between different
-periods.
+evaluates is a valid, covariance-stationary GarchParams.  The search
+runs on a stack of series at once, one row each: the per-window fits of
+a rolling analysis are one batched search, and ``garch_fit`` is its
+one-row case.  Every row takes the same steps, with the same rounding,
+whichever rows share its batch.  Dividing returns by the fitted
+sqrt(h_t) standardizes volatility across time, which is what makes
+fluctuation levels comparable between different periods.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .exceptions import InputError, NumericalError
 
@@ -45,6 +48,7 @@ OMEGA_FLOOR = 1e-12  # lower bound of omega / h_1, keeps omega > 0
 MAX_PERSISTENCE = 1.0 - 1e-8
 ARMIJO = 1e-4
 MIN_STEP = 2.0**-40
+FIT_CHUNK = 16  # most rows searched together; bounds the memory of a batched fit
 
 
 @dataclass(frozen=True)
@@ -108,46 +112,97 @@ def _return_values(returns) -> np.ndarray:
     return r
 
 
-def _filter_matrix(factor: float, size: int) -> np.ndarray:
-    """(size x size) matrix M with M[j, i] = factor**(i - j) for i >= j, else 0.
+def _filter_matrices(powers: np.ndarray) -> np.ndarray:
+    """(rows x size x size) stack of M with M[r, j, i] = powers[r, i - j] for i >= j, else 0.
 
-    x @ M runs y_i = x_i + factor * y_{i-1} along the last axis of x from y_{-1} = 0.
+    With powers[r, k] = f_r**k, x @ M[r] runs y_i = x_i + f_r * y_{i-1}
+    along the last axis of x from y_{-1} = 0.  Row j of M[r] is a window
+    of powers[r] behind size - 1 zeros.  The copy lays each row's matrix
+    out contiguously: the same memory layout, and so the same BLAS call,
+    for every number of rows.
     """
-    powers = np.concatenate([np.zeros(size - 1), factor ** np.arange(size)])
-    return sliding_window_view(powers, size)[::-1].copy()
+    rows, size = powers.shape
+    padded = np.zeros((rows, 2 * size - 1))
+    padded[:, size - 1 :] = powers
+    row, step = padded.strides
+    return as_strided(padded[:, size - 1 :], (rows, size, size), (row, -step, step)).copy()
 
 
-def _scan(x: np.ndarray, beta: float) -> np.ndarray:
-    """y_t = x_t + beta * y_{t-1} along the last axis of x, from y_{-1} = 0.
+def _scan_matrices(beta: np.ndarray, n: int) -> tuple:
+    """Each row's matrices of powers of its beta for the block scan of n values.
 
-    Two-level block scan over blocks of L ~ sqrt(n) values.  Each block's
-    end value from a zero start is one matrix-vector product; the carries
-    between blocks follow the same recursion with factor beta**L and come
-    from one more.  The carry c into a block adds beta**(i+1) * c at its
-    position i, which is what adding beta * c to its first value does, so
-    one matmul with the matrix of beta powers then filters every block.
-    With x >= 0 and 0 <= beta < 1 every term is non-negative and every
-    power at most 1, so nothing cancels or overflows.
+    Blocks hold L = ceil(sqrt(n)) values.  Returns (beta, tail, carry,
+    block): tail[r] = (beta**(L-1), ..., beta, 1) gives a block's end
+    value, carry[r] filters the block ends with factor beta**L and
+    block[r] filters within a block (see _filter_matrices).  They are
+    built in closed form, once per beta, and every array has one leading
+    entry per row, so rows of the tuple are taken array by array.
     """
-    lead, n = x.shape[:-1], x.shape[-1]
-    size = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+    size = math.isqrt(n - 1) + 1
     blocks = -(-n // size)
-    y = np.zeros((*lead, blocks * size))
-    y[..., :n] = x
-    y = y.reshape(*lead, blocks, size)
-    powers = beta ** np.arange(size + 1)
-    carry = (y @ powers[size - 1 :: -1]) @ _filter_matrix(powers[size], blocks)
-    y[..., 1:, 0] += beta * carry[..., :-1]
-    return (y @ _filter_matrix(beta, size)).reshape(*lead, blocks * size)[..., :n]
+    powers = beta[:, None] ** np.arange(size + 1)
+    carry = _filter_matrices(powers[:, size:] ** np.arange(blocks))
+    tail = np.ascontiguousarray(powers[:, size - 1 :: -1])
+    return beta, tail, carry, _filter_matrices(powers[:, :size])
 
 
-def _variance_path_raw(r2, omega, alpha, beta, h1):
-    # h_t = (omega + alpha*r_{t-1}^2) + beta*h_{t-1}: one filter pass from h_1
-    x = np.empty(r2.size)
-    x[0] = h1
-    np.multiply(r2[:-1], alpha, out=x[1:])
-    x[1:] += omega
-    return _scan(x, beta)
+def _scan(x: np.ndarray, matrices: tuple) -> np.ndarray:
+    """y_t = x_t + beta[r] * y_{t-1} along the last axis of each row x[r], from y_{-1} = 0.
+
+    x is (rows x ... x n); matrices are _scan_matrices(beta, n), one
+    beta per row.  Two-level block scan over blocks of L ~ sqrt(n)
+    values.  Each block's end value from a zero start is one
+    matrix-vector product; the carries between blocks follow the same
+    recursion with factor beta**L and come from one more.  The carry c
+    into a block adds beta**(i+1) * c at its position i, which is what
+    adding beta * c to its first value does, so one matmul with the
+    matrix of beta powers then filters every block.  With x >= 0 and
+    0 <= beta < 1 every term is non-negative and every power at most 1,
+    so nothing cancels or overflows.
+
+    Every product is taken with one row's own matrix, so a row's result
+    does not depend on the other rows of x.
+    """
+    y = _blocked(x.shape[:-1], matrices)
+    y[..., : x.shape[-1]] = x
+    return _scan_blocked(y, matrices)[..., : x.shape[-1]]
+
+
+def _blocked(lead: tuple, matrices: tuple) -> np.ndarray:
+    """Zeros of shape (*lead, blocks * L): room for a series and its padding to whole blocks."""
+    return np.zeros((*lead, matrices[2].shape[-1] * matrices[3].shape[-1]))
+
+
+def _scan_blocked(y: np.ndarray, matrices: tuple) -> np.ndarray:
+    """_scan, in place, of series padded with zeros to whole blocks in a _blocked array y.
+
+    Each series of a row gets its own last product, so the only
+    temporary the size of the data is one series per row.
+    """
+    beta, tail, carry_matrix, block_matrix = matrices
+    rows, blocks, size = len(y), carry_matrix.shape[-1], block_matrix.shape[-1]
+    flat = y.reshape(rows, -1, blocks, size)
+    series = flat.shape[1]  # series per row, scanned by the same products
+    ends = flat.reshape(rows, series * blocks, size) @ tail[..., None]
+    carry = ends.reshape(rows, series, blocks) @ carry_matrix
+    flat[..., 1:, 0] += beta[:, None, None] * carry[..., :-1]
+    for j in range(series):
+        flat[:, j] = flat[:, j] @ block_matrix
+    return y
+
+
+def _variance_paths(r2, omega, alpha, matrices, h1):
+    """Each row's h_t = (omega + alpha*r_{t-1}^2) + beta*h_{t-1}: one filter pass from h_1.
+
+    omega, alpha and h1 are one value per row or one for all; matrices
+    are the rows' _scan_matrices.
+    """
+    n = r2.shape[1]
+    x = _blocked(r2.shape[:1], matrices)
+    x[:, 0] = h1
+    np.multiply(r2[:, :-1], np.reshape(alpha, (-1, 1)), out=x[:, 1:n])
+    x[:, 1:n] += np.reshape(omega, (-1, 1))
+    return _scan_blocked(x, matrices)[:, :n]
 
 
 def variance_path(returns, params: GarchParams, h1: float) -> np.ndarray:
@@ -157,12 +212,16 @@ def variance_path(returns, params: GarchParams, h1: float) -> np.ndarray:
         raise InputError("need at least 1 return")
     if h1 <= 0:
         raise InputError("initial variance h1 must be positive")
-    return _variance_path_raw(r * r, params.omega, params.alpha, params.beta, h1)
+    matrices = _scan_matrices(np.full(1, params.beta), r.size)
+    return _variance_paths((r * r)[None], params.omega, params.alpha, matrices, h1)[0]
 
 
 def _gaussian_loglik(r2, h):
+    """Log-likelihood along the last axis: one value per row of r2 and h."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return -0.5 * (r2.size * _LOG_2PI + float(np.sum(np.log(h))) + float(np.sum(r2 / h)))
+        return -0.5 * (
+            r2.shape[-1] * _LOG_2PI + np.sum(np.log(h), axis=-1) + np.sum(r2 / h, axis=-1)
+        )
 
 
 def garch_loglik(returns, params: GarchParams, h1: float) -> float:
@@ -175,148 +234,332 @@ def garch_loglik(returns, params: GarchParams, h1: float) -> float:
     if r.size < 2:
         raise InputError("need at least 2 returns")
     h = variance_path(r, params, h1)
-    ll = _gaussian_loglik(r * r, h)
+    ll = float(_gaussian_loglik(r * r, h))
     if not np.isfinite(ll):
         raise NumericalError("log-likelihood evaluation produced a non-finite value")
     return ll
 
 
-def _natural_derivatives(r2, h, beta):
-    """Score and Hessian of the log-likelihood in (omega, alpha, beta).
+def _dot(a, b):
+    """Row-wise dot product of two (rows x 3) arrays.
+
+    Summed term by term, not by a reduction whose order numpy may pick
+    from the shape, so a row's sum does not depend on the other rows.
+    """
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+
+
+def _natural_derivatives(r2, h, matrices):
+    """Score (rows x 3) and Hessian (rows x 3 x 3) of each row's loglik in (omega, alpha, beta).
+
+    matrices are the _scan_matrices of each row's beta.
 
     dh_t/d(omega, alpha, beta) = (1, r_{t-1}^2, h_{t-1}) + beta * dh_{t-1}/d(...),
     and the only non-zero second derivatives, d2h_t/d(beta)d(theta_j),
     follow the same recursion driven by dh_{t-1}/d(theta_j) (twice that
-    for theta_j = beta).  h_1 is fixed, so all of them start at 0.
+    for theta_j = beta).  h_1 is fixed, so all of them start at 0.  The
+    Hessian needs the second derivatives only summed against
+    g_t = d loglik_t / d h_t, and that sum is their drive summed against
+    G_t = g_t + beta * G_{t+1}: one backward scan of g instead of three
+    forward scans.
     """
-    drive = np.empty((3, r2.size))
-    drive[:, 0] = 0.0
-    drive[0, 1:] = 1.0
-    drive[1, 1:] = r2[:-1]
-    drive[2, 1:] = h[:-1]
-    d = _scan(drive, beta)
-    np.multiply(d[:, :-1], [[1.0], [1.0], [2.0]], out=drive[:, 1:])
-    d2 = _scan(drive, beta)
-    # d loglik_t / d h_t = (z - 1) / (2 h) and d2 loglik_t / d h_t^2 =
-    # (1/2 - z) / h^2 with z = r^2 / h, formed in place: on long series
-    # every fresh temporary costs page faults
-    dl = r2 / h
-    d2l = 0.5 - dl
+    rows, n = r2.shape
+    drive = _blocked((rows, 3), matrices)
+    drive[:, 0, 1:n] = 1.0
+    drive[:, 1, 1:n] = r2[:, :-1]
+    drive[:, 2, 1:n] = h[:, :-1]
+    d = _scan_blocked(drive, matrices)[..., :n]
+    # d2 loglik_t / d h_t^2 = (1/2 - z) / h^2 and g = (z - 1) / (2 h) with
+    # z = r^2 / h, formed in place and each dropped once used: on long
+    # series every fresh temporary costs page faults
+    g = r2 / h
+    d2l = 0.5 - g
     d2l /= h
     d2l /= h
-    dl -= 1.0
-    dl *= 0.5
-    dl /= h
-    hess = (d * d2l) @ d.T
-    beta_row = d2 @ dl
-    hess[2, :] += beta_row
-    hess[:, 2] += beta_row
-    hess[2, 2] -= beta_row[2]
-    return d @ dl, hess
+    hess = np.empty((rows, 3, 3))
+    for i in range(3):
+        hess[:, i] = ((d[:, i] * d2l)[:, None] @ d.transpose(0, 2, 1))[:, 0]
+    del d2l
+    g -= 1.0
+    g *= 0.5
+    g /= h
+    backward = _scan(g[:, ::-1], matrices)  # G in reverse order
+    beta_row = (d[..., :-1] @ backward[:, -2::-1, None])[..., 0]
+    beta_row[:, 2] *= 2.0
+    hess[:, 2, :] += beta_row
+    hess[:, :, 2] += beta_row
+    hess[:, 2, 2] -= beta_row[:, 2]
+    return (d @ g[..., None])[..., 0], hess
 
 
 def _natural_params(x):
-    """(omega / h_1, alpha, beta) of the search coordinates x = (omega / h_1, pi, s)."""
-    u, persistence, share = x
+    """(omega / h_1, alpha, beta) of the search coordinates x = (omega / h_1, pi, s).
+
+    x is one point (3,) or one point per row (rows x 3).
+    """
+    u, persistence, share = x.T
     return u, persistence * share, persistence * (1.0 - share)
 
 
 def _box_derivatives(score, hess, x):
-    """Score and Hessian in (omega / h_1, alpha, beta) carried to x = (omega / h_1, pi, s).
+    """Each row's score and Hessian in (omega / h_1, alpha, beta) carried to x.
 
-    The chain rule through d(alpha, beta)/d(pi, s), plus the second
-    derivatives of alpha = pi*s and beta = pi*(1-s).
+    x = (omega / h_1, pi, s) holds one point per row.  The chain rule
+    through d(alpha, beta)/d(pi, s), plus the second derivatives of
+    alpha = pi*s and beta = pi*(1-s).
     """
-    jac = np.array([[1.0, 0.0, 0.0], [0.0, x[2], x[1]], [0.0, 1.0 - x[2], -x[1]]])
-    box_hess = jac.T @ hess @ jac
-    box_hess[1, 2] += score[1] - score[2]
-    box_hess[2, 1] += score[1] - score[2]
-    return jac.T @ score, box_hess
+    jac = np.zeros((len(x), 3, 3))
+    jac[:, 0, 0] = 1.0
+    jac[:, 1, 1] = x[:, 2]
+    jac[:, 1, 2] = x[:, 1]
+    jac[:, 2, 1] = 1.0 - x[:, 2]
+    jac[:, 2, 2] = -x[:, 1]
+    jac_t = jac.transpose(0, 2, 1)
+    box_hess = jac_t @ hess @ jac
+    cross = score[:, 1] - score[:, 2]
+    box_hess[:, 1, 2] += cross
+    box_hess[:, 2, 1] += cross
+    return (jac_t @ score[..., None])[..., 0], box_hess
 
 
-def _ascent_step(grad, hess, free):
-    """Newton step on the free coordinates, and whether -H is positive definite there.
+def _positive_definite(matrices) -> bool:
+    """Whether the Cholesky factorization of a matrix, or of every matrix of a stack, succeeds."""
+    try:
+        np.linalg.cholesky(matrices)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _ascent_steps(grad, hess, free):
+    """Newton step on each row's free coordinates, and whether -H is positive definite there.
 
     Where it is not, the eigenvalues of -H are replaced by their moduli
     (at least 1e-10 of the largest), so the step still ascends and moves
-    away from a saddle along directions of negative curvature.
+    away from a saddle along directions of negative curvature.  Rows
+    that hold the same coordinates are solved as one stack.
     """
-    step = np.zeros(grad.size)
-    if not free.any():
-        return step, True
-    curvature = -hess[np.ix_(free, free)]
-    concave = True
-    try:
-        np.linalg.cholesky(curvature)
-    except np.linalg.LinAlgError:
-        concave = False
-        lam, vec = np.linalg.eigh(curvature)
-        lam = np.abs(lam)
-        curvature = (vec * np.maximum(lam, 1e-10 * lam.max())) @ vec.T
-    step[free] = np.linalg.solve(curvature, grad[free])
+    step = np.zeros(grad.shape)
+    concave = np.ones(len(grad), dtype=bool)
+    if (free == free[0]).all():
+        groups = [(np.arange(len(free)), free[0])]
+    else:
+        patterns, which = np.unique(free, axis=0, return_inverse=True)
+        which = which.ravel()
+        groups = [(np.flatnonzero(which == k), pattern) for k, pattern in enumerate(patterns)]
+    for rows, pattern in groups:
+        if not pattern.any():
+            continue
+        held = not pattern.all()
+        at = np.ix_(rows, pattern) if held else rows
+        curvature = -hess[np.ix_(rows, pattern, pattern)] if held else -hess[rows]
+        if not _positive_definite(curvature):
+            # the stack failed: decide each matrix on its own
+            ok = np.array([_positive_definite(c) for c in curvature])
+            concave[rows] = ok
+            lam, vec = np.linalg.eigh(curvature[~ok])
+            lam = np.abs(lam)
+            lam = np.maximum(lam, 1e-10 * lam.max(axis=-1, keepdims=True))
+            curvature[~ok] = (vec * lam[:, None, :]) @ vec.transpose(0, 2, 1)
+        step[at] = np.linalg.solve(curvature, grad[at][..., None])[..., 0]
     return step, concave
 
 
-def _line_search(z2, x, step, grad, loglik, lower, upper):
-    """Armijo search from x along step; (x, h, loglik) of the accepted point, or None.
+def _evaluate(z2, x):
+    """Variance path, log-likelihood and scan matrices of each row's search point x (h_1 = 1)."""
+    u, alpha, beta = _natural_params(x)
+    matrices = _scan_matrices(beta, z2.shape[1])
+    h = _variance_paths(z2, u, alpha, matrices, 1.0)
+    return h, _gaussian_loglik(z2, h), matrices
 
-    Tries the Newton step projected onto the box first, then the step cut
-    where it first reaches a bound it is not on yet, then halvings of
-    that.  The cut sets its coordinate onto the bound exactly, so the next
-    iteration can hold it instead of creeping towards it.
+
+def _line_search(z2, x, step, grad, loglik, lower, upper):
+    """Armijo search from each row's x along its step.
+
+    Each row tries its Newton step projected onto the box first, then
+    the step cut where it first reaches a bound it is not on yet, then
+    halvings of that.  The cut sets its coordinate onto the bound
+    exactly, so the next iteration can hold it instead of creeping
+    towards it.  Returns which rows found a point, and the point's x,
+    loglik, h and scan matrices in those rows; the other rows keep their
+    x and loglik, and the rest of theirs is undefined.
     """
-    moving = ((step > 0.0) & (x < upper)) | ((step < 0.0) & (x > lower))
-    room = np.full(x.size, np.inf)
-    room[moving] = (np.where(step > 0.0, upper, lower) - x)[moving] / step[moving]
-    hit = int(np.argmin(room))
-    t = 1.0
     trial = np.clip(x + step, lower, upper)
+    h, trial_ll, matrices = _evaluate(z2, trial)
+    accepted = trial_ll >= loglik + ARMIJO * _dot(grad, trial - x)
+    new_x, new_ll = np.where(accepted[:, None], trial, x), np.where(accepted, trial_ll, loglik)
+    searching = np.flatnonzero(~accepted)
+    if searching.size == 0:
+        return accepted, new_x, new_ll, h, matrices
+    x, step, grad = x[searching], step[searching], grad[searching]
+    moving = ((step > 0.0) & (x < upper)) | ((step < 0.0) & (x > lower))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        room = np.where(moving, (np.where(step > 0.0, upper, lower) - x) / step, np.inf)
+    k = np.arange(searching.size)  # position of each searching row in x, step, grad
+    hit = np.argmin(room, axis=1)
+    room_hit = room[k, hit]
+    bound_hit = np.where(step[k, hit] > 0.0, upper[hit], lower[hit])
+    t = np.ones(searching.size)
     while True:
-        h = _variance_path_raw(z2, *_natural_params(trial), 1.0)
-        ll = _gaussian_loglik(z2, h)
-        if ll >= loglik + ARMIJO * float(grad @ (trial - x)):
-            return trial, h, ll
-        t = room[hit] if t > room[hit] else 0.5 * t
-        if t < MIN_STEP:
-            return None
-        trial = np.clip(x + t * step, lower, upper)
-        if t == room[hit]:
-            trial[hit] = upper[hit] if step[hit] > 0.0 else lower[hit]
+        t = np.where(t > room_hit[k], room_hit[k], 0.5 * t)
+        going = t >= MIN_STEP
+        k, searching, t = k[going], searching[going], t[going]
+        if searching.size == 0:
+            return accepted, new_x, new_ll, h, matrices
+        trial = np.clip(x[k] + t[:, None] * step[k], lower, upper)
+        cut = np.flatnonzero(t == room_hit[k])
+        trial[cut, hit[k[cut]]] = bound_hit[k[cut]]
+        trial_h, trial_ll, trial_matrices = _evaluate(z2[searching], trial)
+        ok = trial_ll >= loglik[searching] + ARMIJO * _dot(grad[k], trial - x[k])
+        done = searching[ok]
+        accepted[done] = True
+        new_x[done], new_ll[done], h[done] = trial[ok], trial_ll[ok], trial_h[ok]
+        for matrix, trial_matrix in zip(matrices, trial_matrices):
+            matrix[done] = trial_matrix[ok]
+        k, searching, t = k[~ok], searching[~ok], t[~ok]
 
 
 def _newton(z2, alpha, beta):
-    """Projected Newton search on returns in units of sqrt(h_1), from alpha, beta.
+    """Projected Newton searches on rows of returns in units of sqrt(h_1), all from alpha, beta.
 
-    omega / h_1 starts at 1 - alpha - beta.  Returns the end point x, its
-    log-likelihood, whether it converged, and the number of steps taken.
+    omega / h_1 starts at 1 - alpha - beta.  Returns per row the end
+    point x, its log-likelihood, whether it converged, and the number of
+    steps taken.  A row leaves the search once it converges or its line
+    search fails, and later steps compute only on the rows still in it.
     """
     lower = np.array([OMEGA_FLOOR, 0.0, 0.0])
     upper = np.array([np.inf, MAX_PERSISTENCE, 1.0])
-    x = np.array([1.0 - alpha - beta, alpha + beta, alpha / (alpha + beta)])
-    h = _variance_path_raw(z2, *_natural_params(x), 1.0)
-    loglik = _gaussian_loglik(z2, h)
-    for iterations in range(DEFAULT_MAX_ITER + 1):
-        score, hess = _natural_derivatives(z2, h, _natural_params(x)[2])
+    x = np.tile([1.0 - alpha - beta, alpha + beta, alpha / (alpha + beta)], (len(z2), 1))
+    h, loglik, matrices = _evaluate(z2, x)
+    end_x, end_loglik = np.empty(x.shape), np.empty(len(x))
+    converged = np.zeros(len(x), dtype=bool)
+    iterations = np.zeros(len(x), dtype=int)
+    live = np.arange(len(x))  # the row of each point still searching
+
+    def leave(rows, iteration):
+        end_x[live[rows]] = x[rows]
+        end_loglik[live[rows]] = loglik[rows]
+        iterations[live[rows]] = iteration
+
+    for iteration in range(DEFAULT_MAX_ITER + 1):
+        score, hess = _natural_derivatives(z2, h, matrices)
         # at pi = 0 the variance path does not depend on s: hold s at the
         # end along which the likelihood rises faster in pi
-        pinned = x[1] == 0.0
-        if pinned:
-            x[2] = 1.0 if score[1] > score[2] else 0.0
+        pinned = np.flatnonzero(x[:, 1] == 0.0)
+        x[pinned, 2] = np.where(score[pinned, 1] > score[pinned, 2], 1.0, 0.0)
         grad, hess = _box_derivatives(score, hess, x)
         # hold each coordinate that sits on the bound its gradient points at
         outward = np.where(grad > 0.0, upper, lower)
-        if pinned:
-            outward[2] = x[2]
-        step, concave = _ascent_step(grad, hess, x != outward)
-        if concave and 0.5 * float(grad @ step) < DEFAULT_TOL:
-            return x, loglik, True, iterations
-        if iterations == DEFAULT_MAX_ITER:
-            break
-        accepted = _line_search(z2, x, step, grad, loglik, lower, upper)
-        if accepted is None:
-            break
-        x, h, loglik = accepted
-    return x, loglik, False, iterations
+        outward[pinned, 2] = x[pinned, 2]
+        step, concave = _ascent_steps(grad, hess, x != outward)
+        stop = concave & (0.5 * _dot(grad, step) < DEFAULT_TOL)
+        converged[live[stop]] = True
+        if iteration == DEFAULT_MAX_ITER:
+            stop[:] = True
+        if stop.any():
+            leave(stop, iteration)
+            if stop.all():
+                break
+            go = ~stop
+            live, z2, x, loglik, step, grad = (a[go] for a in (live, z2, x, loglik, step, grad))
+        accepted, new_x, new_loglik, h, matrices = _line_search(
+            z2, x, step, grad, loglik, lower, upper
+        )
+        if not accepted.all():
+            leave(~accepted, iteration)
+            if not accepted.any():
+                break
+            live, z2, h = live[accepted], z2[accepted], h[accepted]
+            new_x, new_loglik = new_x[accepted], new_loglik[accepted]
+            matrices = tuple(matrix[accepted] for matrix in matrices)
+        x, loglik = new_x, new_loglik
+    return end_x, end_loglik, converged, iterations
+
+
+def _scaled_squares(r: np.ndarray) -> tuple[float, np.ndarray]:
+    """h_1 and (r / sqrt(h_1))**2 of one series, or the error garch_fit raises for it.
+
+    h_1 is the sample variance of the returns.  The search runs on
+    returns in units of sqrt(h_1), where neither the steps nor the
+    tolerances depend on the scale of the returns.
+    """
+    if r.size < MIN_FIT_LENGTH:
+        raise InputError(
+            f"need at least {MIN_FIT_LENGTH} returns to fit GARCH, got {r.size}"
+        )
+    if np.ptp(r) == 0.0:
+        raise InputError("degenerate input: all returns identical")
+    with np.errstate(over="ignore"):
+        h1 = float(np.var(r, ddof=1))
+    if not 0.0 < h1 < math.inf:
+        raise NumericalError(f"sample variance of the returns out of floating-point range: {h1}")
+    return h1, (r / math.sqrt(h1)) ** 2
+
+
+def _fit_chunk(r: np.ndarray) -> list:
+    """GARCH fits of the rows of r (rows x n) by one batched search; see _fit_rows."""
+    fits: list = [None] * len(r)
+    h1, z2 = np.empty(len(r)), np.empty(r.shape)
+    for i, row in enumerate(r):
+        try:
+            h1[i], z2[i] = _scaled_squares(row)
+        except (InputError, NumericalError) as exc:
+            fits[i] = exc
+    rows = np.array([i for i, fit in enumerate(fits) if fit is None], dtype=int)
+    if rows.size == 0:
+        return fits
+    h1, z2 = h1[rows], z2[rows]
+    x, loglik, converged, iterations = _newton(z2, START_ALPHA, START_BETA)
+    restart = np.flatnonzero(_natural_params(x)[1] == 0.0)
+    if restart.size:
+        # alpha = 0 leaves no volatility clustering: a face of the box where
+        # a search started at high persistence can stall far below an
+        # interior optimum.  Search again from low persistence and keep the
+        # more likely end point.
+        again = _newton(z2[restart], RESTART_ALPHA, RESTART_BETA)
+        iterations[restart] += again[3]
+        better = again[1] > loglik[restart]
+        won = restart[better]
+        x[won], loglik[won], converged[won] = (part[better] for part in again[:3])
+
+    u, alpha, beta = _natural_params(x)
+    omega = u * h1
+    r2 = r[rows] ** 2
+    h = _variance_paths(r2, omega, alpha, _scan_matrices(beta, r.shape[1]), h1)
+    loglik = _gaussian_loglik(r2, h)
+    for k, i in enumerate(rows.tolist()):
+        try:
+            params = GarchParams(omega=float(omega[k]), alpha=float(alpha[k]), beta=float(beta[k]))
+        except InputError as exc:
+            fits[i] = exc
+            continue
+        if not np.isfinite(loglik[k]):
+            fits[i] = NumericalError("fitted log-likelihood is non-finite")
+            continue
+        fits[i] = GarchFit(
+            params=params,
+            h=h[k],
+            loglik=float(loglik[k]),
+            converged=bool(converged[k]),
+            iterations=int(iterations[k]),
+        )
+    return fits
+
+
+def _fit_rows(r: np.ndarray):
+    """GARCH(1,1) fit of every row of r (rows x n), each as garch_fit fits it alone.
+
+    Yields, row by row, the GarchFit of the row or the InputError /
+    NumericalError that garch_fit raises for it.  Rows that cannot be
+    fitted (too short, constant, variance out of range) are set aside
+    before the search; the others run through one batched search per
+    chunk of at most FIT_CHUNK rows, spread evenly over the chunks.  A
+    chunk is searched when its first fit is asked for, so a caller that
+    uses each fit before asking for the next holds one chunk's variance
+    paths at a time, however many rows there are.
+    """
+    for chunk in np.array_split(r, max(1, -(-len(r) // FIT_CHUNK))):
+        yield from _fit_chunk(chunk)
 
 
 def garch_fit(returns, *, demean: bool = False) -> GarchFit:
@@ -331,7 +574,7 @@ def garch_fit(returns, *, demean: bool = False) -> GarchFit:
     and the more likely end wins.  Each
     iteration holds the coordinates that sit on a bound with the gradient
     pointing out of the box, takes a Newton step on the others (see
-    _ascent_step for where -H is not positive definite) and searches
+    _ascent_steps for where -H is not positive definite) and searches
     along it (_line_search).  At pi = 0 the variance path does not depend
     on s; s is then held at the end (0 or 1) along which the likelihood
     rises faster in pi.
@@ -343,44 +586,20 @@ def garch_fit(returns, *, demean: bool = False) -> GarchFit:
     line search returns its last point with ``converged=False``.
     ``iterations`` counts the Newton steps of both searches.
 
+    This is the one-row case of the batched search that fits every
+    window of a per-window rolling analysis at once (_fit_rows); both
+    give the same fit, bit for bit.
+
     Returns are used as-is (the filter is defined on raw returns);
     pass ``demean=True`` to subtract the sample mean first.
     """
     r = _return_values(returns)
-    if r.size < MIN_FIT_LENGTH:
-        raise InputError(
-            f"need at least {MIN_FIT_LENGTH} returns to fit GARCH, got {r.size}"
-        )
-    if np.ptp(r) == 0.0:
-        raise InputError("degenerate input: all returns identical")
-    if demean:
+    if demean and r.size:  # an empty series has no mean; the fit rejects it as too short
         r = r - r.mean()
-
-    with np.errstate(over="ignore"):
-        h1 = float(np.var(r, ddof=1))
-    if not 0.0 < h1 < math.inf:
-        raise NumericalError(f"sample variance of the returns out of floating-point range: {h1}")
-    # the search runs on returns in units of sqrt(h_1), where neither the
-    # steps nor the tolerances depend on the scale of the returns
-    z2 = (r / math.sqrt(h1)) ** 2
-    x, loglik, converged, iterations = _newton(z2, START_ALPHA, START_BETA)
-    if _natural_params(x)[1] == 0.0:
-        # alpha = 0 leaves no volatility clustering: a face of the box where
-        # a search started at high persistence can stall far below an
-        # interior optimum.  Search again from low persistence and keep the
-        # more likely end point.
-        again = _newton(z2, RESTART_ALPHA, RESTART_BETA)
-        iterations += again[3]
-        if again[1] > loglik:
-            x, loglik, converged = again[:3]
-
-    u, alpha, beta = _natural_params(x)
-    params = GarchParams(omega=u * h1, alpha=alpha, beta=beta)
-    h = variance_path(r, params, h1)
-    loglik = _gaussian_loglik(r * r, h)
-    if not np.isfinite(loglik):
-        raise NumericalError("fitted log-likelihood is non-finite")
-    return GarchFit(params=params, h=h, loglik=loglik, converged=converged, iterations=iterations)
+    (fit,) = _fit_rows(r[None])
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def garch_filter(returns, fit: GarchFit) -> np.ndarray:

@@ -9,7 +9,9 @@ Every mode analyzes all windows in one array pass over (windows x
 scales); only the source of the squared segment fluctuations differs.
 With one whole-sample GARCH fit and detrending order >= 1, windows
 share their segments and each is detrended once; per-window GARCH fits
-and order 0 give every window its own profile.
+and order 0 give every window its own profile.  Per-window GARCH fits
+run as one batched search over all windows, each window's fit equal,
+bit for bit, to ``garch_fit`` on that window alone.
 """
 from __future__ import annotations
 
@@ -22,8 +24,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exceptions import InputError, NumericalError
-from .garch import garch_filter, garch_fit
+from .exceptions import InputError
+from .garch import GarchFit, _fit_rows, garch_filter, garch_fit
 from .ingest import ReturnSeries, _finite_float
 from .liquidity import LiquidityIndicators, _check_has_q2, _indicator_rows
 from .scaling import (
@@ -238,13 +240,12 @@ def roll(returns: ReturnSeries, config: RollingConfig = RollingConfig()) -> list
     if config.garch_mode == "per-window":
         rows = sliding_window_view(returns.values, w)[starts]
         converged = []
-        for k, window_values in enumerate(rows):
-            try:
-                fit = garch_fit(window_values)
-                rows[k] = garch_filter(window_values, fit)
-                converged.append(fit.converged)
-            except (InputError, NumericalError):
-                converged.append(False)
+        # one batched search fits every window; each fit is used before
+        # the next is asked for, so one chunk of variance paths is alive
+        for row, fit in zip(rows, _fit_rows(rows)):
+            if isinstance(fit, GarchFit):
+                row /= np.sqrt(fit.h)
+            converged.append(isinstance(fit, GarchFit) and fit.converged)
         f2_per_scale = _row_f2(rows, config)
     else:
         fit = garch_fit(returns.values)

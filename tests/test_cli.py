@@ -112,7 +112,15 @@ class TestAnalyze:
         synth_fgn(workdir, name="x.csv", n=1000)
         assert run(["analyze", "x.csv", "--returns", "--s-max", "400", "--out-dir", "out"]) == 1
         assert "out of range" in capsys.readouterr().err
-        assert list((workdir / "out").iterdir()) == []
+        assert not (workdir / "out").exists()
+
+    def test_failed_run_creates_no_directory(self, workdir, capsys):
+        run(["synth", "--kind", "garch", "--omega", "1e-6", "--alpha", "0.08",
+             "--beta", "0.91", "--n", "600", "--seed", "3", "--out", "g.csv"])
+        args = ["analyze", "g.csv", "--returns", "--s-max", "400", "--out-dir", "newdir"]
+        assert run(args) == 1
+        assert "out of range" in capsys.readouterr().err
+        assert not (workdir / "newdir").exists()
 
     def test_missing_file_exits_one_naming_path(self, workdir, capsys):
         assert run(["analyze", "missing.csv"]) == 1
@@ -179,6 +187,14 @@ class TestRoll:
         assert run(["roll", "short.csv", "--returns"]) == 1
         assert "window" in capsys.readouterr().err
 
+    def test_failed_run_creates_no_directory(self, workdir, capsys):
+        run(["synth", "--kind", "garch", "--omega", "1e-6", "--alpha", "0.08",
+             "--beta", "0.91", "--n", "600", "--seed", "3", "--out", "g.csv"])
+        args = ["roll", "g.csv", "--returns", "--window", "5000", "--out-dir", "newdir"]
+        assert run(args) == 1
+        assert "shorter than window" in capsys.readouterr().err
+        assert not (workdir / "newdir").exists()
+
 
 class TestReport:
     def write_rolling(self, workdir, hursts):
@@ -221,6 +237,11 @@ class TestReport:
     def test_malformed_input(self, workdir, capsys):
         (workdir / "bad.csv").write_text("date,hurst\n2000-01-03,0.5\n")
         assert run(["report", "bad.csv"]) == 1
+
+    def test_failed_run_creates_no_directory(self, workdir, capsys):
+        self.write_rolling(workdir, [0.6, "nan", 0.6])
+        assert run(["report", "run.rolling.csv", "--out-dir", "newdir"]) == 1
+        assert not (workdir / "newdir").exists()
 
 
 class TestPipeline:

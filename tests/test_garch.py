@@ -1,7 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import hurstscan.garch
 from helpers import make_return_series, sample_kurtosis
@@ -17,7 +20,18 @@ from hurstscan import (
     gen_white,
     variance_path,
 )
-from hurstscan.garch import _box_derivatives, _natural_derivatives, _natural_params, _scan
+from hurstscan.garch import (
+    START_ALPHA,
+    START_BETA,
+    _box_derivatives,
+    _fit_rows,
+    _natural_derivatives,
+    _natural_params,
+    _newton,
+    _scaled_squares,
+    _scan,
+    _scan_matrices,
+)
 
 EPS = np.finfo(np.float64).eps
 
@@ -98,15 +112,17 @@ class TestBlockScan:
 
     @given(
         st.integers(min_value=2, max_value=3000),
-        st.integers(min_value=1, max_value=3),
-        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        st.lists(
+            st.floats(min_value=0.0, max_value=1.0, exclude_max=True), min_size=1, max_size=3
+        ),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_plain_loop(self, n, rows, beta, seed):
-        x = np.random.default_rng(seed).random((rows, n))
-        got = _scan(x, beta)
-        for row, values in zip(got, x):
+    def test_matches_plain_loop(self, n, betas, seed):
+        # one factor per row
+        x = np.random.default_rng(seed).random((len(betas), n))
+        got = _scan(x, _scan_matrices(np.array(betas), n))
+        for row, values, beta in zip(got, x, betas):
             np.testing.assert_allclose(row, loop_filter(values, beta), rtol=self.RTOL, atol=0)
 
     def test_variance_path_is_the_scan(self):
@@ -157,7 +173,9 @@ class TestAnalyticDerivatives:
         h1 = float(np.var(r, ddof=1))
         theta = np.array([0.12, 0.15, 0.7])
         h = variance_path(r, GarchParams(*theta), h1)
-        analytic = _natural_derivatives(r * r, h, theta[2])
+        matrices = _scan_matrices(theta[2:], r.size)
+        score, hess = _natural_derivatives((r * r)[None], h[None], matrices)
+        analytic = score[0], hess[0]
         numeric = self.finite_differences(lambda t: garch_loglik(r, GarchParams(*t), h1), theta)
         self.assert_close(analytic, numeric, theta)
 
@@ -177,8 +195,11 @@ class TestAnalyticDerivatives:
         u, alpha, beta = _natural_params(x)
         z = r / np.sqrt(h1)
         h = variance_path(z, GarchParams(u, alpha, beta), 1.0)
-        analytic = _box_derivatives(*_natural_derivatives(z * z, h, beta), x)
-        self.assert_close(analytic, self.finite_differences(loglik, x), x)
+        matrices = _scan_matrices(np.array([beta]), r.size)
+        score, hess = _box_derivatives(
+            *_natural_derivatives((z * z)[None], h[None], matrices), x[None]
+        )
+        self.assert_close((score[0], hess[0]), self.finite_differences(loglik, x), x)
 
 
 class TestGarchLoglik:
@@ -361,6 +382,84 @@ class TestGarchFit:
         assert set(d) == {"omega", "alpha", "beta", "loglik", "converged", "iterations"}
         assert isinstance(d["converged"], bool)
         assert isinstance(d["iterations"], int)
+
+
+def fit_alone(row):
+    """garch_fit of one row, or the error it raises."""
+    try:
+        return garch_fit(row)
+    except (InputError, NumericalError) as exc:
+        return exc
+
+
+def assert_same_fit(got, want):
+    """Bit-for-bit equal fits, or errors of the same type and message."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert got.params == want.params
+    assert got.loglik == want.loglik
+    assert (got.converged, got.iterations) == (want.converged, want.iterations)
+    np.testing.assert_array_equal(got.h, want.h)
+
+
+def takes_restart(row):
+    """Whether the search from the default start ends at alpha = 0."""
+    _, z2 = _scaled_squares(row)
+    x = _newton(z2[None], START_ALPHA, START_BETA)[0]
+    return _natural_params(x)[1][0] == 0.0
+
+
+class TestBatchedFit:
+    # every row of a batched search takes the steps it takes alone, with
+    # the same rounding: results are compared exactly
+
+    def test_benchmark_windows_equal_one_by_one(self):
+        # 41 windows of 500 at step 5 per series, as roll --garch-mode
+        # per-window cuts 700 daily returns; all 164 rows in one call
+        rows = np.concatenate(
+            [
+                sliding_window_view(gen_garch(700, 1e-6, 0.08, 0.91, seed=seed), 500)[::5]
+                for seed in range(4)
+            ]
+        )
+        fits = list(_fit_rows(rows))
+        assert len(fits) == len(rows) == 164
+        for got, row in zip(fits, rows):
+            assert_same_fit(got, fit_alone(row))
+
+    POOL_SIZE = 13
+
+    @staticmethod
+    @functools.lru_cache(maxsize=1)
+    def pool():
+        """Rows of 500 returns with their one-by-one fits.
+
+        GARCH windows, white noise and fGn whose first search ends at
+        alpha = 0 (so the restart runs), a constant row and a row whose
+        variance overflows (both set aside before the search).
+        """
+        rows = np.stack(
+            [gen_garch(500, 1e-6, 0.08, 0.91, seed=seed) for seed in range(5)]
+            + [gen_white(500, 0.01, seed) for seed in range(4)]
+            + [gen_fgn(500, 0.7, 0.01, seed) for seed in (0, 1)]
+            + [np.full(500, 0.01), gen_white(500, 1e160, 5)]
+        )
+        return rows, [fit_alone(row) for row in rows]
+
+    def test_pool_covers_restart_and_set_aside_rows(self):
+        rows, fits = self.pool()
+        assert len(rows) == self.POOL_SIZE
+        assert sum(takes_restart(row) for row in rows[5:11]) == 6
+        assert isinstance(fits[-2], InputError) and isinstance(fits[-1], NumericalError)
+
+    @given(st.lists(st.integers(0, POOL_SIZE - 1), min_size=1, max_size=40))
+    @settings(max_examples=40, deadline=None)
+    def test_row_result_independent_of_batch(self, picks):
+        # any subset, order and repetition of rows, across chunk boundaries
+        rows, fits = self.pool()
+        for k, got in zip(picks, _fit_rows(rows[picks])):
+            assert_same_fit(got, fits[k])
 
 
 class TestGarchFilter:

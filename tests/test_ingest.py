@@ -125,6 +125,74 @@ class TestRoundTrip:
         np.testing.assert_array_equal(again.values, series.values)
 
 
+    @given(
+        values=st.lists(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            min_size=1,
+            max_size=50,
+        ),
+        gaps=st.lists(st.integers(1, 10), min_size=50, max_size=50),
+    )
+    @settings(max_examples=60)
+    def test_prices_bit_identical_property(self, values, gaps, tmp_path_factory):
+        # any positive finite price, subnormals included, on an irregular calendar
+        start = dt.date(1990, 1, 1)
+        dates = [start + dt.timedelta(days=sum(gaps[: i + 1])) for i in range(len(values))]
+        series = PriceSeries(dates=dates, values=values)
+        path = tmp_path_factory.mktemp("rt") / "prices.csv"
+        save_prices(series, path)
+        again = load_prices(path)
+        assert again.dates == series.dates
+        np.testing.assert_array_equal(again.values, series.values)
+
+
+PADDING = st.sampled_from(["", "", " ", "  ", "\t"])
+
+
+@st.composite
+def messy_return_files(draw):
+    """A return CSV as real files come: CRLF or LF, blank lines, padded cells, rows out of order.
+
+    Returns the text, the series it holds in date order, and the line
+    number of the first whitespace-only line (None if there is none),
+    which the reader must reject.
+    """
+    n = draw(st.integers(1, 25))
+    gaps = draw(st.lists(st.integers(1, 7), min_size=n, max_size=n))
+    dates = [dt.date(2001, 1, 1) + dt.timedelta(days=sum(gaps[: i + 1])) for i in range(n)]
+    values = draw(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n)
+    )
+    lines = ["date,value"]
+    for k in draw(st.permutations(range(n))):
+        pads = [draw(PADDING) for _ in range(4)]
+        lines.append(f"{pads[0]}{dates[k]}{pads[1]},{pads[2]}{values[k]!r}{pads[3]}")
+    for _ in range(draw(st.integers(0, 4))):
+        # blank lines anywhere after the header, trailing ones included
+        at = draw(st.integers(1, len(lines)))
+        lines.insert(at, draw(st.sampled_from(["", "", "", " "])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
+    bad = next((i + 1 for i, line in enumerate(lines) if line == " "), None)
+    return text, dates, values, bad
+
+
+class TestReaderFuzz:
+    @given(case=messy_return_files())
+    @settings(max_examples=80)
+    def test_loads_sorted_or_names_line(self, case, tmp_path_factory):
+        text, dates, values, bad = case
+        path = tmp_path_factory.mktemp("fuzz") / "messy.csv"
+        path.write_bytes(text.encode())
+        if bad is not None:
+            with pytest.raises(InputError, match=rf"messy\.csv:{bad}: "):
+                load_returns(path)
+            return
+        series = load_returns(path)
+        assert series.dates == tuple(dates)
+        np.testing.assert_array_equal(series.values, values)
+
+
 class TestLogReturns:
     def test_constant_prices(self):
         r = log_returns(make_prices([100.0, 100.0, 100.0]))

@@ -218,23 +218,33 @@ class TestRoll:
         assert alone[0].to_dict() == full[1].to_dict()
 
     def test_garch_failure_flagged_not_fatal(self, monkeypatch):
-        import hurstscan.rolling as rolling_mod
+        # the failure is injected where the batched fit checks each row
+        import hurstscan.garch as garch_mod
 
         series = make_return_series(gen_garch(600, 0.1, 0.1, 0.8, seed=7))
-        real_fit = rolling_mod.garch_fit
+        real_check = garch_mod._scaled_squares
         bad_first = series.values[:500]
 
-        def flaky_fit(returns, **kwargs):
-            values = getattr(returns, "values", returns)
-            if np.array_equal(np.asarray(values), bad_first):
+        def flaky_check(row):
+            if np.array_equal(row, bad_first):
                 raise InputError("forced failure for this window")
-            return real_fit(returns, **kwargs)
+            return real_check(row)
 
-        monkeypatch.setattr(rolling_mod, "garch_fit", flaky_fit)
+        monkeypatch.setattr(garch_mod, "_scaled_squares", flaky_check)
         config = RollingConfig(window=500, step=100, garch_mode="per-window")
         results = roll(series, config)
         assert [r.garch_converged for r in results] == [False, True]
         assert np.isfinite(results[0].hurst)
+
+    def test_windows_too_short_to_fit_keep_raw_returns(self):
+        # every window is shorter than MIN_FIT_LENGTH: each fit raises, and
+        # each window is analyzed on its raw returns
+        series = make_return_series(gen_garch(200, 1e-6, 0.08, 0.91, seed=8))
+        config = RollingConfig(window=60, step=7, s_min=3, s_max=15, garch_mode="per-window")
+        results = roll(series, config)
+        assert len(results) == 21
+        assert not any(r.garch_converged for r in results)
+        assert_results_close(results, reference_roll(series, config))
 
 
 class TestDetectRegimes:
