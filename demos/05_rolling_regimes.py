@@ -30,8 +30,9 @@ config = RollingConfig(window=500, step=10)
 results = roll(series, config)
 print(f"{len(results)} windows of {config.window}, step {config.step}")
 
-# Course of the estimate: mean H over blocks of 25 windows.
-hs = np.array([r.hurst for r in results])
+# Course of the estimate: mean H over blocks of 25 windows.  The result
+# holds one array per measure, with one entry per window.
+hs = results.hurst
 print("\nmean H by block of 25 windows (switch lands mid-series):")
 for i in range(0, len(hs), 25):
     block = hs[i : i + 25]

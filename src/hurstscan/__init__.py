@@ -34,7 +34,7 @@ from .liquidity import LiquidityIndicators, liquidity_indicators, rescale
 from .rolling import (
     RegimeRun,
     RollingConfig,
-    WindowResult,
+    RollingResult,
     detect_regimes,
     read_rolling_csv,
     roll,
@@ -83,7 +83,7 @@ __all__ = [
     "rescale",
     "liquidity_indicators",
     "RollingConfig",
-    "WindowResult",
+    "RollingResult",
     "RegimeRun",
     "roll",
     "detect_regimes",

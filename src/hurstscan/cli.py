@@ -287,10 +287,9 @@ def cmd_report(args) -> int:
 
     out_dir = _out_dir(args)
     outputs: dict[str, Path] = {}
-    rows = [r.to_dict() for r in results]
     for name in ("hurst", "f0", "f_sigma", "f_range", "f_ratio"):
         path = out_dir / f"{stem}.{name}.csv"
-        _write_dated_values([r.date for r in results], [row[name] for row in rows], path, "value")
+        _write_dated_values(results.date, getattr(results, name).tolist(), path, "value")
         outputs[name] = path
 
     regimes_path = out_dir / f"{stem}.regimes.txt"

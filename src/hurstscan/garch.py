@@ -562,7 +562,7 @@ def _fit_rows(r: np.ndarray):
         yield from _fit_chunk(chunk)
 
 
-def garch_fit(returns, *, demean: bool = False) -> GarchFit:
+def garch_fit(returns) -> GarchFit:
     """Fit GARCH(1,1) by maximizing the Gaussian log-likelihood.
 
     h_1 is set to the sample variance of the returns.  The search is a
@@ -590,13 +590,9 @@ def garch_fit(returns, *, demean: bool = False) -> GarchFit:
     window of a per-window rolling analysis at once (_fit_rows); both
     give the same fit, bit for bit.
 
-    Returns are used as-is (the filter is defined on raw returns);
-    pass ``demean=True`` to subtract the sample mean first.
+    Returns are used as-is: the filter is defined on raw returns.
     """
-    r = _return_values(returns)
-    if demean and r.size:  # an empty series has no mean; the fit rejects it as too short
-        r = r - r.mean()
-    (fit,) = _fit_rows(r[None])
+    (fit,) = _fit_rows(_return_values(returns)[None])
     if isinstance(fit, Exception):
         raise fit
     return fit

@@ -43,6 +43,15 @@ def _check_has_q2(q_set) -> None:
         raise InputError("q set must include 2 (the liquidity measures need it)")
 
 
+def _indicators_ok(f0, f_sigma, f_range, f_ratio):
+    """The rule every set of indicators obeys, elementwise over scalars or arrays.
+
+    f0 > 0, f_sigma >= 0, f_range >= 0 and f_ratio >= 1 up to rounding;
+    a NaN anywhere breaks it.
+    """
+    return (f0 > 0) & (f_sigma >= 0) & (f_range >= 0) & (f_ratio >= 1.0 - 1e-12)
+
+
 @dataclass(frozen=True)
 class LiquidityIndicators:
     f0: float
@@ -51,9 +60,7 @@ class LiquidityIndicators:
     f_ratio: float
 
     def __post_init__(self):
-        if not (
-            self.f0 > 0 and self.f_sigma >= 0 and self.f_range >= 0 and self.f_ratio >= 1.0 - 1e-12
-        ):
+        if not _indicators_ok(self.f0, self.f_sigma, self.f_range, self.f_ratio):
             raise InputError("inconsistent indicator values")
 
     def to_dict(self) -> dict:

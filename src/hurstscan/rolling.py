@@ -1,9 +1,12 @@
 """Sliding-window engine: GARCH filter + scaling analysis + liquidity measures per window.
 
-One window result carries the q=2 Hurst exponent, the fit diagnostics
-and the four liquidity indicators, stamped with the window's last date
-by default (the values are "known as of" that day).  Results come in
-chronological order.
+``roll`` returns one ``RollingResult``: the windows' dates plus one
+array per measure, the q=2 Hurst exponent, its fit diagnostics, the
+four liquidity indicators and the GARCH flag, one entry per window in
+chronological order.  Each window is stamped with its last date by
+default (the values are "known as of" that day).  The writers format
+the rolling CSV and JSON-lines files from these columns, and
+``read_rolling_csv`` reads a CSV back into the same type.
 
 Every mode analyzes all windows in one array pass over (windows x
 scales); only the source of the squared segment fluctuations differs.
@@ -19,7 +22,7 @@ import csv
 import datetime as dt
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -27,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .exceptions import InputError
 from .garch import GarchFit, _fit_rows, garch_filter, garch_fit
 from .ingest import ReturnSeries, _finite_float
-from .liquidity import LiquidityIndicators, _check_has_q2, _indicator_rows
+from .liquidity import _check_has_q2, _indicator_rows, _indicators_ok
 from .scaling import (
     _check_fluctuations,
     _check_qs,
@@ -41,7 +44,7 @@ from .scaling import (
 
 __all__ = [
     "RollingConfig",
-    "WindowResult",
+    "RollingResult",
     "RegimeRun",
     "roll",
     "detect_regimes",
@@ -49,18 +52,6 @@ __all__ = [
     "write_rolling_jsonl",
     "read_rolling_csv",
 ]
-
-ROLLING_CSV_COLUMNS = (
-    "date",
-    "hurst",
-    "stderr_hurst",
-    "r_squared",
-    "f0",
-    "f_sigma",
-    "f_range",
-    "f_ratio",
-    "garch_converged",
-)
 
 GARCH_MODES = ("whole-sample", "per-window")
 STAMP_CHOICES = ("end", "start", "center")
@@ -110,27 +101,44 @@ class RollingConfig:
         return {**asdict(self), "q_set": list(self.q_set)}
 
 
-@dataclass(frozen=True)
-class WindowResult:
-    """Per-window outputs, stamped with one date of the window (last by default)."""
+@dataclass(frozen=True, eq=False)
+class RollingResult:
+    """Every window's outputs as columns, one entry per window.
 
-    date: dt.date
-    hurst: float
-    log_intercept: float
-    stderr_hurst: float
-    r_squared: float
-    indicators: LiquidityIndicators = field(repr=False)
-    garch_converged: bool = True
+    The fields are the rolling CSV's columns, in order: each window's
+    date (last day by default, see ``RollingConfig.stamp``), its q=2
+    scaling fit, its four liquidity indicators and whether its GARCH
+    fit converged.  The arrays are read-only.
+    """
 
-    def to_dict(self) -> dict:
-        return {
-            "date": self.date.isoformat(),
-            "hurst": float(self.hurst),
-            "stderr_hurst": float(self.stderr_hurst),
-            "r_squared": float(self.r_squared),
-            **self.indicators.to_dict(),
-            "garch_converged": bool(self.garch_converged),
-        }
+    date: tuple[dt.date, ...]
+    hurst: np.ndarray
+    stderr_hurst: np.ndarray
+    r_squared: np.ndarray
+    f0: np.ndarray
+    f_sigma: np.ndarray
+    f_range: np.ndarray
+    f_ratio: np.ndarray
+    garch_converged: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "date", tuple(self.date))
+        for col in ROLLING_CSV_COLUMNS[1:]:
+            values = np.asarray(
+                getattr(self, col), dtype=bool if col == "garch_converged" else float
+            )
+            if values.shape != (len(self.date),):
+                raise InputError(f"{col} must hold one value per date")
+            values.flags.writeable = False
+            object.__setattr__(self, col, values)
+        if not np.all(_indicators_ok(self.f0, self.f_sigma, self.f_range, self.f_ratio)):
+            raise InputError("inconsistent indicator values")
+
+    def __len__(self) -> int:
+        return len(self.date)
+
+
+ROLLING_CSV_COLUMNS = tuple(col.name for col in fields(RollingResult))
 
 
 @dataclass(frozen=True)
@@ -188,10 +196,9 @@ def _row_f2(rows: np.ndarray, config: RollingConfig):
 def _window_columns(f2_per_scale, n_windows: int, config: RollingConfig):
     """Scaling fit and indicators of every window from its squared segment fluctuations.
 
-    Returns (hurst, log_intercept, stderr_hurst, r_squared, f0, f_sigma,
-    f_range, f_ratio), one array entry per window; raises the same
-    InputError as ``mfdfa`` + ``liquidity_indicators`` on a degenerate
-    window.
+    Returns (hurst, stderr_hurst, r_squared, f0, f_sigma, f_range,
+    f_ratio), one array entry per window; raises the same InputError as
+    ``mfdfa`` + ``liquidity_indicators`` on a degenerate window.
     """
     scales = np.asarray(config.scales())
     has_zero = np.zeros(n_windows, dtype=bool)
@@ -216,11 +223,10 @@ def _window_columns(f2_per_scale, n_windows: int, config: RollingConfig):
         for i in range(n_windows):
             check(i)
     hurst, intercept, r_squared, stderr = _fit_loglog(scales, fq[2.0])
-    indicators = _indicator_rows(scales, fq[2.0], hurst, intercept)
-    return (hurst, intercept, stderr, r_squared, *indicators)
+    return (hurst, stderr, r_squared, *_indicator_rows(scales, fq[2.0], hurst, intercept))
 
 
-def roll(returns: ReturnSeries, config: RollingConfig = RollingConfig()) -> list[WindowResult]:
+def roll(returns: ReturnSeries, config: RollingConfig = RollingConfig()) -> RollingResult:
     """Run the full pipeline over every sliding window position.
 
     In whole-sample mode the series is GARCH-filtered once and the
@@ -250,112 +256,98 @@ def roll(returns: ReturnSeries, config: RollingConfig = RollingConfig()) -> list
     else:
         fit = garch_fit(returns.values)
         filtered = garch_filter(returns, fit)
-        converged = [fit.converged] * starts.size
+        converged = np.full(starts.size, fit.converged)
         if config.detrend_order == 0:
             # order 0 leaves a window's linear profile term in: no shared segments
             f2_per_scale = _row_f2(sliding_window_view(filtered, w)[starts], config)
         else:
             f2_per_scale = _shared_f2(filtered, starts, config)
-    columns = (a.tolist() for a in _window_columns(f2_per_scale, starts.size, config))
-    return [
-        WindowResult(date, hurst, intercept, stderr, r_squared, LiquidityIndicators(*ind), ok)
-        for date, ok, hurst, intercept, stderr, r_squared, *ind in zip(dates, converged, *columns)
-    ]
+    return RollingResult(dates, *_window_columns(f2_per_scale, starts.size, config), converged)
 
 
-def detect_regimes(results, threshold: float) -> list[RegimeRun]:
+def detect_regimes(results: RollingResult, threshold: float) -> list[RegimeRun]:
     """Merge consecutive windows into runs below/above the Hurst threshold.
 
     Windows with hurst < threshold are labeled "below", the rest "above";
-    adjacent windows with equal labels join one run.
+    adjacent windows with equal labels join one run.  The threshold
+    must be finite: at +-inf every window would fall on one side.
     """
-    results = list(results)
-    if not results:
+    if not math.isfinite(threshold):
+        raise InputError(f"threshold must be finite, got {threshold!r}")
+    if len(results) == 0:
         raise InputError("no window results")
-    runs: list[RegimeRun] = []
-    run_start = 0
-    current = "below" if results[0].hurst < threshold else "above"
-    for idx in range(1, len(results) + 1):
-        label = None
-        if idx < len(results):
-            label = "below" if results[idx].hurst < threshold else "above"
-        if label != current:
-            runs.append(
-                RegimeRun(
-                    start=results[run_start].date,
-                    end=results[idx - 1].date,
-                    label=current,
-                    n_windows=idx - run_start,
-                )
-            )
-            run_start = idx
-            current = label
-    return runs
+    below = results.hurst < threshold
+    cuts = (np.flatnonzero(below[1:] != below[:-1]) + 1).tolist()
+    return [
+        RegimeRun(
+            start=results.date[a],
+            end=results.date[b - 1],
+            label="below" if below[a] else "above",
+            n_windows=b - a,
+        )
+        for a, b in zip([0, *cuts], [*cuts, len(results)])
+    ]
 
 
-def write_rolling_csv(results, path) -> None:
+def _rows(results: RollingResult):
+    """Each window's cells in column order: ISO date, Python floats, Python bool."""
+    return zip(
+        [date.isoformat() for date in results.date],
+        *(getattr(results, col).tolist() for col in ROLLING_CSV_COLUMNS[1:]),
+    )
+
+
+def write_rolling_csv(results: RollingResult, path) -> None:
     """One row per window: date, fit diagnostics, indicators, GARCH flag."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(ROLLING_CSV_COLUMNS) + "\n")
-        for res in results:
-            row = res.to_dict()
-            fh.write(
-                ",".join(
-                    row["date"]
-                    if col == "date"
-                    else ("true" if row[col] else "false")
-                    if col == "garch_converged"
-                    else repr(row[col])
-                    for col in ROLLING_CSV_COLUMNS
-                )
-                + "\n"
-            )
+        for date, *numbers, converged in _rows(results):
+            fh.write(",".join([date, *map(repr, numbers), "true" if converged else "false"]) + "\n")
 
 
-def write_rolling_jsonl(results, path) -> None:
+def write_rolling_jsonl(results: RollingResult, path) -> None:
     """JSON-lines variant of the rolling output, identical fields."""
     with open(path, "w", encoding="utf-8") as fh:
-        for res in results:
-            fh.write(json.dumps(res.to_dict()) + "\n")
+        for row in _rows(results):
+            fh.write(json.dumps(dict(zip(ROLLING_CSV_COLUMNS, row))) + "\n")
 
 
-def read_rolling_csv(path) -> list[WindowResult]:
-    """Read back a rolling CSV produced by write_rolling_csv."""
+def read_rolling_csv(path) -> RollingResult:
+    """Read back a rolling CSV produced by write_rolling_csv.
+
+    A bad row fails naming its line: a cell that is not a finite
+    number, an unparsable date or GARCH flag, indicators that break
+    their rule, or a date not later than the row before.
+    """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError:
         raise InputError(f"file not found: {path}") from None
-    results = []
+    dates, flags = [], []
+    numbers = {col: [] for col in ROLLING_CSV_COLUMNS[1:-1]}
     with fh:
         reader = csv.DictReader(fh)
         missing = set(ROLLING_CSV_COLUMNS) - set(reader.fieldnames or ())
         if missing:
             raise InputError(f"{path}: missing columns {sorted(missing)}")
         for row in reader:
-            num = {
-                col: _finite_float(row[col], path, reader.line_num, col)
-                for col in ROLLING_CSV_COLUMNS[1:-1]
-            }
+            where = f"{path}:{reader.line_num}"
+            num = {col: _finite_float(row[col], path, reader.line_num, col) for col in numbers}
             try:
-                results.append(
-                    WindowResult(
-                        date=dt.date.fromisoformat(row["date"]),
-                        hurst=num["hurst"],
-                        # f0 = exp(log_intercept), so the intercept is recoverable
-                        log_intercept=math.log(num["f0"]),
-                        stderr_hurst=num["stderr_hurst"],
-                        r_squared=num["r_squared"],
-                        indicators=LiquidityIndicators(
-                            f0=num["f0"],
-                            f_sigma=num["f_sigma"],
-                            f_range=num["f_range"],
-                            f_ratio=num["f_ratio"],
-                        ),
-                        garch_converged=row["garch_converged"] == "true",
-                    )
-                )
-            except (TypeError, ValueError, InputError) as exc:
-                raise InputError(f"{path}:{reader.line_num}: bad row ({exc})") from None
-    if not results:
+                date = dt.date.fromisoformat(row["date"])
+            except ValueError as exc:
+                raise InputError(f"{where}: bad row ({exc})") from None
+            if not _indicators_ok(num["f0"], num["f_sigma"], num["f_range"], num["f_ratio"]):
+                raise InputError(f"{where}: bad row (inconsistent indicator values)")
+            flag = row["garch_converged"]
+            if flag not in ("true", "false"):
+                raise InputError(f"{where}: unparsable garch_converged {flag!r}")
+            if dates and date <= dates[-1]:
+                raise InputError(f"{where}: date {date} is not later than {dates[-1]}")
+            dates.append(date)
+            flags.append(flag == "true")
+            for col, value in num.items():
+                numbers[col].append(value)
+    if not dates:
         raise InputError(f"{path}: no data rows")
-    return results
+    return RollingResult(dates, *numbers.values(), flags)

@@ -16,12 +16,13 @@ from hurstscan import (
     InputError,
     NumericalError,
     ReturnSeries,
-    WindowResult,
+    RollingResult,
     garch_fit,
     liquidity_indicators,
     mfdfa,
     synthetic_dates,
 )
+from hurstscan.rolling import ROLLING_CSV_COLUMNS
 
 # filled by test_acceptance, printed by the conftest terminal-summary hook
 ACCEPTANCE_LINES: list[str] = []
@@ -71,7 +72,7 @@ def make_return_series(values, start: dt.date = dt.date(2000, 1, 3)) -> ReturnSe
     return ReturnSeries(dates=synthetic_dates(values.size, start), values=values)
 
 
-def reference_roll(series: ReturnSeries, config) -> list[WindowResult]:
+def reference_roll(series: ReturnSeries, config) -> RollingResult:
     """Rolling analysis one window at a time through mfdfa.
 
     The oracle for roll()'s window kernel.  In whole-sample mode GARCH
@@ -85,7 +86,7 @@ def reference_roll(series: ReturnSeries, config) -> list[WindowResult]:
     if config.garch_mode == "whole-sample":
         fit = garch_fit(series.values)
         filtered = series.values / np.sqrt(fit.h)
-    results = []
+    rows = []
     for i in range(0, len(series) - w + 1, config.step):
         if config.garch_mode == "whole-sample":
             values, converged = filtered[i : i + w], fit.converged
@@ -98,51 +99,51 @@ def reference_roll(series: ReturnSeries, config) -> list[WindowResult]:
             else:
                 values, converged = values / np.sqrt(window_fit.h), window_fit.converged
         fp, scaling_fit = mfdfa(values, config.scales(), config.q_set, config.detrend_order)[2.0]
-        results.append(
-            WindowResult(
-                date=series.dates[i + offset],
-                hurst=scaling_fit.hurst,
-                log_intercept=scaling_fit.log_intercept,
-                stderr_hurst=scaling_fit.stderr_hurst,
-                r_squared=scaling_fit.r_squared,
-                indicators=liquidity_indicators(fp, scaling_fit),
-                garch_converged=converged,
+        ind = liquidity_indicators(fp, scaling_fit)
+        rows.append(
+            (
+                series.dates[i + offset],
+                scaling_fit.hurst,
+                scaling_fit.stderr_hurst,
+                scaling_fit.r_squared,
+                ind.f0,
+                ind.f_sigma,
+                ind.f_range,
+                ind.f_ratio,
+                converged,
             )
         )
-    return results
+    return RollingResult(*(list(column) for column in zip(*rows)))
 
 
 def assert_results_close(got, want, rel: float = 1e-12) -> None:
-    """Equal dates and GARCH flags; every float field within ``rel`` relative.
+    """Equal dates and GARCH flags; every float column within ``rel`` relative.
 
-    A field is compared relative to the larger of its own size and the
+    A value is compared relative to the larger of its own size and the
     size of what it is computed from.  The log-log fit statistics
-    (hurst, log_intercept, stderr_hurst, r_squared) are of order 1 and
-    come from differences of ln F(s); f_sigma and f_range are spreads of
-    R(s), which is of order f0**2.  Near a perfect or a useless fit, or
-    near exact scaling, these fields are differences of nearly equal
-    numbers and carry rounding error of their inputs' size, not their
-    own: with 3 scales, ln F(s) differing in the 16th digit moves
-    stderr_hurst by ~1e-15 even when stderr_hurst itself is 1e-4.
+    (hurst, stderr_hurst, r_squared) are of order 1 and come from
+    differences of ln F(s); f_sigma and f_range are spreads of R(s),
+    which is of order f0**2.  Near a perfect or a useless fit, or near
+    exact scaling, these values are differences of nearly equal numbers
+    and carry rounding error of their inputs' size, not their own: with
+    3 scales, ln F(s) differing in the 16th digit moves stderr_hurst by
+    ~1e-15 even when stderr_hurst itself is 1e-4.  The fit's intercept
+    is not a column; f0 = exp(intercept) within ``rel`` relative bounds
+    it to ``rel`` absolute.
     """
     assert len(got) == len(want)
-    for k, (a, b) in enumerate(zip(got, want)):
-        da = {**a.to_dict(), "log_intercept": a.log_intercept}
-        db = {**b.to_dict(), "log_intercept": b.log_intercept}
-        assert da.keys() == db.keys()
-        spread_scale = max(da["f0"], db["f0"]) ** 2
-        floor = {
-            "hurst": 1.0,
-            "log_intercept": 1.0,
-            "stderr_hurst": 1.0,
-            "r_squared": 1.0,
-            "f_sigma": spread_scale,
-            "f_range": spread_scale,
-        }
-        for key, x in da.items():
-            y = db[key]
-            if isinstance(y, float):
-                scale = max(abs(x), abs(y), floor.get(key, 0.0))
-                assert abs(x - y) <= rel * scale, (k, key, x, y)
-            else:
-                assert x == y, (k, key, x, y)
+    assert got.date == want.date
+    np.testing.assert_array_equal(got.garch_converged, want.garch_converged)
+    spread_scale = np.maximum(got.f0, want.f0) ** 2
+    floor = {
+        "hurst": 1.0,
+        "stderr_hurst": 1.0,
+        "r_squared": 1.0,
+        "f_sigma": spread_scale,
+        "f_range": spread_scale,
+    }
+    for key in ROLLING_CSV_COLUMNS[1:-1]:
+        x, y = getattr(got, key), getattr(want, key)
+        scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), floor.get(key, 0.0))
+        bad = np.flatnonzero(~(np.abs(x - y) <= rel * scale))
+        assert bad.size == 0, [(k, key, x[k], y[k]) for k in bad[:3]]

@@ -157,8 +157,9 @@ def test_criterion_6_rolling_regime_contrast():
     config = RollingConfig(window=500, step=10)
     results = roll(series, config)
     switch = series.dates[1500]
-    first = [r.hurst for r in results if r.date <= series.dates[1499]]
-    second = [r.hurst for r in results if r.date >= series.dates[1999]]
+    dates = np.array(results.date)
+    first = results.hurst[dates <= series.dates[1499]]
+    second = results.hurst[dates >= series.dates[1999]]
     contrast = float(np.mean(first) - np.mean(second))
 
     runs = detect_regimes(results, 0.5)
@@ -217,14 +218,11 @@ def test_criterion_8_real_data_optional():
     dd_ok = abs(drawdown - 0.5378) <= 0.01
 
     results = roll(log_returns(prices), RollingConfig(window=500, step=5))
-    early = [r.hurst for r in results if r.date < dt.date(2006, 1, 1)]
-    late = [
-        r.hurst
-        for r in results
-        if dt.date(2007, 6, 1) <= r.date <= dt.date(2009, 12, 31)
-    ]
+    dates = np.array(results.date)
+    early = results.hurst[dates < dt.date(2006, 1, 1)]
+    late = results.hurst[(dates >= dt.date(2007, 6, 1)) & (dates <= dt.date(2009, 12, 31))]
     declining = np.mean(late) < np.mean(early)
-    sub_half = [r for r in results if r.date >= dt.date(2007, 6, 1) and r.hurst < 0.5]
+    sub_half = np.flatnonzero((dates >= dt.date(2007, 6, 1)) & (results.hurst < 0.5))
     ok = dd_ok and declining and len(sub_half) >= 20
     verdict(
         8,

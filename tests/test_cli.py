@@ -238,6 +238,14 @@ class TestReport:
         (workdir / "bad.csv").write_text("date,hurst\n2000-01-03,0.5\n")
         assert run(["report", "bad.csv"]) == 1
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_exits_one(self, workdir, capsys, threshold):
+        self.write_rolling(workdir, [0.6, 0.4])
+        args = ["report", "run.rolling.csv", f"--threshold={threshold}", "--out-dir", "newdir"]
+        assert run(args) == 1
+        assert "threshold must be finite" in capsys.readouterr().err
+        assert not (workdir / "newdir").exists()
+
     def test_failed_run_creates_no_directory(self, workdir, capsys):
         self.write_rolling(workdir, [0.6, "nan", 0.6])
         assert run(["report", "run.rolling.csv", "--out-dir", "newdir"]) == 1

@@ -370,12 +370,6 @@ class TestGarchFit:
         fit = garch_fit(series)
         assert fit.h.size == 600
 
-    def test_demean_option(self):
-        r = gen_garch(1000, 0.1, 0.1, 0.8, seed=4) + 5.0
-        fit = garch_fit(r, demean=True)
-        # without demeaning the huge offset dominates the variance level
-        assert fit.params.unconditional_variance < 5.0
-
     def test_json_round_trip_fields(self):
         fit = garch_fit(gen_garch(500, 0.1, 0.1, 0.8, seed=6))
         d = fit.to_dict()

@@ -153,9 +153,11 @@ PADDING = st.sampled_from(["", "", " ", "  ", "\t"])
 def messy_return_files(draw):
     """A return CSV as real files come: CRLF or LF, blank lines, padded cells, rows out of order.
 
-    Returns the text, the series it holds in date order, and the line
-    number of the first whitespace-only line (None if there is none),
-    which the reader must reject.
+    The file may lack a header (columns then go by position) and may
+    repeat dates.  Returns the text, its layout, the series it holds in
+    date order, and the line number the reader must reject, or None:
+    the first whitespace-only line, else the second row of the earliest
+    repeated date.
     """
     n = draw(st.integers(1, 25))
     gaps = draw(st.lists(st.integers(1, 7), min_size=n, max_size=n))
@@ -163,32 +165,42 @@ def messy_return_files(draw):
     values = draw(
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n)
     )
-    lines = ["date,value"]
-    for k in draw(st.permutations(range(n))):
+    header = draw(st.booleans())
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=2))
+    rows = [*range(n), *repeats]
+    lines = ["date,value"] if header else []
+    line_dates = [None] * len(lines)
+    for k in draw(st.permutations(rows)):
         pads = [draw(PADDING) for _ in range(4)]
         lines.append(f"{pads[0]}{dates[k]}{pads[1]},{pads[2]}{values[k]!r}{pads[3]}")
+        line_dates.append(dates[k])
     for _ in range(draw(st.integers(0, 4))):
         # blank lines anywhere after the header, trailing ones included
-        at = draw(st.integers(1, len(lines)))
+        at = draw(st.integers(int(header), len(lines)))
         lines.insert(at, draw(st.sampled_from(["", "", "", " "])))
+        line_dates.insert(at, None)
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     text = newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
     bad = next((i + 1 for i, line in enumerate(lines) if line == " "), None)
-    return text, dates, values, bad
+    if bad is None and repeats:
+        earliest = min(dates[k] for k in repeats)
+        bad = [i + 1 for i, date in enumerate(line_dates) if date == earliest][1]
+    layout = CsvLayout(value_col="value") if header else CsvLayout(0, 1, header=False)
+    return text, layout, dates, values, bad
 
 
 class TestReaderFuzz:
     @given(case=messy_return_files())
     @settings(max_examples=80)
     def test_loads_sorted_or_names_line(self, case, tmp_path_factory):
-        text, dates, values, bad = case
+        text, layout, dates, values, bad = case
         path = tmp_path_factory.mktemp("fuzz") / "messy.csv"
         path.write_bytes(text.encode())
         if bad is not None:
             with pytest.raises(InputError, match=rf"messy\.csv:{bad}: "):
-                load_returns(path)
+                load_returns(path, layout)
             return
-        series = load_returns(path)
+        series = load_returns(path, layout)
         assert series.dates == tuple(dates)
         np.testing.assert_array_equal(series.values, values)
 

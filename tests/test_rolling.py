@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from helpers import assert_results_close, make_return_series, reference_roll
 from hurstscan import (
     InputError,
-    LiquidityIndicators,
     RollingConfig,
-    WindowResult,
+    RollingResult,
     detect_regimes,
     gen_fgn,
     gen_garch,
@@ -19,6 +18,7 @@ from hurstscan import (
     write_rolling_csv,
     write_rolling_jsonl,
 )
+from hurstscan.rolling import ROLLING_CSV_COLUMNS
 
 FAST = RollingConfig(window=500, step=100)
 
@@ -30,8 +30,25 @@ def spliced_series(seed=0):
     return make_return_series(np.concatenate([first, second]))
 
 
-def result_dicts(results):
-    return [r.to_dict() for r in results]
+def results_with_hurst(hursts):
+    """Consecutive daily windows with the given H and exact scaling."""
+    n = len(hursts)
+    return RollingResult(
+        date=[dt.date(2000, 1, 3) + dt.timedelta(days=i) for i in range(n)],
+        hurst=hursts,
+        stderr_hurst=np.full(n, 0.01),
+        r_squared=np.full(n, 0.99),
+        f0=np.full(n, 0.1),
+        f_sigma=np.zeros(n),
+        f_range=np.zeros(n),
+        f_ratio=np.ones(n),
+        garch_converged=np.ones(n, dtype=bool),
+    )
+
+
+def columns(results, rows=slice(None)):
+    """Every column's values for the windows ``rows``, as lists for exact comparison."""
+    return {col: list(getattr(results, col)[rows]) for col in ROLLING_CSV_COLUMNS}
 
 
 class TestRollingConfig:
@@ -92,38 +109,38 @@ class TestRoll:
     def test_end_date_stamping(self):
         series = make_return_series(gen_garch(502, 0.1, 0.1, 0.8, seed=4))
         results = roll(series, RollingConfig())
-        assert [r.date for r in results] == list(series.dates[499:502])
+        assert results.date == series.dates[499:502]
 
     def test_start_and_center_stamping(self):
         series = make_return_series(gen_garch(502, 0.1, 0.1, 0.8, seed=4))
         starts = roll(series, RollingConfig(stamp="start"))
-        assert [r.date for r in starts] == list(series.dates[:3])
+        assert starts.date == series.dates[:3]
         centers = roll(series, RollingConfig(stamp="center"))
         # center of an even window floors to index (window - 1) // 2
-        assert [r.date for r in centers] == list(series.dates[249:252])
+        assert centers.date == series.dates[249:252]
 
     def test_results_ordered_by_date(self):
         series = spliced_series()
         results = roll(series, FAST)
-        dates = [r.date for r in results]
-        assert dates == sorted(dates)
+        assert list(results.date) == sorted(results.date)
 
     def test_regime_contrast(self):
         series = spliced_series()
         results = roll(series, FAST)
-        first = [r.hurst for r in results if r.date <= series.dates[1499]]
-        second = [r.hurst for r in results if r.date >= series.dates[1999]]
+        dates = np.array(results.date)
+        first = results.hurst[dates <= series.dates[1499]]
+        second = results.hurst[dates >= series.dates[1999]]
         assert np.mean(first) - np.mean(second) >= 0.2
 
     def test_step_consistency(self):
         series = make_return_series(gen_garch(560, 0.1, 0.1, 0.8, seed=5))
         fine = roll(series, RollingConfig(step=1))
         coarse = roll(series, RollingConfig(step=5))
-        assert result_dicts(coarse) == result_dicts(fine[::5])
+        assert columns(coarse) == columns(fine, slice(None, None, 5))
 
     def test_deterministic(self):
         series = spliced_series(seed=3)
-        assert result_dicts(roll(series, FAST)) == result_dicts(roll(series, FAST))
+        assert columns(roll(series, FAST)) == columns(roll(series, FAST))
 
     def test_kernel_matches_reference(self):
         series = spliced_series(seed=4)
@@ -215,7 +232,7 @@ class TestRoll:
         full = roll(series, config)
         sub = make_return_series(series.values[100:600], start=series.dates[100])
         alone = roll(sub, RollingConfig(window=500, step=100, garch_mode="per-window"))
-        assert alone[0].to_dict() == full[1].to_dict()
+        assert columns(alone) == columns(full, slice(1, 2))
 
     def test_garch_failure_flagged_not_fatal(self, monkeypatch):
         # the failure is injected where the batched fit checks each row
@@ -233,8 +250,8 @@ class TestRoll:
         monkeypatch.setattr(garch_mod, "_scaled_squares", flaky_check)
         config = RollingConfig(window=500, step=100, garch_mode="per-window")
         results = roll(series, config)
-        assert [r.garch_converged for r in results] == [False, True]
-        assert np.isfinite(results[0].hurst)
+        assert results.garch_converged.tolist() == [False, True]
+        assert np.isfinite(results.hurst[0])
 
     def test_windows_too_short_to_fit_keep_raw_returns(self):
         # every window is shorter than MIN_FIT_LENGTH: each fit raises, and
@@ -243,33 +260,19 @@ class TestRoll:
         config = RollingConfig(window=60, step=7, s_min=3, s_max=15, garch_mode="per-window")
         results = roll(series, config)
         assert len(results) == 21
-        assert not any(r.garch_converged for r in results)
+        assert not results.garch_converged.any()
         assert_results_close(results, reference_roll(series, config))
 
 
 class TestDetectRegimes:
-    def make_results(self, hursts):
-        ind = LiquidityIndicators(f0=0.1, f_sigma=0.0, f_range=0.0, f_ratio=1.0)
-        return [
-            WindowResult(
-                date=dt.date(2000, 1, 3) + dt.timedelta(days=i),
-                hurst=h,
-                log_intercept=-2.3,
-                stderr_hurst=0.01,
-                r_squared=0.99,
-                indicators=ind,
-            )
-            for i, h in enumerate(hursts)
-        ]
-
     def test_single_above_run(self):
-        runs = detect_regimes(self.make_results([0.6, 0.6, 0.6]), 0.5)
+        runs = detect_regimes(results_with_hurst([0.6, 0.6, 0.6]), 0.5)
         assert len(runs) == 1
         assert runs[0].label == "above"
         assert runs[0].n_windows == 3
 
     def test_three_runs(self):
-        runs = detect_regimes(self.make_results([0.6, 0.4, 0.4, 0.6]), 0.5)
+        runs = detect_regimes(results_with_hurst([0.6, 0.4, 0.4, 0.6]), 0.5)
         assert [r.label for r in runs] == ["above", "below", "above"]
         assert [r.n_windows for r in runs] == [1, 2, 1]
 
@@ -285,7 +288,7 @@ class TestDetectRegimes:
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
-            detect_regimes([], 0.5)
+            detect_regimes(results_with_hurst([]), 0.5)
 
 
 class TestSerialization:
@@ -299,10 +302,10 @@ class TestSerialization:
             "date,hurst,stderr_hurst,r_squared,f0,f_sigma,f_range,f_ratio,garch_converged"
         )
         again = read_rolling_csv(path)
-        assert result_dicts(again) == result_dicts(results)
-        for orig, back in zip(results, again):
-            # log_intercept is not a CSV column; it comes back through f0
-            assert back.log_intercept == pytest.approx(orig.log_intercept, abs=1e-12)
+        assert again.date == results.date
+        for col in ROLLING_CSV_COLUMNS[1:]:
+            # bit for bit: repr round-trips every float
+            assert getattr(again, col).tobytes() == getattr(results, col).tobytes(), col
 
     def test_csv_identical_across_runs(self, tmp_path):
         series = spliced_series(seed=6)
@@ -323,8 +326,9 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         assert len(lines) == len(results)
         row = json.loads(lines[0])
-        assert row["date"] == results[0].date.isoformat()
-        assert row["hurst"] == results[0].hurst
+        assert list(row) == list(ROLLING_CSV_COLUMNS)
+        assert row["date"] == results.date[0].isoformat()
+        assert row["hurst"] == results.hurst[0]
 
     def test_read_rejects_missing_columns(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -342,6 +346,53 @@ class TestSerialization:
         )
         with pytest.raises(InputError, match=r"run\.rolling\.csv:3: non-finite hurst"):
             read_rolling_csv(path)
+
+    def write_rows(self, tmp_path, *rows):
+        path = tmp_path / "run.rolling.csv"
+        path.write_text("\n".join([",".join(ROLLING_CSV_COLUMNS), *rows]) + "\n")
+        return path
+
+    @pytest.mark.parametrize("flag", ["yes", "True", ""])
+    def test_read_rejects_unparsable_flag_with_line(self, tmp_path, flag):
+        path = self.write_rows(
+            tmp_path,
+            "2000-01-03,0.5,0.01,0.99,0.1,0.002,0.008,1.3,false",
+            f"2000-01-04,0.5,0.01,0.99,0.1,0.002,0.008,1.3,{flag}",
+        )
+        message = rf"run\.rolling\.csv:3: unparsable garch_converged '{flag}'"
+        with pytest.raises(InputError, match=message):
+            read_rolling_csv(path)
+
+    @pytest.mark.parametrize("date", ["2000-01-04", "2000-01-03"])
+    def test_read_rejects_date_not_after_previous_with_line(self, tmp_path, date):
+        path = self.write_rows(
+            tmp_path,
+            "2000-01-02,0.5,0.01,0.99,0.1,0.002,0.008,1.3,true",
+            "2000-01-04,0.5,0.01,0.99,0.1,0.002,0.008,1.3,true",
+            f"{date},0.5,0.01,0.99,0.1,0.002,0.008,1.3,true",
+        )
+        with pytest.raises(InputError, match=rf"run\.rolling\.csv:4: date {date} is not later"):
+            read_rolling_csv(path)
+
+    @pytest.mark.parametrize("f0, f_ratio", [(0.0, 1.3), (0.1, 0.5)])
+    def test_read_rejects_inconsistent_indicators_with_line(self, tmp_path, f0, f_ratio):
+        path = self.write_rows(
+            tmp_path,
+            "2000-01-03,0.5,0.01,0.99,0.1,0.002,0.008,1.3,true",
+            f"2000-01-04,0.5,0.01,0.99,{f0},0.002,0.008,{f_ratio},true",
+        )
+        with pytest.raises(
+            InputError, match=r"run\.rolling\.csv:3: bad row \(inconsistent indicator values\)"
+        ):
+            read_rolling_csv(path)
+
+    def test_result_checks_its_columns(self):
+        good = results_with_hurst([0.6, 0.4])
+        cols = {col: getattr(good, col) for col in ROLLING_CSV_COLUMNS}
+        with pytest.raises(InputError, match="inconsistent indicator values"):
+            RollingResult(**{**cols, "f_ratio": [1.0, 0.5]})
+        with pytest.raises(InputError, match="hurst must hold one value per date"):
+            RollingResult(**{**cols, "hurst": [0.6]})
 
     def test_read_rejects_short_row_with_line(self, tmp_path):
         path = tmp_path / "run.rolling.csv"
