@@ -76,7 +76,10 @@ def _write_json(path: Path, data) -> Path:
     return path
 
 
-def _write_manifest(args, command: str, inputs, config: dict, outputs, started, seed=None):
+def _write_manifest(
+    args, command: str, stem: str, inputs, config: dict, outputs, started, seed=None
+):
+    """Write <stem>.<command>.manifest.json: inputs, config, seed and the outputs' hashes."""
     out_dir = _out_dir(args)
     manifest = {
         "command": command,
@@ -90,7 +93,6 @@ def _write_manifest(args, command: str, inputs, config: dict, outputs, started, 
         },
         "duration_seconds": time.perf_counter() - started,
     }
-    stem = Path(next(iter(outputs.values()))).stem.split(".")[0]
     return _write_json(out_dir / f"{stem}.{command}.manifest.json", manifest)
 
 
@@ -204,7 +206,7 @@ def cmd_analyze(args) -> int:
         out_dir / f"{stem}.indicators.json", indicators.to_dict()
     )
 
-    manifest = _write_manifest(args, "analyze", [args.input], config, outputs, started)
+    manifest = _write_manifest(args, "analyze", stem, [args.input], config, outputs, started)
     print(f"wrote {len(outputs)} files and {manifest}", file=sys.stderr)
     return 0
 
@@ -235,6 +237,7 @@ def cmd_roll(args) -> int:
     manifest = _write_manifest(
         args,
         "roll",
+        stem,
         [args.input],
         {**config.to_dict(), "returns": args.returns},
         outputs,
@@ -273,7 +276,7 @@ def cmd_synth(args) -> int:
                 fh.write(f"{float(value)!r}\n")
 
     manifest = _write_manifest(
-        args, "synth", [], spec.to_dict(), {"series": path}, started, seed=args.seed
+        args, "synth", path.stem, [], spec.to_dict(), {"series": path}, started, seed=args.seed
     )
     print(f"wrote {path} and {manifest}", file=sys.stderr)
     return 0
@@ -281,7 +284,7 @@ def cmd_synth(args) -> int:
 
 def cmd_report(args) -> int:
     started = time.perf_counter()
-    stem = Path(args.input).stem.split(".")[0]
+    stem = Path(args.input).stem.removesuffix(".rolling")
     results = read_rolling_csv(args.input)
     runs = detect_regimes(results, args.threshold)
 
@@ -303,7 +306,7 @@ def cmd_report(args) -> int:
     outputs["regimes"] = regimes_path
 
     manifest = _write_manifest(
-        args, "report", [args.input], {"threshold": args.threshold}, outputs, started
+        args, "report", stem, [args.input], {"threshold": args.threshold}, outputs, started
     )
     print(f"wrote {len(outputs)} files and {manifest}", file=sys.stderr)
     return 0

@@ -36,6 +36,7 @@ from .scaling import (
     _check_qs,
     _check_scale_range,
     _fit_loglog,
+    _is_integer,
     _residual_f2,
     _run_marker,
     _segment_starts,
@@ -77,6 +78,10 @@ class RollingConfig:
     stamp: str = "end"
 
     def __post_init__(self):
+        for name in ("window", "step", "s_min", "s_max", "detrend_order"):
+            value = getattr(self, name)
+            if not (_is_integer(value) or (name == "s_max" and value is None)):
+                raise InputError(f"{name} must be an integer, got {value!r}")
         if self.s_max is None:
             object.__setattr__(self, "s_max", self.window // 10)
         object.__setattr__(self, "q_set", _check_qs(self.q_set))

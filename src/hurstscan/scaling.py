@@ -51,6 +51,11 @@ def _check_qs(qs) -> tuple[float, ...]:
     return q_set
 
 
+def _is_integer(value) -> bool:
+    """The one rule for whole-number parameters: an int or a numpy integer, never a float."""
+    return isinstance(value, (int, np.integer))
+
+
 def _check_scale_range(s_min: int, s_max: int, order: int, length: int) -> None:
     """Every scale s of a series of ``length`` points needs order + 2 <= s <= length // 4."""
     if not order >= 0:

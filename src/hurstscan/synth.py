@@ -16,6 +16,7 @@ import numpy as np
 
 from .exceptions import InputError, NumericalError
 from .garch import GarchParams
+from .scaling import _is_integer
 
 __all__ = [
     "GeneratorSpec",
@@ -151,7 +152,9 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InputError(f"unknown generator kind: {self.kind!r}")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+        if not _is_integer(self.n):
+            raise InputError(f"n must be an integer, got {self.n!r}")
+        if not (_is_integer(self.seed) and self.seed >= 0):
             raise InputError(f"seed must be a non-negative integer, got {self.seed!r}")
         names = _KINDS[self.kind][1]
         if "sigma" in names and self.sigma is None:

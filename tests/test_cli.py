@@ -276,6 +276,31 @@ class TestPipeline:
         regimes = (workdir / "spliced.regimes.txt").read_text()
         assert "below 0.5" in regimes
 
+    def test_dotted_input_names_keep_their_own_outputs(self, workdir):
+        # names are cut at the last dot only: two versions of one index
+        # written to one directory overwrite none of each other's files
+        for version, h in (("v1", 0.7), ("v2", 0.3)):
+            synth_fgn(workdir, name=f"idx.{version}.csv", n=1500, h=h)
+            assert run(["analyze", f"idx.{version}.csv", "--returns"]) == 0
+            assert run(["roll", f"idx.{version}.csv", "--returns", "--step", "100"]) == 0
+            assert run(["report", f"idx.{version}.rolling.csv"]) == 0
+        for command in ("synth", "analyze", "roll", "report"):
+            for version in ("v1", "v2"):
+                manifest = json.loads(
+                    (workdir / f"idx.{version}.{command}.manifest.json").read_text()
+                )
+                assert manifest["command"] == command
+                for output in manifest["outputs"].values():
+                    path = Path(output["path"])
+                    assert path.name.startswith(f"idx.{version}.")
+                    assert hashlib.sha256(path.read_bytes()).hexdigest() == output["sha256"]
+        assert len(list(workdir.glob("*.manifest.json"))) == 8
+        for name in ("hurst", "f0", "f_sigma", "f_range", "f_ratio", "regimes"):
+            suffix = "txt" if name == "regimes" else "csv"
+            v1, v2 = (workdir / f"idx.{v}.{name}.{suffix}" for v in ("v1", "v2"))
+            assert v1.read_bytes() != v2.read_bytes()
+        assert not (workdir / "idx.hurst.csv").exists()
+
     @staticmethod
     def dates(n):
         import datetime as dt

@@ -23,6 +23,7 @@ from hurstscan import (
 from hurstscan.garch import (
     START_ALPHA,
     START_BETA,
+    _ascent_steps,
     _box_derivatives,
     _fit_rows,
     _natural_derivatives,
@@ -76,8 +77,12 @@ class TestVariancePath:
         np.testing.assert_allclose(h, 2.0)
 
     def test_h1_must_be_positive(self):
-        with pytest.raises(InputError):
-            variance_path(THREE_STEP_RETURNS, THREE_STEP_PARAMS, h1=0.0)
+        # an input error, not an all-NaN or all-inf path
+        for h1 in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(InputError, match="h1 must be positive and finite"):
+                variance_path(THREE_STEP_RETURNS, THREE_STEP_PARAMS, h1=h1)
+            with pytest.raises(InputError, match="h1 must be positive and finite"):
+                garch_loglik(THREE_STEP_RETURNS, THREE_STEP_PARAMS, h1=h1)
 
     @given(
         st.lists(st.floats(min_value=-5, max_value=5), min_size=2, max_size=200),
@@ -200,6 +205,37 @@ class TestAnalyticDerivatives:
             *_natural_derivatives((z * z)[None], h[None], matrices), x[None]
         )
         self.assert_close((score[0], hess[0]), self.finite_differences(loglik, x), x)
+
+
+class TestAscentSteps:
+    def test_held_coordinates_step_zero_free_ones_solve_their_block(self):
+        # well-conditioned -H = Q diag(lam) Q^T: the first half concave, the
+        # second with curvature of either sign; random held coordinates
+        rng = np.random.default_rng(3)
+        rows = 400
+        q = np.linalg.qr(rng.standard_normal((rows, 3, 3)))[0]
+        lam = rng.uniform(0.5, 2.0, (rows, 3))
+        lam[rows // 2 :] *= rng.choice([-1.0, 1.0], (rows - rows // 2, 3))
+        hess = -(q * lam[:, None, :]) @ q.transpose(0, 2, 1)
+        grad = rng.standard_normal((rows, 3))
+        free = rng.random((rows, 3)) < 0.6
+        step, concave = _ascent_steps(grad, hess, free)
+        assert np.all(step[~free] == 0.0)
+        for k in range(rows):
+            f = free[k]
+            block = -hess[k][np.ix_(f, f)]
+            values, vectors = np.linalg.eigh(block)
+            assert concave[k] == bool(np.all(values > 0.0))
+            if not concave[k]:
+                # the same repair on the free block alone
+                moduli = np.abs(values)
+                moduli = np.maximum(moduli, 1e-10 * moduli.max())
+                block = (vectors * moduli) @ vectors.T
+            want = np.linalg.solve(block, grad[k, f]) if f.any() else np.zeros(0)
+            error = np.abs(step[k, f] - want).max(initial=0.0)
+            assert error <= 1e-12 * np.abs(want).max(initial=0.0)
+        assert 0 < concave.sum() < rows
+        assert (~free).all(axis=1).any() and free.all(axis=1).any()
 
 
 class TestGarchLoglik:
@@ -352,10 +388,33 @@ class TestGarchFit:
     def test_iteration_cap_reports_not_converged(self, monkeypatch):
         # one step per search; a second search runs when the first ends at
         # alpha + beta = MAX_PERSISTENCE
-        monkeypatch.setattr(hurstscan.garch, "DEFAULT_MAX_ITER", 1)
-        fit = garch_fit(gen_garch(3000, 1e-6, 0.08, 0.91, seed=0))
+        with monkeypatch.context() as patch:
+            patch.setattr(hurstscan.garch, "DEFAULT_MAX_ITER", 1)
+            fit = garch_fit(gen_garch(3000, 1e-6, 0.08, 0.91, seed=0))
         assert 1 <= fit.iterations <= 2
         assert not fit.converged
+        # both early exits in a batch: the iteration cap, and a line search
+        # that fails because no step of at least 1/4 is accepted.  Rows that
+        # stop early share batches with rows that go on, and each ends
+        # exactly as it does alone.  Benchmark-shaped windows: 500 returns
+        # at step 5 on the 700 of two seeds whose searches refuse full steps
+        rows = np.concatenate(
+            [
+                sliding_window_view(gen_garch(700, 1e-6, 0.08, 0.91, seed=seed), 500)[::5]
+                for seed in (1, 2)
+            ]
+        )
+        for name, value in (("DEFAULT_MAX_ITER", 1), ("MIN_STEP", 0.25)):
+            with monkeypatch.context() as patch:
+                patch.setattr(hurstscan.garch, name, value)
+                fits = list(_fit_rows(rows))
+                for got, row in zip(fits, rows):
+                    assert_same_fit(got, fit_alone(row))
+            stopped = [not fit.converged for fit in fits]
+            if name == "DEFAULT_MAX_ITER":
+                assert all(stopped) and all(fit.iterations <= 2 for fit in fits)
+            else:
+                assert 0 < sum(stopped) < len(fits)
 
     def test_constant_returns_rejected(self):
         with pytest.raises(InputError):

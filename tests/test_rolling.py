@@ -89,6 +89,26 @@ class TestRollingConfig:
         with pytest.raises(InputError):
             RollingConfig(garch_mode="hybrid")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("window", 500.0),
+            ("step", 2.5),
+            ("s_min", 10.5),
+            ("s_max", 40.0),
+            ("detrend_order", 1.5),
+            ("step", "2"),
+            ("window", None),
+        ],
+    )
+    def test_whole_number_fields_must_be_integers(self, field, value):
+        with pytest.raises(InputError, match=f"{field} must be an integer"):
+            RollingConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        config = RollingConfig(window=np.int64(800), step=np.int32(5), detrend_order=np.int64(0))
+        assert config.s_max == 80
+
 
 class TestRoll:
     def test_exact_window_count_boundary(self):

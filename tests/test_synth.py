@@ -191,6 +191,15 @@ class TestGeneratorSpec:
         with pytest.raises(InputError):
             GeneratorSpec(kind="fgn", n=0, seed=0, hurst=0.5)
 
+    @pytest.mark.parametrize("n", [10.5, 10.0, "10", None])
+    def test_length_must_be_integer(self, n):
+        with pytest.raises(InputError, match="n must be an integer"):
+            GeneratorSpec(kind="gaussian-white", n=n)
+
+    def test_numpy_integer_length_and_seed_accepted(self):
+        spec = GeneratorSpec(kind="gaussian-white", n=np.int64(10), seed=np.uint32(3))
+        np.testing.assert_array_equal(generate(spec), gen_white(10, seed=3))
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
     def test_seed_must_be_non_negative_integer(self, seed):
         with pytest.raises(InputError, match="seed must be a non-negative integer"):
