@@ -17,15 +17,18 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
 from .exceptions import InputError, NumericalError
 from .garch import garch_filter, garch_fit
 from .ingest import (
+    _DATE,
+    _FLOAT,
     SYNTHETIC_START,
     CsvLayout,
-    _write_dated_values,
+    _write_table,
     load_prices,
     load_returns,
     log_returns,
@@ -33,6 +36,8 @@ from .ingest import (
 )
 from .liquidity import _check_has_q2, liquidity_indicators
 from .rolling import (
+    GARCH_MODES,
+    STAMP_CHOICES,
     RollingConfig,
     detect_regimes,
     read_rolling_csv,
@@ -41,7 +46,7 @@ from .rolling import (
     write_rolling_jsonl,
 )
 from .scaling import mfdfa
-from .synth import GeneratorSpec, generate
+from .synth import _KINDS, GeneratorSpec, generate
 
 OUT_DIR_ENV = "HURSTSCAN_OUT_DIR"
 
@@ -124,18 +129,21 @@ def _add_input_flags(parser):
     )
 
 
+def _int_flag(parser, flag: str, default: int, text: str):
+    parser.add_argument(flag, type=int, default=default, help=f"{text} (default: {default})")
+
+
 def _add_scale_flags(parser, with_window: bool):
+    # the defaults are RollingConfig's, for analyze as for roll
     if with_window:
-        parser.add_argument(
-            "--window", type=int, default=500, help="window length in trading days (default: 500)"
-        )
-        parser.add_argument("--step", type=int, default=1, help="window step in days (default: 1)")
+        _int_flag(parser, "--window", RollingConfig.window, "window length in trading days")
+        _int_flag(parser, "--step", RollingConfig.step, "window step in days")
         parser.add_argument(
             "--s-max", type=int, default=None, help="largest scale (default: window/10 = 50)"
         )
     else:
         parser.add_argument("--s-max", type=int, default=50, help="largest scale (default: 50)")
-    parser.add_argument("--s-min", type=int, default=10, help="smallest scale (default: 10)")
+    _int_flag(parser, "--s-min", RollingConfig.s_min, "smallest scale")
     parser.add_argument(
         "--q",
         type=float,
@@ -143,9 +151,7 @@ def _add_scale_flags(parser, with_window: bool):
         default=None,
         help="moment order, repeatable (default: 2)",
     )
-    parser.add_argument(
-        "--detrend-order", type=int, default=1, help="detrending polynomial order (default: 1)"
-    )
+    _int_flag(parser, "--detrend-order", RollingConfig.detrend_order, "detrending polynomial order")
 
 
 def _add_out_dir_flag(parser):
@@ -215,16 +221,9 @@ def cmd_roll(args) -> int:
     started = time.perf_counter()
     stem = Path(args.input).stem
     series = _load_return_series(args)
-    config = RollingConfig(
-        window=args.window,
-        step=args.step,
-        s_min=args.s_min,
-        s_max=args.s_max,
-        q_set=_q_list(args),
-        detrend_order=args.detrend_order,
-        garch_mode=args.garch_mode,
-        stamp=args.stamp,
-    )
+    # every field but q_set has a flag of its own name
+    names = [field.name for field in fields(RollingConfig) if field.name != "q_set"]
+    config = RollingConfig(q_set=_q_list(args), **{name: getattr(args, name) for name in names})
     results = roll(series, config)
 
     out_dir = _out_dir(args)
@@ -268,12 +267,9 @@ def cmd_synth(args) -> int:
     path = out_dir / name
     if args.dates:
         dates = synthetic_dates(args.n, args.start_date or SYNTHETIC_START)
-        _write_dated_values(dates, values, path, "value")
+        _write_table(path, [(_DATE, dates), (_FLOAT, values)], ("date", "value"))
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("value\n")
-            for value in values:
-                fh.write(f"{float(value)!r}\n")
+        _write_table(path, [(_FLOAT, values)], ("value",))
 
     manifest = _write_manifest(
         args, "synth", path.stem, [], spec.to_dict(), {"series": path}, started, seed=args.seed
@@ -292,7 +288,8 @@ def cmd_report(args) -> int:
     outputs: dict[str, Path] = {}
     for name in ("hurst", "f0", "f_sigma", "f_range", "f_ratio"):
         path = out_dir / f"{stem}.{name}.csv"
-        _write_dated_values(results.date, getattr(results, name).tolist(), path, "value")
+        columns = [(_DATE, results.date), (_FLOAT, getattr(results, name))]
+        _write_table(path, columns, ("date", "value"))
         outputs[name] = path
 
     regimes_path = out_dir / f"{stem}.regimes.txt"
@@ -357,16 +354,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scale_flags(p_roll, with_window=True)
     p_roll.add_argument(
         "--garch-mode",
-        choices=["whole-sample", "per-window"],
-        default="whole-sample",
+        choices=GARCH_MODES,
+        default=RollingConfig.garch_mode,
         help="one GARCH fit for the full series, or one per window "
-        "(default: whole-sample)",
+        f"(default: {RollingConfig.garch_mode})",
     )
     p_roll.add_argument(
         "--stamp",
-        choices=["end", "start", "center"],
-        default="end",
-        help="which window day dates each result row (default: end)",
+        choices=STAMP_CHOICES,
+        default=RollingConfig.stamp,
+        help=f"which window day dates each result row (default: {RollingConfig.stamp})",
     )
     _add_out_dir_flag(p_roll)
     p_roll.set_defaults(func=cmd_roll)
@@ -377,9 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Write a deterministic synthetic series (fractional Gaussian "
         "noise, white noise, or GARCH) as CSV.",
     )
-    p_synth.add_argument(
-        "--kind", choices=["fgn", "gaussian-white", "garch"], required=True, help="generator"
-    )
+    p_synth.add_argument("--kind", choices=list(_KINDS), required=True, help="generator")
     p_synth.add_argument("--n", type=int, required=True, help="series length")
     p_synth.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
     p_synth.add_argument("--h", type=float, default=None, help="Hurst exponent (fgn only)")

@@ -1,20 +1,22 @@
-"""Price-file loading, log returns, and descriptive statistics.
+"""Price-file loading, log returns, descriptive statistics, and the CSV dialect.
 
-CSV files are UTF-8 (a leading byte-order mark is skipped) with one
-header row by default; the date and value columns are configurable by
-name or position.  Every value must be a finite number: ``nan`` or
-``inf`` cells fail at load time with the file and line.  Dates are ISO-8601
-(YYYY-MM-DD) and rows are sorted ascending by date on load, with
-duplicate dates rejected.  Missing trading days are simply absent rows.
-Floats are written with ``repr`` so a save/load round trip is
-bit-identical.
+Every CSV file hurstscan reads or writes, a price or return series, a
+rolling result, a fluctuation profile or a report, goes through one
+reader and one writer here.  Files are UTF-8 (a leading byte-order mark
+is skipped, CRLF or LF line ends) with a header row by default; blank
+lines are skipped and a bad file fails naming its first bad line.  Cells
+are ISO-8601 dates (YYYY-MM-DD, surrounding spaces allowed), finite
+floats (``nan`` or ``inf`` fail) written with ``repr`` so a write/read
+round trip is bit-identical, ``true``/``false`` flags, and integers.
+Series rows are sorted ascending by date on load, with duplicate dates
+rejected; missing trading days are simply absent rows.
 """
 from __future__ import annotations
 
 import csv
 import datetime as dt
-import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,135 +47,176 @@ class CsvLayout:
     header: bool = True
 
     def __post_init__(self):
-        if not self.header:
-            for col in (self.date_col, self.value_col):
-                if not isinstance(col, int):
-                    raise InputError(
-                        "columns must be integer positions when there is no header"
-                    )
-
-
-def _validate_series(dates, values, positive: bool):
-    if len(dates) != values.size:
-        raise InputError("dates and values must have equal length")
-    if len(dates) == 0:
-        raise InputError("empty series")
-    for a, b in zip(dates, dates[1:]):
-        if b <= a:
-            raise InputError(f"dates must be strictly increasing (at {b})")
-    if not np.all(np.isfinite(values)):
-        raise InputError("values contain non-finite entries")
-    if positive and np.any(values <= 0):
-        raise InputError("values must be strictly positive")
+        if not self.header and not all(isinstance(c, int) for c in (self.date_col, self.value_col)):
+            raise InputError("columns must be integer positions when there is no header")
 
 
 @dataclass(frozen=True)
-class PriceSeries:
+class _DatedSeries:
+    """Finite values on strictly increasing dates; positive too for prices."""
+
+    dates: tuple[dt.date, ...]
+    values: np.ndarray = field(repr=False)
+    _positive = False  # a class constant, not a field
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        dates = tuple(self.dates)
+        if len(dates) != values.size:
+            raise InputError("dates and values must have equal length")
+        if len(dates) == 0:
+            raise InputError("empty series")
+        for a, b in zip(dates, dates[1:]):
+            if b <= a:
+                raise InputError(f"dates must be strictly increasing (at {b})")
+        if not np.all(np.isfinite(values)):
+            raise InputError("values contain non-finite entries")
+        if self._positive and np.any(values <= 0):
+            raise InputError("values must be strictly positive")
+        values.flags.writeable = False
+        object.__setattr__(self, "dates", dates)
+        object.__setattr__(self, "values", values)
+
+    def __len__(self) -> int:
+        return self.values.size
+
+
+class PriceSeries(_DatedSeries):
     """Dated sequence of strictly positive closing levels."""
 
-    dates: tuple[dt.date, ...]
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        dates = tuple(self.dates)
-        _validate_series(dates, values, positive=True)
-        values.flags.writeable = False
-        object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.size
+    _positive = True
 
 
-@dataclass(frozen=True)
-class ReturnSeries:
+class ReturnSeries(_DatedSeries):
     """Dated sequence of log returns (one shorter than its source prices)."""
 
-    dates: tuple[dt.date, ...]
-    values: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        dates = tuple(self.dates)
-        _validate_series(dates, values, positive=False)
-        values.flags.writeable = False
-        object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.size
+# The CSV dialect: every table hurstscan reads or writes goes through
+# _read_table or _write_table a whole column at a time, each column of
+# one kind.  A kind's parser raises ValueError if any cell is bad.
+class _Kind(NamedTuple):
+    parse: Callable | None  # a column's cell texts -> its values
+    format: Callable  # a column's values -> cell texts that parse reads back equal
 
 
-def _finite_float(text, path, line: int, what: str = "value") -> float:
-    """Parse one CSV cell as a finite float, or fail naming the file and line."""
-    try:
-        value = float(text)
-    except (TypeError, ValueError):
-        raise InputError(f"{path}:{line}: unparsable {what} {text!r}") from None
-    if not math.isfinite(value):
-        raise InputError(f"{path}:{line}: non-finite {what} {text!r}")
-    return value
+_NON_FINITE = "non-finite"
 
 
-def _resolve_columns(header_row, layout: CsvLayout, path):
-    def resolve(col):
-        if isinstance(col, int):
-            return col
+def _parse_floats(cells) -> np.ndarray:
+    values = np.array(list(map(float, cells)), dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(_NON_FINITE)
+    return values
+
+
+def _parse_flags(cells) -> list[bool]:
+    if not set(cells) <= {"true", "false"}:
+        raise ValueError("not true or false")
+    return [cell == "true" for cell in cells]
+
+
+_DATE = _Kind(
+    lambda cells: list(map(dt.date.fromisoformat, map(str.strip, cells))),
+    lambda dates: [date.isoformat() for date in dates],
+)
+# repr round-trips every float bit for bit
+_FLOAT = _Kind(_parse_floats, lambda values: list(map(repr, np.asarray(values, float).tolist())))
+_FLAG = _Kind(_parse_flags, lambda flags: ["true" if flag else "false" for flag in flags])
+# written only: no file hurstscan reads has an integer column
+_INT = _Kind(None, lambda values: list(map(str, np.asarray(values, int).tolist())))
+
+
+def _cell_problem(row, columns) -> str | None:
+    """Why one row's cells do not parse, or None."""
+    if len(row) <= max(at for at, _ in columns.values()):
+        return "too few columns"
+    for label, (at, kind) in columns.items():
         try:
-            return header_row.index(col)
-        except ValueError:
-            raise InputError(
-                f"{path}: column {col!r} not found in header {header_row}"
-            ) from None
-
-    return resolve(layout.date_col), resolve(layout.value_col)
+            kind.parse([row[at]])
+        except ValueError as exc:
+            problem = _NON_FINITE if str(exc) == _NON_FINITE else "unparsable"
+            return f"{problem} {label} {row[at]!r}"
+    return None
 
 
-def _read_dated_values(path, layout: CsvLayout):
+def _parse_rows(path, lines, rows, columns, rule):
+    try:
+        parsed = {label: kind.parse([r[at] for r in rows]) for label, (at, kind) in columns.items()}
+    except (IndexError, ValueError):
+        # name the first bad line: look row by row
+        problems = (_cell_problem(row, columns) for row in rows)
+        k, problem = next((k, problem) for k, problem in enumerate(problems) if problem)
+        # the rows before it parse: a rule they break comes first in the file
+        _parse_rows(path, lines[:k], rows[:k], columns, rule)
+        raise InputError(f"{path}:{lines[k]}: {problem}") from None
+    broken = rule(parsed) if rule else None
+    if broken:
+        raise InputError(f"{path}:{lines[broken[0]]}: {broken[1]}")
+    return parsed
+
+
+def _read_table(path, columns: dict, header: bool = True, rule=None):
+    """The columns of a CSV file by label, each parsed by its kind, and each row's line.
+
+    ``columns`` maps a label to (column name or position, kind).
+    ``rule`` takes the parsed columns and returns the index of the first
+    row that breaks it and why, or None.  A bad file fails naming its
+    first bad line: a short row, a bad cell, or a row that breaks the rule.
+    """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError:
         raise InputError(f"file not found: {path}") from None
-    rows = []
+    rows, lines = [], []
     with fh:
         reader = csv.reader(fh)
-        if layout.header:
-            try:
-                header_row = next(reader)
-            except StopIteration:
-                raise InputError(f"{path}: empty file") from None
-            date_idx, value_idx = _resolve_columns(header_row, layout, path)
-        else:
-            date_idx, value_idx = layout.date_col, layout.value_col
+        if header:
+            names = next(reader, [])
+            missing = [at for at, _ in columns.values() if isinstance(at, str) and at not in names]
+            if missing:
+                raise InputError(f"{path}: missing columns {missing} in header {names}")
+            columns = {
+                label: (at if isinstance(at, int) else names.index(at), kind)
+                for label, (at, kind) in columns.items()
+            }
         for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if max(date_idx, value_idx) >= len(row):
-                raise InputError(f"{path}:{line}: too few columns")
-            try:
-                date = dt.date.fromisoformat(row[date_idx].strip())
-            except ValueError:
-                raise InputError(
-                    f"{path}:{line}: unparsable date {row[date_idx]!r}"
-                ) from None
-            rows.append((date, _finite_float(row[value_idx], path, line), line))
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
     if not rows:
         raise InputError(f"{path}: no data rows")
-    rows.sort(key=lambda item: item[0])
-    for (d1, _, _), (d2, _, line) in zip(rows, rows[1:]):
-        if d1 == d2:
-            raise InputError(f"{path}:{line}: duplicate date {d2.isoformat()}")
-    dates = tuple(r[0] for r in rows)
-    values = np.array([r[1] for r in rows])
-    return dates, values, [r[2] for r in rows]
+    return _parse_rows(path, lines, rows, columns, rule), lines
+
+
+def _write_table(path, columns, header=None, row_format=None) -> None:
+    """Write (kind, values) columns: the header, then ``row_format % cells`` per row.
+
+    The cells are joined by commas unless a row format is given.
+    """
+    cells = [kind.format(values) for kind, values in columns]
+    row_format = row_format or ",".join(["%s"] * len(cells)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        fh.writelines(map(row_format.__mod__, zip(*cells)))
+
+
+def _read_dated_values(path, layout: CsvLayout):
+    """Dates, values and line numbers of a series file in date order; duplicate dates fail."""
+    columns = {"date": (layout.date_col, _DATE), "value": (layout.value_col, _FLOAT)}
+    parsed, lines = _read_table(path, columns, layout.header)
+    order = sorted(range(len(lines)), key=parsed["date"].__getitem__)
+    dates, lines = [parsed["date"][i] for i in order], [lines[i] for i in order]
+    for k in range(1, len(dates)):
+        if dates[k] == dates[k - 1]:
+            raise InputError(f"{path}:{lines[k]}: duplicate date {dates[k].isoformat()}")
+    return dates, parsed["value"][order], lines
 
 
 def load_prices(path, layout: CsvLayout = CsvLayout()) -> PriceSeries:
     """Load a dated price CSV; rows are sorted by date, bad rows reported by line."""
     dates, values, lines = _read_dated_values(path, layout)
-    for value, line in zip(values, lines):
+    for value, line in zip(values.tolist(), lines):
         if value <= 0:
             raise InputError(f"{path}:{line}: non-positive price {value!r}")
     return PriceSeries(dates=dates, values=values)
@@ -185,21 +228,14 @@ def load_returns(path, layout: CsvLayout = CsvLayout(value_col="value")) -> Retu
     return ReturnSeries(dates=dates, values=values)
 
 
-def _write_dated_values(dates, values, path, value_header: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"date,{value_header}\n")
-        for date, value in zip(dates, values):
-            fh.write(f"{date.isoformat()},{float(value)!r}\n")
-
-
 def save_prices(series: PriceSeries, path) -> None:
     """Write a price series as ``date,close`` rows; round-trips bit-identically."""
-    _write_dated_values(series.dates, series.values, path, "close")
+    _write_table(path, [(_DATE, series.dates), (_FLOAT, series.values)], ("date", "close"))
 
 
 def save_returns(series: ReturnSeries, path) -> None:
     """Write a return series as ``date,value`` rows."""
-    _write_dated_values(series.dates, series.values, path, "value")
+    _write_table(path, [(_DATE, series.dates), (_FLOAT, series.values)], ("date", "value"))
 
 
 def log_returns(prices: PriceSeries) -> ReturnSeries:

@@ -46,10 +46,11 @@ def _check_has_q2(q_set) -> None:
 def _indicators_ok(f0, f_sigma, f_range, f_ratio):
     """The rule every set of indicators obeys, elementwise over scalars or arrays.
 
-    f0 > 0, f_sigma >= 0, f_range >= 0 and f_ratio >= 1 up to rounding;
-    a NaN anywhere breaks it.
+    All four are finite, f0 > 0, f_sigma >= 0, f_range >= 0 and
+    f_ratio >= 1 up to rounding.
     """
-    return (f0 > 0) & (f_sigma >= 0) & (f_range >= 0) & (f_ratio >= 1.0 - 1e-12)
+    finite = np.isfinite(f0) & np.isfinite(f_sigma) & np.isfinite(f_range) & np.isfinite(f_ratio)
+    return finite & (f0 > 0) & (f_sigma >= 0) & (f_range >= 0) & (f_ratio >= 1.0 - 1e-12)
 
 
 @dataclass(frozen=True)
@@ -84,9 +85,11 @@ def _spread_rows(r):
     """(f_sigma, f_range, f_ratio) of rescaled fluctuations along the last axis."""
     if r.shape[-1] < 2:
         raise InputError("need at least 2 scales")
-    dev = r - r.mean(axis=-1, keepdims=True)
     hi, lo = r.max(axis=-1), r.min(axis=-1)
-    return np.sqrt(np.sum(dev * dev, axis=-1) / (r.shape[-1] - 1)), hi - lo, hi / lo
+    # huge R(s) overflow to infinite measures, which the indicator rule rejects
+    with np.errstate(over="ignore"):
+        dev = r - r.mean(axis=-1, keepdims=True)
+        return np.sqrt(np.sum(dev * dev, axis=-1) / (r.shape[-1] - 1)), hi - lo, hi / lo
 
 
 def _indicator_rows(scales, fq, hurst, log_intercept):

@@ -5,8 +5,9 @@ array per measure, the q=2 Hurst exponent, its fit diagnostics, the
 four liquidity indicators and the GARCH flag, one entry per window in
 chronological order.  Each window is stamped with its last date by
 default (the values are "known as of" that day).  The writers format
-the rolling CSV and JSON-lines files from these columns, and
-``read_rolling_csv`` reads a CSV back into the same type.
+the rolling CSV and JSON-lines files from these columns with the CSV
+dialect of ``ingest``, and ``read_rolling_csv`` reads a CSV back into
+the same type under the same row rules, so every result reads back.
 
 Every mode analyzes all windows in one array pass over (windows x
 scales); only the source of the squared segment fluctuations differs.
@@ -18,9 +19,7 @@ bit for bit, to ``garch_fit`` on that window alone.
 """
 from __future__ import annotations
 
-import csv
 import datetime as dt
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -29,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import InputError
 from .garch import GarchFit, _fit_rows, garch_filter, garch_fit
-from .ingest import ReturnSeries, _finite_float
+from .ingest import _DATE, _FLAG, _FLOAT, ReturnSeries, _read_table, _write_table
 from .liquidity import _check_has_q2, _indicator_rows, _indicators_ok
 from .scaling import (
     _check_fluctuations,
@@ -113,7 +112,9 @@ class RollingResult:
     The fields are the rolling CSV's columns, in order: each window's
     date (last day by default, see ``RollingConfig.stamp``), its q=2
     scaling fit, its four liquidity indicators and whether its GARCH
-    fit converged.  The arrays are read-only.
+    fit converged.  The arrays are read-only.  There is at least one
+    window, and every window keeps the rules of ``_first_bad_row``, which
+    the CSV reader applies too: every result writes a file that reads back.
     """
 
     date: tuple[dt.date, ...]
@@ -128,6 +129,8 @@ class RollingResult:
 
     def __post_init__(self):
         object.__setattr__(self, "date", tuple(self.date))
+        if not self.date:
+            raise InputError("no window results")
         for col in ROLLING_CSV_COLUMNS[1:]:
             values = np.asarray(
                 getattr(self, col), dtype=bool if col == "garch_converged" else float
@@ -136,14 +139,43 @@ class RollingResult:
                 raise InputError(f"{col} must hold one value per date")
             values.flags.writeable = False
             object.__setattr__(self, col, values)
-        if not np.all(_indicators_ok(self.f0, self.f_sigma, self.f_range, self.f_ratio)):
-            raise InputError("inconsistent indicator values")
+        broken = _first_bad_row(vars(self))
+        if broken:
+            raise InputError("window %d: %s" % broken)
 
     def __len__(self) -> int:
         return len(self.date)
 
 
 ROLLING_CSV_COLUMNS = tuple(col.name for col in fields(RollingResult))
+_FLOATS = ROLLING_CSV_COLUMNS[1:-1]
+_KINDS = {"date": _DATE, **dict.fromkeys(_FLOATS, _FLOAT), "garch_converged": _FLAG}
+# a JSON object per row from the CSV cells: a finite float's repr is its
+# JSON text, and an ISO date needs only quotes
+_JSONL_ROW = "{%s}\n" % ", ".join(
+    f'"{col}": ' + ('"%s"' if col == "date" else "%s") for col in ROLLING_CSV_COLUMNS
+)
+
+
+def _first_bad_row(cols) -> tuple[int, str] | None:
+    """The first window that breaks a row rule, and why; None if none does.
+
+    ``cols`` maps each column to its values.  A window's floats are
+    finite, its indicators obey their rule and its date is later than
+    the window before's.
+    """
+    date = cols["date"]
+    rules = [(np.isfinite(cols[col]), f"non-finite {col}") for col in _FLOATS]
+    indicators = _indicators_ok(cols["f0"], cols["f_sigma"], cols["f_range"], cols["f_ratio"])
+    rules.append((indicators, "bad row (inconsistent indicator values)"))
+    later = [k == 0 or date[k - 1] < date[k] for k in range(len(date))]
+    rules.append((later, "date {} is not later than {}"))
+    bad = ~np.all([ok for ok, _ in rules], axis=0)
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    problem = next(problem for ok, problem in rules if not ok[k])
+    return k, problem.format(date[k], date[k - 1])
 
 
 @dataclass(frozen=True)
@@ -279,8 +311,6 @@ def detect_regimes(results: RollingResult, threshold: float) -> list[RegimeRun]:
     """
     if not math.isfinite(threshold):
         raise InputError(f"threshold must be finite, got {threshold!r}")
-    if len(results) == 0:
-        raise InputError("no window results")
     below = results.hurst < threshold
     cuts = (np.flatnonzero(below[1:] != below[:-1]) + 1).tolist()
     return [
@@ -294,65 +324,25 @@ def detect_regimes(results: RollingResult, threshold: float) -> list[RegimeRun]:
     ]
 
 
-def _rows(results: RollingResult):
-    """Each window's cells in column order: ISO date, Python floats, Python bool."""
-    return zip(
-        [date.isoformat() for date in results.date],
-        *(getattr(results, col).tolist() for col in ROLLING_CSV_COLUMNS[1:]),
-    )
-
-
 def write_rolling_csv(results: RollingResult, path) -> None:
     """One row per window: date, fit diagnostics, indicators, GARCH flag."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(ROLLING_CSV_COLUMNS) + "\n")
-        for date, *numbers, converged in _rows(results):
-            fh.write(",".join([date, *map(repr, numbers), "true" if converged else "false"]) + "\n")
+    columns = [(kind, getattr(results, col)) for col, kind in _KINDS.items()]
+    _write_table(path, columns, ROLLING_CSV_COLUMNS)
 
 
 def write_rolling_jsonl(results: RollingResult, path) -> None:
     """JSON-lines variant of the rolling output, identical fields."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in _rows(results):
-            fh.write(json.dumps(dict(zip(ROLLING_CSV_COLUMNS, row))) + "\n")
+    columns = [(kind, getattr(results, col)) for col, kind in _KINDS.items()]
+    _write_table(path, columns, row_format=_JSONL_ROW)
 
 
 def read_rolling_csv(path) -> RollingResult:
     """Read back a rolling CSV produced by write_rolling_csv.
 
-    A bad row fails naming its line: a cell that is not a finite
-    number, an unparsable date or GARCH flag, indicators that break
-    their rule, or a date not later than the row before.
+    A bad row fails naming its line: a missing or unparsable cell, a
+    float that is not finite, a GARCH flag other than ``true`` or
+    ``false``, or a row that breaks a rule of ``_first_bad_row``.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8-sig")
-    except FileNotFoundError:
-        raise InputError(f"file not found: {path}") from None
-    dates, flags = [], []
-    numbers = {col: [] for col in ROLLING_CSV_COLUMNS[1:-1]}
-    with fh:
-        reader = csv.DictReader(fh)
-        missing = set(ROLLING_CSV_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise InputError(f"{path}: missing columns {sorted(missing)}")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            num = {col: _finite_float(row[col], path, reader.line_num, col) for col in numbers}
-            try:
-                date = dt.date.fromisoformat(row["date"])
-            except ValueError as exc:
-                raise InputError(f"{where}: bad row ({exc})") from None
-            if not _indicators_ok(num["f0"], num["f_sigma"], num["f_range"], num["f_ratio"]):
-                raise InputError(f"{where}: bad row (inconsistent indicator values)")
-            flag = row["garch_converged"]
-            if flag not in ("true", "false"):
-                raise InputError(f"{where}: unparsable garch_converged {flag!r}")
-            if dates and date <= dates[-1]:
-                raise InputError(f"{where}: date {date} is not later than {dates[-1]}")
-            dates.append(date)
-            flags.append(flag == "true")
-            for col, value in num.items():
-                numbers[col].append(value)
-    if not dates:
-        raise InputError(f"{path}: no data rows")
-    return RollingResult(dates, *numbers.values(), flags)
+    columns = {col: (col, kind) for col, kind in _KINDS.items()}
+    parsed, _ = _read_table(path, columns, rule=_first_bad_row)
+    return RollingResult(**parsed)

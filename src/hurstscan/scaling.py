@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exceptions import InputError
+from .ingest import _FLOAT, _INT, _write_table
 
 __all__ = [
     "FluctuationProfile",
@@ -97,10 +98,7 @@ class FluctuationProfile:
 
     def write_csv(self, path) -> None:
         """Write the (s, F_q(s)) pairs as a two-column CSV with header ``s,fq``."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("s,fq\n")
-            for s, f in zip(self.scales, self.fq):
-                fh.write(f"{int(s)},{float(f)!r}\n")
+        _write_table(path, [(_INT, self.scales), (_FLOAT, self.fq)], ("s", "fq"))
 
 
 @dataclass(frozen=True)

@@ -195,6 +195,18 @@ class TestRoll:
         assert "shorter than window" in capsys.readouterr().err
         assert not (workdir / "newdir").exists()
 
+    def test_overflowing_indicators_exit_one_without_output(self, workdir, capsys):
+        # every window's fit raises and its raw returns overflow f_sigma:
+        # the result would write a rolling CSV that cannot be read back
+        values = hurstscan.gen_garch(200, 1e-6, 0.08, 0.91, seed=8) * 1e80
+        dates = hurstscan.synthetic_dates(values.size)
+        hurstscan.save_returns(hurstscan.ReturnSeries(dates, values), workdir / "huge.csv")
+        args = ["roll", "huge.csv", "--returns", "--window", "60", "--step", "7",
+                "--s-min", "3", "--s-max", "15", "--garch-mode", "per-window", "--out-dir", "out"]
+        assert run(args) == 1
+        assert "non-finite f_sigma" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
 
 class TestReport:
     def write_rolling(self, workdir, hursts):
@@ -369,6 +381,35 @@ class TestHelp:
         text = capsys.readouterr().out
         for needle in needles:
             assert needle in text
+
+    def test_roll_defaults_build_library_config(self, workdir, monkeypatch):
+        import hurstscan.cli as cli
+
+        seen = []
+
+        def capture(series, config):
+            seen.append(config)
+            raise hurstscan.InputError("stop after the configuration")
+
+        synth_fgn(workdir, n=600)
+        monkeypatch.setattr(cli, "roll", capture)
+        assert run(["roll", "fgn.csv", "--returns"]) == 1
+        assert seen == [hurstscan.RollingConfig()]
+
+    def test_choices_come_from_library(self):
+        from hurstscan.cli import build_parser
+        from hurstscan.rolling import GARCH_MODES, STAMP_CHOICES
+        from hurstscan.synth import _KINDS
+
+        (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+
+        def choices(command, dest):
+            (action,) = [a for a in commands.choices[command]._actions if a.dest == dest]
+            return tuple(action.choices)
+
+        assert choices("roll", "garch_mode") == GARCH_MODES
+        assert choices("roll", "stamp") == STAMP_CHOICES
+        assert choices("synth", "kind") == tuple(_KINDS)
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

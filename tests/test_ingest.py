@@ -52,7 +52,7 @@ class TestLoadPrices:
 
     def test_duplicate_dates_rejected(self, tmp_path):
         path = write(tmp_path, "date,close\n2000-01-03,100\n2000-01-03,105\n")
-        with pytest.raises(InputError, match="duplicate"):
+        with pytest.raises(InputError, match=r"prices\.csv:3: duplicate"):
             load_prices(path)
 
     def test_missing_file_names_path(self, tmp_path):

@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,13 @@ class TestMeasures:
         fp = FluctuationProfile(q=2.0, scales=np.array([10, 11]), fq=np.array([1.0, 1.0]))
         with np.errstate(over="ignore"), pytest.raises(InputError, match="finite and positive"):
             rescale(fp, flat_fit(hurst=200.0))
+
+    def test_overflowing_spread_rejected_without_warning(self):
+        # R(s) near 1e200: the squared deviations overflow and f_sigma would be inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="inconsistent indicator values"):
+                indicators_of([1e200, 3e200])
 
     def test_perturbed_profile_matches_pure_python(self):
         fq = 1.3 * SCALES**0.55

@@ -1,4 +1,8 @@
 import datetime as dt
+import json
+import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -283,6 +287,16 @@ class TestRoll:
         assert not results.garch_converged.any()
         assert_results_close(results, reference_roll(series, config))
 
+    def test_overflowing_windows_rejected_without_warning(self):
+        # the same windows at 1e80 times the scale: R(s) is about 1e160 and
+        # f_sigma overflows, so the result could not be read back
+        series = make_return_series(gen_garch(200, 1e-6, 0.08, 0.91, seed=8) * 1e80)
+        config = RollingConfig(window=60, step=7, s_min=3, s_max=15, garch_mode="per-window")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=r"^window \d+: non-finite f_sigma$"):
+                roll(series, config)
+
 
 class TestDetectRegimes:
     def test_single_above_run(self):
@@ -353,7 +367,7 @@ class TestSerialization:
     def test_read_rejects_missing_columns(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("date,hurst\n2000-01-03,0.5\n")
-        with pytest.raises(InputError, match="missing"):
+        with pytest.raises(InputError, match=r"bad\.csv: missing"):
             read_rolling_csv(path)
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
@@ -414,6 +428,25 @@ class TestSerialization:
         with pytest.raises(InputError, match="hurst must hold one value per date"):
             RollingResult(**{**cols, "hurst": [0.6]})
 
+    def test_read_strips_padded_date(self, tmp_path):
+        # a padded date cell loads, as it does in a price or return file
+        path = self.write_rows(tmp_path, " 2000-01-03\t,0.5,0.01,0.99,0.1,0.002,0.008,1.3,true")
+        assert read_rolling_csv(path).date == (dt.date(2000, 1, 3),)
+
+    def test_result_keeps_the_reader_rules(self):
+        good = results_with_hurst([0.6, 0.4])
+        cols = {col: getattr(good, col) for col in ROLLING_CSV_COLUMNS}
+        with pytest.raises(InputError, match=r"^window 1: non-finite hurst$"):
+            RollingResult(**{**cols, "hurst": [0.6, np.nan]})
+        with pytest.raises(InputError, match=r"^window 0: non-finite f_sigma$"):
+            RollingResult(**{**cols, "f_sigma": [np.inf, 0.0]})
+        with pytest.raises(
+            InputError, match=r"^window 1: date 2000-01-03 is not later than 2000-01-03$"
+        ):
+            RollingResult(**{**cols, "date": [good.date[0]] * 2})
+        with pytest.raises(InputError, match="^no window results$"):
+            RollingResult(**{col: [] for col in ROLLING_CSV_COLUMNS})
+
     def test_read_rejects_short_row_with_line(self, tmp_path):
         path = tmp_path / "run.rolling.csv"
         path.write_text(
@@ -422,3 +455,153 @@ class TestSerialization:
         )
         with pytest.raises(InputError, match=r"run\.rolling\.csv:2"):
             read_rolling_csv(path)
+
+
+FLOATS = ROLLING_CSV_COLUMNS[1:-1]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FLOAT_CELLS = {
+    "hurst": FINITE,
+    "stderr_hurst": FINITE,
+    "r_squared": FINITE,
+    "f0": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    "f_sigma": st.floats(min_value=0.0, allow_infinity=False),
+    "f_range": st.floats(min_value=0.0, allow_infinity=False),
+    "f_ratio": st.floats(min_value=1.0 - 1e-12, allow_infinity=False),
+}
+
+
+@st.composite
+def rolling_columns(draw, spoil=True):
+    """Columns of a rolling result; with ``spoil``, some draws break one cell.
+
+    A spoiled cell is a date drawn anywhere, or a float that may be
+    non-finite or break the indicator rule.
+    """
+    n = draw(st.integers(1, 12))
+    gaps = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    cols = {"date": [dt.date(2001, 1, 1) + dt.timedelta(days=sum(gaps[: i + 1])) for i in range(n)]}
+    for col, cells in FLOAT_CELLS.items():
+        cols[col] = draw(st.lists(cells, min_size=n, max_size=n))
+    cols["garch_converged"] = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if spoil and draw(st.booleans()):
+        col = draw(st.sampled_from(["date", *FLOATS]))
+        k = draw(st.integers(0, n - 1))
+        if col == "date":
+            bad = st.dates(dt.date(2001, 1, 1), dt.date(2001, 4, 1))
+        else:
+            bad = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 0.5])
+        cols[col][k] = draw(bad)
+    return cols
+
+
+def csv_rows(cols):
+    """Each window's values as Python objects, keyed by column in column order."""
+    columns = [
+        [d.isoformat() for d in cols["date"]],
+        *([float(v) for v in cols[col]] for col in FLOATS),
+        [bool(v) for v in cols["garch_converged"]],
+    ]
+    return [dict(zip(ROLLING_CSV_COLUMNS, row)) for row in zip(*columns)]
+
+
+def csv_text(cols):
+    """The rolling CSV of these columns, written out by hand: ISO dates, float repr, true/false."""
+    lines = [",".join(ROLLING_CSV_COLUMNS)]
+    for row in csv_rows(cols):
+        date, *numbers, flag = row.values()
+        lines.append(",".join([date, *map(repr, numbers), "true" if flag else "false"]))
+    return "\n".join(lines) + "\n"
+
+
+class TestRoundTripProperty:
+    @given(cols=rolling_columns())
+    @settings(max_examples=120)
+    def test_result_reads_back_or_reader_rejects_its_row(self, cols, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("rt")
+        try:
+            results = RollingResult(**cols)
+        except InputError as exc:
+            # the reader keeps the same rules: these cells fail at that window's line
+            k = int(re.fullmatch(r"window (\d+): .*", str(exc)).group(1))
+            path = directory / "bad.rolling.csv"
+            path.write_text(csv_text(cols))
+            with pytest.raises(InputError, match=rf"bad\.rolling\.csv:{k + 2}: "):
+                read_rolling_csv(path)
+            return
+        path = directory / "run.rolling.csv"
+        write_rolling_csv(results, path)
+        assert path.read_text() == csv_text(cols)
+        again = read_rolling_csv(path)
+        assert again.date == results.date
+        for col in ROLLING_CSV_COLUMNS[1:]:
+            assert getattr(again, col).tobytes() == getattr(results, col).tobytes(), col
+        jsonl = directory / "run.rolling.jsonl"
+        write_rolling_jsonl(results, jsonl)
+        lines = jsonl.read_text().splitlines()
+        assert len(lines) == len(results)
+        for line, row in zip(lines, csv_rows(cols)):
+            # byte-identical to json.dumps of the row, and loads to the CSV row's values
+            assert line == json.dumps(row)
+            assert json.loads(line) == row
+
+
+PADDING = st.sampled_from(["", "", " ", "  ", "\t"])
+FLAG_PADDING = st.sampled_from(["", "", "", "", "", " "])
+
+
+class TestRollingReaderFuzz:
+    @given(cols=rolling_columns(spoil=False), data=st.data())
+    @settings(max_examples=80)
+    def test_loads_written_result_or_names_line(self, cols, data, tmp_path_factory):
+        """A written rolling CSV edited as real files are: it loads equal, or fails naming a line.
+
+        Edits: CRLF or LF, a BOM, blank, whitespace-only and trailing
+        lines, padded cells and two rows swapped.  The reader must name
+        the first line that is whitespace-only, holds a padded flag, or
+        dates its row no later than the row before.
+        """
+        results = RollingResult(**cols)
+        directory = tmp_path_factory.mktemp("fuzz")
+        written = directory / "written.csv"
+        write_rolling_csv(results, written)
+        header, *rows = written.read_text().splitlines()
+        if len(rows) > 1 and data.draw(st.booleans()):
+            pair = st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True)
+            i, j = sorted(data.draw(pair))
+            rows[i], rows[j] = rows[j], rows[i]
+        lines = [header]
+        for row in rows:
+            *cells, flag = row.split(",")
+            # a padded flag fails: pad one in six, so rows swapped before it are met first
+            padded = [f"{data.draw(PADDING)}{cell}{data.draw(PADDING)}" for cell in cells]
+            lines.append(",".join([*padded, flag + data.draw(FLAG_PADDING)]))
+        for _ in range(data.draw(st.integers(0, 4))):
+            at = data.draw(st.integers(1, len(lines)))
+            lines.insert(at, data.draw(st.sampled_from(["", "", "", " "])))
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        bom = data.draw(st.sampled_from(["", "\ufeff"]))
+        text = bom + newline.join(lines) + data.draw(st.sampled_from(["", newline, newline * 2]))
+
+        bad, previous = None, None
+        for number, line in enumerate(lines[1:], start=2):
+            if line == "":
+                continue
+            cells = line.split(",")
+            date = dt.date.fromisoformat(cells[0].strip()) if len(cells) > 1 else None
+            if date is None or cells[-1] not in ("true", "false") or (
+                previous is not None and date <= previous
+            ):
+                bad = number
+                break
+            previous = date
+
+        path = directory / "messy.rolling.csv"
+        path.write_bytes(text.encode())
+        if bad is not None:
+            with pytest.raises(InputError, match=rf"messy\.rolling\.csv:{bad}: "):
+                read_rolling_csv(path)
+            return
+        again = read_rolling_csv(path)
+        assert again.date == results.date
+        for col in ROLLING_CSV_COLUMNS[1:]:
+            assert getattr(again, col).tobytes() == getattr(results, col).tobytes(), col
