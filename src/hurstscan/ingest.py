@@ -60,7 +60,8 @@ class _DatedSeries:
     _positive = False  # a class constant, not a field
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        # a copy: freezing the caller's own array would break their writes
+        values = np.array(self.values, dtype=float)
         dates = tuple(self.dates)
         if len(dates) != values.size:
             raise InputError("dates and values must have equal length")

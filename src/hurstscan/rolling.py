@@ -34,8 +34,12 @@ from .scaling import (
     _check_fluctuations,
     _check_qs,
     _check_scale_range,
+    _check_square_range,
+    _check_zero_rule,
+    _cut_segments,
     _fit_loglog,
     _is_integer,
+    _power_means,
     _residual_f2,
     _run_marker,
     _segment_starts,
@@ -112,7 +116,7 @@ class RollingResult:
     The fields are the rolling CSV's columns, in order: each window's
     date (last day by default, see ``RollingConfig.stamp``), its q=2
     scaling fit, its four liquidity indicators and whether its GARCH
-    fit converged.  The arrays are read-only.  There is at least one
+    fit converged.  The arrays are read-only copies.  There is at least one
     window, and every window keeps the rules of ``_first_bad_row``, which
     the CSV reader applies too: every result writes a file that reads back.
     """
@@ -132,7 +136,8 @@ class RollingResult:
         if not self.date:
             raise InputError("no window results")
         for col in ROLLING_CSV_COLUMNS[1:]:
-            values = np.asarray(
+            # a copy: freezing the caller's own array would break their writes
+            values = np.array(
                 getattr(self, col), dtype=bool if col == "garch_converged" else float
             )
             if values.shape != (len(self.date),):
@@ -204,6 +209,8 @@ def _shared_f2(values: np.ndarray, starts: np.ndarray, config: RollingConfig):
     Yields one (windows x 2*(window // s)) array per scale.
     """
     steps = values - values.mean()
+    # a running sum over at most s_max steps bounds every segment's values
+    _check_square_range(config.s_max * max(steps.max(), -steps.min()), config.s_max)
     marker = _run_marker(values)
     for s in config.scales():
         # row a: the profile over [a, a + s) up to a constant
@@ -218,16 +225,12 @@ def _row_f2(rows: np.ndarray, config: RollingConfig):
 
     Each row's profile is cut as ``segment_fluctuations`` cuts it.
     """
-    m, w = rows.shape
     order = config.detrend_order
     profiles = np.cumsum(rows - rows.mean(axis=1, keepdims=True), axis=1)
+    _check_square_range(max(profiles.max(), -profiles.min()), config.s_max)
     marker = _run_marker(rows)
     for s in config.scales():
-        ns = w // s
-        forward = profiles[:, : ns * s].reshape(m, ns, s)
-        backward = profiles[:, w - ns * s :].reshape(m, ns, s)[:, ::-1]
-        f2 = _residual_f2(np.concatenate([forward, backward], axis=1), order)
-        yield _zero_flat(f2, marker, s, order)
+        yield _zero_flat(_residual_f2(_cut_segments(profiles, s), order), marker, s, order)
 
 
 def _window_columns(f2_per_scale, n_windows: int, config: RollingConfig):
@@ -241,16 +244,15 @@ def _window_columns(f2_per_scale, n_windows: int, config: RollingConfig):
     has_zero = np.zeros(n_windows, dtype=bool)
     fq = {q: np.empty((n_windows, scales.size)) for q in config.q_set}
     for j, f2 in enumerate(f2_per_scale):
-        has_zero |= np.any(f2 == 0.0, axis=1)
-        with np.errstate(divide="ignore"):
-            for q in config.q_set:
-                fq[q][:, j] = np.mean(f2 ** (q / 2.0), axis=1) ** (1.0 / q)
+        means, zero = _power_means(f2, config.q_set)
+        has_zero |= zero
+        for q, fq_q in zip(config.q_set, means):
+            fq[q][:, j] = fq_q
 
     def check(rows):
         # mfdfa's order within one window: per q, the negative-q rule, then F_q > 0
         for q in config.q_set:
-            if q < 0 and np.any(has_zero[rows]):
-                raise InputError("zero segment fluctuation with negative q")
+            _check_zero_rule(q, has_zero[rows])
             _check_fluctuations(fq[q][rows])
 
     try:

@@ -30,6 +30,8 @@ __all__ = [
     "mfdfa",
 ]
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
 
 def _check_fluctuations(fq) -> None:
     """Reject any F_q(s) that is non-finite or not positive, in an array of any shape."""
@@ -151,30 +153,79 @@ def segment_fluctuations(profile, s: int, order: int = 1) -> np.ndarray:
     segment covers [T-(j+1)*s, T-j*s)).
     """
     prof = np.asarray(profile, dtype=float)
-    t = prof.size
     s = int(s)
     order = int(order)
-    _check_scale_range(s, s, order, t)
-    ns = t // s
-    forward = prof[: ns * s].reshape(ns, s)
-    backward = prof[t - ns * s :].reshape(ns, s)[::-1]
-    return _residual_f2(np.concatenate([forward, backward]), order)
+    _check_scale_range(s, s, order, prof.size)
+    _check_square_range(max(prof.max(), -prof.min()), s)
+    return _residual_f2(_cut_segments(prof, s), order)
+
+
+def _cut_segments(profiles, s: int) -> np.ndarray:
+    """Each profile's (last axis) forward then backward segments of length s.
+
+    The order is ``segment_fluctuations``'s; the segments are the
+    second-to-last axis of the result.
+    """
+    t = profiles.shape[-1]
+    shape = (*profiles.shape[:-1], t // s, s)
+    forward = profiles[..., : shape[-2] * s].reshape(shape)
+    backward = profiles[..., t - shape[-2] * s :].reshape(shape)[..., ::-1, :]
+    return np.concatenate([forward, backward], axis=-2)
+
+
+def _check_square_range(largest, s_max: int) -> None:
+    """Reject profile values up to ``largest`` whose squares, summed over s_max points, overflow.
+
+    A segment's residual sum of squares is at most that of its profile
+    values, so this bounds every detrending step.  It must run before
+    them: the row sums of squares overflow to inf without a warning.
+    """
+    largest = float(largest)
+    # twice the sum leaves room for rounding
+    if not 2.0 * s_max * largest * largest <= _FLOAT_MAX:
+        raise InputError(
+            f"series too large: profile values up to {largest:.3g} square beyond "
+            f"the floating-point range (largest float {_FLOAT_MAX:.3g})"
+        )
+
+
+def _detrend_basis(s: int, order: int) -> np.ndarray:
+    """Orthonormal basis (s x (order + 1)) of the polynomials of degree <= order on s points.
+
+    The Gram polynomials on the centred abscissa t = k - (s-1)/2, from
+    their three-term recurrence t p_k = b_(k+1) p_(k+1) + b_k p_(k-1)
+    with b_k**2 = k**2 (s**2 - k**2) / (4 (4 k**2 - 1)); the abscissa is
+    symmetric, so the recurrence has no diagonal term.
+    """
+    t = np.arange(s) - (s - 1) / 2.0
+    rows = np.empty((order + 1, s))
+    rows[0] = 1.0 / math.sqrt(s)
+    b = 0.0
+    for k in range(1, order + 1):
+        b_next = math.sqrt(k * k * (s * s - k * k) / (4.0 * (4 * k * k - 1)))
+        rows[k] = t * rows[k - 1]
+        if k > 1:
+            rows[k] -= b * rows[k - 2]
+        rows[k] /= b_next
+        b = b_next
+    return rows.T
 
 
 def _residual_f2(segments, order: int) -> np.ndarray:
     """Mean squared residual of each segment (last axis) about its least-squares polynomial.
 
-    Orthonormal polynomial basis on the segment abscissa: residuals via
-    projection, one matmul for all segments at a fixed scale.
+    Residuals by projection on an orthonormal polynomial basis, one
+    matmul for all segments at a fixed scale.  Each row's sum of squares
+    runs along that row alone, so a row's result does not depend on the
+    rows around it.
     """
-    x = np.arange(segments.shape[-1], dtype=float)
-    basis = np.linalg.qr(np.vander(x, order + 1, increasing=True))[0]
+    s = segments.shape[-1]
+    basis = _detrend_basis(s, order)
     # in place: a fresh full-size temporary per step and scale costs page
     # faults whenever the allocator has handed the pages back in between
     residuals = (segments @ basis) @ basis.T
     np.subtract(segments, residuals, out=residuals)
-    np.square(residuals, out=residuals)
-    return np.mean(residuals, axis=-1)
+    return np.einsum("...i,...i->...", residuals, residuals) / s
 
 
 def _segment_starts(length: int, s: int) -> np.ndarray:
@@ -219,15 +270,37 @@ def average_fluctuation(segment_f2, q: float) -> float:
     segment fluctuation is rejected as well, since it would blow up the
     negative power.
     """
-    f2 = np.asarray(segment_f2, dtype=float)
+    f2 = np.asarray(segment_f2, dtype=float).ravel()
     if f2.size == 0:
         raise InputError("no segment fluctuations to average")
     if np.any(f2 < 0):
         raise InputError("squared fluctuations must be non-negative")
     (q,) = _check_qs((q,))
-    if q < 0 and np.any(f2 == 0.0):
+    (fq,), has_zero = _power_means(f2, (q,))
+    _check_zero_rule(q, has_zero)
+    return float(fq)
+
+
+def _power_means(f2, qs):
+    """F_q for each q over the last axis of ``f2``, and whether that axis holds a zero.
+
+    The one power mean of ``average_fluctuation``, ``mfdfa`` and
+    ``roll``: one scale's segments give one F_q per q, a (windows x
+    segments) array one per window.  Nothing is checked here; a zero
+    f2 gives F_q = 0 for q > 0 and inf for q < 0, which the callers
+    reject with ``_check_zero_rule`` and ``_check_fluctuations``.
+    """
+    n = f2.shape[-1]
+    with np.errstate(divide="ignore"):
+        # sum / n: the bits of np.mean, without its per-call overhead
+        fq = [(np.power(f2, q / 2.0).sum(axis=-1) / n) ** (1.0 / q) for q in qs]
+    return fq, (f2 == 0.0).any(axis=-1)
+
+
+def _check_zero_rule(q: float, has_zero) -> None:
+    """Negative q cannot average an exactly-zero segment fluctuation."""
+    if q < 0 and np.any(has_zero):
         raise InputError("zero segment fluctuation with negative q")
-    return float(np.mean(f2 ** (q / 2.0)) ** (1.0 / q))
 
 
 def fit_scaling(fp: FluctuationProfile) -> ScalingFit:
@@ -303,16 +376,19 @@ def mfdfa(
     x = np.asarray(series, dtype=float)
     _check_scale_range(int(scale_arr[0]), int(scale_arr[-1]), order, x.size)
     prof = build_profile(x)
+    _check_square_range(max(prof.max(), -prof.min()), int(scale_arr[-1]))
     marker = _run_marker(x)
 
-    seg_f2 = [
-        _zero_flat(segment_fluctuations(prof, s, order), marker, s, order)
-        for s in scale_arr.tolist()
-    ]
+    fq = np.empty((len(q_list), scale_arr.size))
+    has_zero = False
+    for j, s in enumerate(scale_arr.tolist()):
+        f2 = _zero_flat(_residual_f2(_cut_segments(prof, s), order), marker, s, order)
+        means, zero = _power_means(f2, q_list)
+        fq[:, j] = means
+        has_zero |= zero
     out: dict[float, tuple[FluctuationProfile, ScalingFit]] = {}
-    for q in q_list:
-        fq = np.array([average_fluctuation(f2, q) for f2 in seg_f2])
-        fp = FluctuationProfile(q=q, scales=scale_arr, fq=fq)
+    for q, fq_q in zip(q_list, fq):
+        _check_zero_rule(q, has_zero)
+        fp = FluctuationProfile(q=q, scales=scale_arr, fq=fq_q)
         out[q] = (fp, fit_scaling(fp))
     return out
-

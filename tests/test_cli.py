@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import hurstscan
-from hurstscan import NumericalError
+from helpers import make_return_series
+from hurstscan import NumericalError, gen_garch, save_returns
 from hurstscan.cli import main
 
 ROLLING_HEADER = "date,hurst,stderr_hurst,r_squared,f0,f_sigma,f_range,f_ratio,garch_converged"
@@ -107,6 +109,16 @@ class TestAnalyze:
         (workdir / "flat.csv").write_text("\n".join(rows) + "\n")
         assert run(["analyze", "flat.csv", "--s-max", "25"]) == 1
         assert "degenerate" in capsys.readouterr().err
+
+    def test_overflowing_squares_exit_one_without_warning(self, workdir, capsys):
+        values = gen_garch(200, 1e-6, 0.08, 0.91, seed=8) * 1e160
+        save_returns(make_return_series(values), workdir / "huge.csv")
+        args = ["analyze", "huge.csv", "--returns", "--no-garch", "--s-min", "3", "--s-max", "15"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(args) == 1
+        assert "floating-point range" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == [workdir / "huge.csv"]
 
     def test_failed_run_writes_no_files(self, workdir, capsys):
         synth_fgn(workdir, name="x.csv", n=1000)

@@ -11,6 +11,7 @@ from hurstscan import (
     CsvLayout,
     InputError,
     PriceSeries,
+    ReturnSeries,
     load_prices,
     load_returns,
     log_returns,
@@ -96,6 +97,17 @@ class TestLoadPrices:
         path = write(tmp_path, "2000-01-03,100\n2000-01-04,105\n")
         series = load_prices(path, CsvLayout(date_col=0, value_col=1, header=False))
         np.testing.assert_allclose(series.values, [100.0, 105.0])
+
+
+class TestSeriesType:
+    @pytest.mark.parametrize("kind", [PriceSeries, ReturnSeries])
+    def test_copies_the_callers_array(self, kind):
+        values = np.ones(3)
+        series = kind(synthetic_dates(3), values)
+        values[0] = 2.0
+        assert series.values.tolist() == [1.0, 1.0, 1.0]
+        with pytest.raises(ValueError, match="read-only"):
+            series.values[0] = 2.0
 
 
 class TestRoundTrip:

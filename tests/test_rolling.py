@@ -1,4 +1,5 @@
 import datetime as dt
+import functools
 import json
 import math
 import re
@@ -22,7 +23,7 @@ from hurstscan import (
     write_rolling_csv,
     write_rolling_jsonl,
 )
-from hurstscan.rolling import ROLLING_CSV_COLUMNS
+from hurstscan.rolling import ROLLING_CSV_COLUMNS, _shared_f2
 
 FAST = RollingConfig(window=500, step=100)
 
@@ -53,6 +54,22 @@ def results_with_hurst(hursts):
 def columns(results, rows=slice(None)):
     """Every column's values for the windows ``rows``, as lists for exact comparison."""
     return {col: list(getattr(results, col)[rows]) for col in ROLLING_CSV_COLUMNS}
+
+
+INDEPENDENCE_WINDOW = 250
+INDEPENDENCE_WINDOWS = 171
+
+
+@functools.cache
+def independence_full_run(garch_mode, order):
+    """A series and its roll at step 1, the reference for every subset of its windows."""
+    series = make_return_series(
+        gen_garch(INDEPENDENCE_WINDOW + INDEPENDENCE_WINDOWS - 1, 0.1, 0.1, 0.8, seed=6)
+    )
+    config = RollingConfig(
+        window=INDEPENDENCE_WINDOW, detrend_order=order, garch_mode=garch_mode
+    )
+    return series, roll(series, config)
 
 
 class TestRollingConfig:
@@ -250,13 +267,32 @@ class TestRoll:
         else:
             assert_results_close(roll(series, config), want)
 
-    def test_per_window_independence(self):
-        series = make_return_series(gen_garch(700, 0.1, 0.1, 0.8, seed=6))
-        config = RollingConfig(window=500, step=100, garch_mode="per-window")
-        full = roll(series, config)
-        sub = make_return_series(series.values[100:600], start=series.dates[100])
-        alone = roll(sub, RollingConfig(window=500, step=100, garch_mode="per-window"))
-        assert columns(alone) == columns(full, slice(1, 2))
+    @given(
+        case=st.sampled_from(
+            [("per-window", 0), ("per-window", 1), ("per-window", 2), ("whole-sample", 0),
+             ("whole-sample", 1)]
+        ),
+        start=st.integers(0, INDEPENDENCE_WINDOWS - 1),
+        step=st.integers(1, 40),
+        count=st.integers(1, 20),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_per_window_independence(self, case, start, step, count):
+        # a window's columns must not depend on the windows computed with it
+        garch_mode, order = case
+        series, full = independence_full_run(garch_mode, order)
+        config = RollingConfig(
+            window=INDEPENDENCE_WINDOW, step=step, detrend_order=order, garch_mode=garch_mode
+        )
+        if garch_mode == "per-window":
+            count = min(count, (INDEPENDENCE_WINDOWS - 1 - start) // step + 1)
+            end = start + (count - 1) * step + INDEPENDENCE_WINDOW
+            sub = make_return_series(series.values[start:end], start=series.dates[start])
+            rows = slice(start, start + count * step, step)
+        else:
+            # one GARCH fit of the whole series: only the step picks a subset
+            sub, rows = series, slice(None, None, step)
+        assert columns(roll(sub, config)) == columns(full, rows)
 
     def test_garch_failure_flagged_not_fatal(self, monkeypatch):
         # the failure is injected where the batched fit checks each row
@@ -296,6 +332,19 @@ class TestRoll:
             warnings.simplefilter("error")
             with pytest.raises(InputError, match=r"^window \d+: non-finite f_sigma$"):
                 roll(series, config)
+
+    def test_overflowing_squares_rejected_without_warning(self):
+        # at 1e160 times the scale the windows' profile squares overflow
+        values = gen_garch(200, 1e-6, 0.08, 0.91, seed=8) * 1e160
+        config = RollingConfig(window=60, step=7, s_min=3, s_max=15, garch_mode="per-window")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="floating-point range"):
+                roll(make_return_series(values), config)
+            # whole-sample GARCH filtering standardizes the returns first,
+            # so the shared-segment source is checked on its own
+            with pytest.raises(InputError, match="floating-point range"):
+                list(_shared_f2(values, np.arange(0, 141, 7), config))
 
 
 class TestDetectRegimes:
@@ -427,6 +476,16 @@ class TestSerialization:
             RollingResult(**{**cols, "f_ratio": [1.0, 0.5]})
         with pytest.raises(InputError, match="hurst must hold one value per date"):
             RollingResult(**{**cols, "hurst": [0.6]})
+
+    def test_result_copies_the_callers_arrays(self):
+        good = results_with_hurst([0.6, 0.4])
+        cols = {col: getattr(good, col) for col in ROLLING_CSV_COLUMNS}
+        hurst = np.array([0.6, 0.4])
+        result = RollingResult(**{**cols, "hurst": hurst})
+        hurst[0] = 0.1
+        assert result.hurst.tolist() == [0.6, 0.4]
+        with pytest.raises(ValueError, match="read-only"):
+            result.hurst[0] = 0.1
 
     def test_read_strips_padded_date(self, tmp_path):
         # a padded date cell loads, as it does in a price or return file

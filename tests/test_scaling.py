@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,11 @@ from hurstscan import (
     build_profile,
     fit_scaling,
     gen_fgn,
+    gen_garch,
     mfdfa,
     segment_fluctuations,
 )
+from hurstscan.scaling import _detrend_basis, _residual_f2
 
 
 class TestBuildProfile:
@@ -143,6 +147,62 @@ class TestSegmentFluctuations:
         assert np.all(f2 >= 0.0)
 
 
+class TestDetrendBasis:
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_orthonormal_and_spans_vandermonde(self, order):
+        for s in range(order + 2, 2001):
+            basis = _detrend_basis(s, order)
+            assert basis.shape == (s, order + 1)
+            assert np.abs(basis.T @ basis - np.eye(order + 1)).max() <= 1e-13, s
+            # the powers of an abscissa scaled to [-1, 1]: columns of size 1
+            vander = np.vander(np.linspace(-1.0, 1.0, s), order + 1, increasing=True)
+            outside = vander - basis @ (basis.T @ vander)
+            assert np.abs(outside).max() <= 1e-12, s
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+        reason="long double is no wider than double here",
+    )
+    def test_residuals_no_less_accurate_than_qr(self):
+        # a long-double reference: Gram-Schmidt (twice) on the centred powers
+        profile = np.cumsum(np.random.default_rng(1).standard_normal(20_000))
+
+        def qr_f2(segments, order):
+            x = np.arange(segments.shape[-1], dtype=float)
+            basis = np.linalg.qr(np.vander(x, order + 1, increasing=True))[0]
+            residuals = segments - (segments @ basis) @ basis.T
+            return np.mean(residuals**2, axis=-1)
+
+        def exact_f2(segments, order):
+            s = segments.shape[-1]
+            t = np.arange(s, dtype=np.longdouble) - np.longdouble(s - 1) / 2
+            basis = []
+            for k in range(order + 1):
+                v = t**k
+                for _ in range(2):
+                    for b in basis:
+                        v = v - (b @ v) * b
+                basis.append(v / np.sqrt(v @ v))
+            residuals = segments.astype(np.longdouble)
+            for b in basis:
+                residuals = residuals - np.outer(residuals @ b, b)
+            return (residuals * residuals).sum(axis=-1) / s
+
+        for order in range(4):
+            scales = [*range(order + 2, 31), 47, 100, 333, 1000, 2500, 5000]
+            new, old = [], []
+            for s in scales:
+                ns = profile.size // s
+                segments = profile[: ns * s].reshape(ns, s)
+                exact = exact_f2(segments, order)
+                new.append(np.abs(_residual_f2(segments, order) - exact) / exact)
+                old.append(np.abs(qr_f2(segments, order) - exact) / exact)
+            new, old = (np.concatenate(err).astype(float) for err in (new, old))
+            # the worst segment is set by the cancellation in its own residual
+            assert new.max() <= 1.01 * old.max(), order
+            assert np.sqrt(np.mean(new**2)) <= np.sqrt(np.mean(old**2)), order
+
+
 class TestFitScaling:
     def test_exact_power_law(self):
         scales = np.arange(10, 51)
@@ -228,10 +288,53 @@ class TestMfdfa:
     def test_flat_stretch_segments_are_exactly_zero(self):
         x = np.random.default_rng(5).normal(size=400)
         x[100:130] = 0.0
-        with pytest.raises(InputError, match="zero segment fluctuation with negative q"):
-            mfdfa(x, range(10, 21), qs=(-2.0, 2.0))
+        for qs in ((-2.0, 2.0), (2.0, 4.0, -2.0)):
+            with pytest.raises(InputError, match="zero segment fluctuation with negative q"):
+                mfdfa(x, range(10, 21), qs=qs)
         # constant detrending leaves the profile's slope over the stretch
         mfdfa(x, range(10, 21), qs=(-2.0, 2.0), order=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_matches_per_scale_reference(self, seed, order):
+        x = gen_fgn(1500, 0.6, seed=seed)
+        qs = (-4.0, -2.0, 2.0, 4.0)
+        scales = range(order + 3, 120, 7)
+        results = mfdfa(x, scales, qs, order)
+        profile = build_profile(x)
+        for q in qs:
+            want = [
+                average_fluctuation(segment_fluctuations(profile, s, order), q) for s in scales
+            ]
+            np.testing.assert_allclose(results[q][0].fq, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "qs, message",
+        [
+            ((2.0, -2.0), "degenerate"),
+            ((-2.0, 2.0), "zero segment fluctuation with negative q"),
+        ],
+    )
+    def test_all_zero_scale_first_error(self, qs, message):
+        # nonzero only where the segments of scale 10 start: every segment
+        # of that scale is flat, the other scales' are not
+        x = np.zeros(400)
+        x[::10] = np.random.default_rng(6).normal(size=40)
+        with pytest.raises(InputError, match=message):
+            mfdfa(x, range(10, 13), qs)
+        mfdfa(x, range(11, 14), qs)
+
+    def test_overflowing_squares_rejected_without_warning(self):
+        # returns of about 1e157: the profile's squares leave the float range
+        x = gen_garch(200, 1e-6, 0.08, 0.91, seed=8) * 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="floating-point range"):
+                mfdfa(x, range(3, 16))
+            with pytest.raises(InputError, match="floating-point range"):
+                segment_fluctuations(build_profile(x), 3)
+        # at 1e-10 of that size every square fits
+        mfdfa(x * 1e-10, range(3, 16))
 
     def test_results_keyed_and_ordered_by_scale(self):
         x = np.random.default_rng(2).normal(size=800)
