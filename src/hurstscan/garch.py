@@ -8,10 +8,10 @@ Fitting runs a projected Newton search with the exact score and Hessian
 on the box omega / h_1 >= OMEGA_FLOOR, 0 <= alpha + beta <=
 MAX_PERSISTENCE, 0 <= alpha / (alpha + beta) <= 1, so every point it
 evaluates is a valid, covariance-stationary GarchParams.  The search
-runs on a stack of series at once, one row each: the per-window fits of
-a rolling analysis are one batched search, and ``garch_fit`` is its
-one-row case.  Every row takes the same steps, with the same rounding,
-whichever rows share its batch.  The batch keeps its shape from the
+runs on a stack of series at once, one row each: each block of windows
+of a rolling analysis is fitted by one batched search, and ``garch_fit``
+is its one-row case.  Every row takes the same steps, with the same
+rounding, whichever rows share its batch.  The batch keeps its shape from the
 first iteration to the last: a row that converges or fails its line
 search leaves by holding every coordinate, so its step is 0 and its
 state no longer changes, and no rows are compacted.  Dividing returns
@@ -51,7 +51,6 @@ OMEGA_FLOOR = 1e-12  # lower bound of omega / h_1, keeps omega > 0
 MAX_PERSISTENCE = 1.0 - 1e-8
 ARMIJO = 1e-4
 MIN_STEP = 2.0**-40
-FIT_CHUNK = 16  # most rows searched together; bounds the memory of a batched fit
 
 
 @dataclass(frozen=True)
@@ -480,8 +479,16 @@ def _scaled_squares(r: np.ndarray) -> tuple[float, np.ndarray]:
     return h1, (r / math.sqrt(h1)) ** 2
 
 
-def _fit_chunk(r: np.ndarray) -> list:
-    """GARCH fits of the rows of r (rows x n) by one batched search; see _fit_rows."""
+def _fit_rows(r: np.ndarray) -> list:
+    """GARCH(1,1) fit of every row of r (rows x n), each as garch_fit fits it alone.
+
+    Returns, row by row, the GarchFit of the row or the InputError /
+    NumericalError that garch_fit raises for it.  Rows that cannot be
+    fitted (too short, constant, variance out of range) are set aside
+    before the search; the others run through one batched search, so
+    the memory of a fit grows with the rows it is given: a caller with
+    many rows passes them in blocks.
+    """
     fits: list = [None] * len(r)
     h1, z2 = np.empty(len(r)), np.empty(r.shape)
     for i, row in enumerate(r):
@@ -530,22 +537,6 @@ def _fit_chunk(r: np.ndarray) -> list:
     return fits
 
 
-def _fit_rows(r: np.ndarray):
-    """GARCH(1,1) fit of every row of r (rows x n), each as garch_fit fits it alone.
-
-    Yields, row by row, the GarchFit of the row or the InputError /
-    NumericalError that garch_fit raises for it.  Rows that cannot be
-    fitted (too short, constant, variance out of range) are set aside
-    before the search; the others run through one batched search per
-    chunk of at most FIT_CHUNK rows, spread evenly over the chunks.  A
-    chunk is searched when its first fit is asked for, so a caller that
-    uses each fit before asking for the next holds one chunk's variance
-    paths at a time, however many rows there are.
-    """
-    for chunk in np.array_split(r, max(1, -(-len(r) // FIT_CHUNK))):
-        yield from _fit_chunk(chunk)
-
-
 def garch_fit(returns) -> GarchFit:
     """Fit GARCH(1,1) by maximizing the Gaussian log-likelihood.
 
@@ -570,9 +561,9 @@ def garch_fit(returns) -> GarchFit:
     line search returns its last point with ``converged=False``.
     ``iterations`` counts the Newton steps of both searches.
 
-    This is the one-row case of the batched search that fits every
-    window of a per-window rolling analysis at once (_fit_rows); both
-    give the same fit, bit for bit.
+    This is the one-row case of the batched search that fits each
+    block of windows of a per-window rolling analysis at once
+    (_fit_rows); both give the same fit, bit for bit.
 
     Returns are used as-is: the filter is defined on raw returns.
     """

@@ -9,13 +9,15 @@ the rolling CSV and JSON-lines files from these columns with the CSV
 dialect of ``ingest``, and ``read_rolling_csv`` reads a CSV back into
 the same type under the same row rules, so every result reads back.
 
-Every mode analyzes all windows in one array pass over (windows x
+Every mode analyzes its windows in array passes over (windows x
 scales); only the source of the squared segment fluctuations differs.
 With one whole-sample GARCH fit and detrending order >= 1, windows
-share their segments and each is detrended once; per-window GARCH fits
-and order 0 give every window its own profile.  Per-window GARCH fits
-run as one batched search over all windows, each window's fit equal,
-bit for bit, to ``garch_fit`` on that window alone.
+share their segments and each is detrended once, in one pass over all
+windows.  Per-window GARCH fits and order 0 give every window its own
+profile; those windows run in order, in blocks of a fixed number of
+windows, so memory stays bounded however many windows there are.  The
+per-window GARCH fits of a block run as one batched search, each
+window's fit equal, bit for bit, to ``garch_fit`` on that window alone.
 """
 from __future__ import annotations
 
@@ -59,6 +61,10 @@ __all__ = [
 
 GARCH_MODES = ("whole-sample", "per-window")
 STAMP_CHOICES = ("end", "start", "center")
+# windows per block of a per-row source, and so per batched GARCH search:
+# blocks of 32-96 windows take the same time, and 64 keeps a roll of
+# 41 windows (the per-window benchmark workload) in one search
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -265,6 +271,29 @@ def _window_columns(f2_per_scale, n_windows: int, config: RollingConfig):
     return (hurst, stderr, r_squared, *_indicator_rows(scales, fq[2.0], hurst, intercept))
 
 
+def _row_columns(values: np.ndarray, starts: np.ndarray, config: RollingConfig, refit: bool):
+    """``_window_columns`` of windows that each get their own profile, _BLOCK windows at a time.
+
+    The windows of ``values`` that begin at ``starts`` are cut and
+    analyzed block by block, in order, so the first bad window raises
+    first.  With ``refit`` each block's windows are GARCH-fitted by one
+    batched search and divided by their own sqrt(h); a window whose fit
+    raises keeps its raw values.  Returns the seven columns and, with
+    ``refit``, each window's ``garch_converged`` flag.
+    """
+    blocks, converged = [], []
+    for first in range(0, starts.size, _BLOCK):
+        # fancy indexing copies: the block's rows are filtered in place
+        rows = sliding_window_view(values, config.window)[starts[first : first + _BLOCK]]
+        if refit:
+            for row, fit in zip(rows, _fit_rows(rows)):
+                if isinstance(fit, GarchFit):
+                    row /= np.sqrt(fit.h)
+                converged.append(isinstance(fit, GarchFit) and fit.converged)
+        blocks.append(_window_columns(_row_f2(rows, config), len(rows), config))
+    return [np.concatenate(column) for column in zip(*blocks)], converged
+
+
 def roll(returns: ReturnSeries, config: RollingConfig = RollingConfig()) -> RollingResult:
     """Run the full pipeline over every sliding window position.
 
@@ -283,25 +312,17 @@ def roll(returns: ReturnSeries, config: RollingConfig = RollingConfig()) -> Roll
     dates = [returns.dates[i] for i in (starts + offset).tolist()]
 
     if config.garch_mode == "per-window":
-        rows = sliding_window_view(returns.values, w)[starts]
-        converged = []
-        # one batched search fits every window; each fit is used before
-        # the next is asked for, so one chunk of variance paths is alive
-        for row, fit in zip(rows, _fit_rows(rows)):
-            if isinstance(fit, GarchFit):
-                row /= np.sqrt(fit.h)
-            converged.append(isinstance(fit, GarchFit) and fit.converged)
-        f2_per_scale = _row_f2(rows, config)
+        columns, converged = _row_columns(returns.values, starts, config, refit=True)
     else:
         fit = garch_fit(returns.values)
         filtered = garch_filter(returns, fit)
         converged = np.full(starts.size, fit.converged)
         if config.detrend_order == 0:
             # order 0 leaves a window's linear profile term in: no shared segments
-            f2_per_scale = _row_f2(sliding_window_view(filtered, w)[starts], config)
+            columns, _ = _row_columns(filtered, starts, config, refit=False)
         else:
-            f2_per_scale = _shared_f2(filtered, starts, config)
-    return RollingResult(dates, *_window_columns(f2_per_scale, starts.size, config), converged)
+            columns = _window_columns(_shared_f2(filtered, starts, config), starts.size, config)
+    return RollingResult(dates, *columns, converged)
 
 
 def detect_regimes(results: RollingResult, threshold: float) -> list[RegimeRun]:

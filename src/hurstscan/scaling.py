@@ -11,6 +11,7 @@ is the generalized Hurst exponent H(q).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -31,6 +32,9 @@ __all__ = [
 ]
 
 _FLOAT_MAX = float(np.finfo(float).max)
+# a row's powers f2**(q/2) are left as they are while its largest term
+# lies within 2**+-_POWER_BITS: sums of such terms stay normal and finite
+_POWER_BITS = 512
 
 
 def _check_fluctuations(fq) -> None:
@@ -281,6 +285,15 @@ def average_fluctuation(segment_f2, q: float) -> float:
     return float(fq)
 
 
+@functools.lru_cache(maxsize=8)
+def _power_bound(qs) -> float:
+    """2**(2 * _POWER_BITS / max|q|), capped at 2**1000.
+
+    Every f2 within 2**+- that keeps each f2**(q/2) within 2**+-_POWER_BITS.
+    """
+    return 2.0 ** min(2.0 * _POWER_BITS / max(map(abs, qs)), 1000.0)
+
+
 def _power_means(f2, qs):
     """F_q for each q over the last axis of ``f2``, and whether that axis holds a zero.
 
@@ -289,12 +302,43 @@ def _power_means(f2, qs):
     segments) array one per window.  Nothing is checked here; a zero
     f2 gives F_q = 0 for q > 0 and inf for q < 0, which the callers
     reject with ``_check_zero_rule`` and ``_check_fluctuations``.
+
+    A row far from unit scale would over- or underflow in the power, so
+    a row whose largest f2 lies outside 2**+-(2 * _POWER_BITS / max|q|)
+    is scaled by the even power of two 2**-2k that puts its largest f2
+    in [0.5, 2), and its F_q by 2**k after.  Powers of two scale
+    exactly, so F_q of x * 2**k is 2**k times F_q of x up to the
+    rounding of the power, and every other row keeps its bits.
     """
     n = f2.shape[-1]
+    # mfdfa calls this once per scale, often on a few dozen segments, so
+    # fixed costs count: ufunc reductions without the method wrappers,
+    # and whole-array extremes, which on ordinary data show that no f2
+    # is zero and no row is far from unit scale
+    smallest = np.minimum.reduce(f2, axis=None)
+    largest = np.maximum.reduce(f2, axis=None)
+    if smallest == 0.0:
+        has_zero = (f2 == 0.0).any(axis=-1)
+    else:
+        has_zero = np.zeros(f2.shape[:-1], dtype=bool)
+    bound = _power_bound(qs)
+    half = None
+    if largest > bound or smallest < 1.0 / bound:
+        # decided row by row, so a row's F_q does not depend on the rows beside it
+        largest = f2.max(axis=-1)
+        far = (largest > bound) | (largest < 1.0 / bound)
+        half = np.where(far, np.frexp(largest)[1] // 2, 0)
+        f2 = np.ldexp(f2, -2 * half[..., None])
     with np.errstate(divide="ignore"):
-        # sum / n: the bits of np.mean, without its per-call overhead
-        fq = [(np.power(f2, q / 2.0).sum(axis=-1) / n) ** (1.0 / q) for q in qs]
-    return fq, (f2 == 0.0).any(axis=-1)
+        # sum / n: the bits of np.mean; at q = 2 the power is the
+        # identity, so f2 is summed as it is
+        fq = [
+            (np.add.reduce(f2 if q == 2.0 else np.power(f2, q / 2.0), axis=-1) / n) ** (1.0 / q)
+            for q in qs
+        ]
+    if half is not None:
+        fq = [np.ldexp(fq_q, half) for fq_q in fq]
+    return fq, has_zero
 
 
 def _check_zero_rule(q: float, has_zero) -> None:

@@ -509,7 +509,7 @@ class TestBatchedFit:
     @given(st.lists(st.integers(0, POOL_SIZE - 1), min_size=1, max_size=40))
     @settings(max_examples=40, deadline=None)
     def test_row_result_independent_of_batch(self, picks):
-        # any subset, order and repetition of rows, across chunk boundaries
+        # any subset, order and repetition of rows, searched as one batch
         rows, fits = self.pool()
         for k, got in zip(picks, _fit_rows(rows[picks])):
             assert_same_fit(got, fits[k])

@@ -294,6 +294,67 @@ class TestRoll:
             sub, rows = series, slice(None, None, step)
         assert columns(roll(sub, config)) == columns(full, rows)
 
+    @pytest.mark.parametrize(
+        "garch_mode, order",
+        [("per-window", 0), ("per-window", 1), ("per-window", 2), ("whole-sample", 0)],
+    )
+    def test_blocks_do_not_change_columns(self, monkeypatch, garch_mode, order):
+        # the per-row sources run _BLOCK windows at a time; these 57 windows
+        # share one block by default and span 12 blocks of 5
+        series, _ = independence_full_run(garch_mode, order)
+        config = RollingConfig(
+            window=INDEPENDENCE_WINDOW, step=3, detrend_order=order, garch_mode=garch_mode
+        )
+        default = roll(series, config)
+        monkeypatch.setattr("hurstscan.rolling._BLOCK", 5)
+        assert columns(roll(series, config)) == columns(default)
+
+    @pytest.mark.parametrize(
+        "garch_mode, order, q_set",
+        [
+            ("per-window", 1, (2.0,)),
+            ("per-window", 1, (-2.0, 2.0)),
+            ("per-window", 0, (-2.0, 2.0)),
+            ("whole-sample", 0, (2.0,)),
+            ("whole-sample", 0, (-2.0, 2.0)),
+        ],
+    )
+    def test_first_error_in_a_later_block(self, monkeypatch, garch_mode, order, q_set):
+        # 23 windows in blocks of 5: the zero tail's windows sit in blocks 2-4
+        values = np.concatenate(
+            [gen_garch(1000, omega=1e-6, alpha=0.08, beta=0.91, seed=3), np.zeros(600)]
+        )
+        series = make_return_series(values)
+        config = RollingConfig(
+            window=500, step=50, q_set=q_set, detrend_order=order, garch_mode=garch_mode
+        )
+        monkeypatch.setattr("hurstscan.rolling._BLOCK", 5)
+        with pytest.raises(InputError) as kernel:
+            roll(series, config)
+        with pytest.raises(InputError) as reference:
+            reference_roll(series, config)
+        assert str(kernel.value) == str(reference.value)
+
+    def test_overflow_in_a_later_block(self, monkeypatch):
+        # windows of 60 are too short to fit, so each keeps its raw values;
+        # in blocks of 5 the windows that reach the 1e160 tail are in block 2
+        values = gen_garch(200, 1e-6, 0.08, 0.91, seed=8)
+        values[150:] *= 1e160
+        config = RollingConfig(window=60, step=7, s_min=3, s_max=15, garch_mode="per-window")
+        monkeypatch.setattr("hurstscan.rolling._BLOCK", 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="floating-point range"):
+                roll(make_return_series(values), config)
+            # a flat window in block 0 raises first, as it does one window at a time
+            values[:60] = 0.0
+            series = make_return_series(values)
+            with pytest.raises(InputError, match="degenerate") as kernel:
+                roll(series, config)
+            with pytest.raises(InputError) as reference:
+                reference_roll(series, config)
+        assert str(kernel.value) == str(reference.value)
+
     def test_garch_failure_flagged_not_fatal(self, monkeypatch):
         # the failure is injected where the batched fit checks each row
         import hurstscan.garch as garch_mod

@@ -17,7 +17,7 @@ from hurstscan import (
     mfdfa,
     segment_fluctuations,
 )
-from hurstscan.scaling import _detrend_basis, _residual_f2
+from hurstscan.scaling import _detrend_basis, _power_means, _residual_f2
 
 
 class TestBuildProfile:
@@ -254,6 +254,39 @@ class TestMfdfa:
             assert fit.log_intercept - base.log_intercept == pytest.approx(
                 np.log(k), abs=1e-9
             )
+
+    @given(
+        seed=st.integers(0, 2**16),
+        order=st.sampled_from([0, 1, 2]),
+        q=st.sampled_from([-8.0, -4.0, -2.0, 2.0, 4.0, 8.0]),
+        k=st.integers(-400, 400),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scale_invariance_across_float_range(self, seed, order, q, k):
+        # x * 2**k scales every profile value exactly, so F_q scales by 2**k
+        # and the fit moves only by rounding; unscaled, f2**(q/2) would over-
+        # or underflow far from unit scale
+        x = gen_fgn(600, 0.6, seed=seed)
+        scales = range(10, 41)
+        want_fp, want_fit = mfdfa(x, scales, (q,), order)[q]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_fp, got_fit = mfdfa(np.ldexp(x, k), scales, (q,), order)[q]
+        np.testing.assert_allclose(got_fp.fq, np.ldexp(want_fp.fq, k), rtol=1e-12, atol=0)
+        for field in ("hurst", "r_squared", "stderr_hurst"):
+            assert abs(getattr(got_fit, field) - getattr(want_fit, field)) <= 1e-12, field
+
+    def test_power_means_rescale_row_by_row(self):
+        # rows at unit scale and far from it: each row's F_q, bit for bit,
+        # whichever rows share its array
+        f2 = segment_fluctuations(build_profile(gen_fgn(600, 0.6, seed=4)), 10)
+        rows = np.stack([np.ldexp(f2, 2 * k) for k in (0, 300, -300, 5, -450)])
+        qs = (-8.0, 2.0, 4.0)
+        means, _ = _power_means(rows, qs)
+        for i, row in enumerate(rows):
+            alone, _ = _power_means(row, qs)
+            assert [m[i] for m in means] == alone
+        assert means[1][0] == _power_means(f2, (2.0,))[0][0]
 
     def test_shuffle_destroys_persistence(self):
         x = gen_fgn(10000, 0.8, seed=9)
