@@ -94,7 +94,8 @@ class ReturnSeries(_DatedSeries):
 
 # The CSV dialect: every table hurstscan reads or writes goes through
 # _read_table or _write_table a whole column at a time, each column of
-# one kind.  A kind's parser raises ValueError if any cell is bad.
+# one kind (or through _write_cells, with cells its kind formatted).  A
+# kind's parser raises ValueError if any cell is bad.
 class _Kind(NamedTuple):
     parse: Callable | None  # a column's cell texts -> its values
     format: Callable  # a column's values -> cell texts that parse reads back equal
@@ -190,11 +191,15 @@ def _read_table(path, columns: dict, header: bool = True, rule=None):
 
 
 def _write_table(path, columns, header=None, row_format=None) -> None:
-    """Write (kind, values) columns: the header, then ``row_format % cells`` per row.
+    """Write (kind, values) columns, each formatted by its kind, with ``_write_cells``."""
+    _write_cells(path, [kind.format(values) for kind, values in columns], header, row_format)
+
+
+def _write_cells(path, cells, header=None, row_format=None) -> None:
+    """Write columns of cell texts: the header, then ``row_format % cells`` per row.
 
     The cells are joined by commas unless a row format is given.
     """
-    cells = [kind.format(values) for kind, values in columns]
     row_format = row_format or ",".join(["%s"] * len(cells)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:

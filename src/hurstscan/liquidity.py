@@ -31,6 +31,11 @@ from .scaling import FluctuationProfile, ScalingFit
 
 __all__ = ["LiquidityIndicators", "rescale", "liquidity_indicators"]
 
+# a row's R(s) are left as they are while its largest lies within
+# 2**+-256: their squared deviations then stay finite, summed over any
+# number of scales, and normal down to the rounding of R(s)
+_SPREAD_BOUND = 2.0**256
+
 
 def _check_rescaled(r) -> None:
     if not np.all(np.isfinite(r)) or np.any(r <= 0):
@@ -82,14 +87,25 @@ def _rescale_rows(scales, fq, hurst) -> np.ndarray:
 
 
 def _spread_rows(r):
-    """(f_sigma, f_range, f_ratio) of rescaled fluctuations along the last axis."""
+    """(f_sigma, f_range, f_ratio) of rescaled fluctuations along the last axis.
+
+    The squared deviations of a row far from unit scale would over- or
+    underflow, so a row whose largest R(s) lies outside 2**+-256 is
+    scaled by the even power of two 2**-2k that puts its largest R(s)
+    in [0.5, 2), and its f_sigma and f_range by 2**2k after.  Powers of
+    two scale exactly; each row is decided on its own, and a row inside
+    the range keeps its bits.
+    """
     if r.shape[-1] < 2:
         raise InputError("need at least 2 scales")
+    hi = r.max(axis=-1)
+    far = (hi > _SPREAD_BOUND) | (hi < 1.0 / _SPREAD_BOUND)
+    half = np.where(far, np.frexp(hi)[1] // 2, 0)
+    r = np.ldexp(r, -2 * half[..., None])
     hi, lo = r.max(axis=-1), r.min(axis=-1)
-    # huge R(s) overflow to infinite measures, which the indicator rule rejects
-    with np.errstate(over="ignore"):
-        dev = r - r.mean(axis=-1, keepdims=True)
-        return np.sqrt(np.sum(dev * dev, axis=-1) / (r.shape[-1] - 1)), hi - lo, hi / lo
+    dev = r - r.mean(axis=-1, keepdims=True)
+    sigma = np.sqrt(np.sum(dev * dev, axis=-1) / (r.shape[-1] - 1))
+    return np.ldexp(sigma, 2 * half), np.ldexp(hi - lo, 2 * half), hi / lo
 
 
 def _indicator_rows(scales, fq, hurst, log_intercept):

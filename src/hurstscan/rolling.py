@@ -4,24 +4,27 @@
 array per measure, the q=2 Hurst exponent, its fit diagnostics, the
 four liquidity indicators and the GARCH flag, one entry per window in
 chronological order.  Each window is stamped with its last date by
-default (the values are "known as of" that day).  The writers format
-the rolling CSV and JSON-lines files from these columns with the CSV
-dialect of ``ingest``, and ``read_rolling_csv`` reads a CSV back into
-the same type under the same row rules, so every result reads back.
+default (the values are "known as of" that day).  The writers write
+the rolling CSV and JSON-lines files from the same cells, which a
+result formats once with the CSV dialect of ``ingest``, and
+``read_rolling_csv`` reads a CSV back into the same type under the
+same row rules, so every result reads back.
 
 Every mode analyzes its windows in array passes over (windows x
 scales); only the source of the squared segment fluctuations differs.
 With one whole-sample GARCH fit and detrending order >= 1, windows
 share their segments and each is detrended once, in one pass over all
-windows.  Per-window GARCH fits and order 0 give every window its own
-profile; those windows run in order, in blocks of a fixed number of
-windows, so memory stays bounded however many windows there are.  The
-per-window GARCH fits of a block run as one batched search, each
-window's fit equal, bit for bit, to ``garch_fit`` on that window alone.
+windows, from one table of running sums that serves every scale.
+Per-window GARCH fits and order 0 give every window its own profile;
+those windows run in order, in blocks of a fixed number of windows, so
+memory stays bounded however many windows there are.  The per-window
+GARCH fits of a block run as one batched search, each window's fit
+equal, bit for bit, to ``garch_fit`` on that window alone.
 """
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -30,7 +33,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import InputError
 from .garch import GarchFit, _fit_rows, garch_filter, garch_fit
-from .ingest import _DATE, _FLAG, _FLOAT, ReturnSeries, _read_table, _write_table
+from .ingest import _DATE, _FLAG, _FLOAT, ReturnSeries, _read_table, _write_cells
 from .liquidity import _check_has_q2, _indicator_rows, _indicators_ok
 from .scaling import (
     _check_fluctuations,
@@ -157,6 +160,11 @@ class RollingResult:
     def __len__(self) -> int:
         return len(self.date)
 
+    @functools.cached_property
+    def _cells(self) -> list[list[str]]:
+        """Each column's cell texts, formatted once for both writers."""
+        return [kind.format(getattr(self, col)) for col, kind in _KINDS.items()]
+
 
 ROLLING_CSV_COLUMNS = tuple(col.name for col in fields(RollingResult))
 _FLOATS = ROLLING_CSV_COLUMNS[1:-1]
@@ -212,17 +220,29 @@ def _shared_f2(values: np.ndarray, starts: np.ndarray, config: RollingConfig):
     running sums stay at the size of one segment, so their rounding
     is no larger than that of ``mfdfa``'s per-window profile.
 
+    The running sums are built once, for the largest scale: row a of
+    the table sums the steps from a on, left to right, so its first s
+    columns are the running sums of the scale-s segment that starts at
+    a, bit for bit a sum over those s steps alone.  Each scale detrends
+    the first n - s + 1 rows, one per start with a whole segment: the
+    matmul's rounding follows the shape of its stack (see
+    ``_residual_f2``), so the table's spare rows stay out of it.
+
     Yields one (windows x 2*(window // s)) array per scale.
     """
     steps = values - values.mean()
     # a running sum over at most s_max steps bounds every segment's values
     _check_square_range(config.s_max * max(steps.max(), -steps.min()), config.s_max)
     marker = _run_marker(values)
+    n, order = steps.size, config.detrend_order
+    # zeros at the end give every start up to n - s_min a full table row
+    padded = np.concatenate([steps, np.zeros(config.s_max - config.s_min)])
+    sums = np.cumsum(sliding_window_view(padded, config.s_max), axis=1)
     for s in config.scales():
         # row a: the profile over [a, a + s) up to a constant
-        segments = np.cumsum(sliding_window_view(steps, s), axis=1)
-        f2_at = _residual_f2(segments, config.detrend_order)
-        _zero_flat(f2_at, marker, s, config.detrend_order, np.arange(f2_at.size))
+        f2_at = _residual_f2(sums[: n - s + 1, :s], order)
+        if marker is not None:
+            _zero_flat(f2_at, marker, s, order, np.arange(f2_at.size))
         yield f2_at[starts[:, None] + _segment_starts(config.window, s)]
 
 
@@ -349,14 +369,12 @@ def detect_regimes(results: RollingResult, threshold: float) -> list[RegimeRun]:
 
 def write_rolling_csv(results: RollingResult, path) -> None:
     """One row per window: date, fit diagnostics, indicators, GARCH flag."""
-    columns = [(kind, getattr(results, col)) for col, kind in _KINDS.items()]
-    _write_table(path, columns, ROLLING_CSV_COLUMNS)
+    _write_cells(path, results._cells, ROLLING_CSV_COLUMNS)
 
 
 def write_rolling_jsonl(results: RollingResult, path) -> None:
     """JSON-lines variant of the rolling output, identical fields."""
-    columns = [(kind, getattr(results, col)) for col, kind in _KINDS.items()]
-    _write_table(path, columns, row_format=_JSONL_ROW)
+    _write_cells(path, results._cells, row_format=_JSONL_ROW)
 
 
 def read_rolling_csv(path) -> RollingResult:

@@ -220,8 +220,11 @@ def _residual_f2(segments, order: int) -> np.ndarray:
 
     Residuals by projection on an orthonormal polynomial basis, one
     matmul for all segments at a fixed scale.  Each row's sum of squares
-    runs along that row alone, so a row's result does not depend on the
-    rows around it.
+    runs along that row alone, but the matmul does not: BLAS picks its
+    kernel, and so its rounding, by the shape of the stack, and a row
+    detrended within a stack of another height may differ in its last
+    bits.  What holds is that the same stack shape gives the same bits,
+    so callers that must agree bit for bit keep the shape.
     """
     s = segments.shape[-1]
     basis = _detrend_basis(s, order)

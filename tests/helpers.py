@@ -11,6 +11,7 @@ from __future__ import annotations
 import datetime as dt
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hurstscan import (
     InputError,
@@ -23,6 +24,13 @@ from hurstscan import (
     synthetic_dates,
 )
 from hurstscan.rolling import ROLLING_CSV_COLUMNS
+from hurstscan.scaling import (
+    _check_square_range,
+    _residual_f2,
+    _run_marker,
+    _segment_starts,
+    _zero_flat,
+)
 
 # filled by test_acceptance, printed by the conftest terminal-summary hook
 ACCEPTANCE_LINES: list[str] = []
@@ -147,3 +155,21 @@ def assert_results_close(got, want, rel: float = 1e-12) -> None:
         scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), floor.get(key, 0.0))
         bad = np.flatnonzero(~(np.abs(x - y) <= rel * scale))
         assert bad.size == 0, [(k, key, x[k], y[k]) for k in bad[:3]]
+
+
+def per_scale_shared_f2(values, starts, config):
+    """``rolling._shared_f2`` with its running sums rebuilt at every scale.
+
+    The reference for the shared table of running sums: at each scale s
+    the segments are ``cumsum(sliding_window_view(steps, s), axis=1)``,
+    an (n - s + 1) x s array of their own, so the whole-sample roll
+    must give the same bits with either source.
+    """
+    steps = values - values.mean()
+    _check_square_range(config.s_max * max(steps.max(), -steps.min()), config.s_max)
+    marker = _run_marker(values)
+    for s in config.scales():
+        segments = np.cumsum(sliding_window_view(steps, s), axis=1)
+        f2_at = _residual_f2(segments, config.detrend_order)
+        _zero_flat(f2_at, marker, s, config.detrend_order, np.arange(f2_at.size))
+        yield f2_at[starts[:, None] + _segment_starts(config.window, s)]

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurstscan import (
     FluctuationProfile,
@@ -15,6 +17,7 @@ from hurstscan import (
     mfdfa,
     rescale,
 )
+from hurstscan.liquidity import _spread_rows
 
 SCALES = np.arange(10, 51)
 
@@ -118,12 +121,38 @@ class TestMeasures:
         with np.errstate(over="ignore"), pytest.raises(InputError, match="finite and positive"):
             rescale(fp, flat_fit(hurst=200.0))
 
-    def test_overflowing_spread_rejected_without_warning(self):
-        # R(s) near 1e200: the squared deviations overflow and f_sigma would be inf
+    @pytest.mark.parametrize("c", [1e200, 1e-200])
+    def test_spread_far_from_unit_scale_without_warning(self, c):
+        # R(s) near 1e200 or 1e-200: unscaled, the squared deviations would
+        # overflow to an infinite f_sigma or underflow to f_sigma = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InputError, match="inconsistent indicator values"):
-                indicators_of([1e200, 3e200])
+            ind = indicators_of([c, 3.0 * c])
+        assert ind.f_sigma == pytest.approx(math.sqrt(2.0) * c, rel=1e-14, abs=0)
+        assert ind.f_range == pytest.approx(2.0 * c, rel=1e-14, abs=0)
+        assert ind.f_ratio == pytest.approx(3.0, rel=1e-14)
+
+    def test_spread_rows_rescale_row_by_row(self):
+        # rows at unit scale and far from it: each row's spreads, bit for
+        # bit, whichever rows share its array; a row far from unit scale
+        # is scaled by a power of two, so its spreads are exactly 4**k
+        # times those of the unit row, and the unit row keeps the bits of
+        # the plain formula
+        fp, fit = mfdfa(gen_fgn(600, 0.6, seed=4), range(10, 41))[2.0]
+        r = rescale(fp, fit)
+        ks = (0, 300, -300, 3, 120)
+        rows = np.stack([np.ldexp(r, 2 * k) for k in ks])
+        spreads = _spread_rows(rows)
+        for i, (row, k) in enumerate(zip(rows, ks)):
+            alone = _spread_rows(row)
+            assert [float(m[i]) for m in spreads] == [float(m) for m in alone]
+            assert [float(np.ldexp(m[0], 2 * k)) for m in spreads[:2]] == [
+                float(m[i]) for m in spreads[:2]
+            ]
+            assert spreads[2][i] == spreads[2][0]
+        dev = r - r.mean()
+        plain = (np.sqrt(np.sum(dev * dev) / (r.size - 1)), r.max() - r.min(), r.max() / r.min())
+        assert [float(m[0]) for m in spreads] == [float(m) for m in plain]
 
     def test_perturbed_profile_matches_pure_python(self):
         fq = 1.3 * SCALES**0.55
@@ -138,6 +167,33 @@ class TestMeasures:
         assert ind.f_sigma == pytest.approx(sig_hand, rel=1e-10)
         assert ind.f_range == pytest.approx(range_hand, rel=1e-10)
         assert ind.f_ratio == pytest.approx(ratio_hand, rel=1e-10)
+
+
+class TestScaleInvariance:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        order=st.sampled_from([0, 1, 2]),
+        k=st.integers(-400, 400),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_measures_scale_across_float_range(self, seed, order, k):
+        # x * 2**k scales F_2 by 2**k and R(s) by 4**k; unscaled, the
+        # squared deviations of R(s) would over- or underflow far from
+        # unit scale
+        x = gen_fgn(600, 0.6, seed=seed)
+        scales = range(10, 41)
+        want = liquidity_indicators(*mfdfa(x, scales, (2.0,), order)[2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = liquidity_indicators(*mfdfa(np.ldexp(x, k), scales, (2.0,), order)[2.0])
+        pairs = [
+            (got.f0, math.ldexp(want.f0, k)),
+            (got.f_sigma, math.ldexp(want.f_sigma, 2 * k)),
+            (got.f_range, math.ldexp(want.f_range, 2 * k)),
+            (got.f_ratio, want.f_ratio),
+        ]
+        for value, expected in pairs:
+            assert abs(value - expected) <= 1e-12 * abs(expected), (value, expected)
 
 
 class TestIndicators:

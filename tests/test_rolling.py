@@ -4,13 +4,19 @@ import json
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_results_close, make_return_series, reference_roll
+from helpers import (
+    assert_results_close,
+    make_return_series,
+    per_scale_shared_f2,
+    reference_roll,
+)
 from hurstscan import (
     InputError,
     RollingConfig,
@@ -268,6 +274,47 @@ class TestRoll:
             assert_results_close(roll(series, config), want)
 
     @given(
+        seed=st.integers(0, 2**32 - 1),
+        order=st.sampled_from([1, 2, 3]),
+        s_min_extra=st.integers(0, 6),
+        window_extra=st.integers(0, 80),
+        s_max_frac=st.floats(0.0, 1.0),
+        tail=st.integers(0, 60),
+        step=st.integers(1, 7),
+        flat_at=st.floats(0.0, 1.0),
+        flat_len=st.sampled_from([0, 3, 8, 40]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shared_sums_match_per_scale_sums(
+        self, seed, order, s_min_extra, window_extra, s_max_frac, tail, step, flat_at, flat_len
+    ):
+        # one table of running sums for every scale against a cumulative
+        # sum rebuilt at each scale: the same bits in every column; at
+        # s_max = window // 4 the table's zero padding is at its widest
+        s_min = order + 2 + s_min_extra
+        window = max(10 * s_min, 100) + window_extra
+        s_max = s_min + 2 + int(s_max_frac * (window // 4 - s_min - 2))
+        config = RollingConfig(
+            window=window, step=step, s_min=s_min, s_max=s_max, detrend_order=order
+        )
+        rng = np.random.default_rng(seed)
+        n = window + tail
+        values = rng.standard_normal(n) * np.exp(rng.normal(-4, 1))
+        # equal neighbours give flat segments, which _zero_flat sets to 0
+        flat_start = int(flat_at * (n - flat_len))
+        values[flat_start : flat_start + flat_len] = values[flat_start]
+        series = make_return_series(values)
+        try:
+            with mock.patch("hurstscan.rolling._shared_f2", per_scale_shared_f2):
+                want = roll(series, config)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                roll(series, config)
+            assert str(got.value) == str(exc)
+        else:
+            assert columns(roll(series, config)) == columns(want)
+
+    @given(
         case=st.sampled_from(
             [("per-window", 0), ("per-window", 1), ("per-window", 2), ("whole-sample", 0),
              ("whole-sample", 1)]
@@ -384,15 +431,21 @@ class TestRoll:
         assert not results.garch_converged.any()
         assert_results_close(results, reference_roll(series, config))
 
-    def test_overflowing_windows_rejected_without_warning(self):
-        # the same windows at 1e80 times the scale: R(s) is about 1e160 and
-        # f_sigma overflows, so the result could not be read back
-        series = make_return_series(gen_garch(200, 1e-6, 0.08, 0.91, seed=8) * 1e80)
+    def test_huge_windows_measured_without_warning(self):
+        # the same windows at 2**266 (about 1e80) times the scale: R(s) is
+        # about 1e160, where unscaled squared deviations would overflow
+        # f_sigma; the windows are too short to fit, so they stay unfiltered
+        values = gen_garch(200, 1e-6, 0.08, 0.91, seed=8)
         config = RollingConfig(window=60, step=7, s_min=3, s_max=15, garch_mode="per-window")
+        want = roll(make_return_series(values), config)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InputError, match=r"^window \d+: non-finite f_sigma$"):
-                roll(series, config)
+            got = roll(make_return_series(np.ldexp(values, 266)), config)
+        for col, k in [("f0", 266), ("f_sigma", 532), ("f_range", 532), ("f_ratio", 0)]:
+            want_col = np.ldexp(getattr(want, col), k)
+            np.testing.assert_allclose(getattr(got, col), want_col, rtol=1e-12, atol=0)
+        for col in ("hurst", "stderr_hurst", "r_squared"):
+            np.testing.assert_allclose(getattr(got, col), getattr(want, col), rtol=0, atol=1e-12)
 
     def test_overflowing_squares_rejected_without_warning(self):
         # at 1e160 times the scale the windows' profile squares overflow
