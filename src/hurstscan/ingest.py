@@ -10,12 +10,20 @@ floats (``nan`` or ``inf`` fail) written with ``repr`` so a write/read
 round trip is bit-identical, ``true``/``false`` flags, and integers.
 Series rows are sorted ascending by date on load, with duplicate dates
 rejected; missing trading days are simply absent rows.
+
+The reader parses a file in blocks of ``_BLOCK_ROWS`` rows and drops a
+block's cell texts before it reads the next, so what a long file keeps
+in memory per row is its parsed values (a date object and a float for
+a series) and its line number in one integer array, not its text.
 """
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import operator
+from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -141,20 +149,57 @@ def _cell_problem(row, columns) -> str | None:
     return None
 
 
-def _parse_rows(path, lines, rows, columns, rule):
+# rows parsed at a time: a block's raw cells are dropped before the next
+# block is read, so a long file costs its parsed values, not its text
+_BLOCK_ROWS = 1024
+
+
+def _join(chunks: dict) -> dict:
+    """Each column whole from its parsed blocks: float arrays are concatenated, lists chained."""
+    return {
+        label: np.concatenate(parts)
+        if isinstance(parts[0], np.ndarray)
+        else [value for part in parts for value in part]
+        for label, parts in chunks.items()
+    }
+
+
+def _check_rule(path, parsed, lines, rule) -> None:
+    """Fail naming the first row of the parsed columns that breaks ``rule``."""
+    broken = rule(parsed) if rule else None
+    if broken:
+        raise InputError(f"{path}:{lines[broken[0]]}: {broken[1]}")
+
+
+def _nonblank_rows(reader, lines):
+    """The reader's non-blank rows; each row's line number is appended to ``lines``."""
+    for row in reader:
+        if row:
+            lines.append(reader.line_num)
+            yield row
+
+
+def _parse_block(path, rows, first, columns, chunks, lines, rule):
+    """Append each column of one block of rows, parsed by its kind, to ``chunks``.
+
+    ``first`` is the index of the block's first row in the file.  A bad
+    row fails naming its line, after the rows before it, earlier blocks
+    included, are checked against ``rule``: a rule they break comes
+    first in the file.
+    """
     try:
         parsed = {label: kind.parse([r[at] for r in rows]) for label, (at, kind) in columns.items()}
     except (IndexError, ValueError):
         # name the first bad line: look row by row
         problems = (_cell_problem(row, columns) for row in rows)
         k, problem = next((k, problem) for k, problem in enumerate(problems) if problem)
-        # the rows before it parse: a rule they break comes first in the file
-        _parse_rows(path, lines[:k], rows[:k], columns, rule)
-        raise InputError(f"{path}:{lines[k]}: {problem}") from None
-    broken = rule(parsed) if rule else None
-    if broken:
-        raise InputError(f"{path}:{lines[broken[0]]}: {broken[1]}")
-    return parsed
+        if k:
+            _parse_block(path, rows[:k], first, columns, chunks, lines, rule)
+        if first + k:
+            _check_rule(path, _join(chunks), lines, rule)
+        raise InputError(f"{path}:{lines[first + k]}: {problem}") from None
+    for label, values in parsed.items():
+        chunks[label].append(values)
 
 
 def _read_table(path, columns: dict, header: bool = True, rule=None):
@@ -164,12 +209,18 @@ def _read_table(path, columns: dict, header: bool = True, rule=None):
     ``rule`` takes the parsed columns and returns the index of the first
     row that breaks it and why, or None.  A bad file fails naming its
     first bad line: a short row, a bad cell, or a row that breaks the rule.
+
+    Rows are read and parsed ``_BLOCK_ROWS`` at a time.  What stays in
+    memory per row is its parsed values and its line number, held in one
+    integer array; a block's cell texts are dropped before the next
+    block is read.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError:
         raise InputError(f"file not found: {path}") from None
-    rows, lines = [], []
+    chunks = {label: [] for label in columns}
+    lines = array("q")
     with fh:
         reader = csv.reader(fh)
         if header:
@@ -181,13 +232,14 @@ def _read_table(path, columns: dict, header: bool = True, rule=None):
                 label: (at if isinstance(at, int) else names.index(at), kind)
                 for label, (at, kind) in columns.items()
             }
-        for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(reader.line_num)
-    if not rows:
+        rows = _nonblank_rows(reader, lines)
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            _parse_block(path, block, len(lines) - len(block), columns, chunks, lines, rule)
+    if not lines:
         raise InputError(f"{path}: no data rows")
-    return _parse_rows(path, lines, rows, columns, rule), lines
+    parsed = _join(chunks)
+    _check_rule(path, parsed, lines, rule)
+    return parsed, lines
 
 
 def _write_table(path, columns, header=None, row_format=None) -> None:
@@ -211,20 +263,25 @@ def _read_dated_values(path, layout: CsvLayout):
     """Dates, values and line numbers of a series file in date order; duplicate dates fail."""
     columns = {"date": (layout.date_col, _DATE), "value": (layout.value_col, _FLOAT)}
     parsed, lines = _read_table(path, columns, layout.header)
-    order = sorted(range(len(lines)), key=parsed["date"].__getitem__)
-    dates, lines = [parsed["date"][i] for i in order], [lines[i] for i in order]
+    dates, values = parsed["date"], parsed["value"]
+    if all(map(operator.lt, dates, islice(dates, 1, None))):
+        # already in order, as every file hurstscan writes: nothing to sort or scan
+        return dates, values, lines
+    order = sorted(range(len(lines)), key=dates.__getitem__)
+    dates, lines = [dates[i] for i in order], [lines[i] for i in order]
     for k in range(1, len(dates)):
         if dates[k] == dates[k - 1]:
             raise InputError(f"{path}:{lines[k]}: duplicate date {dates[k].isoformat()}")
-    return dates, parsed["value"][order], lines
+    return dates, values[order], lines
 
 
 def load_prices(path, layout: CsvLayout = CsvLayout()) -> PriceSeries:
     """Load a dated price CSV; rows are sorted by date, bad rows reported by line."""
     dates, values, lines = _read_dated_values(path, layout)
-    for value, line in zip(values.tolist(), lines):
-        if value <= 0:
-            raise InputError(f"{path}:{line}: non-positive price {value!r}")
+    bad = np.flatnonzero(values <= 0)
+    if bad.size:
+        k = int(bad[0])
+        raise InputError(f"{path}:{lines[k]}: non-positive price {values[k].item()!r}")
     return PriceSeries(dates=dates, values=values)
 
 

@@ -9,6 +9,7 @@ task its own seed, or split one seed with
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -46,9 +47,27 @@ def _check_size(n: int, sigma: float = 1.0, min_n: int = 1) -> None:
 
 
 def _check_fgn_params(n: int, hurst: float, sigma: float) -> None:
+    """fGn's parameters: hurst in (0, 1), and sigma**2, its variance, a finite normal float."""
     if not 0.0 < hurst < 1.0:
         raise InputError(f"hurst must be in (0, 1), got {hurst}")
     _check_size(n, sigma, min_n=2)
+    sigma = float(sigma)
+    if not sys.float_info.min <= sigma * sigma <= sys.float_info.max:
+        raise InputError(
+            f"fgn sigma out of range [{math.sqrt(sys.float_info.min):.3g}, "
+            f"{math.sqrt(sys.float_info.max):.3g}], where its square is a normal float; "
+            f"got {sigma}"
+        )
+
+
+def _check_finite(x: np.ndarray, cause: str) -> np.ndarray:
+    """x, if every value is finite; else fail naming the parameter that took it out of range."""
+    if not np.all(np.isfinite(x)):
+        raise InputError(
+            f"{cause} out of range: the series leaves the float range "
+            f"(largest float {sys.float_info.max:.3g})"
+        )
+    return x
 
 
 def gen_fgn(n: int, hurst: float, sigma: float = 1.0, seed: int = 0) -> np.ndarray:
@@ -95,13 +114,18 @@ def _embedding_eigenvalues(m: int, hurst: float, sigma: float) -> np.ndarray:
     half = m // 2
     gamma = fgn_autocovariance(np.arange(half + 1), hurst, sigma)
     row = np.concatenate([gamma, gamma[-2:0:-1]])
-    return np.fft.fft(row).real
+    # the sums over the row overflow before sigma**2 itself does
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = np.fft.fft(row).real
+    return _check_finite(lam, f"sigma {sigma}")
 
 
 def gen_white(n: int, sigma: float = 1.0, seed: int = 0) -> np.ndarray:
     """IID Gaussian noise with standard deviation sigma."""
     _check_size(n, sigma)
-    return sigma * np.random.default_rng(seed).standard_normal(n)
+    with np.errstate(over="ignore"):
+        x = sigma * np.random.default_rng(seed).standard_normal(n)
+    return _check_finite(x, f"sigma {sigma}")
 
 
 def gen_garch(n: int, omega: float, alpha: float, beta: float, seed: int = 0) -> np.ndarray:
@@ -120,7 +144,7 @@ def gen_garch(n: int, omega: float, alpha: float, beta: float, seed: int = 0) ->
         rt = math.sqrt(h) * z[t]
         r[t] = rt
         h = omega + alpha * rt * rt + beta * h
-    return r[GARCH_BURN_IN:]
+    return _check_finite(r[GARCH_BURN_IN:], f"omega {omega}")
 
 
 # each kind's generator and the parameters it takes, in the order the spec records them

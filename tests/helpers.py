@@ -9,6 +9,9 @@ than the same arithmetic twice.
 from __future__ import annotations
 
 import datetime as dt
+import itertools
+import math
+from unittest import mock
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -19,6 +22,7 @@ from hurstscan import (
     ReturnSeries,
     RollingResult,
     garch_fit,
+    ingest,
     liquidity_indicators,
     mfdfa,
     synthetic_dates,
@@ -61,6 +65,48 @@ def naive_segment_fluctuations(profile, s: int) -> np.ndarray:
     forward = [one(prof[i * s : (i + 1) * s]) for i in range(ns)]
     backward = [one(prof[t - (j + 1) * s : t - j * s]) for j in range(ns)]
     return np.array(forward + backward)
+
+
+def naive_mfdfa(series, scales, qs, order: int) -> dict[float, tuple[list[float], float, float]]:
+    """MF-DFA one segment at a time, the oracle for ``mfdfa``: {q: (F_q per scale, H, r^2)}.
+
+    Each segment's trend is fitted by ``np.linalg.lstsq`` on the abscissa
+    centred and scaled to [-1, 1]; sums run through ``math.fsum``.  The
+    segments are cut forward from the head and backward from the tail,
+    and ln F_q is fitted on ln s by ordinary least squares.  Segments
+    that detrend to exactly zero are not special-cased: the oracle is
+    for series with no flat stretch.
+    """
+    x = [float(v) for v in series]
+    mean = math.fsum(x) / len(x)
+    profile = list(itertools.accumulate(v - mean for v in x))
+    t_len = len(profile)
+    out = {}
+    f2_by_scale = []
+    for s in scales:
+        half = (s - 1) / 2.0
+        basis = np.vander([(k - half) / half for k in range(s)], order + 1)
+        starts = [i * s for i in range(t_len // s)]
+        starts += [t_len - (j + 1) * s for j in range(t_len // s)]
+        f2 = []
+        for a in starts:
+            segment = np.array(profile[a : a + s])
+            coef = np.linalg.lstsq(basis, segment, rcond=None)[0]
+            residuals = (segment - basis @ coef).tolist()
+            f2.append(math.fsum(r * r for r in residuals) / s)
+        f2_by_scale.append(f2)
+    log_s = [math.log(s) for s in scales]
+    mx = math.fsum(log_s) / len(log_s)
+    sxx = math.fsum((a - mx) ** 2 for a in log_s)
+    for q in qs:
+        fq = [(math.fsum(v ** (q / 2.0) for v in f2) / len(f2)) ** (1.0 / q) for f2 in f2_by_scale]
+        log_f = [math.log(v) for v in fq]
+        my = math.fsum(log_f) / len(log_f)
+        slope = math.fsum((a - mx) * (b - my) for a, b in zip(log_s, log_f)) / sxx
+        ssr = math.fsum((b - my - slope * (a - mx)) ** 2 for a, b in zip(log_s, log_f))
+        sst = math.fsum((b - my) ** 2 for b in log_f)
+        out[q] = (fq, slope, 1.0 - ssr / sst)
+    return out
 
 
 def lag1_autocorr(x) -> float:
@@ -173,3 +219,23 @@ def per_scale_shared_f2(values, starts, config):
         f2_at = _residual_f2(segments, config.detrend_order)
         _zero_flat(f2_at, marker, s, config.detrend_order, np.arange(f2_at.size))
         yield f2_at[starts[:, None] + _segment_starts(config.window, s)]
+
+
+def read_outcome(read, *args):
+    """What ``read(*args)`` gives: its result's fields, arrays as bytes, or its error text."""
+    try:
+        result = read(*args)
+    except InputError as exc:
+        return str(exc)
+    return {
+        name: value.tobytes() if isinstance(value, np.ndarray) else value
+        for name, value in vars(result).items()
+    }
+
+
+def assert_block_size_free(read, *args, sizes=(1, 2, 3, 7)) -> None:
+    """``read(*args)`` gives the same result, or the same error, at each CSV reader block size."""
+    want = read_outcome(read, *args)
+    for size in sizes:
+        with mock.patch.object(ingest, "_BLOCK_ROWS", size):
+            assert read_outcome(read, *args) == want, size

@@ -66,6 +66,24 @@ class TestSynth:
         assert run(["synth", *params, "--n", "600", "--out", "bad.csv"]) == 1
         assert list(workdir.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ["--kind", "fgn", "--n", "2000", "--h", "0.6", "--sigma", "1e300"],
+            ["--kind", "fgn", "--n", "2000", "--h", "0.6", "--sigma", "1e-300"],
+            # sigma**2 is finite, but the embedding's sums over it are not
+            ["--kind", "fgn", "--n", "2000", "--h", "0.6", "--sigma", "1.3e154"],
+            ["--kind", "gaussian-white", "--n", "100", "--sigma", "1e308"],
+        ],
+    )
+    def test_sigma_out_of_float_range_exits_one_without_output(self, workdir, capsys, params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["synth", *params, "--out", "bad.csv"]) == 1
+        err = capsys.readouterr().err
+        assert "sigma" in err and "range" in err
+        assert list(workdir.iterdir()) == []
+
     def test_negative_seed_exits_one_without_output(self, workdir, capsys):
         args = ["synth", "--kind", "gaussian-white", "--n", "50", "--seed", "-1", "--out", "bad.csv"]
         assert run(args) == 1

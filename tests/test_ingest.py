@@ -1,12 +1,13 @@
 import datetime as dt
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_return_series
+from helpers import assert_block_size_free, make_return_series
 from hurstscan import (
     CsvLayout,
     InputError,
@@ -215,6 +216,31 @@ class TestReaderFuzz:
         series = load_returns(path, layout)
         assert series.dates == tuple(dates)
         np.testing.assert_array_equal(series.values, values)
+
+
+class TestBlockReader:
+    @given(case=messy_return_files())
+    @settings(max_examples=40)
+    def test_block_size_does_not_change_the_read(self, case, tmp_path_factory):
+        text, layout, *_ = case
+        path = tmp_path_factory.mktemp("fuzz") / "messy.csv"
+        path.write_bytes(text.encode())
+        assert_block_size_free(load_returns, path, layout)
+
+    def test_load_keeps_parsed_values_not_cell_texts(self, tmp_path):
+        # the text of every row held at once costs about 350 bytes a row
+        n = 20_000
+        path = tmp_path / "long.csv"
+        values = np.random.default_rng(4).standard_normal(n) * 0.01
+        save_returns(make_return_series(values), path)
+        load_returns(path)
+        tracemalloc.start()
+        try:
+            load_returns(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 120, peak / n
 
 
 class TestLogReturns:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    assert_block_size_free,
     assert_results_close,
     make_return_series,
     per_scale_shared_f2,
@@ -24,6 +25,7 @@ from hurstscan import (
     detect_regimes,
     gen_fgn,
     gen_garch,
+    ingest,
     read_rolling_csv,
     roll,
     write_rolling_csv,
@@ -302,7 +304,8 @@ class TestRoll:
         values = rng.standard_normal(n) * np.exp(rng.normal(-4, 1))
         # equal neighbours give flat segments, which _zero_flat sets to 0
         flat_start = int(flat_at * (n - flat_len))
-        values[flat_start : flat_start + flat_len] = values[flat_start]
+        if flat_len:
+            values[flat_start : flat_start + flat_len] = values[flat_start]
         series = make_return_series(values)
         try:
             with mock.patch("hurstscan.rolling._shared_f2", per_scale_shared_f2):
@@ -722,51 +725,57 @@ PADDING = st.sampled_from(["", "", " ", "  ", "\t"])
 FLAG_PADDING = st.sampled_from(["", "", "", "", "", " "])
 
 
+def edited_rolling_csv(data, written: str) -> tuple[str, int | None]:
+    """A written rolling CSV edited as real files are, and the line the reader must name.
+
+    Edits: CRLF or LF, a BOM, blank, whitespace-only and trailing lines,
+    padded cells and two rows swapped.  The reader must name the first
+    line that is whitespace-only, holds a padded flag, or dates its row
+    no later than the row before; None if no line does.
+    """
+    header, *rows = written.splitlines()
+    if len(rows) > 1 and data.draw(st.booleans()):
+        pair = st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True)
+        i, j = sorted(data.draw(pair))
+        rows[i], rows[j] = rows[j], rows[i]
+    lines = [header]
+    for row in rows:
+        *cells, flag = row.split(",")
+        # a padded flag fails: pad one in six, so rows swapped before it are met first
+        padded = [f"{data.draw(PADDING)}{cell}{data.draw(PADDING)}" for cell in cells]
+        lines.append(",".join([*padded, flag + data.draw(FLAG_PADDING)]))
+    for _ in range(data.draw(st.integers(0, 4))):
+        at = data.draw(st.integers(1, len(lines)))
+        lines.insert(at, data.draw(st.sampled_from(["", "", "", " "])))
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    bom = data.draw(st.sampled_from(["", "\ufeff"]))
+    text = bom + newline.join(lines) + data.draw(st.sampled_from(["", newline, newline * 2]))
+
+    bad, previous = None, None
+    for number, line in enumerate(lines[1:], start=2):
+        if line == "":
+            continue
+        cells = line.split(",")
+        date = dt.date.fromisoformat(cells[0].strip()) if len(cells) > 1 else None
+        if date is None or cells[-1] not in ("true", "false") or (
+            previous is not None and date <= previous
+        ):
+            bad = number
+            break
+        previous = date
+    return text, bad
+
+
 class TestRollingReaderFuzz:
     @given(cols=rolling_columns(spoil=False), data=st.data())
     @settings(max_examples=80)
     def test_loads_written_result_or_names_line(self, cols, data, tmp_path_factory):
-        """A written rolling CSV edited as real files are: it loads equal, or fails naming a line.
-
-        Edits: CRLF or LF, a BOM, blank, whitespace-only and trailing
-        lines, padded cells and two rows swapped.  The reader must name
-        the first line that is whitespace-only, holds a padded flag, or
-        dates its row no later than the row before.
-        """
+        """A written rolling CSV edited as real files are: it loads equal, or fails naming a line."""
         results = RollingResult(**cols)
         directory = tmp_path_factory.mktemp("fuzz")
         written = directory / "written.csv"
         write_rolling_csv(results, written)
-        header, *rows = written.read_text().splitlines()
-        if len(rows) > 1 and data.draw(st.booleans()):
-            pair = st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True)
-            i, j = sorted(data.draw(pair))
-            rows[i], rows[j] = rows[j], rows[i]
-        lines = [header]
-        for row in rows:
-            *cells, flag = row.split(",")
-            # a padded flag fails: pad one in six, so rows swapped before it are met first
-            padded = [f"{data.draw(PADDING)}{cell}{data.draw(PADDING)}" for cell in cells]
-            lines.append(",".join([*padded, flag + data.draw(FLAG_PADDING)]))
-        for _ in range(data.draw(st.integers(0, 4))):
-            at = data.draw(st.integers(1, len(lines)))
-            lines.insert(at, data.draw(st.sampled_from(["", "", "", " "])))
-        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
-        bom = data.draw(st.sampled_from(["", "\ufeff"]))
-        text = bom + newline.join(lines) + data.draw(st.sampled_from(["", newline, newline * 2]))
-
-        bad, previous = None, None
-        for number, line in enumerate(lines[1:], start=2):
-            if line == "":
-                continue
-            cells = line.split(",")
-            date = dt.date.fromisoformat(cells[0].strip()) if len(cells) > 1 else None
-            if date is None or cells[-1] not in ("true", "false") or (
-                previous is not None and date <= previous
-            ):
-                bad = number
-                break
-            previous = date
+        text, bad = edited_rolling_csv(data, written.read_text())
 
         path = directory / "messy.rolling.csv"
         path.write_bytes(text.encode())
@@ -778,3 +787,36 @@ class TestRollingReaderFuzz:
         assert again.date == results.date
         for col in ROLLING_CSV_COLUMNS[1:]:
             assert getattr(again, col).tobytes() == getattr(results, col).tobytes(), col
+
+    @given(cols=rolling_columns(spoil=False), data=st.data())
+    @settings(max_examples=40)
+    def test_block_size_does_not_change_the_read(self, cols, data, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("fuzz")
+        written = directory / "written.csv"
+        write_rolling_csv(RollingResult(**cols), written)
+        text, _ = edited_rolling_csv(data, written.read_text())
+        path = directory / "messy.rolling.csv"
+        path.write_bytes(text.encode())
+        assert_block_size_free(read_rolling_csv, path)
+
+    @pytest.mark.parametrize("late", [1, 2])
+    def test_rule_in_an_early_block_named_before_a_later_bad_cell(self, tmp_path, monkeypatch, late):
+        # blocks of two rows: row ``late`` (block 1 or 2) dates itself no
+        # later than row 0, and the flag of row 4, in block 3, is bad
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", 2)
+        path = tmp_path / "run.rolling.csv"
+
+        def write(days):
+            flags = ["true", "true", "true", "true", "yes", "true"]
+            rows = [f"{d},0.5,0.01,0.99,0.1,0.002,0.008,1.3,{f}" for d, f in zip(days, flags)]
+            path.write_text("\n".join([",".join(ROLLING_CSV_COLUMNS), *rows]) + "\n")
+
+        days = [dt.date(2000, 1, 3) + dt.timedelta(days=k) for k in range(6)]
+        write(days)
+        with pytest.raises(InputError, match=r"run\.rolling\.csv:6: unparsable garch_converged"):
+            read_rolling_csv(path)
+        days[late] = days[0]
+        write(days)
+        message = rf"run\.rolling\.csv:{late + 2}: date {days[0]} is not later than "
+        with pytest.raises(InputError, match=message):
+            read_rolling_csv(path)

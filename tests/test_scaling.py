@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_segment_fluctuations
+from helpers import naive_mfdfa, naive_segment_fluctuations
 from hurstscan import (
     FluctuationProfile,
     InputError,
@@ -373,6 +373,27 @@ class TestMfdfa:
         x = np.random.default_rng(2).normal(size=800)
         fp, _ = mfdfa(x, [20, 10, 15])[2.0]
         np.testing.assert_array_equal(fp.scales, [10, 15, 20])
+
+
+class TestMfdfaOracle:
+    QS = (-8.0, -4.0, -2.0, 2.0, 4.0, 8.0)
+    # from 10 points up: a cubic fitted to fewer leaves residuals so small
+    # that the rounding of the profile's level shows in F_q at q < 0
+    SCALES = (10, 14, 20, 30, 45, 70, 100, 150, 250)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("factor", [1.0, 1e-30, 1e30])
+    def test_matches_plain_loop(self, order, factor):
+        # at 1e+-30 f2 lies beyond 2**+-128, where _power_means rescales rows for |q| = 8
+        x = gen_fgn(1000, 0.6, seed=4) * factor
+        got = mfdfa(x, self.SCALES, self.QS, order)
+        want = naive_mfdfa(x, self.SCALES, self.QS, order)
+        for q in self.QS:
+            fp, fit = got[q]
+            fq, hurst, r_squared = want[q]
+            np.testing.assert_allclose(fp.fq, fq, rtol=1e-12, atol=0, err_msg=f"q={q}")
+            assert fit.hurst == pytest.approx(hurst, rel=1e-12, abs=0), q
+            assert fit.r_squared == pytest.approx(r_squared, rel=1e-12, abs=0), q
 
 
 class TestFluctuationProfileType:

@@ -1,3 +1,4 @@
+import warnings
 from functools import partial
 
 import numpy as np
@@ -233,3 +234,31 @@ GENERATORS = [
 def test_non_finite_parameters_rejected(make, kwargs):
     with pytest.raises(InputError):
         make(**kwargs)
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("sigma", [1e300, 1e160, 1e-160, 1e-300])
+    def test_fgn_sigma_whose_square_is_not_normal_rejected(self, sigma):
+        for make in (partial(gen_fgn, 100, 0.6), partial(GeneratorSpec, "fgn", 100, hurst=0.6)):
+            with pytest.raises(InputError, match=r"fgn sigma out of range \[1.49e-154, 1.34e\+154\]"):
+                make(sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [1e150, 1e-150])
+    def test_fgn_sigma_near_the_range_ends_scales_the_series(self, sigma):
+        x = gen_fgn(500, 0.6, sigma=sigma, seed=2)
+        np.testing.assert_allclose(x, sigma * gen_fgn(500, 0.6, seed=2), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            # sigma**2 is finite; the circulant embedding's eigenvalues are not
+            (partial(gen_fgn, 2000, 0.6, sigma=1.3e154), "sigma 1.3e\\+154 out of range"),
+            (partial(gen_white, 100, sigma=1e308), "sigma 1e\\+308 out of range"),
+            (partial(gen_garch, 100, 1e308, 0.08, 0.91), "omega 1e\\+308 out of range"),
+        ],
+    )
+    def test_series_leaving_the_float_range_rejected_without_warning(self, make, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=match):
+                make()
