@@ -75,9 +75,10 @@ class _DatedSeries:
             raise InputError("dates and values must have equal length")
         if len(dates) == 0:
             raise InputError("empty series")
-        for a, b in zip(dates, dates[1:]):
-            if b <= a:
-                raise InputError(f"dates must be strictly increasing (at {b})")
+        # compared in C; the first offending date is looked for only on failure
+        if not all(map(operator.lt, dates, islice(dates, 1, None))):
+            b = next(b for a, b in zip(dates, dates[1:]) if not a < b)
+            raise InputError(f"dates must be strictly increasing (at {b})")
         if not np.all(np.isfinite(values)):
             raise InputError("values contain non-finite entries")
         if self._positive and np.any(values <= 0):

@@ -41,12 +41,12 @@ from .scaling import (
     _check_scale_range,
     _check_square_range,
     _check_zero_rule,
-    _cut_segments,
     _fit_loglog,
     _is_integer,
     _power_means,
     _residual_f2,
     _run_marker,
+    _scale_f2,
     _segment_starts,
     _zero_flat,
 )
@@ -256,7 +256,7 @@ def _row_f2(rows: np.ndarray, config: RollingConfig):
     _check_square_range(max(profiles.max(), -profiles.min()), config.s_max)
     marker = _run_marker(rows)
     for s in config.scales():
-        yield _zero_flat(_residual_f2(_cut_segments(profiles, s), order), marker, s, order)
+        yield _zero_flat(_scale_f2(profiles, s, order), marker, s, order)
 
 
 def _window_columns(f2_per_scale, n_windows: int, config: RollingConfig):
@@ -270,10 +270,11 @@ def _window_columns(f2_per_scale, n_windows: int, config: RollingConfig):
     has_zero = np.zeros(n_windows, dtype=bool)
     fq = {q: np.empty((n_windows, scales.size)) for q in config.q_set}
     for j, f2 in enumerate(f2_per_scale):
-        means, zero = _power_means(f2, config.q_set)
-        has_zero |= zero
+        # one group: each window's segments of this scale
+        means, zero = _power_means(f2, config.q_set, (0,))
+        has_zero |= zero[:, 0]
         for q, fq_q in zip(config.q_set, means):
-            fq[q][:, j] = fq_q
+            fq[q][:, j] = fq_q[:, 0]
 
     def check(rows):
         # mfdfa's order within one window: per q, the negative-q rule, then F_q > 0

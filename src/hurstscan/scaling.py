@@ -8,6 +8,15 @@ a least-squares polynomial trend from every segment, and average the
 squared residuals across segments with a power mean of order q.  The
 average fluctuations F_q(s) follow a power law in s whose log-log slope
 is the generalized Hurst exponent H(q).
+
+Segments are never copied out of the profile: at each scale the forward
+and the backward segments are two rows of one strided view of it, and
+one detrending call covers both.  ``mfdfa`` writes the squared
+fluctuations of consecutive scales end to end into one buffer, one
+group per scale, and hands the buffer to the power mean whenever it
+holds a series length; the power mean reduces every group on its own,
+so F_q at a scale is the same, bit for bit, whichever other scales are
+asked for.
 """
 from __future__ import annotations
 
@@ -156,25 +165,38 @@ def segment_fluctuations(profile, s: int, order: int = 1) -> np.ndarray:
     segments in order, then the backward segments (the j-th backward
     segment covers [T-(j+1)*s, T-j*s)).
     """
-    prof = np.asarray(profile, dtype=float)
+    prof = np.ascontiguousarray(profile, dtype=float)
     s = int(s)
     order = int(order)
     _check_scale_range(s, s, order, prof.size)
     _check_square_range(max(prof.max(), -prof.min()), s)
-    return _residual_f2(_cut_segments(prof, s), order)
+    return _scale_f2(prof, s, order)
 
 
-def _cut_segments(profiles, s: int) -> np.ndarray:
-    """Each profile's (last axis) forward then backward segments of length s.
+def _scale_f2(profiles, s: int, order: int, out=None) -> np.ndarray:
+    """``segment_fluctuations`` of C-contiguous float profiles (last axis) without its checks.
 
-    The order is ``segment_fluctuations``'s; the segments are the
-    second-to-last axis of the result.
+    The segments are not copied: a strided view replaces each profile's
+    axis by (2, floor(T/s), s), whose row 0 holds the forward segments
+    in order and row 1 the backward ones from the head of the profile on
+    (when s divides T both rows are the same segments).  One detrending
+    call, and so one basis, covers both rows, and the backward row is
+    reversed into ``segment_fluctuations``' order, in ``out`` if given.
     """
     t = profiles.shape[-1]
-    shape = (*profiles.shape[:-1], t // s, s)
-    forward = profiles[..., : shape[-2] * s].reshape(shape)
-    backward = profiles[..., t - shape[-2] * s :].reshape(shape)[..., ::-1, :]
-    return np.concatenate([forward, backward], axis=-2)
+    m = t // s
+    step = profiles.itemsize
+    # the ndarray constructor: as_strided's generic path costs ten times as
+    # much, once per scale
+    segments = np.ndarray(
+        (*profiles.shape[:-1], 2, m, s),
+        float,
+        profiles,
+        0,
+        (*profiles.strides[:-1], (t - m * s) * step, s * step, step),
+    )
+    f2 = _residual_f2(segments, order)
+    return np.concatenate([f2[..., 0, :], f2[..., 1, ::-1]], axis=-1, out=out)
 
 
 def _check_square_range(largest, s_max: int) -> None:
@@ -283,9 +305,9 @@ def average_fluctuation(segment_f2, q: float) -> float:
     if np.any(f2 < 0):
         raise InputError("squared fluctuations must be non-negative")
     (q,) = _check_qs((q,))
-    (fq,), has_zero = _power_means(f2, (q,))
+    (fq,), has_zero = _power_means(f2, (q,), (0,))
     _check_zero_rule(q, has_zero)
-    return float(fq)
+    return float(fq[0])
 
 
 @functools.lru_cache(maxsize=8)
@@ -297,46 +319,53 @@ def _power_bound(qs) -> float:
     return 2.0 ** min(2.0 * _POWER_BITS / max(map(abs, qs)), 1000.0)
 
 
-def _power_means(f2, qs):
-    """F_q for each q over the last axis of ``f2``, and whether that axis holds a zero.
+def _power_means(f2, qs, starts):
+    """F_q for each q of each group of ``f2``'s last axis, and whether that group holds a zero.
 
-    The one power mean of ``average_fluctuation``, ``mfdfa`` and
-    ``roll``: one scale's segments give one F_q per q, a (windows x
-    segments) array one per window.  Nothing is checked here; a zero
-    f2 gives F_q = 0 for q > 0 and inf for q < 0, which the callers
-    reject with ``_check_zero_rule`` and ``_check_fluctuations``.
+    ``starts`` are the groups' first positions, increasing from 0: a
+    group runs up to the next start, the last one to the end of the
+    axis.  The one power mean of ``average_fluctuation``, ``mfdfa`` and
+    ``roll``: ``mfdfa`` passes the segments of consecutive scales end
+    to end, one group per scale, and ``roll`` one scale's (windows x
+    segments) array as one group.  Both results have ``f2``'s leading
+    shape and one entry per group on the last axis.  Nothing is checked
+    here; a zero f2 gives F_q = 0 for q > 0 and inf for q < 0, which the
+    callers reject with ``_check_zero_rule`` and ``_check_fluctuations``.
 
-    A row far from unit scale would over- or underflow in the power, so
-    a row whose largest f2 lies outside 2**+-(2 * _POWER_BITS / max|q|)
-    is scaled by the even power of two 2**-2k that puts its largest f2
-    in [0.5, 2), and its F_q by 2**k after.  Powers of two scale
-    exactly, so F_q of x * 2**k is 2**k times F_q of x up to the
-    rounding of the power, and every other row keeps its bits.
+    A group far from unit scale would over- or underflow in the power,
+    so a group whose largest f2 lies outside 2**+-(2 * _POWER_BITS /
+    max|q|) is scaled by the even power of two 2**-2k that puts its
+    largest f2 in [0.5, 2), and its F_q by 2**k after.  Powers of two
+    scale exactly, so F_q of x * 2**k is 2**k times F_q of x up to the
+    rounding of the power.  Sums run by ``np.add.reduceat`` over each
+    group alone, and the scaling is decided for each group on its own,
+    so a group's F_q and zero flag are, bit for bit, what it gives
+    alone, whatever groups sit beside it.
     """
-    n = f2.shape[-1]
-    # mfdfa calls this once per scale, often on a few dozen segments, so
-    # fixed costs count: ufunc reductions without the method wrappers,
-    # and whole-array extremes, which on ordinary data show that no f2
-    # is zero and no row is far from unit scale
+    # roll calls this once per scale, so its fixed cost counts: one array
+    # of the group bounds gives the starts and the sizes
+    bounds = np.array((*starts, f2.shape[-1]))
+    starts, n = bounds[:-1], bounds[1:] - bounds[:-1]
+    # whole-array extremes, which on ordinary data show that no f2 is zero
+    # and no group is far from unit scale
     smallest = np.minimum.reduce(f2, axis=None)
     largest = np.maximum.reduce(f2, axis=None)
     if smallest == 0.0:
-        has_zero = (f2 == 0.0).any(axis=-1)
+        has_zero = np.logical_or.reduceat(f2 == 0.0, starts, axis=-1)
     else:
-        has_zero = np.zeros(f2.shape[:-1], dtype=bool)
+        has_zero = np.zeros((*f2.shape[:-1], starts.size), dtype=bool)
     bound = _power_bound(qs)
     half = None
     if largest > bound or smallest < 1.0 / bound:
-        # decided row by row, so a row's F_q does not depend on the rows beside it
-        largest = f2.max(axis=-1)
+        largest = np.maximum.reduceat(f2, starts, axis=-1)
         far = (largest > bound) | (largest < 1.0 / bound)
         half = np.where(far, np.frexp(largest)[1] // 2, 0)
-        f2 = np.ldexp(f2, -2 * half[..., None])
+        f2 = np.ldexp(f2, -2 * np.repeat(half, n, axis=-1))
     with np.errstate(divide="ignore"):
-        # sum / n: the bits of np.mean; at q = 2 the power is the
-        # identity, so f2 is summed as it is
+        # at q = 2 the power is the identity, so f2 is summed as it is
         fq = [
-            (np.add.reduce(f2 if q == 2.0 else np.power(f2, q / 2.0), axis=-1) / n) ** (1.0 / q)
+            (np.add.reduceat(f2 if q == 2.0 else np.power(f2, q / 2.0), starts, axis=-1) / n)
+            ** (1.0 / q)
             for q in qs
         ]
     if half is not None:
@@ -415,6 +444,16 @@ def mfdfa(
     Returns
     -------
     dict mapping q to a (FluctuationProfile, ScalingFit) pair.
+
+    Notes
+    -----
+    Each scale's 2*floor(T/s) squared fluctuations, in
+    ``segment_fluctuations``' order, take the next stretch of one buffer.
+    Once the buffer holds T or more it goes to one ``_power_means`` call
+    with one group per scale, and fills again from its start: the
+    buffer never holds more than T + 2*floor(T/s_min) values, and 991
+    scales of 20,000 points take about ten power-mean calls.  The
+    negative-q rule is checked over all scales after the last call.
     """
     scale_arr = np.unique(np.asarray(list(scales), dtype=int))
     if scale_arr.size == 0:
@@ -426,13 +465,24 @@ def mfdfa(
     _check_square_range(max(prof.max(), -prof.min()), int(scale_arr[-1]))
     marker = _run_marker(x)
 
+    n = x.size
     fq = np.empty((len(q_list), scale_arr.size))
     has_zero = False
+    # each scale's squared fluctuations go end to end into one buffer, one
+    # power-mean group per scale; it is reduced and emptied once it holds
+    # a series length, so it never outgrows one scale's segment stack
+    buffer = np.empty(n + 2 * (n // int(scale_arr[0])))
+    fill, first, starts = 0, 0, []
     for j, s in enumerate(scale_arr.tolist()):
-        f2 = _zero_flat(_residual_f2(_cut_segments(prof, s), order), marker, s, order)
-        means, zero = _power_means(f2, q_list)
-        fq[:, j] = means
-        has_zero |= zero
+        group = buffer[fill : fill + 2 * (n // s)]
+        _zero_flat(_scale_f2(prof, s, order, out=group), marker, s, order)
+        starts.append(fill)
+        fill += group.size
+        if fill >= n or j == scale_arr.size - 1:
+            means, zero = _power_means(buffer[:fill], q_list, starts)
+            fq[:, first : j + 1] = means
+            has_zero = has_zero or bool(zero.any())
+            fill, first, starts = 0, j + 1, []
     out: dict[float, tuple[FluctuationProfile, ScalingFit]] = {}
     for q, fq_q in zip(q_list, fq):
         _check_zero_rule(q, has_zero)

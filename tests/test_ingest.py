@@ -312,6 +312,15 @@ class TestSeriesTypes:
                 values=np.array([1.0, 2.0]),
             )
 
+    @pytest.mark.parametrize("at", [1, 2, 5])
+    def test_first_date_out_of_order_named(self, at):
+        # a repeated date, and a later date out of order that must not be named
+        dates = list(synthetic_dates(8))
+        dates[at] = dates[at - 1]
+        dates[7] = dates[0]
+        with pytest.raises(InputError, match=rf"^dates must be strictly increasing \(at {dates[at]}\)$"):
+            ReturnSeries(dates, np.zeros(8))
+
     def test_values_read_only(self):
         series = make_prices([100.0, 105.0])
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from hurstscan import (
     mfdfa,
     segment_fluctuations,
 )
+from hurstscan import scaling
 from hurstscan.scaling import _detrend_basis, _power_means, _residual_f2
 
 
@@ -83,6 +84,70 @@ class TestAverageFluctuation:
         # power means are nondecreasing in the order
         lo, hi = qpair
         assert average_fluctuation(f2, lo) <= average_fluctuation(f2, hi) * (1 + 1e-12)
+
+
+class TestGroupedPowerMeans:
+    QS = (-8.0, -2.0, 2.0, 4.0)
+
+    @staticmethod
+    def groups():
+        f2 = segment_fluctuations(build_profile(gen_fgn(600, 0.6, seed=4)), 10)
+        with_zero = f2[:20].copy()
+        with_zero[7] = 0.0
+        return [
+            f2,
+            f2[:30],
+            # at 2**+-600 every power but q = 2 over- or underflows unless rescaled
+            np.ldexp(f2[:30], 600),
+            np.ldexp(f2[5:50], -600),
+            with_zero,
+            f2[3:4],
+            np.ldexp(f2[8:9], 600),
+        ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_each_group_as_alone(self, seed):
+        # any choice and order of groups, repeats included: each group's F_q
+        # and zero flag bit for bit as when it is reduced on its own
+        groups = self.groups()
+        rng = np.random.default_rng(seed)
+        chosen = [groups[k] for k in rng.choice(len(groups), size=rng.integers(1, 12))]
+        starts = np.cumsum([0] + [g.size for g in chosen[:-1]])
+        means, zero = _power_means(np.concatenate(chosen), self.QS, starts)
+        assert zero.shape == (len(chosen),)
+        for j, group in enumerate(chosen):
+            alone, alone_zero = _power_means(group, self.QS, (0,))
+            assert [m[j] for m in means] == [a[0] for a in alone], j
+            assert zero[j] == alone_zero[0], j
+
+    def test_rows_of_groups(self):
+        # a 2-d f2: groups along the last axis of every row
+        groups = self.groups()
+        rows = np.stack([np.concatenate(groups), np.concatenate(groups[::-1])[::-1]])
+        starts = np.cumsum([0] + [g.size for g in groups[:-1]])
+        means, zero = _power_means(rows, self.QS, starts)
+        assert zero.shape == (2, len(groups))
+        for i, row in enumerate(rows):
+            alone, alone_zero = _power_means(row, self.QS, starts)
+            assert [m[i].tobytes() for m in means] == [a.tobytes() for a in alone]
+            assert zero[i].tolist() == alone_zero.tolist()
+
+    def test_rescaled_zero_and_single_groups(self):
+        groups = self.groups()
+        starts = np.cumsum([0] + [g.size for g in groups[:-1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            means, zero = _power_means(np.concatenate(groups), self.QS, starts)
+        assert zero.tolist() == [False, False, False, False, True, False, False]
+        for q, fq in zip(self.QS, means):
+            # 2**600 in f2 is 2**300 in F_q
+            assert fq[2] == pytest.approx(np.ldexp(fq[1], 300), rel=1e-14, abs=0), q
+            # a single segment's power mean is its own square root
+            assert fq[5] == pytest.approx(np.sqrt(groups[5][0]), rel=1e-15, abs=0), q
+            assert fq[6] == pytest.approx(np.sqrt(groups[6][0]), rel=1e-15, abs=0), q
+            assert np.isfinite(fq[3]) and fq[3] > 0.0, q
+            # a zero segment sends q < 0 to 0, which mfdfa rejects
+            assert (fq[4] == 0.0) == (q < 0), q
 
 
 class TestSegmentFluctuations:
@@ -282,11 +347,11 @@ class TestMfdfa:
         f2 = segment_fluctuations(build_profile(gen_fgn(600, 0.6, seed=4)), 10)
         rows = np.stack([np.ldexp(f2, 2 * k) for k in (0, 300, -300, 5, -450)])
         qs = (-8.0, 2.0, 4.0)
-        means, _ = _power_means(rows, qs)
+        means, _ = _power_means(rows, qs, (0,))
         for i, row in enumerate(rows):
-            alone, _ = _power_means(row, qs)
-            assert [m[i] for m in means] == alone
-        assert means[1][0] == _power_means(f2, (2.0,))[0][0]
+            alone, _ = _power_means(row, qs, (0,))
+            assert [m[i, 0] for m in means] == [a[0] for a in alone]
+        assert means[1][0, 0] == _power_means(f2, (2.0,), (0,))[0][0][0]
 
     def test_shuffle_destroys_persistence(self):
         x = gen_fgn(10000, 0.8, seed=9)
@@ -375,6 +440,90 @@ class TestMfdfa:
         np.testing.assert_array_equal(fp.scales, [10, 15, 20])
 
 
+def flat_scale_flags(x, scales) -> list[bool]:
+    """Whether some segment of each scale covers equal values only, from its definition.
+
+    The segment starting at p is flat when x[p+1..p+s-1] are all equal:
+    its profile is then a straight line, which order 1 removes exactly.
+    """
+    flags = []
+    for s in scales:
+        m = x.size // s
+        starts = [k * s for k in range(m)] + [x.size - (k + 1) * s for k in range(m)]
+        flags.append(any(np.all(x[p + 1 : p + s] == x[p + 1]) for p in starts))
+    return flags
+
+
+class TestMfdfaFlushGroups:
+    # 2,000 points at scales 4..500: about 19,000 segments, which mfdfa
+    # reduces in ten calls of at least a series length each but the last
+    SCALES = range(4, 501)
+    QS = (-4.0, 2.0, 4.0)
+
+    @staticmethod
+    def series():
+        return gen_fgn(2000, 0.6, seed=11)
+
+    @staticmethod
+    def record_flushes(monkeypatch):
+        """The zero flags, one per group, of each ``_power_means`` call from here on."""
+        calls = []
+        real = scaling._power_means
+
+        def recording(f2, qs, starts):
+            means, zero = real(f2, qs, starts)
+            calls.append(zero.copy())
+            return means, zero
+
+        monkeypatch.setattr(scaling, "_power_means", recording)
+        return calls
+
+    def test_spans_several_flushes(self, monkeypatch):
+        calls = self.record_flushes(monkeypatch)
+        mfdfa(self.series(), self.SCALES, self.QS)
+        assert len(calls) == 10
+        assert sum(zero.size for zero in calls) == len(self.SCALES)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scale_free_of_the_other_scales(self, seed):
+        # F_q at a scale, bit for bit, whichever scales share its flushes
+        x = self.series()
+        full = mfdfa(x, self.SCALES, self.QS)
+        subset = np.sort(np.random.default_rng(seed).choice(self.SCALES, 60, replace=False))
+        part = mfdfa(x, subset, self.QS)
+        at = subset - self.SCALES.start
+        for q in self.QS:
+            assert part[q][0].fq.tobytes() == full[q][0].fq[at].tobytes(), q
+
+    def test_last_flush_of_one_scale(self, monkeypatch):
+        # scales 4..451 fill the buffer exactly nine times: 452 is reduced alone
+        x = self.series()
+        full = mfdfa(x, self.SCALES, self.QS)
+        calls = self.record_flushes(monkeypatch)
+        part = mfdfa(x, range(4, 453), self.QS)
+        assert len(calls) == 10 and calls[-1].size == 1
+        for q in self.QS:
+            assert part[q][0].fq.tobytes() == full[q][0].fq[:449].tobytes(), q
+
+    @pytest.mark.parametrize(
+        "first, length, later",
+        # 6 equal values from 1004: only scales 4..6, the first flush, see
+        # them; 300 from 700: scales up to 300, across the first eight flushes
+        [(1004, 6, False), (700, 300, True)],
+    )
+    def test_flat_stretch_flags_its_own_scales(self, monkeypatch, first, length, later):
+        x = self.series()
+        x[first : first + length] = x[first]
+        calls = self.record_flushes(monkeypatch)
+        for qs in (self.QS, (2.0, -2.0)):
+            with pytest.raises(InputError, match="zero segment fluctuation with negative q"):
+                mfdfa(x, self.SCALES, qs)
+        flags = np.concatenate(calls[: len(calls) // 2]).tolist()
+        assert flags == flat_scale_flags(x, self.SCALES)
+        assert any(zero.any() for zero in calls[1 : len(calls) // 2]) == later
+        mfdfa(x, self.SCALES, (2.0, 4.0))
+
+
 class TestMfdfaOracle:
     QS = (-8.0, -4.0, -2.0, 2.0, 4.0, 8.0)
     # from 10 points up: a cubic fitted to fewer leaves residuals so small
@@ -388,6 +537,21 @@ class TestMfdfaOracle:
         x = gen_fgn(1000, 0.6, seed=4) * factor
         got = mfdfa(x, self.SCALES, self.QS, order)
         want = naive_mfdfa(x, self.SCALES, self.QS, order)
+        for q in self.QS:
+            fp, fit = got[q]
+            fq, hurst, r_squared = want[q]
+            np.testing.assert_allclose(fp.fq, fq, rtol=1e-12, atol=0, err_msg=f"q={q}")
+            assert fit.hurst == pytest.approx(hurst, rel=1e-12, abs=0), q
+            assert fit.r_squared == pytest.approx(r_squared, rel=1e-12, abs=0), q
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_matches_plain_loop_across_flushes(self, order):
+        # scales 10..500 of 2,000 points: their segments fill mfdfa's buffer
+        # about eight times, so F_q comes from several power-mean calls
+        x = gen_fgn(2000, 0.6, seed=4)
+        scales = range(10, 501)
+        got = mfdfa(x, scales, self.QS, order)
+        want = naive_mfdfa(x, scales, self.QS, order)
         for q in self.QS:
             fp, fit = got[q]
             fq, hurst, r_squared = want[q]
