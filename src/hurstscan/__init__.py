@@ -25,7 +25,6 @@ from .ingest import (
     load_prices,
     load_returns,
     log_returns,
-    max_drawdown,
     save_prices,
     save_returns,
     synthetic_dates,
@@ -44,11 +43,8 @@ from .rolling import (
 from .scaling import (
     FluctuationProfile,
     ScalingFit,
-    average_fluctuation,
-    build_profile,
     fit_scaling,
     mfdfa,
-    segment_fluctuations,
 )
 from .synth import GeneratorSpec, fgn_autocovariance, gen_fgn, gen_garch, gen_white, generate
 
@@ -64,7 +60,6 @@ __all__ = [
     "save_prices",
     "save_returns",
     "log_returns",
-    "max_drawdown",
     "synthetic_dates",
     "GarchParams",
     "GarchFit",
@@ -74,9 +69,6 @@ __all__ = [
     "garch_filter",
     "FluctuationProfile",
     "ScalingFit",
-    "build_profile",
-    "segment_fluctuations",
-    "average_fluctuation",
     "fit_scaling",
     "mfdfa",
     "LiquidityIndicators",

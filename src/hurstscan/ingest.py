@@ -41,7 +41,6 @@ __all__ = [
     "save_prices",
     "save_returns",
     "log_returns",
-    "max_drawdown",
     "synthetic_dates",
 ]
 
@@ -308,28 +307,6 @@ def log_returns(prices: PriceSeries) -> ReturnSeries:
         raise InputError("need at least 2 prices to compute returns")
     values = np.log(prices.values[1:] / prices.values[:-1])
     return ReturnSeries(dates=prices.dates[1:], values=values)
-
-
-def max_drawdown(
-    prices: PriceSeries,
-    start: dt.date | None = None,
-    end: dt.date | None = None,
-) -> float:
-    """Largest peak-to-trough loss fraction within [start, end] (inclusive).
-
-    Defined as 1 - min_t(value_t / running max up to t); 0 for a series
-    that never falls below an earlier level.
-    """
-    mask = np.ones(len(prices), dtype=bool)
-    if start is not None:
-        mask &= np.array([d >= start for d in prices.dates])
-    if end is not None:
-        mask &= np.array([d <= end for d in prices.dates])
-    selected = prices.values[mask]
-    if selected.size == 0:
-        raise InputError("empty date range")
-    running_max = np.maximum.accumulate(selected)
-    return float(1.0 - np.min(selected / running_max))
 
 
 def synthetic_dates(n: int, start: dt.date = SYNTHETIC_START) -> tuple[dt.date, ...]:

@@ -35,11 +35,7 @@ __all__ = ["LiquidityIndicators", "rescale", "liquidity_indicators"]
 # 2**+-256: their squared deviations then stay finite, summed over any
 # number of scales, and normal down to the rounding of R(s)
 _SPREAD_BOUND = 2.0**256
-
-
-def _check_rescaled(r) -> None:
-    if not np.all(np.isfinite(r)) or np.any(r <= 0):
-        raise InputError("rescaled fluctuations must be finite and positive")
+_SMALLEST_NORMAL = 2.0**-1022
 
 
 def _check_has_q2(q_set) -> None:
@@ -79,10 +75,18 @@ class LiquidityIndicators:
 
 
 def _rescale_rows(scales, fq, hurst) -> np.ndarray:
-    """R(s) = F_2(s)^2 / s^(2*H) along the last axis of ``fq``, one H per row."""
+    """R(s) = F_2(s)^2 / s^(2*H) along the last axis of ``fq``, one H per row.
+
+    R(s) is in squared units: one outside the normal float range raises, without a warning.
+    """
     s = np.asarray(scales, dtype=float)
-    r = fq**2 / s ** (2.0 * np.asarray(hurst, dtype=float)[..., None])
-    _check_rescaled(r)
+    with np.errstate(all="ignore"):
+        r = fq**2 / s ** (2.0 * np.asarray(hurst, dtype=float)[..., None])
+    if not np.all((r >= _SMALLEST_NORMAL) & (r < np.inf)):
+        raise InputError(
+            "rescaled fluctuations must be finite and positive normal floats; "
+            "R(s) = F_2(s)^2 / s^(2H) leaves the floating-point range"
+        )
     return r
 
 

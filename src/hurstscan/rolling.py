@@ -39,7 +39,6 @@ from .scaling import (
     _check_fluctuations,
     _check_qs,
     _check_scale_range,
-    _check_square_range,
     _check_zero_rule,
     _fit_loglog,
     _is_integer,
@@ -48,6 +47,7 @@ from .scaling import (
     _run_marker,
     _scale_f2,
     _segment_starts,
+    _unit_steps,
     _zero_flat,
 )
 
@@ -100,7 +100,7 @@ class RollingConfig:
         _check_has_q2(self.q_set)
         if self.step < 1:
             raise InputError("step must be at least 1")
-        # the kernel never calls segment_fluctuations, so check the window here
+        # the kernel runs no scale check of its own, so check the window here
         _check_scale_range(self.s_min, self.s_max, self.detrend_order, self.window)
         if self.s_max < self.s_min + 2:
             raise InputError("need at least 3 scales: s_max must be >= s_min + 2")
@@ -216,7 +216,7 @@ def _shared_f2(values: np.ndarray, starts: np.ndarray, config: RollingConfig):
     so a segment's squared fluctuation depends only on its absolute
     start and its scale, not on the window.  Each scale's fluctuations
     are computed once for every start position, then gathered into each
-    window's forward and backward segments in ``mfdfa``'s order.  The
+    window's forward and backward segments in ``_scale_f2``'s order.  The
     running sums stay at the size of one segment, so their rounding
     is no larger than that of ``mfdfa``'s per-window profile.
 
@@ -228,44 +228,51 @@ def _shared_f2(values: np.ndarray, starts: np.ndarray, config: RollingConfig):
     matmul's rounding follows the shape of its stack (see
     ``_residual_f2``), so the table's spare rows stay out of it.
 
-    Yields one (windows x 2*(window // s)) array per scale.
+    Returns the series' exponent e of ``_unit_steps`` and an iterator
+    of one (windows x 2*(window // s)) array per scale, the
+    fluctuations of the series scaled by 2**-e.
     """
-    steps = values - values.mean()
-    # a running sum over at most s_max steps bounds every segment's values
-    _check_square_range(config.s_max * max(steps.max(), -steps.min()), config.s_max)
+    steps, e = _unit_steps(values)
     marker = _run_marker(values)
     n, order = steps.size, config.detrend_order
     # zeros at the end give every start up to n - s_min a full table row
     padded = np.concatenate([steps, np.zeros(config.s_max - config.s_min)])
     sums = np.cumsum(sliding_window_view(padded, config.s_max), axis=1)
-    for s in config.scales():
-        # row a: the profile over [a, a + s) up to a constant
-        f2_at = _residual_f2(sums[: n - s + 1, :s], order)
-        if marker is not None:
-            _zero_flat(f2_at, marker, s, order, np.arange(f2_at.size))
-        yield f2_at[starts[:, None] + _segment_starts(config.window, s)]
+
+    def per_scale():
+        for s in config.scales():
+            # row a: the profile over [a, a + s) up to a constant
+            f2_at = _residual_f2(sums[: n - s + 1, :s], order)
+            if marker is not None:
+                _zero_flat(f2_at, marker, s, order, np.arange(f2_at.size))
+            yield f2_at[starts[:, None] + _segment_starts(config.window, s)]
+
+    return e, per_scale()
 
 
 def _row_f2(rows: np.ndarray, config: RollingConfig):
     """Like ``_shared_f2``, for a (windows x window) matrix whose every row is its own series.
 
-    Each row's profile is cut as ``segment_fluctuations`` cuts it.
+    Each row is scaled to unit size on its own, and its profile is cut
+    as ``_scale_f2`` cuts it; e holds one exponent per row.
     """
     order = config.detrend_order
-    profiles = np.cumsum(rows - rows.mean(axis=1, keepdims=True), axis=1)
-    _check_square_range(max(profiles.max(), -profiles.min()), config.s_max)
+    steps, e = _unit_steps(rows)
+    profiles = np.cumsum(steps, axis=1)
     marker = _run_marker(rows)
-    for s in config.scales():
-        yield _zero_flat(_scale_f2(profiles, s, order), marker, s, order)
+    return e, (_zero_flat(_scale_f2(profiles, s, order), marker, s, order) for s in config.scales())
 
 
-def _window_columns(f2_per_scale, n_windows: int, config: RollingConfig):
+def _window_columns(source, n_windows: int, config: RollingConfig):
     """Scaling fit and indicators of every window from its squared segment fluctuations.
 
-    Returns (hurst, stderr_hurst, r_squared, f0, f_sigma, f_range,
+    ``source`` is the (e, per-scale fluctuations) pair of ``_shared_f2``
+    or ``_row_f2``: F_q is scaled back by 2**e, per window, before the
+    fit.  Returns (hurst, stderr_hurst, r_squared, f0, f_sigma, f_range,
     f_ratio), one array entry per window; raises the same InputError as
-    ``mfdfa`` + ``liquidity_indicators`` on a degenerate window.
+    ``mfdfa`` + ``liquidity_indicators`` on the first bad window.
     """
+    e, f2_per_scale = source
     scales = np.asarray(config.scales())
     has_zero = np.zeros(n_windows, dtype=bool)
     fq = {q: np.empty((n_windows, scales.size)) for q in config.q_set}
@@ -275,21 +282,26 @@ def _window_columns(f2_per_scale, n_windows: int, config: RollingConfig):
         has_zero |= zero[:, 0]
         for q, fq_q in zip(config.q_set, means):
             fq[q][:, j] = fq_q[:, 0]
+    with np.errstate(over="ignore"):
+        # beyond the float range F_q is inf, which the check rejects
+        fq = {q: np.ldexp(fq_q, e) for q, fq_q in fq.items()}
 
-    def check(rows):
-        # mfdfa's order within one window: per q, the negative-q rule, then F_q > 0
+    def columns(rows):
+        # mfdfa's order within one window: per q, the negative-q rule, then
+        # F_q > 0; then the fit and liquidity_indicators' measures
         for q in config.q_set:
             _check_zero_rule(q, has_zero[rows])
             _check_fluctuations(fq[q][rows])
+        hurst, intercept, r_squared, stderr = _fit_loglog(scales, fq[2.0][rows])
+        return (hurst, stderr, r_squared, *_indicator_rows(scales, fq[2.0][rows], hurst, intercept))
 
     try:
-        check(slice(None))
+        return columns(slice(None))
     except InputError:
-        # report the error of the first bad window, as mfdfa on each window would
+        # report the error of the first bad window, as each window alone would
         for i in range(n_windows):
-            check(i)
-    hurst, intercept, r_squared, stderr = _fit_loglog(scales, fq[2.0])
-    return (hurst, stderr, r_squared, *_indicator_rows(scales, fq[2.0], hurst, intercept))
+            columns(i)
+        raise
 
 
 def _row_columns(values: np.ndarray, starts: np.ndarray, config: RollingConfig, refit: bool):

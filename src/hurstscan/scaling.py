@@ -30,17 +30,8 @@ import numpy as np
 from .exceptions import InputError
 from .ingest import _FLOAT, _INT, _write_table
 
-__all__ = [
-    "FluctuationProfile",
-    "ScalingFit",
-    "build_profile",
-    "segment_fluctuations",
-    "average_fluctuation",
-    "fit_scaling",
-    "mfdfa",
-]
+__all__ = ["FluctuationProfile", "ScalingFit", "fit_scaling", "mfdfa"]
 
-_FLOAT_MAX = float(np.finfo(float).max)
 # a row's powers f2**(q/2) are left as they are while its largest term
 # lies within 2**+-_POWER_BITS: sums of such terms stay normal and finite
 _POWER_BITS = 512
@@ -48,7 +39,11 @@ _POWER_BITS = 512
 
 def _check_fluctuations(fq) -> None:
     """Reject any F_q(s) that is non-finite or not positive, in an array of any shape."""
-    if not np.all(np.isfinite(fq)) or np.any(fq <= 0):
+    if not np.all(np.isfinite(fq)):
+        raise InputError(
+            "fluctuations must be finite and positive; F_q(s) leaves the floating-point range"
+        )
+    if np.any(fq <= 0):
         raise InputError(
             "fluctuations must be finite and positive; "
             "zero fluctuation indicates a degenerate (e.g. constant) input series"
@@ -136,52 +131,44 @@ class ScalingFit:
         }
 
 
-def build_profile(series) -> np.ndarray:
-    """Cumulative sum of the demeaned series.
+def _unit_steps(values):
+    """The demeaned values (last axis), each series first scaled to unit size, and the scale.
 
-    The profile integrates the (stationary) input once, turning e.g.
-    noise with Hurst exponent H into a random-walk-like signal whose
-    detrended fluctuations scale as s**H.
+    Each series (each row of a 2-d array) is scaled by the power of two
+    2**-e that puts its largest |value| in [0.5, 1); e comes back with
+    the last axis kept, and F_q of the scaled series times 2**e is F_q
+    of the series.  A power of two scales exactly while nothing leaves
+    the normal range, so the mean, the running sums and the detrending
+    residuals are 2**-e times the series' own, bit for bit, and a
+    series far from unit scale can neither overflow the squared
+    residuals nor sink them below the normal range.
     """
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise InputError("series must be one-dimensional with at least 2 points")
-    if not np.all(np.isfinite(x)):
+    x = np.asarray(values, dtype=float)
+    largest = np.maximum.reduce(np.abs(x), axis=-1, keepdims=True)
+    if not np.all(np.isfinite(largest)):
         raise InputError("series contains non-finite values")
-    return np.cumsum(x - x.mean())
-
-
-def segment_fluctuations(profile, s: int, order: int = 1) -> np.ndarray:
-    """Per-segment mean squared detrending residuals at scale s.
-
-    The profile is cut into floor(T/s) non-overlapping segments starting
-    from the beginning and another floor(T/s) starting from the end, so
-    both tails of a series whose length is not a multiple of s are
-    covered.  Each segment is detrended by a least-squares polynomial of
-    the given order; the segment's fluctuation is the mean of the squared
-    residuals.
-
-    Returns an array of 2*floor(T/s) squared fluctuations: the forward
-    segments in order, then the backward segments (the j-th backward
-    segment covers [T-(j+1)*s, T-j*s)).
-    """
-    prof = np.ascontiguousarray(profile, dtype=float)
-    s = int(s)
-    order = int(order)
-    _check_scale_range(s, s, order, prof.size)
-    _check_square_range(max(prof.max(), -prof.min()), s)
-    return _scale_f2(prof, s, order)
+    e = np.frexp(largest)[1]
+    steps = np.ldexp(x, -e)
+    steps -= steps.mean(axis=-1, keepdims=True)
+    return steps, e
 
 
 def _scale_f2(profiles, s: int, order: int, out=None) -> np.ndarray:
-    """``segment_fluctuations`` of C-contiguous float profiles (last axis) without its checks.
+    """Per-segment mean squared detrending residuals at scale s of C-contiguous float profiles.
+
+    Each profile (last axis) of length T is cut into floor(T/s) segments
+    from the front and floor(T/s) from the back, so both tails are
+    covered when s does not divide T, and each segment is detrended by
+    a least-squares polynomial of the given order.  The last axis of the
+    result holds the forward segments in order, then the backward ones
+    (the j-th covers [T-(j+1)*s, T-j*s)), as ``_segment_starts`` lists them.
 
     The segments are not copied: a strided view replaces each profile's
     axis by (2, floor(T/s), s), whose row 0 holds the forward segments
     in order and row 1 the backward ones from the head of the profile on
     (when s divides T both rows are the same segments).  One detrending
     call, and so one basis, covers both rows, and the backward row is
-    reversed into ``segment_fluctuations``' order, in ``out`` if given.
+    reversed into place, in ``out`` if given.
     """
     t = profiles.shape[-1]
     m = t // s
@@ -197,22 +184,6 @@ def _scale_f2(profiles, s: int, order: int, out=None) -> np.ndarray:
     )
     f2 = _residual_f2(segments, order)
     return np.concatenate([f2[..., 0, :], f2[..., 1, ::-1]], axis=-1, out=out)
-
-
-def _check_square_range(largest, s_max: int) -> None:
-    """Reject profile values up to ``largest`` whose squares, summed over s_max points, overflow.
-
-    A segment's residual sum of squares is at most that of its profile
-    values, so this bounds every detrending step.  It must run before
-    them: the row sums of squares overflow to inf without a warning.
-    """
-    largest = float(largest)
-    # twice the sum leaves room for rounding
-    if not 2.0 * s_max * largest * largest <= _FLOAT_MAX:
-        raise InputError(
-            f"series too large: profile values up to {largest:.3g} square beyond "
-            f"the floating-point range (largest float {_FLOAT_MAX:.3g})"
-        )
 
 
 def _detrend_basis(s: int, order: int) -> np.ndarray:
@@ -258,7 +229,7 @@ def _residual_f2(segments, order: int) -> np.ndarray:
 
 
 def _segment_starts(length: int, s: int) -> np.ndarray:
-    """First profile position of each segment of a series, in segment_fluctuations' order."""
+    """First profile position of each segment of a series, in ``_scale_f2``'s order."""
     k = np.arange(length // s)
     return np.concatenate([k * s, length - (k + 1) * s])
 
@@ -279,7 +250,7 @@ def _zero_flat(f2, marker, s: int, order: int, starts=None):
     Over x[a+1] = ... = x[a+s-1] the profile of the segment starting at
     a is a straight line, which order >= 1 removes up to rounding noise
     that would pass for a tiny fluctuation.  A constant series is flat
-    for every order.  ``starts`` default to ``segment_fluctuations``'s.
+    for every order.  ``starts`` default to ``_segment_starts``'.
     """
     if marker is None:
         return f2
@@ -290,24 +261,6 @@ def _zero_flat(f2, marker, s: int, order: int, starts=None):
         flat = flat | (marker[..., starts + s - 2] == marker[..., starts])
     f2[np.broadcast_to(flat, f2.shape)] = 0.0
     return f2
-
-
-def average_fluctuation(segment_f2, q: float) -> float:
-    """Power mean of order q across segments: F_q(s) = (mean (F^2)^(q/2))^(1/q).
-
-    q = 0 (logarithmic averaging) is rejected; for q < 0 any exactly-zero
-    segment fluctuation is rejected as well, since it would blow up the
-    negative power.
-    """
-    f2 = np.asarray(segment_f2, dtype=float).ravel()
-    if f2.size == 0:
-        raise InputError("no segment fluctuations to average")
-    if np.any(f2 < 0):
-        raise InputError("squared fluctuations must be non-negative")
-    (q,) = _check_qs((q,))
-    (fq,), has_zero = _power_means(f2, (q,), (0,))
-    _check_zero_rule(q, has_zero)
-    return float(fq[0])
 
 
 @functools.lru_cache(maxsize=8)
@@ -324,13 +277,13 @@ def _power_means(f2, qs, starts):
 
     ``starts`` are the groups' first positions, increasing from 0: a
     group runs up to the next start, the last one to the end of the
-    axis.  The one power mean of ``average_fluctuation``, ``mfdfa`` and
-    ``roll``: ``mfdfa`` passes the segments of consecutive scales end
-    to end, one group per scale, and ``roll`` one scale's (windows x
-    segments) array as one group.  Both results have ``f2``'s leading
-    shape and one entry per group on the last axis.  Nothing is checked
-    here; a zero f2 gives F_q = 0 for q > 0 and inf for q < 0, which the
-    callers reject with ``_check_zero_rule`` and ``_check_fluctuations``.
+    axis.  The one power mean of ``mfdfa`` and ``roll``: ``mfdfa``
+    passes the segments of consecutive scales end to end, one group per
+    scale, and ``roll`` one scale's (windows x segments) array as one
+    group.  Both results have ``f2``'s leading shape and one entry per
+    group on the last axis.  Nothing is checked here; a zero f2 gives
+    F_q = 0 for q > 0 and inf for q < 0, which the callers reject with
+    ``_check_zero_rule`` and ``_check_fluctuations``.
 
     A group far from unit scale would over- or underflow in the power,
     so a group whose largest f2 lies outside 2**+-(2 * _POWER_BITS /
@@ -447,8 +400,12 @@ def mfdfa(
 
     Notes
     -----
-    Each scale's 2*floor(T/s) squared fluctuations, in
-    ``segment_fluctuations``' order, take the next stretch of one buffer.
+    The series is first scaled to unit size by an exact power of two
+    (``_unit_steps``), and F_q is scaled back before the fit, so a
+    series anywhere in the normal float range gives the H it gives at
+    unit scale, and F_q scaled by the same factor.  Each scale's 2*floor(T/s) squared
+    fluctuations, in ``_scale_f2``'s order, take the next stretch of
+    one buffer.
     Once the buffer holds T or more it goes to one ``_power_means`` call
     with one group per scale, and fills again from its start: the
     buffer never holds more than T + 2*floor(T/s_min) values, and 991
@@ -461,8 +418,10 @@ def mfdfa(
     q_list = _check_qs(qs)
     x = np.asarray(series, dtype=float)
     _check_scale_range(int(scale_arr[0]), int(scale_arr[-1]), order, x.size)
-    prof = build_profile(x)
-    _check_square_range(max(prof.max(), -prof.min()), int(scale_arr[-1]))
+    if x.ndim != 1:
+        raise InputError("series must be one-dimensional")
+    steps, e = _unit_steps(x)
+    prof = np.cumsum(steps)
     marker = _run_marker(x)
 
     n = x.size
@@ -483,6 +442,9 @@ def mfdfa(
             fq[:, first : j + 1] = means
             has_zero = has_zero or bool(zero.any())
             fill, first, starts = 0, j + 1, []
+    with np.errstate(over="ignore"):
+        # beyond the float range F_q is inf, which FluctuationProfile rejects
+        fq = np.ldexp(fq, e)
     out: dict[float, tuple[FluctuationProfile, ScalingFit]] = {}
     for q, fq_q in zip(q_list, fq):
         _check_zero_rule(q, has_zero)

@@ -19,6 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from hurstscan import (
     InputError,
     NumericalError,
+    PriceSeries,
     ReturnSeries,
     RollingResult,
     garch_fit,
@@ -28,13 +29,7 @@ from hurstscan import (
     synthetic_dates,
 )
 from hurstscan.rolling import ROLLING_CSV_COLUMNS
-from hurstscan.scaling import (
-    _check_square_range,
-    _residual_f2,
-    _run_marker,
-    _segment_starts,
-    _zero_flat,
-)
+from hurstscan.scaling import _residual_f2, _run_marker, _segment_starts, _unit_steps, _zero_flat
 
 # filled by test_acceptance, printed by the conftest terminal-summary hook
 ACCEPTANCE_LINES: list[str] = []
@@ -211,14 +206,39 @@ def per_scale_shared_f2(values, starts, config):
     an (n - s + 1) x s array of their own, so the whole-sample roll
     must give the same bits with either source.
     """
-    steps = values - values.mean()
-    _check_square_range(config.s_max * max(steps.max(), -steps.min()), config.s_max)
+    steps, e = _unit_steps(values)
     marker = _run_marker(values)
-    for s in config.scales():
-        segments = np.cumsum(sliding_window_view(steps, s), axis=1)
-        f2_at = _residual_f2(segments, config.detrend_order)
-        _zero_flat(f2_at, marker, s, config.detrend_order, np.arange(f2_at.size))
-        yield f2_at[starts[:, None] + _segment_starts(config.window, s)]
+
+    def per_scale():
+        for s in config.scales():
+            segments = np.cumsum(sliding_window_view(steps, s), axis=1)
+            f2_at = _residual_f2(segments, config.detrend_order)
+            _zero_flat(f2_at, marker, s, config.detrend_order, np.arange(f2_at.size))
+            yield f2_at[starts[:, None] + _segment_starts(config.window, s)]
+
+    return e, per_scale()
+
+
+def max_drawdown(
+    prices: PriceSeries,
+    start: dt.date | None = None,
+    end: dt.date | None = None,
+) -> float:
+    """Largest peak-to-trough loss fraction within [start, end] (inclusive).
+
+    Defined as 1 - min_t(value_t / running max up to t); 0 for a series
+    that never falls below an earlier level.
+    """
+    mask = np.ones(len(prices), dtype=bool)
+    if start is not None:
+        mask &= np.array([d >= start for d in prices.dates])
+    if end is not None:
+        mask &= np.array([d <= end for d in prices.dates])
+    selected = prices.values[mask]
+    if selected.size == 0:
+        raise InputError("empty date range")
+    running_max = np.maximum.accumulate(selected)
+    return float(1.0 - np.min(selected / running_max))
 
 
 def read_outcome(read, *args):

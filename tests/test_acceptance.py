@@ -17,13 +17,13 @@ from helpers import (
     ACCEPTANCE_LINES,
     assert_results_close,
     make_return_series,
+    max_drawdown,
     naive_segment_fluctuations,
     reference_roll,
 )
 from hurstscan import (
     FluctuationProfile,
     RollingConfig,
-    build_profile,
     detect_regimes,
     fit_scaling,
     garch_filter,
@@ -33,13 +33,12 @@ from hurstscan import (
     liquidity_indicators,
     load_prices,
     log_returns,
-    max_drawdown,
     mfdfa,
     read_rolling_csv,
     roll,
-    segment_fluctuations,
     write_rolling_csv,
 )
+from hurstscan.scaling import _scale_f2
 
 SCALES = range(10, 51)
 N_SEEDS = 20
@@ -115,8 +114,9 @@ def test_criterion_4_brute_force_dfa_oracle():
     for _ in range(50):
         t = int(rng.integers(12, 51))
         s = int(rng.integers(3, t // 4 + 1))
-        profile = build_profile(rng.normal(size=t))
-        got = segment_fluctuations(profile, s)
+        x = rng.normal(size=t)
+        profile = np.cumsum(x - x.mean())
+        got = _scale_f2(profile, s, 1)
         want = naive_segment_fluctuations(profile, s)
         worst = max(worst, float(np.max(np.abs(got - want))))
     ok = worst <= 1e-10

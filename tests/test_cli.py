@@ -129,13 +129,16 @@ class TestAnalyze:
         assert "degenerate" in capsys.readouterr().err
 
     def test_overflowing_squares_exit_one_without_warning(self, workdir, capsys):
+        # mfdfa scales the series to unit size, so the first value out of
+        # range is R(s) = F_2(s)^2 / s^(2H), in squared units
         values = gen_garch(200, 1e-6, 0.08, 0.91, seed=8) * 1e160
         save_returns(make_return_series(values), workdir / "huge.csv")
         args = ["analyze", "huge.csv", "--returns", "--no-garch", "--s-min", "3", "--s-max", "15"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(args) == 1
-        assert "floating-point range" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "R(s) = F_2(s)^2 / s^(2H) leaves the floating-point range" in err
         assert list(workdir.iterdir()) == [workdir / "huge.csv"]
 
     def test_failed_run_writes_no_files(self, workdir, capsys):

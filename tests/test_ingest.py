@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_block_size_free, make_return_series
+from helpers import assert_block_size_free, make_return_series, max_drawdown
 from hurstscan import (
     CsvLayout,
     InputError,
@@ -16,7 +16,6 @@ from hurstscan import (
     load_prices,
     load_returns,
     log_returns,
-    max_drawdown,
     save_prices,
     save_returns,
     synthetic_dates,

@@ -121,6 +121,18 @@ class TestMeasures:
         with np.errstate(over="ignore"), pytest.raises(InputError, match="finite and positive"):
             rescale(fp, flat_fit(hurst=200.0))
 
+    @pytest.mark.parametrize("c", [1e200, 1e-160, 1e-200])
+    def test_rescaled_out_of_float_range_raises_without_warning(self, c):
+        # R(s) is in squared units: F_2 near 1e200 squares beyond the
+        # largest float, near 1e-160 to a subnormal and near 1e-200 to 0
+        fp = exact_profile(c, 0.5)
+        fit = fit_scaling(fp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for measure in (liquidity_indicators, rescale):
+                with pytest.raises(InputError, match=r"R\(s\).*floating-point range"):
+                    measure(fp, fit)
+
     @pytest.mark.parametrize("c", [1e200, 1e-200])
     def test_spread_far_from_unit_scale_without_warning(self, c):
         # R(s) near 1e200 or 1e-200: unscaled, the squared deviations would

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -31,6 +31,7 @@ from hurstscan import (
     write_rolling_csv,
     write_rolling_jsonl,
 )
+from hurstscan import rolling
 from hurstscan.rolling import ROLLING_CSV_COLUMNS, _shared_f2
 
 FAST = RollingConfig(window=500, step=100)
@@ -387,15 +388,20 @@ class TestRoll:
 
     def test_overflow_in_a_later_block(self, monkeypatch):
         # windows of 60 are too short to fit, so each keeps its raw values;
-        # in blocks of 5 the windows that reach the 1e160 tail are in block 2
+        # in blocks of 5 the windows that reach the 1e160 tail are in block 2,
+        # where their R(s), in squared units, leaves the float range
         values = gen_garch(200, 1e-6, 0.08, 0.91, seed=8)
         values[150:] *= 1e160
         config = RollingConfig(window=60, step=7, s_min=3, s_max=15, garch_mode="per-window")
         monkeypatch.setattr("hurstscan.rolling._BLOCK", 5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InputError, match="floating-point range"):
-                roll(make_return_series(values), config)
+            series = make_return_series(values)
+            with pytest.raises(InputError, match=r"R\(s\).*floating-point range") as kernel:
+                roll(series, config)
+            with pytest.raises(InputError) as reference:
+                reference_roll(series, config)
+            assert str(kernel.value) == str(reference.value)
             # a flat window in block 0 raises first, as it does one window at a time
             values[:60] = 0.0
             series = make_return_series(values)
@@ -434,34 +440,70 @@ class TestRoll:
         assert not results.garch_converged.any()
         assert_results_close(results, reference_roll(series, config))
 
-    def test_huge_windows_measured_without_warning(self):
-        # the same windows at 2**266 (about 1e80) times the scale: R(s) is
-        # about 1e160, where unscaled squared deviations would overflow
-        # f_sigma; the windows are too short to fit, so they stay unfiltered
+    @given(
+        case=st.sampled_from([("per-window", 1), ("whole-sample", 0), ("whole-sample", 1)]),
+        k=st.integers(-1100, 1100),
+    )
+    @example(case=("per-window", 1), k=266)
+    @settings(max_examples=30, deadline=None)
+    def test_huge_windows_measured_without_warning(self, case, k):
+        # the same windows at 2**k times the scale, k clipped to the range
+        # where the liquidity measures, F_2**2 and the returns' sum of
+        # squares (which the GARCH fit takes) stay normal floats; at the
+        # example k = 266 (about 1e80) R(s) is about 1e160, where unscaled
+        # squared deviations would overflow f_sigma.  Per-window windows
+        # are too short to fit, so they stay unfiltered; whole-sample
+        # filtering is the identity here, so the shared source and order
+        # 0's per-row source see x * 2**k itself
+        garch_mode, order = case
         values = gen_garch(200, 1e-6, 0.08, 0.91, seed=8)
-        config = RollingConfig(window=60, step=7, s_min=3, s_max=15, garch_mode="per-window")
-        want = roll(make_return_series(values), config)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = roll(make_return_series(np.ldexp(values, 266)), config)
-        for col, k in [("f0", 266), ("f_sigma", 532), ("f_range", 532), ("f_ratio", 0)]:
-            want_col = np.ldexp(getattr(want, col), k)
+        config = RollingConfig(
+            window=60, step=7, s_min=3, s_max=15, detrend_order=order, garch_mode=garch_mode
+        )
+        fits = mock.patch("hurstscan.rolling._fit_loglog", wraps=rolling._fit_loglog)
+        identity = mock.patch("hurstscan.rolling.garch_filter", lambda series, fit: series.values)
+        with identity, fits as spy:
+            want = roll(make_return_series(values), config)
+            want_fq = spy.call_args.args[1]
+            # everything in squared units, which 2**k scales by 4**k
+            variance = np.var(values, ddof=1)
+            squared = [want.f_sigma, want.f_range, want_fq**2, want.f0**2]
+            squared.append(np.array([variance, variance * values.size]))
+            top = max(np.frexp(col.max())[1] for col in squared)
+            bottom = min(np.frexp(col.min())[1] for col in squared)
+            k = min(max(k, (-1020 - bottom) // 2), (1024 - top) // 2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = roll(make_return_series(np.ldexp(values, k)), config)
+            got_fq = spy.call_args.args[1]
+        assert got_fq.tobytes() == np.ldexp(want_fq, k).tobytes()
+        for col, shift in [("f0", k), ("f_sigma", 2 * k), ("f_range", 2 * k), ("f_ratio", 0)]:
+            want_col = np.ldexp(getattr(want, col), shift)
             np.testing.assert_allclose(getattr(got, col), want_col, rtol=1e-12, atol=0)
         for col in ("hurst", "stderr_hurst", "r_squared"):
             np.testing.assert_allclose(getattr(got, col), getattr(want, col), rtol=0, atol=1e-12)
 
     def test_overflowing_squares_rejected_without_warning(self):
-        # at 1e160 times the scale the windows' profile squares overflow
-        values = gen_garch(200, 1e-6, 0.08, 0.91, seed=8) * 1e160
+        # at 1e160 times the scale the windows' profile squares would
+        # overflow; each window is scaled to unit size first, so the first
+        # value out of range is R(s), which is in squared units
+        base = gen_garch(200, 1e-6, 0.08, 0.91, seed=8)
+        values = base * 1e160
         config = RollingConfig(window=60, step=7, s_min=3, s_max=15, garch_mode="per-window")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InputError, match="floating-point range"):
+            with pytest.raises(InputError, match=r"R\(s\).*floating-point range"):
                 roll(make_return_series(values), config)
             # whole-sample GARCH filtering standardizes the returns first,
-            # so the shared-segment source is checked on its own
-            with pytest.raises(InputError, match="floating-point range"):
-                list(_shared_f2(values, np.arange(0, 141, 7), config))
+            # so the shared-segment source is checked on its own: at unit
+            # size it holds the fluctuations of the unscaled series, times
+            # the square of the factor between the two unit scalings
+            starts = np.arange(0, 141, 7)
+            e, got = _shared_f2(values, starts, config)
+            e_base, want = _shared_f2(base, starts, config)
+            factor = np.ldexp(1e160, int(e_base[0] - e[0]))
+            for got_s, want_s in zip(got, want, strict=True):
+                np.testing.assert_allclose(got_s, want_s * factor**2, rtol=1e-12, atol=0)
 
 
 class TestDetectRegimes:

@@ -6,34 +6,52 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import naive_mfdfa, naive_segment_fluctuations
-from hurstscan import (
-    FluctuationProfile,
-    InputError,
-    average_fluctuation,
-    build_profile,
-    fit_scaling,
-    gen_fgn,
-    gen_garch,
-    mfdfa,
-    segment_fluctuations,
-)
+from hurstscan import FluctuationProfile, InputError, fit_scaling, gen_fgn, gen_garch, mfdfa
 from hurstscan import scaling
-from hurstscan.scaling import _detrend_basis, _power_means, _residual_f2
+from hurstscan.scaling import (
+    _check_qs,
+    _check_scale_range,
+    _check_zero_rule,
+    _detrend_basis,
+    _power_means,
+    _residual_f2,
+    _scale_f2,
+    _unit_steps,
+)
+
+
+def profile(x) -> np.ndarray:
+    """The profile of ``x`` (running sum of the demeaned values) in the units of ``x``."""
+    steps, e = _unit_steps(x)
+    return np.ldexp(np.cumsum(steps), e)
+
+
+def power_mean(f2, q: float) -> float:
+    """F_q of one group of squared segment fluctuations, under mfdfa's rules for q."""
+    (q,) = _check_qs((q,))
+    (fq,), has_zero = _power_means(np.asarray(f2, dtype=float), (q,), (0,))
+    _check_zero_rule(q, has_zero)
+    return float(fq[0])
 
 
 class TestBuildProfile:
     def test_alternating_series(self):
-        np.testing.assert_allclose(build_profile([1, -1, 1, -1]), [1, 0, 1, 0])
+        np.testing.assert_allclose(profile([1, -1, 1, -1]), [1, 0, 1, 0])
 
     def test_constant_series_annihilated(self):
-        np.testing.assert_allclose(build_profile([5.0, 5.0, 5.0]), [0, 0, 0])
+        np.testing.assert_allclose(profile([5.0, 5.0, 5.0]), [0, 0, 0])
 
     def test_direct_arithmetic(self):
-        np.testing.assert_allclose(build_profile([1, 2, 3]), [-1, -1, 0])
+        # 3 = 0.75 * 2**2: the steps are scaled by 2**-2 before they are demeaned
+        steps, e = _unit_steps([1.0, 2.0, 3.0])
+        assert e.tolist() == [2]
+        assert steps.tolist() == [-0.25, 0.0, 0.25]
+        np.testing.assert_allclose(profile([1, 2, 3]), [-1, -1, 0])
 
     def test_too_short(self):
-        with pytest.raises(InputError):
-            build_profile([1.0])
+        # every scale needs at least four times its length of series
+        with pytest.raises(InputError, match="out of range"):
+            mfdfa([1.0], [2], order=0)
 
     @given(
         st.lists(
@@ -43,36 +61,38 @@ class TestBuildProfile:
         )
     )
     def test_profile_closes(self, xs):
-        # cumulative demeaned sum returns to zero at the end
-        prof = build_profile(xs)
-        bound = 1e-9 * len(xs) * max(np.std(xs), 1.0)
-        assert abs(prof[-1]) <= bound
+        # cumulative demeaned sum returns to zero at the end, in unit-size steps
+        steps, e = _unit_steps(xs)
+        scaled = np.ldexp(xs, -e)
+        assert np.all(np.abs(scaled) < 1.0)
+        assert not np.any(xs) or np.abs(scaled).max() >= 0.5
+        assert abs(np.cumsum(steps)[-1]) <= 1e-9 * len(xs)
 
 
 class TestAverageFluctuation:
     def test_constant_segments_any_q(self):
         for q in (-2.0, -1.0, 1.0, 2.0, 3.0, 4.0):
-            assert average_fluctuation([9.0, 9.0, 9.0], q) == pytest.approx(3.0)
+            assert power_mean([9.0, 9.0, 9.0], q) == pytest.approx(3.0)
 
     def test_two_segment_q2(self):
         # ((1 + 4) / 2) ** (1/2), evaluated by hand
-        assert average_fluctuation([1.0, 4.0], 2.0) == pytest.approx(
+        assert power_mean([1.0, 4.0], 2.0) == pytest.approx(
             1.5811388300841898, abs=1e-14
         )
 
     def test_two_segment_q4(self):
         # ((1**2 + 4**2) / 2) ** (1/4) = 8.5 ** 0.25, evaluated by hand
-        assert average_fluctuation([1.0, 4.0], 4.0) == pytest.approx(
+        assert power_mean([1.0, 4.0], 4.0) == pytest.approx(
             1.7074764851741444, abs=1e-14
         )
 
     def test_q_zero_rejected(self):
         with pytest.raises(InputError):
-            average_fluctuation([1.0, 4.0], 0.0)
+            power_mean([1.0, 4.0], 0.0)
 
     def test_zero_segment_with_negative_q_rejected(self):
         with pytest.raises(InputError):
-            average_fluctuation([0.0, 4.0], -2.0)
+            power_mean([0.0, 4.0], -2.0)
 
     @given(
         st.lists(
@@ -83,7 +103,7 @@ class TestAverageFluctuation:
     def test_monotone_in_q(self, f2, qpair):
         # power means are nondecreasing in the order
         lo, hi = qpair
-        assert average_fluctuation(f2, lo) <= average_fluctuation(f2, hi) * (1 + 1e-12)
+        assert power_mean(f2, lo) <= power_mean(f2, hi) * (1 + 1e-12)
 
 
 class TestGroupedPowerMeans:
@@ -91,7 +111,7 @@ class TestGroupedPowerMeans:
 
     @staticmethod
     def groups():
-        f2 = segment_fluctuations(build_profile(gen_fgn(600, 0.6, seed=4)), 10)
+        f2 = _scale_f2(profile(gen_fgn(600, 0.6, seed=4)), 10, 1)
         with_zero = f2[:20].copy()
         with_zero[7] = 0.0
         return [
@@ -153,8 +173,8 @@ class TestGroupedPowerMeans:
 class TestSegmentFluctuations:
     def test_matches_naive_normal_equations(self):
         rng = np.random.default_rng(7)
-        prof = build_profile(rng.normal(size=20))
-        got = segment_fluctuations(prof, 5)
+        prof = profile(rng.normal(size=20))
+        got = _scale_f2(prof, 5, 1)
         want = naive_segment_fluctuations(prof, 5)
         assert got.shape == (8,)
         np.testing.assert_allclose(got, want, atol=1e-10)
@@ -164,9 +184,9 @@ class TestSegmentFluctuations:
         for _ in range(25):
             t = int(rng.integers(12, 51))
             s = int(rng.integers(3, t // 4 + 1))
-            prof = build_profile(rng.normal(size=t))
+            prof = profile(rng.normal(size=t))
             np.testing.assert_allclose(
-                segment_fluctuations(prof, s),
+                _scale_f2(prof, s, 1),
                 naive_segment_fluctuations(prof, s),
                 atol=1e-10,
             )
@@ -174,29 +194,30 @@ class TestSegmentFluctuations:
     def test_divisible_length_symmetry(self):
         # when s divides T the backward pass sees the same segments
         rng = np.random.default_rng(11)
-        prof = build_profile(rng.normal(size=40))
-        f2 = segment_fluctuations(prof, 10)
+        prof = profile(rng.normal(size=40))
+        f2 = _scale_f2(prof, 10, 1)
         assert f2.size == 8
         np.testing.assert_array_equal(np.sort(f2[:4]), np.sort(f2[4:]))
 
     def test_linear_profile_detrended_exactly(self):
         t = np.arange(60, dtype=float)
-        f2 = segment_fluctuations(3.0 + 2.0 * t, 10, order=1)
+        f2 = _scale_f2(3.0 + 2.0 * t, 10, 1)
         np.testing.assert_allclose(f2, 0.0, atol=1e-9)
 
     def test_quadratic_profile_with_order_two(self):
         t = np.arange(80, dtype=float)
         prof = 1.0 - 0.5 * t + 0.03 * t**2
-        np.testing.assert_allclose(segment_fluctuations(prof, 10, order=2), 0.0, atol=1e-9)
+        np.testing.assert_allclose(_scale_f2(prof, 10, 2), 0.0, atol=1e-9)
         # order 1 must leave the curvature behind
-        assert segment_fluctuations(prof, 10, order=1).max() > 1e-3
+        assert _scale_f2(prof, 10, 1).max() > 1e-3
 
     def test_scale_bounds(self):
-        prof = np.arange(40, dtype=float)
+        # the one scale rule of mfdfa and roll, on a profile of 40 points
         with pytest.raises(InputError):
-            segment_fluctuations(prof, 2, order=1)  # below order + 2
+            _check_scale_range(2, 2, 1, 40)  # below order + 2
         with pytest.raises(InputError):
-            segment_fluctuations(prof, 11)  # above T // 4
+            _check_scale_range(11, 11, 1, 40)  # above T // 4
+        _check_scale_range(3, 10, 1, 40)
 
     @given(
         st.lists(
@@ -208,7 +229,7 @@ class TestSegmentFluctuations:
     def test_nonnegative(self, xs, s):
         if s > len(xs) // 4:
             s = len(xs) // 4
-        f2 = segment_fluctuations(np.cumsum(xs), s)
+        f2 = _scale_f2(np.cumsum(xs), s, 1)
         assert np.all(f2 >= 0.0)
 
 
@@ -311,40 +332,58 @@ class TestMfdfa:
         assert max(hs) - min(hs) < 0.1
 
     def test_scale_invariance(self):
+        # down to 1e-160 the squared residuals would be subnormal, at 1e-170
+        # zero, and at 1e300 infinite, were the series not scaled to unit size
         x = gen_fgn(4000, 0.6, seed=3)
-        base = mfdfa(x, range(10, 41))[2.0][1]
-        for k in (1e-3, 7.3):
-            fit = mfdfa(k * x, range(10, 41))[2.0][1]
-            assert abs(fit.hurst - base.hurst) <= 1e-12
-            assert fit.log_intercept - base.log_intercept == pytest.approx(
-                np.log(k), abs=1e-9
-            )
+        qs = (-2.0, 2.0)
+        base = mfdfa(x, range(10, 41), qs)
+        for k in (1e-3, 7.3, 1e-160, 1e-170, 1e-300, 1e300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = mfdfa(k * x, range(10, 41), qs)
+            for q in qs:
+                fit, want = got[q][1], base[q][1]
+                assert abs(fit.hurst - want.hurst) <= 1e-12, (k, q)
+                assert fit.log_intercept - want.log_intercept == pytest.approx(
+                    np.log(k), abs=1e-9
+                ), (k, q)
 
     @given(
         seed=st.integers(0, 2**16),
         order=st.sampled_from([0, 1, 2]),
         q=st.sampled_from([-8.0, -4.0, -2.0, 2.0, 4.0, 8.0]),
-        k=st.integers(-400, 400),
+        k=st.integers(-1100, 1100),
     )
     @settings(max_examples=60, deadline=None)
     def test_scale_invariance_across_float_range(self, seed, order, q, k):
+        # k clipped to the range where every x * 2**k is a normal float:
         # x * 2**k scales every profile value exactly, so F_q scales by 2**k
-        # and the fit moves only by rounding; unscaled, f2**(q/2) would over-
-        # or underflow far from unit scale
+        # and the fit moves only by rounding.  Where F_q * 2**k itself
+        # leaves the float range, mfdfa fails with an InputError, never a
+        # warning
         x = gen_fgn(600, 0.6, seed=seed)
+        lowest = np.frexp(np.abs(x[x != 0]).min())[1]
+        highest = np.frexp(np.abs(x).max())[1]
+        k = min(max(k, -1021 - lowest), 1024 - highest)
         scales = range(10, 41)
         want_fp, want_fit = mfdfa(x, scales, (q,), order)[q]
+        with np.errstate(over="ignore"):
+            want_fq = np.ldexp(want_fp.fq, k)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            if not np.all(np.isfinite(want_fq)):
+                with pytest.raises(InputError, match=r"F_q\(s\) leaves the floating-point"):
+                    mfdfa(np.ldexp(x, k), scales, (q,), order)
+                return
             got_fp, got_fit = mfdfa(np.ldexp(x, k), scales, (q,), order)[q]
-        np.testing.assert_allclose(got_fp.fq, np.ldexp(want_fp.fq, k), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got_fp.fq, want_fq, rtol=1e-12, atol=0)
         for field in ("hurst", "r_squared", "stderr_hurst"):
             assert abs(getattr(got_fit, field) - getattr(want_fit, field)) <= 1e-12, field
 
     def test_power_means_rescale_row_by_row(self):
         # rows at unit scale and far from it: each row's F_q, bit for bit,
         # whichever rows share its array
-        f2 = segment_fluctuations(build_profile(gen_fgn(600, 0.6, seed=4)), 10)
+        f2 = _scale_f2(profile(gen_fgn(600, 0.6, seed=4)), 10, 1)
         rows = np.stack([np.ldexp(f2, 2 * k) for k in (0, 300, -300, 5, -450)])
         qs = (-8.0, 2.0, 4.0)
         means, _ = _power_means(rows, qs, (0,))
@@ -368,8 +407,6 @@ class TestMfdfa:
         x = np.random.default_rng(3).normal(size=400)
         with pytest.raises(InputError, match="q must be finite"):
             mfdfa(x, range(10, 21), qs=(2.0, q))
-        with pytest.raises(InputError, match="q must be finite"):
-            average_fluctuation([1.0, 4.0], q)
 
     def test_scale_below_detrending_order_rejected(self):
         x = np.random.default_rng(4).normal(size=400)
@@ -399,11 +436,9 @@ class TestMfdfa:
         qs = (-4.0, -2.0, 2.0, 4.0)
         scales = range(order + 3, 120, 7)
         results = mfdfa(x, scales, qs, order)
-        profile = build_profile(x)
+        prof = profile(x)
         for q in qs:
-            want = [
-                average_fluctuation(segment_fluctuations(profile, s, order), q) for s in scales
-            ]
+            want = [power_mean(_scale_f2(prof, s, order), q) for s in scales]
             np.testing.assert_allclose(results[q][0].fq, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize(
@@ -423,16 +458,16 @@ class TestMfdfa:
         mfdfa(x, range(11, 14), qs)
 
     def test_overflowing_squares_rejected_without_warning(self):
-        # returns of about 1e157: the profile's squares leave the float range
-        x = gen_garch(200, 1e-6, 0.08, 0.91, seed=8) * 1e160
+        # returns of about 1e157, whose profile's squares would leave the
+        # float range: the series is scaled to unit size before its profile,
+        # so F_q is 1e160 times that of the unscaled run and H is the same
+        x = gen_garch(200, 1e-6, 0.08, 0.91, seed=8)
+        want_fp, want_fit = mfdfa(x, range(3, 16))[2.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InputError, match="floating-point range"):
-                mfdfa(x, range(3, 16))
-            with pytest.raises(InputError, match="floating-point range"):
-                segment_fluctuations(build_profile(x), 3)
-        # at 1e-10 of that size every square fits
-        mfdfa(x * 1e-10, range(3, 16))
+            got_fp, got_fit = mfdfa(x * 1e160, range(3, 16))[2.0]
+        np.testing.assert_allclose(got_fp.fq, want_fp.fq * 1e160, rtol=1e-12, atol=0)
+        assert abs(got_fit.hurst - want_fit.hurst) <= 1e-12
 
     def test_results_keyed_and_ordered_by_scale(self):
         x = np.random.default_rng(2).normal(size=800)
