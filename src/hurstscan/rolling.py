@@ -11,12 +11,15 @@ result formats once with the CSV dialect of ``ingest``, and
 same row rules, so every result reads back.
 
 Every mode analyzes its windows in array passes over (windows x
-scales); only the source of the squared segment fluctuations differs.
-With one whole-sample GARCH fit and detrending order >= 1, windows
-share their segments and each is detrended once, in one pass over all
-windows, from one table of running sums that serves every scale.
-Per-window GARCH fits and order 0 give every window its own profile;
-those windows run in order, in blocks of a fixed number of windows, so
+scales), on ``mfdfa``'s path: a producer of each scale's squared
+segment fluctuations, the one F_q stage
+``scaling._fluctuation_function``, then the fit and the measures.  Only
+the producer differs.  With one whole-sample GARCH fit and detrending
+order >= 1, windows share their segments: ``_shared_f2`` detrends each
+once, in one pass over all windows, from one table of running sums that
+serves every scale.  Per-window GARCH fits and order 0 give every
+window its own profile: ``mfdfa``'s producer ``scaling._series_f2``
+takes the windows in order, in blocks of a fixed number of windows, so
 memory stays bounded however many windows there are.  The per-window
 GARCH fits of a block run as one batched search, each window's fit
 equal, bit for bit, to ``garch_fit`` on that window alone.
@@ -41,12 +44,12 @@ from .scaling import (
     _check_scale_range,
     _check_zero_rule,
     _fit_loglog,
+    _fluctuation_function,
     _is_integer,
-    _power_means,
     _residual_f2,
     _run_marker,
-    _scale_f2,
     _segment_starts,
+    _series_f2,
     _unit_steps,
     _zero_flat,
 )
@@ -250,41 +253,19 @@ def _shared_f2(values: np.ndarray, starts: np.ndarray, config: RollingConfig):
     return e, per_scale()
 
 
-def _row_f2(rows: np.ndarray, config: RollingConfig):
-    """Like ``_shared_f2``, for a (windows x window) matrix whose every row is its own series.
-
-    Each row is scaled to unit size on its own, and its profile is cut
-    as ``_scale_f2`` cuts it; e holds one exponent per row.
-    """
-    order = config.detrend_order
-    steps, e = _unit_steps(rows)
-    profiles = np.cumsum(steps, axis=1)
-    marker = _run_marker(rows)
-    return e, (_zero_flat(_scale_f2(profiles, s, order), marker, s, order) for s in config.scales())
-
-
-def _window_columns(source, n_windows: int, config: RollingConfig):
+def _window_columns(source, dates, config: RollingConfig, first: int = 0):
     """Scaling fit and indicators of every window from its squared segment fluctuations.
 
-    ``source`` is the (e, per-scale fluctuations) pair of ``_shared_f2``
-    or ``_row_f2``: F_q is scaled back by 2**e, per window, before the
-    fit.  Returns (hurst, stderr_hurst, r_squared, f0, f_sigma, f_range,
-    f_ratio), one array entry per window; raises the same InputError as
-    ``mfdfa`` + ``liquidity_indicators`` on the first bad window.
+    ``source`` is the (e, per-scale f2) pair of ``_shared_f2`` or
+    ``_series_f2``; its windows are the roll's windows ``first`` on, dated
+    by ``dates``.  Returns (hurst, stderr_hurst, r_squared, f0, f_sigma,
+    f_range, f_ratio), one array entry per window; raises the InputError
+    of ``mfdfa`` + ``liquidity_indicators`` on the first bad window,
+    prefixed with its number and date.
     """
-    e, f2_per_scale = source
     scales = np.asarray(config.scales())
-    has_zero = np.zeros(n_windows, dtype=bool)
-    fq = {q: np.empty((n_windows, scales.size)) for q in config.q_set}
-    for j, f2 in enumerate(f2_per_scale):
-        # one group: each window's segments of this scale
-        means, zero = _power_means(f2, config.q_set, (0,))
-        has_zero |= zero[:, 0]
-        for q, fq_q in zip(config.q_set, means):
-            fq[q][:, j] = fq_q[:, 0]
-    with np.errstate(over="ignore"):
-        # beyond the float range F_q is inf, which the check rejects
-        fq = {q: np.ldexp(fq_q, e) for q, fq_q in fq.items()}
+    fq, has_zero = _fluctuation_function(source, config.q_set, config.window)
+    fq = dict(zip(config.q_set, fq))
 
     def columns(rows):
         # mfdfa's order within one window: per q, the negative-q rule, then
@@ -299,19 +280,24 @@ def _window_columns(source, n_windows: int, config: RollingConfig):
         return columns(slice(None))
     except InputError:
         # report the error of the first bad window, as each window alone would
-        for i in range(n_windows):
-            columns(i)
+        for i in range(has_zero.size):
+            try:
+                columns(i)
+            except InputError as exc:
+                raise InputError(f"window {first + i} ({dates[first + i]}): {exc}") from exc
         raise
 
 
-def _row_columns(values: np.ndarray, starts: np.ndarray, config: RollingConfig, refit: bool):
+def _row_columns(
+    values: np.ndarray, starts: np.ndarray, dates, config: RollingConfig, refit: bool
+):
     """``_window_columns`` of windows that each get their own profile, _BLOCK windows at a time.
 
-    The windows of ``values`` that begin at ``starts`` are cut and
-    analyzed block by block, in order, so the first bad window raises
-    first.  With ``refit`` each block's windows are GARCH-fitted by one
-    batched search and divided by their own sqrt(h); a window whose fit
-    raises keeps its raw values.  Returns the seven columns and, with
+    The windows of ``values`` that begin at ``starts``, dated by
+    ``dates``, are cut and analyzed block by block, in order, so the
+    first bad window raises first.  With ``refit`` each block's windows
+    are GARCH-fitted by one batched search and divided by their own
+    sqrt(h); a window whose fit raises keeps its raw values.  Returns the seven columns and, with
     ``refit``, each window's ``garch_converged`` flag.
     """
     blocks, converged = [], []
@@ -323,7 +309,8 @@ def _row_columns(values: np.ndarray, starts: np.ndarray, config: RollingConfig, 
                 if isinstance(fit, GarchFit):
                     row /= np.sqrt(fit.h)
                 converged.append(isinstance(fit, GarchFit) and fit.converged)
-        blocks.append(_window_columns(_row_f2(rows, config), len(rows), config))
+        source = _series_f2(rows, config.scales(), config.detrend_order)
+        blocks.append(_window_columns(source, dates, config, first))
     return [np.concatenate(column) for column in zip(*blocks)], converged
 
 
@@ -334,7 +321,10 @@ def roll(returns: ReturnSeries, config: RollingConfig = RollingConfig()) -> Roll
     windows slice the filtered series.  In per-window mode each window
     is fitted and filtered independently; a window whose fit raises
     still produces scaling results on its unfiltered returns, flagged
-    ``garch_converged=False``, so one bad window cannot abort a long run.
+    ``garch_converged=False``.  A window whose scaling or measures fail
+    (a degenerate window, a zero segment fluctuation with negative q,
+    R(s) out of the float range) aborts the run: the InputError names
+    the first such window, ``window k (YYYY-MM-DD): ...``.
     """
     n = len(returns)
     w = config.window
@@ -345,16 +335,16 @@ def roll(returns: ReturnSeries, config: RollingConfig = RollingConfig()) -> Roll
     dates = [returns.dates[i] for i in (starts + offset).tolist()]
 
     if config.garch_mode == "per-window":
-        columns, converged = _row_columns(returns.values, starts, config, refit=True)
+        columns, converged = _row_columns(returns.values, starts, dates, config, refit=True)
     else:
         fit = garch_fit(returns.values)
         filtered = garch_filter(returns, fit)
         converged = np.full(starts.size, fit.converged)
         if config.detrend_order == 0:
             # order 0 leaves a window's linear profile term in: no shared segments
-            columns, _ = _row_columns(filtered, starts, config, refit=False)
+            columns, _ = _row_columns(filtered, starts, dates, config, refit=False)
         else:
-            columns = _window_columns(_shared_f2(filtered, starts, config), starts.size, config)
+            columns = _window_columns(_shared_f2(filtered, starts, config), dates, config)
     return RollingResult(dates, *columns, converged)
 
 

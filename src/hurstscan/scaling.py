@@ -9,14 +9,15 @@ squared residuals across segments with a power mean of order q.  The
 average fluctuations F_q(s) follow a power law in s whose log-log slope
 is the generalized Hurst exponent H(q).
 
-Segments are never copied out of the profile: at each scale the forward
-and the backward segments are two rows of one strided view of it, and
-one detrending call covers both.  ``mfdfa`` writes the squared
-fluctuations of consecutive scales end to end into one buffer, one
-group per scale, and hands the buffer to the power mean whenever it
-holds a series length; the power mean reduces every group on its own,
-so F_q at a scale is the same, bit for bit, whichever other scales are
-asked for.
+``mfdfa`` and ``roll`` share one path.  A producer per source kind
+yields each scale's squared segment fluctuations: ``_series_f2`` for
+series with a profile of their own (``mfdfa``'s one series, a block of
+``roll``'s windows), ``rolling._shared_f2`` for windows that share one
+series' segments.  One stage, ``_fluctuation_function``, takes the power
+means of consecutive scales in one call and scales F_q back to the
+series' units.  Segments are never copied out of a profile, and the
+power mean reduces every scale on its own, so F_q at a scale is the
+same, bit for bit, whichever other scales are asked for.
 """
 from __future__ import annotations
 
@@ -153,7 +154,7 @@ def _unit_steps(values):
     return steps, e
 
 
-def _scale_f2(profiles, s: int, order: int, out=None) -> np.ndarray:
+def _scale_f2(profiles, s: int, order: int) -> np.ndarray:
     """Per-segment mean squared detrending residuals at scale s of C-contiguous float profiles.
 
     Each profile (last axis) of length T is cut into floor(T/s) segments
@@ -168,7 +169,7 @@ def _scale_f2(profiles, s: int, order: int, out=None) -> np.ndarray:
     in order and row 1 the backward ones from the head of the profile on
     (when s divides T both rows are the same segments).  One detrending
     call, and so one basis, covers both rows, and the backward row is
-    reversed into place, in ``out`` if given.
+    reversed into place.
     """
     t = profiles.shape[-1]
     m = t // s
@@ -183,7 +184,7 @@ def _scale_f2(profiles, s: int, order: int, out=None) -> np.ndarray:
         (*profiles.strides[:-1], (t - m * s) * step, s * step, step),
     )
     f2 = _residual_f2(segments, order)
-    return np.concatenate([f2[..., 0, :], f2[..., 1, ::-1]], axis=-1, out=out)
+    return np.concatenate([f2[..., 0, :], f2[..., 1, ::-1]], axis=-1)
 
 
 def _detrend_basis(s: int, order: int) -> np.ndarray:
@@ -263,6 +264,18 @@ def _zero_flat(f2, marker, s: int, order: int, starts=None):
     return f2
 
 
+def _series_f2(values, scales, order: int):
+    """The (e, per-scale f2) source of series (last axis) that each have their own profile.
+
+    Each series is scaled to unit size on its own by 2**-e (``_unit_steps``)
+    and its profile cut as ``_scale_f2`` cuts it, one f2 array per scale.
+    """
+    steps, e = _unit_steps(values)
+    profiles = np.cumsum(steps, axis=-1)
+    marker = _run_marker(values)
+    return e, (_zero_flat(_scale_f2(profiles, s, order), marker, s, order) for s in scales)
+
+
 @functools.lru_cache(maxsize=8)
 def _power_bound(qs) -> float:
     """2**(2 * _POWER_BITS / max|q|), capped at 2**1000.
@@ -277,13 +290,11 @@ def _power_means(f2, qs, starts):
 
     ``starts`` are the groups' first positions, increasing from 0: a
     group runs up to the next start, the last one to the end of the
-    axis.  The one power mean of ``mfdfa`` and ``roll``: ``mfdfa``
-    passes the segments of consecutive scales end to end, one group per
-    scale, and ``roll`` one scale's (windows x segments) array as one
-    group.  Both results have ``f2``'s leading shape and one entry per
-    group on the last axis.  Nothing is checked here; a zero f2 gives
-    F_q = 0 for q > 0 and inf for q < 0, which the callers reject with
-    ``_check_zero_rule`` and ``_check_fluctuations``.
+    axis; ``_fluctuation_function`` passes consecutive scales end to end,
+    one group per scale.  Both results have ``f2``'s leading shape and
+    one entry per group on the last axis.  Nothing is checked here; a
+    zero f2 gives F_q = 0 for q > 0 and inf for q < 0, which the callers
+    reject with ``_check_zero_rule`` and ``_check_fluctuations``.
 
     A group far from unit scale would over- or underflow in the power,
     so a group whose largest f2 lies outside 2**+-(2 * _POWER_BITS /
@@ -324,6 +335,39 @@ def _power_means(f2, qs, starts):
     if half is not None:
         fq = [np.ldexp(fq_q, half) for fq_q in fq]
     return fq, has_zero
+
+
+def _fluctuation_function(source, qs, length: int):
+    """F_q(s) scaled back by 2**e, (q x series x scales), and a zero flag per series.
+
+    ``source`` is the (e, per-scale f2) pair of ``_series_f2`` or
+    ``rolling._shared_f2``.  Consecutive scales go to one ``_power_means``
+    call, one group each, once they hold ``length`` values over all
+    series; a lone scale goes in uncopied.  Nothing is checked here.
+    """
+    e, f2_per_scale = source
+    fq, zero, run, size = [], [], [], 0
+
+    def reduce(run):
+        starts = np.cumsum([0, *(f2.shape[-1] for f2 in run[:-1])])
+        means, has_zero = _power_means(
+            run[0] if len(run) == 1 else np.concatenate(run, axis=-1), qs, starts
+        )
+        fq.append(np.stack(means))
+        zero.append(has_zero)
+
+    for f2 in f2_per_scale:
+        run.append(f2)
+        size += f2.size
+        if size >= length:
+            reduce(run)
+            run, size = [], 0
+    if run:
+        reduce(run)
+    with np.errstate(over="ignore"):
+        # beyond the float range F_q is inf, which the callers reject
+        fq = np.ldexp(np.concatenate(fq, axis=-1), e)
+    return fq, np.concatenate(zero, axis=-1).any(axis=-1)
 
 
 def _check_zero_rule(q: float, has_zero) -> None:
@@ -400,19 +444,22 @@ def mfdfa(
 
     Notes
     -----
-    The series is first scaled to unit size by an exact power of two
-    (``_unit_steps``), and F_q is scaled back before the fit, so a
-    series anywhere in the normal float range gives the H it gives at
-    unit scale, and F_q scaled by the same factor.  Each scale's 2*floor(T/s) squared
-    fluctuations, in ``_scale_f2``'s order, take the next stretch of
-    one buffer.
-    Once the buffer holds T or more it goes to one ``_power_means`` call
-    with one group per scale, and fills again from its start: the
-    buffer never holds more than T + 2*floor(T/s_min) values, and 991
-    scales of 20,000 points take about ten power-mean calls.  The
-    negative-q rule is checked over all scales after the last call.
+    The one-series case of ``roll``'s per-window path: ``_series_f2``
+    scales the series to unit size by an exact power of two and yields
+    each scale's 2*floor(T/s) squared fluctuations, and
+    ``_fluctuation_function`` averages runs of scales holding T or more
+    values in one power-mean call each (991 scales of 20,000 points take
+    about ten) and scales F_q back.  So a series anywhere in the normal
+    float range gives the H it gives at unit scale.  The negative-q rule
+    is checked over all scales.
     """
-    scale_arr = np.unique(np.asarray(list(scales), dtype=int))
+    scale_list = list(scales)
+    for s in scale_list:
+        if not _is_integer(s):
+            raise InputError(f"scales must be integers, got {s!r}")
+    if not _is_integer(order):
+        raise InputError(f"order must be an integer, got {order!r}")
+    scale_arr = np.unique(np.asarray(scale_list, dtype=int))
     if scale_arr.size == 0:
         raise InputError("empty scale set")
     q_list = _check_qs(qs)
@@ -420,31 +467,7 @@ def mfdfa(
     _check_scale_range(int(scale_arr[0]), int(scale_arr[-1]), order, x.size)
     if x.ndim != 1:
         raise InputError("series must be one-dimensional")
-    steps, e = _unit_steps(x)
-    prof = np.cumsum(steps)
-    marker = _run_marker(x)
-
-    n = x.size
-    fq = np.empty((len(q_list), scale_arr.size))
-    has_zero = False
-    # each scale's squared fluctuations go end to end into one buffer, one
-    # power-mean group per scale; it is reduced and emptied once it holds
-    # a series length, so it never outgrows one scale's segment stack
-    buffer = np.empty(n + 2 * (n // int(scale_arr[0])))
-    fill, first, starts = 0, 0, []
-    for j, s in enumerate(scale_arr.tolist()):
-        group = buffer[fill : fill + 2 * (n // s)]
-        _zero_flat(_scale_f2(prof, s, order, out=group), marker, s, order)
-        starts.append(fill)
-        fill += group.size
-        if fill >= n or j == scale_arr.size - 1:
-            means, zero = _power_means(buffer[:fill], q_list, starts)
-            fq[:, first : j + 1] = means
-            has_zero = has_zero or bool(zero.any())
-            fill, first, starts = 0, j + 1, []
-    with np.errstate(over="ignore"):
-        # beyond the float range F_q is inf, which FluctuationProfile rejects
-        fq = np.ldexp(fq, e)
+    fq, has_zero = _fluctuation_function(_series_f2(x, scale_arr.tolist(), order), q_list, x.size)
     out: dict[float, tuple[FluctuationProfile, ScalingFit]] = {}
     for q, fq_q in zip(q_list, fq):
         _check_zero_rule(q, has_zero)

@@ -128,7 +128,9 @@ def reference_roll(series: ReturnSeries, config) -> RollingResult:
     is fitted once and every window slices the filtered series; in
     per-window mode each window is fitted on its own, and a window whose
     fit raises is analyzed on its raw values with converged=False.  Each
-    window then goes through mfdfa and liquidity_indicators.
+    window then goes through mfdfa and liquidity_indicators; the first
+    window that fails raises their InputError, prefixed with the
+    window's number and date.
     """
     w = config.window
     offset = {"end": w - 1, "start": 0, "center": (w - 1) // 2}[config.stamp]
@@ -136,7 +138,7 @@ def reference_roll(series: ReturnSeries, config) -> RollingResult:
         fit = garch_fit(series.values)
         filtered = series.values / np.sqrt(fit.h)
     rows = []
-    for i in range(0, len(series) - w + 1, config.step):
+    for k, i in enumerate(range(0, len(series) - w + 1, config.step)):
         if config.garch_mode == "whole-sample":
             values, converged = filtered[i : i + w], fit.converged
         else:
@@ -147,11 +149,16 @@ def reference_roll(series: ReturnSeries, config) -> RollingResult:
                 converged = False
             else:
                 values, converged = values / np.sqrt(window_fit.h), window_fit.converged
-        fp, scaling_fit = mfdfa(values, config.scales(), config.q_set, config.detrend_order)[2.0]
-        ind = liquidity_indicators(fp, scaling_fit)
+        date = series.dates[i + offset]
+        try:
+            results = mfdfa(values, config.scales(), config.q_set, config.detrend_order)
+            fp, scaling_fit = results[2.0]
+            ind = liquidity_indicators(fp, scaling_fit)
+        except InputError as exc:
+            raise InputError(f"window {k} ({date}): {exc}") from exc
         rows.append(
             (
-                series.dates[i + offset],
+                date,
                 scaling_fit.hurst,
                 scaling_fit.stderr_hurst,
                 scaling_fit.r_squared,

@@ -389,7 +389,8 @@ class TestRoll:
     def test_overflow_in_a_later_block(self, monkeypatch):
         # windows of 60 are too short to fit, so each keeps its raw values;
         # in blocks of 5 the windows that reach the 1e160 tail are in block 2,
-        # where their R(s), in squared units, leaves the float range
+        # where their R(s), in squared units, leaves the float range; the
+        # error names the first of them, window 13
         values = gen_garch(200, 1e-6, 0.08, 0.91, seed=8)
         values[150:] *= 1e160
         config = RollingConfig(window=60, step=7, s_min=3, s_max=15, garch_mode="per-window")
@@ -397,7 +398,9 @@ class TestRoll:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             series = make_return_series(values)
-            with pytest.raises(InputError, match=r"R\(s\).*floating-point range") as kernel:
+            with pytest.raises(
+                InputError, match=r"^window 13 \(2000-06-01\): .*R\(s\).*floating-point range"
+            ) as kernel:
                 roll(series, config)
             with pytest.raises(InputError) as reference:
                 reference_roll(series, config)
@@ -405,7 +408,9 @@ class TestRoll:
             # a flat window in block 0 raises first, as it does one window at a time
             values[:60] = 0.0
             series = make_return_series(values)
-            with pytest.raises(InputError, match="degenerate") as kernel:
+            with pytest.raises(
+                InputError, match=r"^window 0 \(2000-03-02\): .*degenerate"
+            ) as kernel:
                 roll(series, config)
             with pytest.raises(InputError) as reference:
                 reference_roll(series, config)

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hurstscan.scaling import (
     _check_scale_range,
     _check_zero_rule,
     _detrend_basis,
+    _fluctuation_function,
     _power_means,
     _residual_f2,
     _scale_f2,
@@ -168,6 +170,52 @@ class TestGroupedPowerMeans:
             assert np.isfinite(fq[3]) and fq[3] > 0.0, q
             # a zero segment sends q < 0 to 0, which mfdfa rejects
             assert (fq[4] == 0.0) == (q < 0), q
+
+
+@st.composite
+def f2_sources(draw):
+    """A series length T, a q set and a source: e and f2 per scale, 1-d or rows x segments."""
+    t = draw(st.integers(min_value=8, max_value=160))
+    scales = draw(st.lists(st.integers(2, t // 4), min_size=1, max_size=12, unique=True))
+    lead = draw(st.sampled_from([(), (1,), (3,), (7,)]))
+    n_rows = lead[0] if lead else 1
+    # rows far beyond _power_bound as well as at unit scale; some scales of
+    # a row sit elsewhere, so one call can hold both kinds of group
+    k = np.array(draw(st.lists(st.integers(-1000, 1000), min_size=n_rows, max_size=n_rows)))
+    e = np.array(draw(st.lists(st.integers(-60, 60), min_size=n_rows, max_size=n_rows)))
+    zeros = draw(st.sampled_from([0.0, 0.02, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f2s = []
+    for s in sorted(scales):
+        shape = (n_rows, 2 * (t // s))
+        k_s = np.where(rng.random(n_rows) < 0.5, k, rng.integers(-1000, 1001, n_rows))
+        f2 = np.ldexp(rng.uniform(0.01, 4.0, shape), k_s[:, None])
+        f2[rng.random(shape) < zeros] = 0.0
+        f2s.append(f2.reshape(*lead, -1))
+    qs = draw(st.sampled_from([(2.0,), (-2.0, 2.0), (-4.0, 2.0, 4.0), (-8.0, 0.5, 2.0)]))
+    return t, qs, e.reshape(*lead, 1) if lead else e, f2s
+
+
+class TestFluctuationFunction:
+    @given(f2_sources())
+    @settings(max_examples=100, deadline=None)
+    def test_same_bits_at_any_run_length(self, drawn):
+        # one call per scale, runs of a series length, and one call for all
+        t, qs, e, f2s = drawn
+        total = sum(f2.size for f2 in f2s)
+        got = []
+        for length, calls in ((1, len(f2s)), (t, None), (total + 1, 1)):
+            with warnings.catch_warnings(), mock.patch.object(
+                scaling, "_power_means", wraps=_power_means
+            ) as spy:
+                warnings.simplefilter("error")
+                fq, has_zero = _fluctuation_function((e, iter(f2s)), qs, length)
+            if calls:
+                assert spy.call_count == calls, length
+            assert fq.shape == (len(qs), *e.shape[:-1], len(f2s))
+            got.append((fq.tobytes(), has_zero.tobytes()))
+        assert got[0] == got[1] == got[2]
+        np.testing.assert_array_equal(has_zero, (np.concatenate(f2s, axis=-1) == 0).any(axis=-1))
 
 
 class TestSegmentFluctuations:
@@ -408,6 +456,20 @@ class TestMfdfa:
         with pytest.raises(InputError, match="q must be finite"):
             mfdfa(x, range(10, 21), qs=(2.0, q))
 
+    @pytest.mark.parametrize(
+        "scales, order, message",
+        [
+            # truncating these would analyze scales 10, 20 and 30 without a word
+            ([10.5, 20.7, 30.9], 1, r"scales must be integers, got 10\.5"),
+            (["10", "20", "30"], 1, r"scales must be integers, got '10'"),
+            ([10, 20, 30], 1.5, r"order must be an integer, got 1\.5"),
+        ],
+    )
+    def test_non_integer_scales_and_order_rejected(self, scales, order, message):
+        x = np.random.default_rng(6).normal(size=400)
+        with pytest.raises(InputError, match=message):
+            mfdfa(x, scales, order=order)
+
     def test_scale_below_detrending_order_rejected(self):
         x = np.random.default_rng(4).normal(size=400)
         with pytest.raises(InputError, match=r"scales 3\.\.20 out of range \[4, 100\]"):
@@ -531,7 +593,7 @@ class TestMfdfaFlushGroups:
             assert part[q][0].fq.tobytes() == full[q][0].fq[at].tobytes(), q
 
     def test_last_flush_of_one_scale(self, monkeypatch):
-        # scales 4..451 fill the buffer exactly nine times: 452 is reduced alone
+        # scales 4..451 make exactly nine runs of a series length: 452 is reduced alone
         x = self.series()
         full = mfdfa(x, self.SCALES, self.QS)
         calls = self.record_flushes(monkeypatch)
@@ -581,8 +643,8 @@ class TestMfdfaOracle:
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_matches_plain_loop_across_flushes(self, order):
-        # scales 10..500 of 2,000 points: their segments fill mfdfa's buffer
-        # about eight times, so F_q comes from several power-mean calls
+        # scales 10..500 of 2,000 points: their segments make about eight
+        # runs of a series length, so F_q comes from several power-mean calls
         x = gen_fgn(2000, 0.6, seed=4)
         scales = range(10, 501)
         got = mfdfa(x, scales, self.QS, order)
