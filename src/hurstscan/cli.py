@@ -1,10 +1,15 @@
 """Command-line interface: analyze, roll, synth, report.
 
-Outputs are plain CSV/JSON, written only inside the output directory
-(flag --out-dir, env var HURSTSCAN_OUT_DIR, else the working directory).
-Every command writes a manifest recording inputs, configuration, seeds,
-tool version and the SHA-256 of each output file, so identical
-invocations are verifiably bit-identical.
+Each command computes its results and returns them unwritten; ``main``
+alone writes them.  Outputs are plain CSV/JSON, each under a bare file
+name inside the output directory (flag --out-dir, env var
+HURSTSCAN_OUT_DIR, else the working directory); a name with a directory
+part is an input error.  A failed run writes nothing: the directory is
+created only after the command has returned.  Then come the outputs and
+a manifest that lists every one of them with its SHA-256, next to the
+inputs, configuration, seed and tool version, so identical invocations
+are verifiably bit-identical.  One line on stderr names every file
+written: ``wrote <file>, <file> and <manifest>``.
 
 Exit codes: 0 success, 1 input/validation error, 2 numerical failure.
 """
@@ -17,7 +22,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -66,6 +72,21 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+@dataclass(frozen=True)
+class _Run:
+    """What a command computed, still unwritten: main writes it.
+
+    ``outputs`` maps each output name to its file name and to a function
+    that writes the file at the path it is given.
+    """
+
+    stem: str
+    inputs: list[str]
+    config: dict
+    outputs: dict
+    seed: int | None = None
+
+
 def _out_dir(args) -> Path:
     """The output directory, created if missing: call it once the results exist."""
     out = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
@@ -74,31 +95,30 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _write_json(path: Path, data) -> Path:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
-    return path
+def _write_text(path: Path, text: str) -> None:
+    path.write_text(text, encoding="utf-8")
 
 
-def _write_manifest(
-    args, command: str, stem: str, inputs, config: dict, outputs, started, seed=None
-):
+def _write_json(path: Path, data) -> None:
+    _write_text(path, json.dumps(data, indent=2) + "\n")
+
+
+def _write_manifest(out_dir: Path, command: str, run: _Run, paths: dict, started) -> Path:
     """Write <stem>.<command>.manifest.json: inputs, config, seed and the outputs' hashes."""
-    out_dir = _out_dir(args)
     manifest = {
         "command": command,
         "version": __version__,
-        "inputs": [str(p) for p in inputs],
-        "config": config,
-        "seed": seed,
+        "inputs": run.inputs,
+        "config": run.config,
+        "seed": run.seed,
         "outputs": {
-            name: {"path": str(path), "sha256": _sha256(path)}
-            for name, path in outputs.items()
+            name: {"path": str(out), "sha256": _sha256(out)} for name, out in paths.items()
         },
         "duration_seconds": time.perf_counter() - started,
     }
-    return _write_json(out_dir / f"{stem}.{command}.manifest.json", manifest)
+    path = out_dir / f"{run.stem}.{command}.manifest.json"
+    _write_json(path, manifest)
+    return path
 
 
 def _layout(args) -> CsvLayout:
@@ -154,6 +174,15 @@ def _add_scale_flags(parser, with_window: bool):
     _int_flag(parser, "--detrend-order", RollingConfig.detrend_order, "detrending polynomial order")
 
 
+def _add_switch(parser, name: str, on_help: str, off_help: str):
+    """--<name> and --no-<name>, mutually exclusive; on by default."""
+    group = parser.add_mutually_exclusive_group()
+    on_help = f"{on_help} (default: on)"
+    group.add_argument(f"--{name}", dest=name, action="store_true", help=on_help)
+    group.add_argument(f"--no-{name}", dest=name, action="store_false", help=off_help)
+    parser.set_defaults(**{name: True})
+
+
 def _add_out_dir_flag(parser):
     parser.add_argument(
         "--out-dir",
@@ -170,14 +199,10 @@ def _q_tag(q: float) -> str:
     return str(int(q)) if float(q).is_integer() else str(q)
 
 
-def cmd_analyze(args) -> int:
-    started = time.perf_counter()
-    stem = Path(args.input).stem
+def cmd_analyze(args) -> _Run:
     series = _load_return_series(args)
     qs = _q_list(args)
     _check_has_q2(qs)
-
-    outputs: dict[str, Path] = {}
     config = {
         "s_min": args.s_min,
         "s_max": args.s_max,
@@ -187,126 +212,77 @@ def cmd_analyze(args) -> int:
         "returns": args.returns,
     }
 
+    stem = Path(args.input).stem
+    outputs = {}
     values = series.values
     if args.garch:
         fit = garch_fit(values)
         values = garch_filter(series, fit)
-    # compute everything before touching the output directory, so a
-    # failed run leaves neither files nor an empty directory
+        outputs["garch"] = (f"{stem}.garch.json", partial(_write_json, data=fit.to_dict()))
     results = mfdfa(values, range(args.s_min, args.s_max + 1), qs, args.detrend_order)
     indicators = liquidity_indicators(*results[2.0])
 
-    out_dir = _out_dir(args)
-    if args.garch:
-        outputs["garch"] = _write_json(out_dir / f"{stem}.garch.json", fit.to_dict())
-
     for q in sorted(results):
-        fp, _ = results[q]
-        fluct_path = out_dir / f"{stem}.fluct_q{_q_tag(q)}.csv"
-        fp.write_csv(fluct_path)
-        outputs[f"fluctuations_q{_q_tag(q)}"] = fluct_path
-
+        tag = _q_tag(q)
+        outputs[f"fluctuations_q{tag}"] = (f"{stem}.fluct_q{tag}.csv", results[q][0].write_csv)
     fits = [results[q][1].to_dict() for q in sorted(results)]
-    outputs["scaling"] = _write_json(out_dir / f"{stem}.scaling.json", fits)
-    outputs["indicators"] = _write_json(
-        out_dir / f"{stem}.indicators.json", indicators.to_dict()
+    outputs["scaling"] = (f"{stem}.scaling.json", partial(_write_json, data=fits))
+    outputs["indicators"] = (
+        f"{stem}.indicators.json",
+        partial(_write_json, data=indicators.to_dict()),
     )
-
-    manifest = _write_manifest(args, "analyze", stem, [args.input], config, outputs, started)
-    print(f"wrote {len(outputs)} files and {manifest}", file=sys.stderr)
-    return 0
+    return _Run(stem, [args.input], config, outputs)
 
 
-def cmd_roll(args) -> int:
-    started = time.perf_counter()
-    stem = Path(args.input).stem
+def cmd_roll(args) -> _Run:
     series = _load_return_series(args)
     # every field but q_set has a flag of its own name
     names = [field.name for field in fields(RollingConfig) if field.name != "q_set"]
     config = RollingConfig(q_set=_q_list(args), **{name: getattr(args, name) for name in names})
     results = roll(series, config)
 
-    out_dir = _out_dir(args)
-    csv_path = out_dir / f"{stem}.rolling.csv"
-    write_rolling_csv(results, csv_path)
-    jsonl_path = out_dir / f"{stem}.rolling.jsonl"
-    write_rolling_jsonl(results, jsonl_path)
-
-    outputs = {"rolling_csv": csv_path, "rolling_jsonl": jsonl_path}
-    manifest = _write_manifest(
-        args,
-        "roll",
-        stem,
-        [args.input],
-        {**config.to_dict(), "returns": args.returns},
-        outputs,
-        started,
-    )
-    print(f"wrote {csv_path}, {jsonl_path} and {manifest}", file=sys.stderr)
-    return 0
+    stem = Path(args.input).stem
+    outputs = {
+        "rolling_csv": (f"{stem}.rolling.csv", partial(write_rolling_csv, results)),
+        "rolling_jsonl": (f"{stem}.rolling.jsonl", partial(write_rolling_jsonl, results)),
+    }
+    return _Run(stem, [args.input], {**config.to_dict(), "returns": args.returns}, outputs)
 
 
-def cmd_synth(args) -> int:
-    started = time.perf_counter()
+def cmd_synth(args) -> _Run:
     if not args.dates and args.start_date is not None:
         raise InputError("--start-date needs dates; it has no effect with --no-dates")
-    spec = GeneratorSpec(
-        kind=args.kind,
-        n=args.n,
-        seed=args.seed,
-        hurst=args.h,
-        sigma=args.sigma,
-        omega=args.omega,
-        alpha=args.alpha,
-        beta=args.beta,
-    )
-    values = generate(spec)
-
-    out_dir = _out_dir(args)
-    name = args.out or f"{args.kind.replace('-', '_')}_n{args.n}_seed{args.seed}.csv"
-    path = out_dir / name
+    # every GeneratorSpec field has a flag of its own name
+    spec = GeneratorSpec(**{f.name: getattr(args, f.name) for f in fields(GeneratorSpec)})
+    columns, header = [(_FLOAT, generate(spec))], ("value",)
     if args.dates:
         dates = synthetic_dates(args.n, args.start_date or SYNTHETIC_START)
-        _write_table(path, [(_DATE, dates), (_FLOAT, values)], ("date", "value"))
-    else:
-        _write_table(path, [(_FLOAT, values)], ("value",))
+        columns, header = [(_DATE, dates), *columns], ("date", *header)
 
-    manifest = _write_manifest(
-        args, "synth", path.stem, [], spec.to_dict(), {"series": path}, started, seed=args.seed
-    )
-    print(f"wrote {path} and {manifest}", file=sys.stderr)
-    return 0
+    name = args.out or f"{args.kind.replace('-', '_')}_n{args.n}_seed{args.seed}.csv"
+    outputs = {"series": (name, partial(_write_table, columns=columns, header=header))}
+    return _Run(Path(name).stem, [], spec.to_dict(), outputs, seed=args.seed)
 
 
-def cmd_report(args) -> int:
-    started = time.perf_counter()
-    stem = Path(args.input).stem.removesuffix(".rolling")
+def cmd_report(args) -> _Run:
     results = read_rolling_csv(args.input)
     runs = detect_regimes(results, args.threshold)
 
-    out_dir = _out_dir(args)
-    outputs: dict[str, Path] = {}
+    stem = Path(args.input).stem.removesuffix(".rolling")
+    outputs = {}
     for name in ("hurst", "f0", "f_sigma", "f_range", "f_ratio"):
-        path = out_dir / f"{stem}.{name}.csv"
         columns = [(_DATE, results.date), (_FLOAT, getattr(results, name))]
-        _write_table(path, columns, ("date", "value"))
-        outputs[name] = path
+        write = partial(_write_table, columns=columns, header=("date", "value"))
+        outputs[name] = (f"{stem}.{name}.csv", write)
 
-    regimes_path = out_dir / f"{stem}.regimes.txt"
-    with open(regimes_path, "w", encoding="utf-8") as fh:
-        fh.write(f"hurst regimes at threshold {args.threshold!r}\n")
-        for run in runs:
-            fh.write(
-                f"{run.label} {args.threshold!r} from {run.start.isoformat()} "
-                f"to {run.end.isoformat()} ({run.n_windows} windows)\n"
-            )
-    outputs["regimes"] = regimes_path
-
-    manifest = _write_manifest(
-        args, "report", stem, [args.input], {"threshold": args.threshold}, outputs, started
-    )
-    print(f"wrote {len(outputs)} files and {manifest}", file=sys.stderr)
-    return 0
+    lines = [f"hurst regimes at threshold {args.threshold!r}\n"]
+    lines += [
+        f"{run.label} {args.threshold!r} from {run.start.isoformat()} "
+        f"to {run.end.isoformat()} ({run.n_windows} windows)\n"
+        for run in runs
+    ]
+    outputs["regimes"] = (f"{stem}.regimes.txt", partial(_write_text, text="".join(lines)))
+    return _Run(stem, [args.input], {"threshold": args.threshold}, outputs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,20 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_input_flags(p_analyze)
     _add_scale_flags(p_analyze, with_window=False)
-    garch_group = p_analyze.add_mutually_exclusive_group()
-    garch_group.add_argument(
-        "--garch",
-        dest="garch",
-        action="store_true",
-        help="fit GARCH(1,1) and analyze the filtered series (default: on)",
+    _add_switch(
+        p_analyze,
+        "garch",
+        "fit GARCH(1,1) and analyze the filtered series",
+        "analyze the raw series without volatility filtering",
     )
-    garch_group.add_argument(
-        "--no-garch",
-        dest="garch",
-        action="store_false",
-        help="analyze the raw series without volatility filtering",
-    )
-    p_analyze.set_defaults(garch=True)
     _add_out_dir_flag(p_analyze)
     p_analyze.set_defaults(func=cmd_analyze)
 
@@ -377,27 +345,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--kind", choices=list(_KINDS), required=True, help="generator")
     p_synth.add_argument("--n", type=int, required=True, help="series length")
     p_synth.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
-    p_synth.add_argument("--h", type=float, default=None, help="Hurst exponent (fgn only)")
+    # each generator flag's dest is its GeneratorSpec field
+    p_synth.add_argument(
+        "--h", dest="hurst", type=float, default=None, help="Hurst exponent (fgn only)"
+    )
     p_synth.add_argument(
         "--sigma", type=float, default=None, help="noise scale, fgn/white (default: 1.0)"
     )
     p_synth.add_argument("--omega", type=float, default=None, help="GARCH omega (garch only)")
     p_synth.add_argument("--alpha", type=float, default=None, help="GARCH alpha (garch only)")
     p_synth.add_argument("--beta", type=float, default=None, help="GARCH beta (garch only)")
-    dates_group = p_synth.add_mutually_exclusive_group()
-    dates_group.add_argument(
-        "--dates",
-        dest="dates",
-        action="store_true",
-        help="include a synthetic date index column (default: on)",
+    _add_switch(
+        p_synth,
+        "dates",
+        "include a synthetic date index column",
+        "write a single value column with no dates",
     )
-    dates_group.add_argument(
-        "--no-dates",
-        dest="dates",
-        action="store_false",
-        help="write a single value column with no dates",
-    )
-    p_synth.set_defaults(dates=True)
     p_synth.add_argument(
         "--start-date",
         type=dt.date.fromisoformat,
@@ -427,19 +390,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except InputError as exc:
-        print(f"hurstscan: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        run = args.func(args)
+        for file_name, _ in run.outputs.values():
+            if file_name in (".", "..") or Path(file_name).name != file_name:
+                raise InputError(f"output file name {file_name!r} is not a bare file name")
+        # the directory is created only once every result exists, so a
+        # failed command leaves neither files nor an empty directory
+        out_dir = _out_dir(args)
+        paths = {}
+        for name, (file_name, write) in run.outputs.items():
+            paths[name] = out_dir / file_name
+            write(paths[name])
+        manifest = _write_manifest(out_dir, args.command, run, paths, started)
+    except (InputError, OSError) as exc:
         print(f"hurstscan: error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"hurstscan: numerical failure: {exc}", file=sys.stderr)
         return 2
+    print(f"wrote {', '.join(map(str, paths.values()))} and {manifest}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

@@ -313,4 +313,9 @@ def synthetic_dates(n: int, start: dt.date = SYNTHETIC_START) -> tuple[dt.date, 
     """n consecutive calendar dates, for series that have no natural calendar."""
     if n < 1:
         raise InputError("n must be at least 1")
+    if (dt.date.max - start).days < n - 1:
+        raise InputError(
+            f"{n} dates from {start.isoformat()} run past the last representable "
+            f"date {dt.date.max.isoformat()}"
+        )
     return tuple(start + dt.timedelta(days=i) for i in range(n))

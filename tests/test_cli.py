@@ -97,6 +97,23 @@ class TestSynth:
         assert "--start-date" in capsys.readouterr().err
         assert list(workdir.iterdir()) == []
 
+    def test_start_date_past_the_last_date_exits_one_without_output(self, workdir, capsys):
+        args = ["synth", "--kind", "gaussian-white", "--n", "1000",
+                "--start-date", "9999-12-01", "--out-dir", "newdir"]
+        assert run(args) == 1
+        assert "last representable date 9999-12-31" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["../x.csv", "sub/x.csv", "absolute"])
+    def test_out_with_a_directory_part_exits_one_without_output(self, workdir, capsys, out):
+        # --out names a file inside --out-dir, never one beside or outside it
+        out = str(workdir / "x.csv") if out == "absolute" else out
+        args = ["synth", "--kind", "fgn", "--n", "100", "--h", "0.6", "--out", out, "--out-dir", "o"]
+        assert run(args) == 1
+        assert "is not a bare file name" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+        assert not (workdir.parent / "x.csv").exists()
+
     def test_start_date_sets_first_date(self, workdir):
         run(["synth", "--kind", "gaussian-white", "--n", "3", "--start-date", "2001-02-03", "--out", "w.csv"])
         lines = (workdir / "w.csv").read_text().splitlines()
@@ -355,6 +372,34 @@ class TestPipeline:
         return [(start + dt.timedelta(days=i)).isoformat() for i in range(n)]
 
 
+class TestRunner:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["synth", "--kind", "fgn", "--h", "0.6", "--n", "600", "--out", "fgn.csv"],
+            ["analyze", "fgn.csv", "--returns", "--q=-2", "--q=2"],
+            ["roll", "fgn.csv", "--returns", "--step", "50"],
+            ["report", "fgn.rolling.csv"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_out_dir_holds_the_manifest_outputs_and_nothing_else(self, workdir, capsys, command):
+        synth_fgn(workdir, n=600)
+        assert run(["roll", "fgn.csv", "--returns", "--step", "50"]) == 0
+        capsys.readouterr()
+        assert run([*command, "--out-dir", "out"]) == 0
+        (manifest,) = (workdir / "out").glob("*.manifest.json")
+        outputs = json.loads(manifest.read_text())["outputs"]
+        paths = [workdir / entry["path"] for entry in outputs.values()]
+        assert sorted((workdir / "out").iterdir()) == sorted([manifest, *paths])
+        for path, entry in zip(paths, outputs.values()):
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == entry["sha256"]
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        for path in [*paths, manifest]:
+            assert str(path.relative_to(workdir)) in err
+
+
 class TestEnvironment:
     def test_out_dir_env_var(self, workdir, monkeypatch):
         monkeypatch.setenv("HURSTSCAN_OUT_DIR", str(workdir / "env_out"))
@@ -444,6 +489,20 @@ class TestHelp:
         assert choices("roll", "garch_mode") == GARCH_MODES
         assert choices("roll", "stamp") == STAMP_CHOICES
         assert choices("synth", "kind") == tuple(_KINDS)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["analyze", "x.csv", "--garch", "--no-garch"],
+            ["synth", "--kind", "fgn", "--n", "100", "--h", "0.6", "--no-dates", "--dates"],
+        ],
+    )
+    def test_switch_and_its_negation_exit_one(self, workdir, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            run(args)
+        assert exc.value.code == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -329,3 +329,10 @@ class TestSeriesTypes:
         dates = synthetic_dates(4)
         assert dates[0] == dt.date(2000, 1, 3)
         assert all((b - a).days == 1 for a, b in zip(dates, dates[1:]))
+
+    def test_synthetic_dates_past_the_last_date_rejected(self):
+        start = dt.date(9999, 12, 1)
+        assert synthetic_dates(31, start)[-1] == dt.date.max
+        with pytest.raises(InputError) as exc:
+            synthetic_dates(1000, start)
+        assert all(part in str(exc.value) for part in ("1000", "9999-12-01", "9999-12-31"))
