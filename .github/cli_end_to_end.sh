@@ -1,0 +1,86 @@
+#!/usr/bin/env bash
+# The console script end to end: every subcommand on a synthetic series,
+# and the input errors that must exit 1 with a message, not a traceback.
+#
+#     bash -e .github/cli_end_to_end.sh
+#
+# Needs a `hurstscan` console script and a `python` that imports
+# hurstscan, as `pip install -e .` provides.  Runs in a fresh temporary
+# directory.
+cd "$(mktemp -d)"
+hurstscan synth --kind fgn --n 2000 --h 0.6 --out fgn.csv
+hurstscan analyze fgn.csv --returns
+hurstscan analyze fgn.csv --returns --q=-2 --q=2 --q=4
+# an output name with a directory part, a date past 9999-12-31 and a
+# contradictory switch pair each exit 1 with a message
+status=0
+hurstscan synth --kind fgn --n 100 --h 0.6 --out ../escaped.csv || status=$?
+test "$status" -eq 1
+test ! -e ../escaped.csv
+status=0
+hurstscan synth --kind gaussian-white --n 1000 --start-date 9999-12-01 2> late.err || status=$?
+test "$status" -eq 1
+if grep -q Traceback late.err; then exit 1; fi
+status=0
+hurstscan analyze fgn.csv --returns --garch --no-garch || status=$?
+test "$status" -eq 1
+# a byte that is not UTF-8 (Windows-1252 "e acute") in a price fails as
+# that line's unparsable cell
+printf 'date,close\n2000-01-03,100.0\n2000-01-04,101.0\n2000-01-05,10\xe9.0\n' > latin.csv
+status=0
+hurstscan analyze latin.csv 2> latin.err || status=$?
+test "$status" -eq 1
+grep -q "latin.csv:4:" latin.err
+if grep -q Traceback latin.err; then exit 1; fi
+# scales 4..500 of 2,000 points: the F_q stage takes the power means
+# in ten calls; at 4..452 the last call holds the single scale 452
+python -W error -m hurstscan.cli analyze fgn.csv --returns --s-min 4 --s-max 500 --q=-4 --q=2 --q=4
+python -W error -m hurstscan.cli analyze fgn.csv --returns --s-min 4 --s-max 452 --q=-4 --q=2 --q=4
+# 300 equal returns: zero segment fluctuations, which negative q rejects
+awk -F, 'NR > 801 && NR <= 1101 { $2 = "0.001" } 1' OFS=, fgn.csv > flat.csv
+status=0
+hurstscan analyze flat.csv --returns --no-garch --q=-2 --q=2 2> flat.err || status=$?
+test "$status" -eq 1
+grep -q "zero segment fluctuation with negative q" flat.err
+hurstscan roll fgn.csv --returns --step 100
+hurstscan report fgn.rolling.csv
+hurstscan roll fgn.csv --returns --step 100 --garch-mode per-window
+hurstscan roll fgn.csv --returns --step 10 --garch-mode per-window
+hurstscan roll fgn.csv --returns --step 10 --detrend-order 0
+# s_max = window // 4: the shared running-sum table at its widest padding
+hurstscan roll fgn.csv --returns --step 7 --s-max 125 --detrend-order 2
+# one window of the whole file: roll averages many scales per power-mean
+# call, as analyze does, and must give analyze's q = 2 fit and measures
+hurstscan analyze fgn.csv --returns --out-dir one
+for mode in whole-sample per-window; do
+  hurstscan roll fgn.csv --returns --window 2000 --s-max 50 --garch-mode "$mode" --out-dir "$mode"
+  python -c 'import json, sys, hurstscan as h; r = h.read_rolling_csv(sys.argv[3] + "/fgn.rolling.csv"); fit, = (f for f in json.load(open(sys.argv[1])) if f["q"] == 2.0); want = {"hurst": fit["hurst"], **json.load(open(sys.argv[2]))}; bad = {k: (getattr(r, k)[0], v) for k, v in want.items() if not abs(getattr(r, k)[0] - v) <= 1e-12 * abs(v)}; assert len(r) == 1 and not bad, bad' one/fgn.scaling.json one/fgn.indicators.json "$mode"
+done
+# three per-window windows up to scale 400, with a negative q
+hurstscan roll fgn.csv --returns --window 1990 --step 4 --s-max 400 --q=-2 --q=2 --garch-mode per-window
+# far from unit scale the liquidity measures neither overflow nor underflow
+hurstscan synth --kind fgn --n 2000 --h 0.6 --sigma 1e100 --out big.csv
+hurstscan synth --kind fgn --n 2000 --h 0.6 --sigma 1e-100 --out tiny.csv
+hurstscan analyze big.csv --returns --no-garch --q=-4 --q=2 --q=4
+hurstscan analyze tiny.csv --returns --no-garch --q=-4 --q=2 --q=4
+# returns of about 1e157 (synth rejects that sigma): mfdfa scales the
+# series to unit size, so the first value out of the float range is
+# R(s), in squared units; it exits 1 with a message, not a warning
+python -c 'import hurstscan as h; r = h.gen_garch(200, 1e-6, 0.08, 0.91, seed=8) * 1e160; h.save_returns(h.ReturnSeries(h.synthetic_dates(r.size), r), "huge.csv")'
+status=0
+python -W error -m hurstscan.cli analyze huge.csv --returns --no-garch --s-min 3 --s-max 15 2> huge.err || status=$?
+test "$status" -eq 1
+grep -qF "R(s) = F_2(s)^2 / s^(2H) leaves the floating-point range" huge.err
+if grep -q Traceback huge.err; then exit 1; fi
+# 100,000 rows: the CSV reader crosses about 100 blocks
+hurstscan synth --kind fgn --n 100000 --h 0.7 --sigma 0.01 --out long.csv
+hurstscan analyze long.csv --returns --s-max 1000
+# a sigma whose series leaves the float range exits 1 and writes nothing
+for params in "--kind fgn --n 2000 --h 0.6 --sigma 1e300" \
+              "--kind fgn --n 2000 --h 0.6 --sigma 1e-300" \
+              "--kind gaussian-white --n 100 --sigma 1e308"; do
+  status=0
+  hurstscan synth $params --out out_of_range.csv || status=$?
+  test "$status" -eq 1
+  test ! -e out_of_range.csv
+done

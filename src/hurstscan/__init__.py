@@ -9,83 +9,24 @@ variance scales across segment lengths.
 
 __version__ = "0.1.0"
 
-from .exceptions import InputError, NumericalError
-from .garch import (
-    GarchFit,
-    GarchParams,
-    garch_filter,
-    garch_fit,
-    garch_loglik,
-    variance_path,
-)
-from .ingest import (
-    CsvLayout,
-    PriceSeries,
-    ReturnSeries,
-    load_prices,
-    load_returns,
-    log_returns,
-    save_prices,
-    save_returns,
-    synthetic_dates,
-)
-from .liquidity import LiquidityIndicators, liquidity_indicators, rescale
-from .rolling import (
-    RegimeRun,
-    RollingConfig,
-    RollingResult,
-    detect_regimes,
-    read_rolling_csv,
-    roll,
-    write_rolling_csv,
-    write_rolling_jsonl,
-)
-from .scaling import (
-    FluctuationProfile,
-    ScalingFit,
-    fit_scaling,
-    mfdfa,
-)
-from .synth import GeneratorSpec, fgn_autocovariance, gen_fgn, gen_garch, gen_white, generate
+# each module's __all__ is the one list of its public names; the
+# package's __all__ joins those lists in the order given below
+from . import exceptions, garch, ingest, liquidity, rolling, scaling, synth
+from .exceptions import *
+from .garch import *
+from .ingest import *
+from .liquidity import *
+from .rolling import *
+from .scaling import *
+from .synth import *
 
 __all__ = [
     "__version__",
-    "InputError",
-    "NumericalError",
-    "CsvLayout",
-    "PriceSeries",
-    "ReturnSeries",
-    "load_prices",
-    "load_returns",
-    "save_prices",
-    "save_returns",
-    "log_returns",
-    "synthetic_dates",
-    "GarchParams",
-    "GarchFit",
-    "variance_path",
-    "garch_loglik",
-    "garch_fit",
-    "garch_filter",
-    "FluctuationProfile",
-    "ScalingFit",
-    "fit_scaling",
-    "mfdfa",
-    "LiquidityIndicators",
-    "rescale",
-    "liquidity_indicators",
-    "RollingConfig",
-    "RollingResult",
-    "RegimeRun",
-    "roll",
-    "detect_regimes",
-    "write_rolling_csv",
-    "write_rolling_jsonl",
-    "read_rolling_csv",
-    "GeneratorSpec",
-    "fgn_autocovariance",
-    "gen_fgn",
-    "gen_white",
-    "gen_garch",
-    "generate",
+    *exceptions.__all__,
+    *ingest.__all__,
+    *garch.__all__,
+    *scaling.__all__,
+    *liquidity.__all__,
+    *rolling.__all__,
+    *synth.__all__,
 ]

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["InputError", "NumericalError"]
+
 
 class InputError(ValueError):
     """Invalid input data or configuration (bad file, bad parameters, violated precondition)."""

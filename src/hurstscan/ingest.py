@@ -3,8 +3,9 @@
 Every CSV file hurstscan reads or writes, a price or return series, a
 rolling result, a fluctuation profile or a report, goes through one
 reader and one writer here.  Files are UTF-8 (a leading byte-order mark
-is skipped, CRLF or LF line ends) with a header row by default; blank
-lines are skipped and a bad file fails naming its first bad line.  Cells
+is skipped, CRLF or LF line ends, a byte that is not UTF-8 reads as
+U+FFFD) with a header row by default; blank lines are skipped and a bad
+file fails naming its first bad line.  Cells
 are ISO-8601 dates (YYYY-MM-DD, surrounding spaces allowed), finite
 floats (``nan`` or ``inf`` fail) written with ``repr`` so a write/read
 round trip is bit-identical, ``true``/``false`` flags, and integers.
@@ -58,6 +59,14 @@ class CsvLayout:
             raise InputError("columns must be integer positions when there is no header")
 
 
+def _first_unordered(dates) -> int | None:
+    """The index of the first date not later than the one before it, or None."""
+    # compared in C; the offending date is looked for only on failure
+    if all(map(operator.lt, dates, islice(dates, 1, None))):
+        return None
+    return list(map(operator.lt, dates, islice(dates, 1, None))).index(False) + 1
+
+
 @dataclass(frozen=True)
 class _DatedSeries:
     """Finite values on strictly increasing dates; positive too for prices."""
@@ -74,10 +83,9 @@ class _DatedSeries:
             raise InputError("dates and values must have equal length")
         if len(dates) == 0:
             raise InputError("empty series")
-        # compared in C; the first offending date is looked for only on failure
-        if not all(map(operator.lt, dates, islice(dates, 1, None))):
-            b = next(b for a, b in zip(dates, dates[1:]) if not a < b)
-            raise InputError(f"dates must be strictly increasing (at {b})")
+        k = _first_unordered(dates)
+        if k is not None:
+            raise InputError(f"dates must be strictly increasing (at {dates[k]})")
         if not np.all(np.isfinite(values)):
             raise InputError("values contain non-finite entries")
         if self._positive and np.any(values <= 0):
@@ -216,7 +224,9 @@ def _read_table(path, columns: dict, header: bool = True, rule=None):
     block is read.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8-sig")
+        # a byte that is not UTF-8 reads as U+FFFD: a cell that holds one
+        # fails to parse on its own line, and a column that is not parsed loads
+        fh = open(path, newline="", encoding="utf-8-sig", errors="replace")
     except FileNotFoundError:
         raise InputError(f"file not found: {path}") from None
     chunks = {label: [] for label in columns}
@@ -242,9 +252,9 @@ def _read_table(path, columns: dict, header: bool = True, rule=None):
     return parsed, lines
 
 
-def _write_table(path, columns, header=None, row_format=None) -> None:
+def _write_table(path, columns, header=None) -> None:
     """Write (kind, values) columns, each formatted by its kind, with ``_write_cells``."""
-    _write_cells(path, [kind.format(values) for kind, values in columns], header, row_format)
+    _write_cells(path, [kind.format(values) for kind, values in columns], header)
 
 
 def _write_cells(path, cells, header=None, row_format=None) -> None:
@@ -264,14 +274,15 @@ def _read_dated_values(path, layout: CsvLayout):
     columns = {"date": (layout.date_col, _DATE), "value": (layout.value_col, _FLOAT)}
     parsed, lines = _read_table(path, columns, layout.header)
     dates, values = parsed["date"], parsed["value"]
-    if all(map(operator.lt, dates, islice(dates, 1, None))):
-        # already in order, as every file hurstscan writes: nothing to sort or scan
+    if _first_unordered(dates) is None:
+        # already in order, as every file hurstscan writes: nothing to sort
         return dates, values, lines
     order = sorted(range(len(lines)), key=dates.__getitem__)
     dates, lines = [dates[i] for i in order], [lines[i] for i in order]
-    for k in range(1, len(dates)):
-        if dates[k] == dates[k - 1]:
-            raise InputError(f"{path}:{lines[k]}: duplicate date {dates[k].isoformat()}")
+    # sorted, so the first date not later than the one before repeats it
+    k = _first_unordered(dates)
+    if k is not None:
+        raise InputError(f"{path}:{lines[k]}: duplicate date {dates[k].isoformat()}")
     return dates, values[order], lines
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InputError
-from .scaling import FluctuationProfile, ScalingFit
+from .scaling import FluctuationProfile, ScalingFit, _float_fields
 
 __all__ = ["LiquidityIndicators", "rescale", "liquidity_indicators"]
 
@@ -66,12 +66,7 @@ class LiquidityIndicators:
             raise InputError("inconsistent indicator values")
 
     def to_dict(self) -> dict:
-        return {
-            "f0": float(self.f0),
-            "f_sigma": float(self.f_sigma),
-            "f_range": float(self.f_range),
-            "f_ratio": float(self.f_ratio),
-        }
+        return _float_fields(self)
 
 
 def _rescale_rows(scales, fq, hurst) -> np.ndarray:

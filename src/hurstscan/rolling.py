@@ -15,14 +15,16 @@ scales), on ``mfdfa``'s path: a producer of each scale's squared
 segment fluctuations, the one F_q stage
 ``scaling._fluctuation_function``, then the fit and the measures.  Only
 the producer differs.  With one whole-sample GARCH fit and detrending
-order >= 1, windows share their segments: ``_shared_f2`` detrends each
-once, in one pass over all windows, from one table of running sums that
-serves every scale.  Per-window GARCH fits and order 0 give every
-window its own profile: ``mfdfa``'s producer ``scaling._series_f2``
-takes the windows in order, in blocks of a fixed number of windows, so
-memory stays bounded however many windows there are.  The per-window
-GARCH fits of a block run as one batched search, each window's fit
-equal, bit for bit, to ``garch_fit`` on that window alone.
+order >= 1, windows share their segments: ``scaling._shared_f2``
+detrends each once, in one pass over all windows, from one table of
+running sums that serves every scale.  Per-window GARCH fits and order
+0 give every window its own profile: ``mfdfa``'s producer
+``scaling._series_f2`` takes the windows in order, in blocks of a fixed
+number of windows, so memory stays bounded however many windows there
+are.  Both producers live in ``scaling``, the one module that knows the
+segment layout.  The per-window GARCH fits of a block run as one
+batched search, each window's fit equal, bit for bit, to ``garch_fit``
+on that window alone.
 """
 from __future__ import annotations
 
@@ -36,7 +38,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import InputError
 from .garch import GarchFit, _fit_rows, garch_filter, garch_fit
-from .ingest import _DATE, _FLAG, _FLOAT, ReturnSeries, _read_table, _write_cells
+from .ingest import (
+    _DATE,
+    _FLAG,
+    _FLOAT,
+    ReturnSeries,
+    _first_unordered,
+    _read_table,
+    _write_cells,
+)
 from .liquidity import _check_has_q2, _indicator_rows, _indicators_ok
 from .scaling import (
     _check_fluctuations,
@@ -46,12 +56,8 @@ from .scaling import (
     _fit_loglog,
     _fluctuation_function,
     _is_integer,
-    _residual_f2,
-    _run_marker,
-    _segment_starts,
     _series_f2,
-    _unit_steps,
-    _zero_flat,
+    _shared_f2,
 )
 
 __all__ = [
@@ -190,7 +196,11 @@ def _first_bad_row(cols) -> tuple[int, str] | None:
     rules = [(np.isfinite(cols[col]), f"non-finite {col}") for col in _FLOATS]
     indicators = _indicators_ok(cols["f0"], cols["f_sigma"], cols["f_range"], cols["f_ratio"])
     rules.append((indicators, "bad row (inconsistent indicator values)"))
-    later = [k == 0 or date[k - 1] < date[k] for k in range(len(date))]
+    # only the first date out of order is marked: no later one is the first bad row
+    later = np.ones(len(date), dtype=bool)
+    unordered = _first_unordered(date)
+    if unordered is not None:
+        later[unordered] = False
     rules.append((later, "date {} is not later than {}"))
     bad = ~np.all([ok for ok, _ in rules], axis=0)
     if not bad.any():
@@ -208,49 +218,6 @@ class RegimeRun:
     end: dt.date
     label: str
     n_windows: int
-
-
-def _shared_f2(values: np.ndarray, starts: np.ndarray, config: RollingConfig):
-    """Each scale's squared segment fluctuations of every window of one series.
-
-    Over one segment, a window's profile differs from the running sum
-    of the values started at the segment's first point only by a
-    constant plus a linear term.  Detrending of order >= 1 removes both,
-    so a segment's squared fluctuation depends only on its absolute
-    start and its scale, not on the window.  Each scale's fluctuations
-    are computed once for every start position, then gathered into each
-    window's forward and backward segments in ``_scale_f2``'s order.  The
-    running sums stay at the size of one segment, so their rounding
-    is no larger than that of ``mfdfa``'s per-window profile.
-
-    The running sums are built once, for the largest scale: row a of
-    the table sums the steps from a on, left to right, so its first s
-    columns are the running sums of the scale-s segment that starts at
-    a, bit for bit a sum over those s steps alone.  Each scale detrends
-    the first n - s + 1 rows, one per start with a whole segment: the
-    matmul's rounding follows the shape of its stack (see
-    ``_residual_f2``), so the table's spare rows stay out of it.
-
-    Returns the series' exponent e of ``_unit_steps`` and an iterator
-    of one (windows x 2*(window // s)) array per scale, the
-    fluctuations of the series scaled by 2**-e.
-    """
-    steps, e = _unit_steps(values)
-    marker = _run_marker(values)
-    n, order = steps.size, config.detrend_order
-    # zeros at the end give every start up to n - s_min a full table row
-    padded = np.concatenate([steps, np.zeros(config.s_max - config.s_min)])
-    sums = np.cumsum(sliding_window_view(padded, config.s_max), axis=1)
-
-    def per_scale():
-        for s in config.scales():
-            # row a: the profile over [a, a + s) up to a constant
-            f2_at = _residual_f2(sums[: n - s + 1, :s], order)
-            if marker is not None:
-                _zero_flat(f2_at, marker, s, order, np.arange(f2_at.size))
-            yield f2_at[starts[:, None] + _segment_starts(config.window, s)]
-
-    return e, per_scale()
 
 
 def _window_columns(source, dates, config: RollingConfig, first: int = 0):
@@ -344,7 +311,8 @@ def roll(returns: ReturnSeries, config: RollingConfig = RollingConfig()) -> Roll
             # order 0 leaves a window's linear profile term in: no shared segments
             columns, _ = _row_columns(filtered, starts, dates, config, refit=False)
         else:
-            columns = _window_columns(_shared_f2(filtered, starts, config), dates, config)
+            source = _shared_f2(filtered, starts, w, config.scales(), config.detrend_order)
+            columns = _window_columns(source, dates, config)
     return RollingResult(dates, *columns, converged)
 
 

@@ -12,8 +12,8 @@ is the generalized Hurst exponent H(q).
 ``mfdfa`` and ``roll`` share one path.  A producer per source kind
 yields each scale's squared segment fluctuations: ``_series_f2`` for
 series with a profile of their own (``mfdfa``'s one series, a block of
-``roll``'s windows), ``rolling._shared_f2`` for windows that share one
-series' segments.  One stage, ``_fluctuation_function``, takes the power
+``roll``'s windows), ``_shared_f2`` for windows that share one series'
+segments.  One stage, ``_fluctuation_function``, takes the power
 means of consecutive scales in one call and scales F_q back to the
 series' units.  Segments are never copied out of a profile, and the
 power mean reduces every scale on its own, so F_q at a scale is the
@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import InputError
 from .ingest import _FLOAT, _INT, _write_table
@@ -79,6 +80,11 @@ def _check_scale_range(s_min: int, s_max: int, order: int, length: int) -> None:
         )
 
 
+def _float_fields(record) -> dict:
+    """A dataclass record of numbers as {field name: Python float}, in field order."""
+    return {f.name: float(getattr(record, f.name)) for f in fields(record)}
+
+
 @dataclass(frozen=True)
 class FluctuationProfile:
     """Average fluctuations F_q(s) over a set of scales for one moment order q."""
@@ -123,13 +129,7 @@ class ScalingFit:
     stderr_hurst: float
 
     def to_dict(self) -> dict:
-        return {
-            "q": float(self.q),
-            "hurst": float(self.hurst),
-            "log_intercept": float(self.log_intercept),
-            "r_squared": float(self.r_squared),
-            "stderr_hurst": float(self.stderr_hurst),
-        }
+        return _float_fields(self)
 
 
 def _unit_steps(values):
@@ -276,6 +276,52 @@ def _series_f2(values, scales, order: int):
     return e, (_zero_flat(_scale_f2(profiles, s, order), marker, s, order) for s in scales)
 
 
+def _shared_f2(values, starts, window: int, scales, order: int):
+    """The (e, per-scale f2) source of the windows of one series that share its segments.
+
+    The windows are ``window`` points long and begin at ``starts``;
+    ``scales`` are consecutive and increasing, as ``roll``'s are.
+
+    Over one segment, a window's profile differs from the running sum
+    of the values started at the segment's first point only by a
+    constant plus a linear term.  Detrending of order >= 1 removes both,
+    so a segment's squared fluctuation depends only on its absolute
+    start and its scale, not on the window.  Each scale's fluctuations
+    are computed once for every start position, then gathered into each
+    window's forward and backward segments in ``_scale_f2``'s order.  The
+    running sums stay at the size of one segment, so their rounding
+    is no larger than that of ``mfdfa``'s per-window profile.
+
+    The running sums are built once, for the largest scale: row a of
+    the table sums the steps from a on, left to right, so its first s
+    columns are the running sums of the scale-s segment that starts at
+    a, bit for bit a sum over those s steps alone.  Each scale detrends
+    the first n - s + 1 rows, one per start with a whole segment: the
+    matmul's rounding follows the shape of its stack (see
+    ``_residual_f2``), so the table's spare rows stay out of it.
+
+    Returns the series' exponent e of ``_unit_steps`` and an iterator
+    of one (windows x 2*(window // s)) array per scale, the
+    fluctuations of the series scaled by 2**-e.
+    """
+    steps, e = _unit_steps(values)
+    marker = _run_marker(values)
+    n, s_min, s_max = steps.size, scales[0], scales[-1]
+    # zeros at the end give every start up to n - s_min a full table row
+    padded = np.concatenate([steps, np.zeros(s_max - s_min)])
+    sums = np.cumsum(sliding_window_view(padded, s_max), axis=1)
+
+    def per_scale():
+        for s in scales:
+            # row a: the profile over [a, a + s) up to a constant
+            f2_at = _residual_f2(sums[: n - s + 1, :s], order)
+            if marker is not None:
+                _zero_flat(f2_at, marker, s, order, np.arange(f2_at.size))
+            yield f2_at[starts[:, None] + _segment_starts(window, s)]
+
+    return e, per_scale()
+
+
 @functools.lru_cache(maxsize=8)
 def _power_bound(qs) -> float:
     """2**(2 * _POWER_BITS / max|q|), capped at 2**1000.
@@ -341,7 +387,7 @@ def _fluctuation_function(source, qs, length: int):
     """F_q(s) scaled back by 2**e, (q x series x scales), and a zero flag per series.
 
     ``source`` is the (e, per-scale f2) pair of ``_series_f2`` or
-    ``rolling._shared_f2``.  Consecutive scales go to one ``_power_means``
+    ``_shared_f2``.  Consecutive scales go to one ``_power_means``
     call, one group each, once they hold ``length`` values over all
     series; a lone scale goes in uncopied.  Nothing is checked here.
     """

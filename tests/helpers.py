@@ -205,8 +205,8 @@ def assert_results_close(got, want, rel: float = 1e-12) -> None:
         assert bad.size == 0, [(k, key, x[k], y[k]) for k in bad[:3]]
 
 
-def per_scale_shared_f2(values, starts, config):
-    """``rolling._shared_f2`` with its running sums rebuilt at every scale.
+def per_scale_shared_f2(values, starts, window, scales, order):
+    """``scaling._shared_f2`` with its running sums rebuilt at every scale.
 
     The reference for the shared table of running sums: at each scale s
     the segments are ``cumsum(sliding_window_view(steps, s), axis=1)``,
@@ -217,11 +217,11 @@ def per_scale_shared_f2(values, starts, config):
     marker = _run_marker(values)
 
     def per_scale():
-        for s in config.scales():
+        for s in scales:
             segments = np.cumsum(sliding_window_view(steps, s), axis=1)
-            f2_at = _residual_f2(segments, config.detrend_order)
-            _zero_flat(f2_at, marker, s, config.detrend_order, np.arange(f2_at.size))
-            yield f2_at[starts[:, None] + _segment_starts(config.window, s)]
+            f2_at = _residual_f2(segments, order)
+            _zero_flat(f2_at, marker, s, order, np.arange(f2_at.size))
+            yield f2_at[starts[:, None] + _segment_starts(window, s)]
 
     return e, per_scale()
 

@@ -27,6 +27,15 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+def subprocess_env() -> dict:
+    """The environment of a fresh interpreter that imports this hurstscan."""
+    src = Path(hurstscan.__file__).resolve().parent.parent
+    path = [str(src), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    env.pop("HURSTSCAN_OUT_DIR", None)
+    return env
+
+
 def synth_fgn(workdir, name="fgn.csv", n=10000, seed=42, h=0.7):
     assert run(["synth", "--kind", "fgn", "--h", str(h), "--n", str(n), "--seed", str(seed), "--out", name]) == 0
     return workdir / name
@@ -172,6 +181,21 @@ class TestAnalyze:
         assert "out of range" in capsys.readouterr().err
         assert not (workdir / "newdir").exists()
 
+    def test_byte_not_utf8_exits_one_naming_line(self, workdir):
+        # Windows-1252 "e acute" inside a price, through the console
+        # script's own interpreter so a traceback would show on stderr
+        (workdir / "latin.csv").write_bytes(
+            b"date,close\n2000-01-03,100.0\n2000-01-04,101.0\n2000-01-05,10\xe9.0\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "hurstscan.cli", "analyze", "latin.csv"],
+            cwd=workdir, env=subprocess_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "latin.csv:4: unparsable value" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(workdir.iterdir()) == [workdir / "latin.csv"]
+
     def test_missing_file_exits_one_naming_path(self, workdir, capsys):
         assert run(["analyze", "missing.csv"]) == 1
         assert "missing.csv" in capsys.readouterr().err
@@ -300,6 +324,16 @@ class TestReport:
     def test_malformed_input(self, workdir, capsys):
         (workdir / "bad.csv").write_text("date,hurst\n2000-01-03,0.5\n")
         assert run(["report", "bad.csv"]) == 1
+
+    def test_byte_not_utf8_exits_one_naming_line(self, workdir, capsys):
+        self.write_rolling(workdir, [0.6, 0.6, 0.6])
+        path = workdir / "run.rolling.csv"
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b",0.11,", b",0.1\xe91,")
+        path.write_bytes(b"\n".join(lines))
+        assert run(["report", "run.rolling.csv"]) == 1
+        assert "run.rolling.csv:3: unparsable f0 '0.1\ufffd1'" in capsys.readouterr().err
+        assert not (workdir / "run.hurst.csv").exists()
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
     def test_non_finite_threshold_exits_one(self, workdir, capsys, threshold):
@@ -430,13 +464,9 @@ print(after_import, after_runs)
 def test_import_loads_no_scipy(tmp_path):
     # start-up time: numpy is the only runtime dependency of the CLI, also
     # once the GARCH fit and the scaling kernel have run
-    src = Path(hurstscan.__file__).resolve().parent.parent
-    path = [str(src), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    env.pop("HURSTSCAN_OUT_DIR", None)
     proc = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_CHECK],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[] []"

@@ -1,4 +1,5 @@
 import datetime as dt
+import itertools
 import math
 import tracemalloc
 
@@ -20,6 +21,7 @@ from hurstscan import (
     save_returns,
     synthetic_dates,
 )
+from hurstscan.ingest import _first_unordered
 
 
 def write(tmp_path, text, name="prices.csv"):
@@ -77,6 +79,24 @@ class TestLoadPrices:
         series = load_prices(path)
         np.testing.assert_allclose(series.values, [100.0, 105.0])
 
+    def test_windows_1252_text_in_an_unparsed_column_loads(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        text = "date,close,issuer\n2000-01-03,100,Soci\u00e9t\u00e9\n2000-01-04,105,Z\u00fcrich\n"
+        path.write_bytes(text.encode("cp1252"))
+        np.testing.assert_allclose(load_prices(path).values, [100.0, 105.0])
+
+    def test_byte_not_utf8_in_a_parsed_cell_reports_location(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_bytes(b"date,close\n2000-01-03,100\n2000-01-04,10\xe9\n2000-01-05,x\n")
+        with pytest.raises(InputError, match=r"prices\.csv:3: unparsable value '10\ufffd'"):
+            load_prices(path)
+
+    def test_byte_not_utf8_in_a_header_name_misses_the_column(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_bytes(b"date,cl\xe9se\n2000-01-03,100\n")
+        with pytest.raises(InputError, match=r"missing columns \['close'\]"):
+            load_prices(path)
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", " Infinity"])
     def test_non_finite_value_reports_location(self, tmp_path, cell):
         path = write(tmp_path, f"date,value\n2000-01-03,0.01\n2000-01-04,{cell}\n")
@@ -97,6 +117,15 @@ class TestLoadPrices:
         path = write(tmp_path, "2000-01-03,100\n2000-01-04,105\n")
         series = load_prices(path, CsvLayout(date_col=0, value_col=1, header=False))
         np.testing.assert_allclose(series.values, [100.0, 105.0])
+
+
+class TestFirstUnordered:
+    # steps of 0 repeat a date and negative steps go back
+    @given(st.lists(st.integers(-3, 3)))
+    def test_matches_the_plain_loop(self, steps):
+        dates = [dt.date(2001, 1, 1) + dt.timedelta(days=d) for d in itertools.accumulate(steps)]
+        want = next((k for k in range(1, len(dates)) if not dates[k - 1] < dates[k]), None)
+        assert _first_unordered(dates) == want
 
 
 class TestSeriesType:
@@ -161,15 +190,21 @@ class TestRoundTrip:
 PADDING = st.sampled_from(["", "", " ", "  ", "\t"])
 
 
+# Windows-1252 text, as spreadsheet exports write it: not UTF-8
+NOTE = st.text(st.sampled_from("Soci\u00e9t\u00e9 Z\u00fcrich \u20ac"), max_size=12)
+
+
 @st.composite
 def messy_return_files(draw):
     """A return CSV as real files come: CRLF or LF, blank lines, padded cells, rows out of order.
 
-    The file may lack a header (columns then go by position) and may
-    repeat dates.  Returns the text, its layout, the series it holds in
-    date order, and the line number the reader must reject, or None:
-    the first whitespace-only line, else the second row of the earliest
-    repeated date.
+    The file may lack a header (columns then go by position), may
+    repeat dates, may carry an extra column of Windows-1252 text that
+    the reader never parses, and may hold a byte that is not UTF-8 in
+    one value cell.  Returns the file's bytes, its layout, the series it
+    holds in date order, and the line number the reader must reject, or
+    None: the first whitespace-only line or value with a bad byte, else
+    the second row of the earliest repeated date.
     """
     n = draw(st.integers(1, 25))
     gaps = draw(st.lists(st.integers(1, 7), min_size=n, max_size=n))
@@ -178,36 +213,49 @@ def messy_return_files(draw):
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n)
     )
     header = draw(st.booleans())
+    notes = draw(st.booleans())
     repeats = draw(st.lists(st.integers(0, n - 1), max_size=2))
     rows = [*range(n), *repeats]
-    lines = ["date,value"] if header else []
+    bad_byte_row = draw(st.none() | st.integers(0, len(rows) - 1))
+    lines = [b"date,value" + b",note" * notes] if header else []
     line_dates = [None] * len(lines)
-    for k in draw(st.permutations(rows)):
+    broken = [False] * len(lines)
+    for i, k in enumerate(draw(st.permutations(rows))):
         pads = [draw(PADDING) for _ in range(4)]
-        lines.append(f"{pads[0]}{dates[k]}{pads[1]},{pads[2]}{values[k]!r}{pads[3]}")
+        value = f"{pads[2]}{values[k]!r}{pads[3]}".encode()
+        if i == bad_byte_row:
+            at = draw(st.integers(0, len(value)))
+            value = value[:at] + b"\xe9" + value[at:]
+        line = f"{pads[0]}{dates[k]}{pads[1]},".encode() + value
+        if notes:
+            line += b"," + draw(NOTE).encode("cp1252")
+        lines.append(line)
         line_dates.append(dates[k])
+        broken.append(i == bad_byte_row)
     for _ in range(draw(st.integers(0, 4))):
         # blank lines anywhere after the header, trailing ones included
         at = draw(st.integers(int(header), len(lines)))
-        lines.insert(at, draw(st.sampled_from(["", "", "", " "])))
+        blank = draw(st.sampled_from([b"", b"", b"", b" "]))
+        lines.insert(at, blank)
         line_dates.insert(at, None)
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    text = newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
-    bad = next((i + 1 for i, line in enumerate(lines) if line == " "), None)
+        broken.insert(at, blank == b" ")
+    newline = draw(st.sampled_from([b"\n", b"\r\n"]))
+    data = newline.join(lines) + draw(st.sampled_from([b"", newline, newline * 2]))
+    bad = next((i + 1 for i, flag in enumerate(broken) if flag), None)
     if bad is None and repeats:
         earliest = min(dates[k] for k in repeats)
         bad = [i + 1 for i, date in enumerate(line_dates) if date == earliest][1]
     layout = CsvLayout(value_col="value") if header else CsvLayout(0, 1, header=False)
-    return text, layout, dates, values, bad
+    return data, layout, dates, values, bad
 
 
 class TestReaderFuzz:
     @given(case=messy_return_files())
     @settings(max_examples=80)
     def test_loads_sorted_or_names_line(self, case, tmp_path_factory):
-        text, layout, dates, values, bad = case
+        data, layout, dates, values, bad = case
         path = tmp_path_factory.mktemp("fuzz") / "messy.csv"
-        path.write_bytes(text.encode())
+        path.write_bytes(data)
         if bad is not None:
             with pytest.raises(InputError, match=rf"messy\.csv:{bad}: "):
                 load_returns(path, layout)
@@ -221,9 +269,9 @@ class TestBlockReader:
     @given(case=messy_return_files())
     @settings(max_examples=40)
     def test_block_size_does_not_change_the_read(self, case, tmp_path_factory):
-        text, layout, *_ = case
+        data, layout, *_ = case
         path = tmp_path_factory.mktemp("fuzz") / "messy.csv"
-        path.write_bytes(text.encode())
+        path.write_bytes(data)
         assert_block_size_free(load_returns, path, layout)
 
     def test_load_keeps_parsed_values_not_cell_texts(self, tmp_path):

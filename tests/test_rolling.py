@@ -504,8 +504,9 @@ class TestRoll:
             # size it holds the fluctuations of the unscaled series, times
             # the square of the factor between the two unit scalings
             starts = np.arange(0, 141, 7)
-            e, got = _shared_f2(values, starts, config)
-            e_base, want = _shared_f2(base, starts, config)
+            geometry = (config.window, config.scales(), config.detrend_order)
+            e, got = _shared_f2(values, starts, *geometry)
+            e_base, want = _shared_f2(base, starts, *geometry)
             factor = np.ldexp(1e160, int(e_base[0] - e[0]))
             for got_s, want_s in zip(got, want, strict=True):
                 np.testing.assert_allclose(got_s, want_s * factor**2, rtol=1e-12, atol=0)
