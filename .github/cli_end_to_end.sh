@@ -47,8 +47,16 @@ hurstscan report fgn.rolling.csv
 hurstscan roll fgn.csv --returns --step 100 --garch-mode per-window
 hurstscan roll fgn.csv --returns --step 10 --garch-mode per-window
 hurstscan roll fgn.csv --returns --step 10 --detrend-order 0
-# s_max = window // 4: the shared running-sum table at its widest padding
+# s_max = window // 4: the whole-sample recursion's longest segments,
+# which reach its zero padding at the last starts
 hurstscan roll fgn.csv --returns --step 7 --s-max 125 --detrend-order 2
+# a whole-sample roll at step 37 is every 37th row of the step-1 roll
+hurstscan roll fgn.csv --returns --step 1 --out-dir s1
+hurstscan roll fgn.csv --returns --step 37 --out-dir s37
+awk 'NR==1 || (NR-2) % 37 == 0' s1/fgn.rolling.csv | cmp - s37/fgn.rolling.csv
+# the 300 equal returns at order 3 in one whole-sample fit: near-flat
+# segments, detrended without a warning
+python -W error -m hurstscan.cli roll flat.csv --returns --detrend-order 3 --out-dir flat3
 # one window of the whole file: roll averages many scales per power-mean
 # call, as analyze does, and must give analyze's q = 2 fit and measures
 hurstscan analyze fgn.csv --returns --out-dir one

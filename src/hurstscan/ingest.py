@@ -215,8 +215,11 @@ def _read_table(path, columns: dict, header: bool = True, rule=None):
 
     ``columns`` maps a label to (column name or position, kind).
     ``rule`` takes the parsed columns and returns the index of the first
-    row that breaks it and why, or None.  A bad file fails naming its
-    first bad line: a short row, a bad cell, or a row that breaks the rule.
+    row that breaks it and why, or None.  A file with a short row or a
+    bad cell fails naming its first bad line: that row, or an earlier row
+    that breaks the rule.  A file that parses whole comes back unchecked
+    against the rule, which the caller applies once, with ``_check_rule``
+    to name the line.
 
     Rows are read and parsed ``_BLOCK_ROWS`` at a time.  What stays in
     memory per row is its parsed values and its line number, held in one
@@ -247,9 +250,7 @@ def _read_table(path, columns: dict, header: bool = True, rule=None):
             _parse_block(path, block, len(lines) - len(block), columns, chunks, lines, rule)
     if not lines:
         raise InputError(f"{path}: no data rows")
-    parsed = _join(chunks)
-    _check_rule(path, parsed, lines, rule)
-    return parsed, lines
+    return _join(chunks), lines
 
 
 def _write_table(path, columns, header=None) -> None:

@@ -4,7 +4,9 @@
 array per measure, the q=2 Hurst exponent, its fit diagnostics, the
 four liquidity indicators and the GARCH flag, one entry per window in
 chronological order.  Each window is stamped with its last date by
-default (the values are "known as of" that day).  The writers write
+default.  In per-window GARCH mode its values are then "known as of"
+that day; the default whole-sample fit uses the whole series, so it
+filters each window with later returns too.  The writers write
 the rolling CSV and JSON-lines files from the same cells, which a
 result formats once with the CSV dialect of ``ingest``, and
 ``read_rolling_csv`` reads a CSV back into the same type under the
@@ -16,8 +18,9 @@ segment fluctuations, the one F_q stage
 ``scaling._fluctuation_function``, then the fit and the measures.  Only
 the producer differs.  With one whole-sample GARCH fit and detrending
 order >= 1, windows share their segments: ``scaling._shared_f2``
-detrends each once, in one pass over all windows, from one table of
-running sums that serves every scale.  Per-window GARCH fits and order
+detrends each once, in one pass over the segment lengths that updates
+the fit at every start of the series, and copies each window's
+segments out of those per-start values.  Per-window GARCH fits and order
 0 give every window its own profile: ``mfdfa``'s producer
 ``scaling._series_f2`` takes the windows in order, in blocks of a fixed
 number of windows, so memory stays bounded however many windows there
@@ -43,6 +46,7 @@ from .ingest import (
     _FLAG,
     _FLOAT,
     ReturnSeries,
+    _check_rule,
     _first_unordered,
     _read_table,
     _write_cells,
@@ -356,5 +360,10 @@ def read_rolling_csv(path) -> RollingResult:
     ``false``, or a row that breaks a rule of ``_first_bad_row``.
     """
     columns = {col: (col, kind) for col, kind in _KINDS.items()}
-    parsed, _ = _read_table(path, columns, rule=_first_bad_row)
-    return RollingResult(**parsed)
+    parsed, lines = _read_table(path, columns, rule=_first_bad_row)
+    try:
+        return RollingResult(**parsed)
+    except InputError:
+        # the result names the window that breaks a rule; name its line
+        _check_rule(path, parsed, lines, _first_bad_row)
+        raise

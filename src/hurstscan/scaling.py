@@ -13,11 +13,15 @@ is the generalized Hurst exponent H(q).
 yields each scale's squared segment fluctuations: ``_series_f2`` for
 series with a profile of their own (``mfdfa``'s one series, a block of
 ``roll``'s windows), ``_shared_f2`` for windows that share one series'
-segments.  One stage, ``_fluctuation_function``, takes the power
-means of consecutive scales in one call and scales F_q back to the
-series' units.  Segments are never copied out of a profile, and the
-power mean reduces every scale on its own, so F_q at a scale is the
-same, bit for bit, whichever other scales are asked for.
+segments.  ``_series_f2`` detrends each scale's segments in place in
+their profile by one projection.  ``_shared_f2`` makes one pass over
+the segment lengths 1..s_max that updates the fit at every start of
+the series by Givens rotations (``_start_f2``), then copies each
+window's fluctuations out of the per-start values.  One stage,
+``_fluctuation_function``, takes the power means of consecutive scales
+in one call and scales F_q back to the series' units.  The power mean
+reduces every scale on its own, so F_q at a scale is the same, bit for
+bit, whichever other scales are asked for.
 """
 from __future__ import annotations
 
@@ -27,7 +31,6 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import InputError
 from .ingest import _FLOAT, _INT, _write_table
@@ -276,29 +279,84 @@ def _series_f2(values, scales, order: int):
     return e, (_zero_flat(_scale_f2(profiles, s, order), marker, s, order) for s in scales)
 
 
+def _start_f2(steps, scales, order: int):
+    """Each scale's mean squared detrending residual of the segment at every start.
+
+    Yields, for each of ``scales`` (consecutive and increasing), one
+    array of n - s + 1 values: entry a is the mean squared residual,
+    about its least-squares polynomial of the given order, of the
+    running sums of ``steps[a : a + s]`` taken left to right.
+
+    One pass grows every start's segment by one point at a time,
+    vectorized over the starts.  A least-squares fit over a segment
+    that gains a point updates with one Givens rotation per polynomial
+    term, and its residual sum of squares gains one non-negative term,
+    so nothing cancels (Gentleman, J. Inst. Maths Applics 12, 1973, in
+    his square-root-free form).  Term i of a row x of weight w turns
+    the triangle's d_i into d_i + w x_i**2, takes r -= x_i z_i off the
+    row's remainder, adds w x_i / d_i' times r to z_i and scales w by
+    d_i / d_i'; the remainder left after the last term adds w r**2.
+    Every start has the same design row (1, k, ..., k**order) at its
+    k-th point, so the triangle (d, u), the rotations and the weight are
+    scalars; only the right-hand sides z and the remainder r are arrays.
+    The profile grows as ``profile += steps[k:]``: each segment's running
+    sum of its own steps, left to right, so no sum spans more than one
+    segment and its rounding is no larger than that of ``mfdfa``'s
+    per-window profile.
+    """
+    n, p = steps.size, order + 1
+    # zeros at the end let every start run to the largest scale; the
+    # values of the starts without a whole segment are never read
+    padded = np.concatenate([steps, np.zeros(scales[-1] - 1)])
+    profile, rss, r, t = np.zeros(n), np.zeros(n), np.empty(n), np.empty(n)
+    z = np.zeros((p, n))
+    d = [0.0] * p
+    u = [[0.0] * p for _ in range(p)]
+    for k in range(scales[-1]):
+        profile += padded[k : k + n]
+        x = [float(k) ** i for i in range(p)]
+        weight = 1.0
+        np.subtract(profile, z[0], out=r)
+        for i in range(p):
+            if i:
+                np.multiply(z[i], x[i], out=t)
+                r -= t
+            d_new = d[i] + weight * x[i] * x[i]
+            rotate = weight * x[i] / d_new
+            weight *= d[i] / d_new
+            d[i] = d_new
+            for j in range(i + 1, p):
+                x[j] -= x[i] * u[i][j]
+                u[i][j] += rotate * x[j]
+            np.multiply(r, rotate, out=t)
+            z[i] += t
+            if weight == 0.0:
+                # the row is absorbed into the triangle: it leaves no remainder
+                break
+        if weight:
+            np.multiply(r, r, out=t)
+            t *= weight
+            rss += t
+        if k + 1 >= scales[0]:
+            yield rss[: n - k] / (k + 1)
+
+
 def _shared_f2(values, starts, window: int, scales, order: int):
     """The (e, per-scale f2) source of the windows of one series that share its segments.
 
-    The windows are ``window`` points long and begin at ``starts``;
-    ``scales`` are consecutive and increasing, as ``roll``'s are.
+    The windows are ``window`` points long and begin at ``starts``,
+    which step evenly; ``scales`` are consecutive and increasing, as
+    ``roll``'s are.
 
     Over one segment, a window's profile differs from the running sum
     of the values started at the segment's first point only by a
     constant plus a linear term.  Detrending of order >= 1 removes both,
     so a segment's squared fluctuation depends only on its absolute
-    start and its scale, not on the window.  Each scale's fluctuations
-    are computed once for every start position, then gathered into each
-    window's forward and backward segments in ``_scale_f2``'s order.  The
-    running sums stay at the size of one segment, so their rounding
-    is no larger than that of ``mfdfa``'s per-window profile.
-
-    The running sums are built once, for the largest scale: row a of
-    the table sums the steps from a on, left to right, so its first s
-    columns are the running sums of the scale-s segment that starts at
-    a, bit for bit a sum over those s steps alone.  Each scale detrends
-    the first n - s + 1 rows, one per start with a whole segment: the
-    matmul's rounding follows the shape of its stack (see
-    ``_residual_f2``), so the table's spare rows stay out of it.
+    start and its scale, not on the window.  ``_start_f2`` computes it
+    once for every start, one scale after the other, and each scale's
+    values are copied out into each window's forward and backward
+    segments, in ``_scale_f2``'s order, through two strided views: one
+    forward, one backward with a negative stride.
 
     Returns the series' exponent e of ``_unit_steps`` and an iterator
     of one (windows x 2*(window // s)) array per scale, the
@@ -306,18 +364,23 @@ def _shared_f2(values, starts, window: int, scales, order: int):
     """
     steps, e = _unit_steps(values)
     marker = _run_marker(values)
-    n, s_min, s_max = steps.size, scales[0], scales[-1]
-    # zeros at the end give every start up to n - s_min a full table row
-    padded = np.concatenate([steps, np.zeros(s_max - s_min)])
-    sums = np.cumsum(sliding_window_view(padded, s_max), axis=1)
+    first = int(starts[0])
+    step = int(starts[1] - first) if starts.size > 1 else 0
 
     def per_scale():
-        for s in scales:
-            # row a: the profile over [a, a + s) up to a constant
-            f2_at = _residual_f2(sums[: n - s + 1, :s], order)
+        for s, f2_at in zip(scales, _start_f2(steps, scales, order)):
             if marker is not None:
                 _zero_flat(f2_at, marker, s, order, np.arange(f2_at.size))
-            yield f2_at[starts[:, None] + _segment_starts(window, s)]
+            shape, item = (starts.size, window // s), f2_at.itemsize
+            # the ndarray constructor: as_strided's generic path costs ten
+            # times as much, twice per scale
+            yield np.concatenate(
+                [
+                    np.ndarray(shape, float, f2_at, offset * item, (step * item, stride * item))
+                    for offset, stride in ((first, s), (first + window - s, -s))
+                ],
+                axis=1,
+            )
 
     return e, per_scale()
 

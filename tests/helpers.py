@@ -206,12 +206,14 @@ def assert_results_close(got, want, rel: float = 1e-12) -> None:
 
 
 def per_scale_shared_f2(values, starts, window, scales, order):
-    """``scaling._shared_f2`` with its running sums rebuilt at every scale.
+    """``scaling._shared_f2`` by a projection per scale and a gather per window.
 
-    The reference for the shared table of running sums: at each scale s
-    the segments are ``cumsum(sliding_window_view(steps, s), axis=1)``,
-    an (n - s + 1) x s array of their own, so the whole-sample roll
-    must give the same bits with either source.
+    The reference for the per-start recursion: at each scale s the
+    segments are ``cumsum(sliding_window_view(steps, s), axis=1)``, an
+    (n - s + 1) x s array detrended by ``_residual_f2`` in one matmul,
+    and each window's segments are gathered by fancy indexing.  The
+    arithmetic differs from the recursion's, so the two agree to
+    rounding, with the same exact zeros of ``_zero_flat``.
     """
     steps, e = _unit_steps(values)
     marker = _run_marker(values)

@@ -33,6 +33,7 @@ from hurstscan import (
 )
 from hurstscan import rolling
 from hurstscan.rolling import ROLLING_CSV_COLUMNS, _shared_f2
+from hurstscan.scaling import _fluctuation_function
 
 FAST = RollingConfig(window=500, step=100)
 
@@ -291,9 +292,9 @@ class TestRoll:
     def test_shared_sums_match_per_scale_sums(
         self, seed, order, s_min_extra, window_extra, s_max_frac, tail, step, flat_at, flat_len
     ):
-        # one table of running sums for every scale against a cumulative
-        # sum rebuilt at each scale: the same bits in every column; at
-        # s_max = window // 4 the table's zero padding is at its widest
+        # the per-start recursion against a projection per scale: the same
+        # error text, or every column within reference_roll's 1e-12; at
+        # s_max = window // 4 the last starts' segments reach the padding
         s_min = order + 2 + s_min_extra
         window = max(10 * s_min, 100) + window_extra
         s_max = s_min + 2 + int(s_max_frac * (window // 4 - s_min - 2))
@@ -316,7 +317,7 @@ class TestRoll:
                 roll(series, config)
             assert str(got.value) == str(exc)
         else:
-            assert columns(roll(series, config)) == columns(want)
+            assert_results_close(roll(series, config), want)
 
     @given(
         case=st.sampled_from(
@@ -512,6 +513,75 @@ class TestRoll:
                 np.testing.assert_allclose(got_s, want_s * factor**2, rtol=1e-12, atol=0)
 
 
+class TestSharedSource:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        order=st.sampled_from([1, 2, 3]),
+        s_min_extra=st.integers(0, 6),
+        scale_count=st.integers(3, 30),
+        window_extra=st.integers(0, 60),
+        first=st.integers(0, 120),
+        step=st.integers(1, 150),
+        count=st.integers(1, 6),
+        tail=st.integers(0, 40),
+        flat_at=st.floats(0.0, 1.0),
+        flat_len=st.sampled_from([0, 3, 12, 60]),
+    )
+    # windows that start on multiples of s_min = 10, and one lone window
+    @example(
+        seed=1, order=1, s_min_extra=7, scale_count=3, window_extra=0, first=20, step=30,
+        count=4, tail=0, flat_at=0.0, flat_len=0,
+    )
+    @example(
+        seed=2, order=2, s_min_extra=0, scale_count=10, window_extra=7, first=0, step=1,
+        count=1, tail=0, flat_at=0.5, flat_len=12,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_projection_and_gather(
+        self, seed, order, s_min_extra, scale_count, window_extra, first, step, count, tail,
+        flat_at, flat_len,
+    ):
+        # per-start recursion and strided copies against a projection per
+        # scale and a fancy-index gather: the same layout, the same exact
+        # zeros, and the same values to rounding; steps reach past s_max.
+        # Each detrends to a few ulps of its profile, which is at most 2s
+        # in the unit-scaled steps' units, so a near-flat segment's tiny f2
+        # may differ far more than a few ulps of its own size
+        s_min = order + 2 + s_min_extra
+        scales = range(s_min, s_min + scale_count)
+        window = 4 * scales[-1] + window_extra
+        starts = first + step * np.arange(count)
+        n = int(starts[-1]) + window + tail
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(n) * np.exp(rng.normal(-4, 1))
+        # equal neighbours give flat segments, which _zero_flat sets to 0
+        flat_start = int(flat_at * (n - flat_len))
+        if flat_len:
+            values[flat_start : flat_start + flat_len] = values[flat_start]
+        e, got = _shared_f2(values, starts, window, scales, order)
+        e_want, want = per_scale_shared_f2(values, starts, window, scales, order)
+        np.testing.assert_array_equal(e, e_want)
+        eps = np.finfo(float).eps
+        for s, got_s, want_s in zip(scales, got, want, strict=True):
+            assert got_s.shape == want_s.shape == (count, 2 * (window // s))
+            np.testing.assert_array_equal(got_s == 0.0, want_s == 0.0)
+            bound = 8 * eps * s * np.sqrt(np.maximum(got_s, want_s))
+            assert np.all(np.abs(got_s - want_s) <= bound), s
+
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_row_far_from_unit_scale(self, k):
+        # the series is scaled to unit size by an exact power of two, so F_2
+        # of x * 2**k is F_2 of x times 2**k, bit for bit
+        values = gen_garch(400, 1e-6, 0.08, 0.91, seed=8)
+        values[100:130] = values[100]
+        starts = np.arange(0, 201, 3)
+        geometry = (200, range(4, 51), 2)
+        want, _ = _fluctuation_function(_shared_f2(values, starts, *geometry), (2.0,), 200)
+        scaled = _shared_f2(np.ldexp(values, k), starts, *geometry)
+        got, _ = _fluctuation_function(scaled, (2.0,), 200)
+        assert got.tobytes() == np.ldexp(want, k).tobytes()
+
+
 class TestDetectRegimes:
     def test_single_above_run(self):
         runs = detect_regimes(results_with_hurst([0.6, 0.6, 0.6]), 0.5)
@@ -554,6 +624,19 @@ class TestSerialization:
         for col in ROLLING_CSV_COLUMNS[1:]:
             # bit for bit: repr round-trips every float
             assert getattr(again, col).tobytes() == getattr(results, col).tobytes(), col
+
+    def test_read_checks_the_rows_once(self, tmp_path):
+        results = roll(make_return_series(gen_garch(520, 0.1, 0.1, 0.8, seed=9)), FAST)
+        path = tmp_path / "roll.csv"
+        write_rolling_csv(results, path)
+        with mock.patch.object(rolling, "_first_bad_row", wraps=rolling._first_bad_row) as rule:
+            read_rolling_csv(path)
+            assert rule.call_count == 1
+            # a bad row is still named by its line
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join([*lines, lines[-1]]) + "\n")
+            with pytest.raises(InputError, match=r"roll\.csv:%d: date " % (len(results) + 2)):
+                read_rolling_csv(path)
 
     def test_csv_identical_across_runs(self, tmp_path):
         series = spliced_series(seed=6)

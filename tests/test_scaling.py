@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from helpers import naive_mfdfa, naive_segment_fluctuations
 from hurstscan import FluctuationProfile, InputError, fit_scaling, gen_fgn, gen_garch, mfdfa
@@ -18,6 +19,7 @@ from hurstscan.scaling import (
     _power_means,
     _residual_f2,
     _scale_f2,
+    _start_f2,
     _unit_steps,
 )
 
@@ -26,6 +28,32 @@ def profile(x) -> np.ndarray:
     """The profile of ``x`` (running sum of the demeaned values) in the units of ``x``."""
     steps, e = _unit_steps(x)
     return np.ldexp(np.cumsum(steps), e)
+
+
+def long_double_f2(segments, order: int) -> np.ndarray:
+    """Mean squared residual of each segment (last axis), in long double.
+
+    The reference detrending: Gram-Schmidt (twice) on the centred powers.
+    """
+    s = segments.shape[-1]
+    t = np.arange(s, dtype=np.longdouble) - np.longdouble(s - 1) / 2
+    basis = []
+    for k in range(order + 1):
+        v = t**k
+        for _ in range(2):
+            for b in basis:
+                v = v - (b @ v) * b
+        basis.append(v / np.sqrt(v @ v))
+    residuals = segments.astype(np.longdouble)
+    for b in basis:
+        residuals = residuals - np.outer(residuals @ b, b)
+    return (residuals * residuals).sum(axis=-1) / s
+
+
+LONG_DOUBLE = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="long double is no wider than double here",
+)
 
 
 def power_mean(f2, q: float) -> float:
@@ -293,12 +321,8 @@ class TestDetrendBasis:
             outside = vander - basis @ (basis.T @ vander)
             assert np.abs(outside).max() <= 1e-12, s
 
-    @pytest.mark.skipif(
-        np.finfo(np.longdouble).eps >= np.finfo(float).eps,
-        reason="long double is no wider than double here",
-    )
+    @LONG_DOUBLE
     def test_residuals_no_less_accurate_than_qr(self):
-        # a long-double reference: Gram-Schmidt (twice) on the centred powers
         profile = np.cumsum(np.random.default_rng(1).standard_normal(20_000))
 
         def qr_f2(segments, order):
@@ -307,34 +331,50 @@ class TestDetrendBasis:
             residuals = segments - (segments @ basis) @ basis.T
             return np.mean(residuals**2, axis=-1)
 
-        def exact_f2(segments, order):
-            s = segments.shape[-1]
-            t = np.arange(s, dtype=np.longdouble) - np.longdouble(s - 1) / 2
-            basis = []
-            for k in range(order + 1):
-                v = t**k
-                for _ in range(2):
-                    for b in basis:
-                        v = v - (b @ v) * b
-                basis.append(v / np.sqrt(v @ v))
-            residuals = segments.astype(np.longdouble)
-            for b in basis:
-                residuals = residuals - np.outer(residuals @ b, b)
-            return (residuals * residuals).sum(axis=-1) / s
-
         for order in range(4):
             scales = [*range(order + 2, 31), 47, 100, 333, 1000, 2500, 5000]
             new, old = [], []
             for s in scales:
                 ns = profile.size // s
                 segments = profile[: ns * s].reshape(ns, s)
-                exact = exact_f2(segments, order)
+                exact = long_double_f2(segments, order)
                 new.append(np.abs(_residual_f2(segments, order) - exact) / exact)
                 old.append(np.abs(qr_f2(segments, order) - exact) / exact)
             new, old = (np.concatenate(err).astype(float) for err in (new, old))
             # the worst segment is set by the cancellation in its own residual
             assert new.max() <= 1.01 * old.max(), order
             assert np.sqrt(np.mean(new**2)) <= np.sqrt(np.mean(old**2)), order
+
+
+class TestStartF2:
+    @LONG_DOUBLE
+    def test_recursion_against_long_double(self):
+        # each start's segment grows one point at a time; its running sums,
+        # taken in double as the recursion takes them, are detrended in
+        # long double at three scales
+        eps = np.finfo(float).eps
+        noise = np.random.default_rng(2).standard_normal(2000)
+        steps_by_profile = {
+            "white steps": noise,
+            "drift 1.0, noise 0.01": 1.0 + 0.01 * noise,
+            "trending random walk": np.cumsum(noise) / 30 + 0.2,
+        }
+        scales = range(10, 51)
+        for name, steps in steps_by_profile.items():
+            for order in (1, 2, 3):
+                got = dict(zip(scales, _start_f2(steps, scales, order)))
+                for s in (10, 23, 50):
+                    segments = np.cumsum(sliding_window_view(steps, s), axis=1)
+                    exact = long_double_f2(segments, order)
+                    error = np.abs(got[s] - exact).astype(float)
+                    # a backward-stable detrending errs by a few ulps of the
+                    # profile: its residuals cancel a trend that much larger
+                    size = np.sqrt(exact * np.mean(segments**2, axis=-1)).astype(float)
+                    assert np.all(error <= 8 * eps * size), (name, order, s)
+                    if name == "white steps":
+                        relative = error / exact.astype(float)
+                        assert relative.max() <= 1e-13, (order, s)
+                        assert np.sqrt(np.mean(relative**2)) <= 1e-14, (order, s)
 
 
 class TestFitScaling:
