@@ -44,6 +44,16 @@ test "$status" -eq 1
 grep -q "zero segment fluctuation with negative q" flat.err
 hurstscan roll fgn.csv --returns --step 100
 hurstscan report fgn.rolling.csv
+# roll computes q = 2 only: --q 2 changes no byte, and any other q is a
+# usage error that writes nothing
+hurstscan roll fgn.csv --returns --step 100 --q 2 --out-dir q2
+cmp q2/fgn.rolling.csv fgn.rolling.csv
+cmp q2/fgn.rolling.jsonl fgn.rolling.jsonl
+status=0
+hurstscan roll fgn.csv --returns --step 100 --q=-2 --out-dir negq 2> negq.err || status=$?
+test "$status" -eq 1
+test ! -e negq
+if grep -q Traceback negq.err; then exit 1; fi
 hurstscan roll fgn.csv --returns --step 100 --garch-mode per-window
 hurstscan roll fgn.csv --returns --step 10 --garch-mode per-window
 hurstscan roll fgn.csv --returns --step 10 --detrend-order 0
@@ -64,8 +74,8 @@ for mode in whole-sample per-window; do
   hurstscan roll fgn.csv --returns --window 2000 --s-max 50 --garch-mode "$mode" --out-dir "$mode"
   python -c 'import json, sys, hurstscan as h; r = h.read_rolling_csv(sys.argv[3] + "/fgn.rolling.csv"); fit, = (f for f in json.load(open(sys.argv[1])) if f["q"] == 2.0); want = {"hurst": fit["hurst"], **json.load(open(sys.argv[2]))}; bad = {k: (getattr(r, k)[0], v) for k, v in want.items() if not abs(getattr(r, k)[0] - v) <= 1e-12 * abs(v)}; assert len(r) == 1 and not bad, bad' one/fgn.scaling.json one/fgn.indicators.json "$mode"
 done
-# three per-window windows up to scale 400, with a negative q
-hurstscan roll fgn.csv --returns --window 1990 --step 4 --s-max 400 --q=-2 --q=2 --garch-mode per-window
+# three per-window windows up to scale 400
+hurstscan roll fgn.csv --returns --window 1990 --step 4 --s-max 400 --q=2 --garch-mode per-window
 # far from unit scale the liquidity measures neither overflow nor underflow
 hurstscan synth --kind fgn --n 2000 --h 0.6 --sigma 1e100 --out big.csv
 hurstscan synth --kind fgn --n 2000 --h 0.6 --sigma 1e-100 --out tiny.csv

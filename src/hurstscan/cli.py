@@ -51,7 +51,7 @@ from .rolling import (
     write_rolling_csv,
     write_rolling_jsonl,
 )
-from .scaling import mfdfa
+from .scaling import _check_qs, mfdfa
 from .synth import _KINDS, GeneratorSpec, generate
 
 OUT_DIR_ENV = "HURSTSCAN_OUT_DIR"
@@ -164,13 +164,6 @@ def _add_scale_flags(parser, with_window: bool):
     else:
         parser.add_argument("--s-max", type=int, default=50, help="largest scale (default: 50)")
     _int_flag(parser, "--s-min", RollingConfig.s_min, "smallest scale")
-    parser.add_argument(
-        "--q",
-        type=float,
-        action="append",
-        default=None,
-        help="moment order, repeatable (default: 2)",
-    )
     _int_flag(parser, "--detrend-order", RollingConfig.detrend_order, "detrending polynomial order")
 
 
@@ -191,17 +184,14 @@ def _add_out_dir_flag(parser):
     )
 
 
-def _q_list(args):
-    return tuple(args.q) if args.q else (2.0,)
-
-
 def _q_tag(q: float) -> str:
     return str(int(q)) if float(q).is_integer() else str(q)
 
 
 def cmd_analyze(args) -> _Run:
     series = _load_return_series(args)
-    qs = _q_list(args)
+    # each q's own rule first, then the set's: the measures need q = 2
+    qs = _check_qs(args.q or (2.0,))
     _check_has_q2(qs)
     config = {
         "s_min": args.s_min,
@@ -236,9 +226,8 @@ def cmd_analyze(args) -> _Run:
 
 def cmd_roll(args) -> _Run:
     series = _load_return_series(args)
-    # every field but q_set has a flag of its own name
-    names = [field.name for field in fields(RollingConfig) if field.name != "q_set"]
-    config = RollingConfig(q_set=_q_list(args), **{name: getattr(args, name) for name in names})
+    # every RollingConfig field has a flag of its own name
+    config = RollingConfig(**{f.name: getattr(args, f.name) for f in fields(RollingConfig)})
     results = roll(series, config)
 
     stem = Path(args.input).stem
@@ -303,6 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_input_flags(p_analyze)
     _add_scale_flags(p_analyze, with_window=False)
+    p_analyze.add_argument(
+        "--q",
+        type=float,
+        action="append",
+        default=None,
+        help="moment order, repeatable (default: 2)",
+    )
     _add_switch(
         p_analyze,
         "garch",
@@ -320,6 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_input_flags(p_roll)
     _add_scale_flags(p_roll, with_window=True)
+    # the measures use q = 2 only: --q stays so that "--q 2" still parses
+    p_roll.add_argument(
+        "--q",
+        type=float,
+        choices=[2.0],
+        metavar="{2}",
+        help="moment order; roll computes q = 2 only (default: 2)",
+    )
     p_roll.add_argument(
         "--garch-mode",
         choices=GARCH_MODES,

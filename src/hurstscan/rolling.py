@@ -3,14 +3,15 @@
 ``roll`` returns one ``RollingResult``: the windows' dates plus one
 array per measure, the q=2 Hurst exponent, its fit diagnostics, the
 four liquidity indicators and the GARCH flag, one entry per window in
-chronological order.  Each window is stamped with its last date by
-default.  In per-window GARCH mode its values are then "known as of"
-that day; the default whole-sample fit uses the whole series, so it
-filters each window with later returns too.  The writers write
-the rolling CSV and JSON-lines files from the same cells, which a
-result formats once with the CSV dialect of ``ingest``, and
-``read_rolling_csv`` reads a CSV back into the same type under the
-same row rules, so every result reads back.
+chronological order.  Every measure comes from F_2, so a roll computes
+no other q, and the CLI's ``roll --q`` accepts only 2.  Each window is
+stamped with its last date by default.  In per-window GARCH mode its
+values are then "known as of" that day; the default whole-sample fit
+uses the whole series, so it filters each window with later returns
+too.  The writers write the rolling CSV and JSON-lines files from the
+same cells, which a result formats once with the CSV dialect of
+``ingest``, and ``read_rolling_csv`` reads a CSV back into the same
+type under the same row rules, so every result reads back.
 
 Every mode analyzes its windows in array passes over (windows x
 scales), on ``mfdfa``'s path: a producer of each scale's squared
@@ -51,12 +52,10 @@ from .ingest import (
     _read_table,
     _write_cells,
 )
-from .liquidity import _check_has_q2, _indicator_rows, _indicators_ok
+from .liquidity import _indicator_rows, _indicators_ok
 from .scaling import (
     _check_fluctuations,
-    _check_qs,
     _check_scale_range,
-    _check_zero_rule,
     _fit_loglog,
     _fluctuation_function,
     _is_integer,
@@ -87,17 +86,17 @@ _BLOCK = 64
 class RollingConfig:
     """Window geometry and analysis settings.
 
-    ``s_max`` defaults to window // 10; ``garch_mode`` selects one fit
-    over the full series ("whole-sample", the default) or an independent
-    fit per window ("per-window").  ``stamp`` picks which window day
-    dates the result (end by default).
+    There is no q: a roll computes the q = 2 fluctuation function only,
+    the one its measures use.  ``s_max`` defaults to window // 10;
+    ``garch_mode`` selects one fit over the full series ("whole-sample",
+    the default) or an independent fit per window ("per-window").
+    ``stamp`` picks which window day dates the result (end by default).
     """
 
     window: int = 500
     step: int = 1
     s_min: int = 10
     s_max: int | None = None
-    q_set: tuple[float, ...] = (2.0,)
     detrend_order: int = 1
     garch_mode: str = "whole-sample"
     stamp: str = "end"
@@ -109,8 +108,6 @@ class RollingConfig:
                 raise InputError(f"{name} must be an integer, got {value!r}")
         if self.s_max is None:
             object.__setattr__(self, "s_max", self.window // 10)
-        object.__setattr__(self, "q_set", _check_qs(self.q_set))
-        _check_has_q2(self.q_set)
         if self.step < 1:
             raise InputError("step must be at least 1")
         # the kernel runs no scale check of its own, so check the window here
@@ -128,7 +125,7 @@ class RollingConfig:
         return range(self.s_min, self.s_max + 1)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "q_set": list(self.q_set)}
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,23 +232,20 @@ def _window_columns(source, dates, config: RollingConfig, first: int = 0):
     prefixed with its number and date.
     """
     scales = np.asarray(config.scales())
-    fq, has_zero = _fluctuation_function(source, config.q_set, config.window)
-    fq = dict(zip(config.q_set, fq))
+    (fq,), _ = _fluctuation_function(source, (2.0,), config.window)
 
     def columns(rows):
-        # mfdfa's order within one window: per q, the negative-q rule, then
-        # F_q > 0; then the fit and liquidity_indicators' measures
-        for q in config.q_set:
-            _check_zero_rule(q, has_zero[rows])
-            _check_fluctuations(fq[q][rows])
-        hurst, intercept, r_squared, stderr = _fit_loglog(scales, fq[2.0][rows])
-        return (hurst, stderr, r_squared, *_indicator_rows(scales, fq[2.0][rows], hurst, intercept))
+        # mfdfa's order within one window: F_2 > 0, then the fit and
+        # liquidity_indicators' measures
+        _check_fluctuations(fq[rows])
+        hurst, intercept, r_squared, stderr = _fit_loglog(scales, fq[rows])
+        return (hurst, stderr, r_squared, *_indicator_rows(scales, fq[rows], hurst, intercept))
 
     try:
         return columns(slice(None))
     except InputError:
         # report the error of the first bad window, as each window alone would
-        for i in range(has_zero.size):
+        for i in range(len(fq)):
             try:
                 columns(i)
             except InputError as exc:
@@ -292,9 +286,9 @@ def roll(returns: ReturnSeries, config: RollingConfig = RollingConfig()) -> Roll
     windows slice the filtered series.  In per-window mode each window
     is fitted and filtered independently; a window whose fit raises
     still produces scaling results on its unfiltered returns, flagged
-    ``garch_converged=False``.  A window whose scaling or measures fail
-    (a degenerate window, a zero segment fluctuation with negative q,
-    R(s) out of the float range) aborts the run: the InputError names
+    ``garch_converged=False``.  Every window is analyzed at q = 2 only.
+    A window whose scaling or measures fail (a degenerate window, R(s)
+    out of the float range) aborts the run: the InputError names
     the first such window, ``window k (YYYY-MM-DD): ...``.
     """
     n = len(returns)

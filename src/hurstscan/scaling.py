@@ -56,8 +56,8 @@ def _check_fluctuations(fq) -> None:
 
 
 def _check_qs(qs) -> tuple[float, ...]:
-    """The moment orders as floats: a non-empty set of finite q != 0."""
-    q_set = tuple(map(float, qs))
+    """The moment orders as floats, in first-seen order without repeats: finite, q != 0."""
+    q_set = tuple(dict.fromkeys(map(float, qs)))
     if not q_set:
         raise InputError("empty q set")
     if 0.0 in q_set:

@@ -151,7 +151,7 @@ def reference_roll(series: ReturnSeries, config) -> RollingResult:
                 values, converged = values / np.sqrt(window_fit.h), window_fit.converged
         date = series.dates[i + offset]
         try:
-            results = mfdfa(values, config.scales(), config.q_set, config.detrend_order)
+            results = mfdfa(values, config.scales(), (2.0,), config.detrend_order)
             fp, scaling_fit = results[2.0]
             ind = liquidity_indicators(fp, scaling_fit)
         except InputError as exc:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -223,6 +224,38 @@ class TestAnalyze:
         assert run(["analyze", str(path.name), "--returns", "--q", "4"]) == 1
         assert "must include 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "q, message", [("0", "q = 0 is not supported"), ("nan", "q must be finite")]
+    )
+    def test_q_rule_checked_before_the_set_needs_two(self, workdir, capsys, q, message):
+        path = synth_fgn(workdir, n=2000)
+        assert run(["analyze", str(path.name), "--returns", "--q", q]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "must include 2" not in err
+
+    def test_repeated_q_computed_once(self, workdir, monkeypatch):
+        import hurstscan.scaling as scaling
+
+        path = synth_fgn(workdir, n=2000)
+        assert run(["analyze", str(path.name), "--returns", "--out-dir", "plain"]) == 0
+        power_means, seen = scaling._power_means, set()
+
+        def spy(f2, qs, starts):
+            seen.add(tuple(qs))
+            return power_means(f2, qs, starts)
+
+        monkeypatch.setattr(scaling, "_power_means", spy)
+        args = ["analyze", str(path.name), "--returns", "--q", "2", "--q", "2"]
+        assert run([*args, "--out-dir", "twice"]) == 0
+        assert seen == {(2.0,)}
+        plain = json.loads((workdir / "plain" / "fgn.analyze.manifest.json").read_text())
+        twice = json.loads((workdir / "twice" / "fgn.analyze.manifest.json").read_text())
+        assert twice["config"]["q_set"] == [2.0]
+        for name, entry in plain["outputs"].items():
+            assert twice["outputs"][name]["sha256"] == entry["sha256"]
+        assert twice["outputs"].keys() == plain["outputs"].keys()
+
     def test_numerical_failure_exits_two(self, workdir, monkeypatch, capsys):
         import hurstscan.cli as cli_mod
 
@@ -255,6 +288,36 @@ class TestRoll:
             run(["roll", "g.csv", "--returns", "--workers", "4", "--out-dir", "w4"])
         assert exc.value.code == 1
         assert "--workers" in capsys.readouterr().err
+
+    def test_q_two_writes_the_same_bytes(self, workdir):
+        # the benchmark's argv form still parses and changes no output
+        synth_fgn(workdir, n=700)
+        args = ["roll", "fgn.csv", "--returns", "--window", "500", "--s-min", "10",
+                "--s-max", "50", "--step", "5"]
+        assert run([*args, "--out-dir", "plain"]) == 0
+        assert run([*args, "--q", "2", "--out-dir", "q2"]) == 0
+        for name in ("fgn.rolling.csv", "fgn.rolling.jsonl"):
+            assert (workdir / "q2" / name).read_bytes() == (workdir / "plain" / name).read_bytes()
+
+    @pytest.mark.parametrize("q", [["--q=-2"], ["--q", "4"]], ids=["-2", "4"])
+    def test_q_other_than_two_exits_one(self, workdir, q):
+        synth_fgn(workdir, n=700)
+        proc = subprocess.run(
+            [sys.executable, "-m", "hurstscan.cli", "roll", "fgn.csv", "--returns", *q,
+             "--out-dir", "out"],
+            cwd=workdir, env=subprocess_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "usage:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (workdir / "out").exists()
+
+    def test_manifest_config_is_the_library_config(self, workdir):
+        synth_fgn(workdir, n=600)
+        assert run(["roll", "fgn.csv", "--returns", "--step", "50"]) == 0
+        manifest = json.loads((workdir / "fgn.roll.manifest.json").read_text())
+        names = {field.name for field in fields(hurstscan.RollingConfig)}
+        assert set(manifest["config"]) == names | {"returns"}
 
     def test_series_shorter_than_window(self, workdir, capsys):
         synth_fgn(workdir, name="short.csv", n=400)

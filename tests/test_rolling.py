@@ -89,7 +89,6 @@ class TestRollingConfig:
         assert config.step == 1
         assert config.s_min == 10
         assert config.s_max == 50
-        assert config.q_set == (2.0,)
         assert config.detrend_order == 1
         assert config.garch_mode == "whole-sample"
 
@@ -99,18 +98,6 @@ class TestRollingConfig:
     def test_window_must_cover_scales(self):
         with pytest.raises(InputError):
             RollingConfig(window=90, s_min=10)
-
-    def test_q_set_must_include_two(self):
-        with pytest.raises(InputError):
-            RollingConfig(q_set=(1.0, 3.0))
-
-    def test_q_zero_rejected(self):
-        with pytest.raises(InputError, match="q = 0"):
-            RollingConfig(q_set=(0.0, 2.0))
-
-    def test_q_inf_rejected(self):
-        with pytest.raises(InputError, match="q must be finite"):
-            RollingConfig(q_set=(2.0, float("inf")))
 
     def test_scale_range_checked_against_window(self):
         with pytest.raises(InputError, match=r"scales 10\.\.60 out of range \[3, 50\]"):
@@ -208,25 +195,18 @@ class TestRoll:
             [gen_garch(1000, omega=1e-6, alpha=0.08, beta=0.91, seed=3), np.zeros(600)]
         )
         series = make_return_series(values)
-        for q_set, message in (((2.0,), "degenerate"), ((-2.0, 2.0), "negative q")):
-            config = RollingConfig(window=500, step=50, q_set=q_set)
-            with pytest.raises(InputError, match=message) as kernel:
-                roll(series, config)
-            with pytest.raises(InputError) as reference:
-                reference_roll(series, config)
-            assert str(kernel.value) == str(reference.value)
+        config = RollingConfig(window=500, step=50)
+        with pytest.raises(InputError, match="degenerate") as kernel:
+            roll(series, config)
+        with pytest.raises(InputError) as reference:
+            reference_roll(series, config)
+        assert str(kernel.value) == str(reference.value)
 
     def test_flat_stretch_same_rule_on_both_paths(self):
         # twelve zero returns: segments inside them have a straight-line profile
         values = gen_garch(1200, omega=1e-6, alpha=0.08, beta=0.91, seed=3)
         values[700:712] = 0.0
         series = make_return_series(values)
-        config = RollingConfig(window=500, step=50, q_set=(-2.0, 2.0))
-        with pytest.raises(InputError, match="negative q") as kernel:
-            roll(series, config)
-        with pytest.raises(InputError) as reference:
-            reference_roll(series, config)
-        assert str(kernel.value) == str(reference.value)
         config = RollingConfig(window=500, step=50)
         assert_results_close(roll(series, config), reference_roll(series, config))
 
@@ -239,10 +219,6 @@ class TestRoll:
         s_max_frac=st.floats(0.0, 1.0),
         tail=st.integers(0, 80),
         step=st.integers(1, 17),
-        other_qs=st.lists(
-            st.sampled_from([-4.0, -2.0, -0.5, 0.5, 1.0, 3.0]), max_size=3, unique=True
-        ),
-        q_pos=st.integers(0, 3),
         stamp=st.sampled_from(["end", "start", "center"]),
         flat_at=st.floats(0.0, 1.0),
         flat_len=st.sampled_from([0, 0, 6, 40]),
@@ -250,15 +226,13 @@ class TestRoll:
     @settings(max_examples=60, deadline=None)
     def test_kernel_matches_reference_property(
         self, seed, order, garch_mode, s_min_extra, window_extra, s_max_frac, tail, step,
-        other_qs, q_pos, stamp, flat_at, flat_len,
+        stamp, flat_at, flat_len,
     ):
         s_min = order + 2 + s_min_extra
         window = 10 * s_min + window_extra
         s_max = s_min + 2 + int(s_max_frac * (window // 4 - s_min - 2))
-        q_set = list(other_qs)
-        q_set.insert(min(q_pos, len(q_set)), 2.0)
         config = RollingConfig(
-            window=window, step=step, s_min=s_min, s_max=s_max, q_set=tuple(q_set),
+            window=window, step=step, s_min=s_min, s_max=s_max,
             detrend_order=order, garch_mode=garch_mode, stamp=stamp,
         )
         rng = np.random.default_rng(seed)
@@ -362,24 +336,16 @@ class TestRoll:
         assert columns(roll(series, config)) == columns(default)
 
     @pytest.mark.parametrize(
-        "garch_mode, order, q_set",
-        [
-            ("per-window", 1, (2.0,)),
-            ("per-window", 1, (-2.0, 2.0)),
-            ("per-window", 0, (-2.0, 2.0)),
-            ("whole-sample", 0, (2.0,)),
-            ("whole-sample", 0, (-2.0, 2.0)),
-        ],
+        "garch_mode, order",
+        [("per-window", 1), ("per-window", 0), ("whole-sample", 0)],
     )
-    def test_first_error_in_a_later_block(self, monkeypatch, garch_mode, order, q_set):
+    def test_first_error_in_a_later_block(self, monkeypatch, garch_mode, order):
         # 23 windows in blocks of 5: the zero tail's windows sit in blocks 2-4
         values = np.concatenate(
             [gen_garch(1000, omega=1e-6, alpha=0.08, beta=0.91, seed=3), np.zeros(600)]
         )
         series = make_return_series(values)
-        config = RollingConfig(
-            window=500, step=50, q_set=q_set, detrend_order=order, garch_mode=garch_mode
-        )
+        config = RollingConfig(window=500, step=50, detrend_order=order, garch_mode=garch_mode)
         monkeypatch.setattr("hurstscan.rolling._BLOCK", 5)
         with pytest.raises(InputError) as kernel:
             roll(series, config)
