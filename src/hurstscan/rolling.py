@@ -14,21 +14,23 @@ same cells, which a result formats once with the CSV dialect of
 type under the same row rules, so every result reads back.
 
 Every mode analyzes its windows in array passes over (windows x
-scales), on ``mfdfa``'s path: a producer of each scale's squared
-segment fluctuations, the one F_q stage
-``scaling._fluctuation_function``, then the fit and the measures.  Only
-the producer differs.  With one whole-sample GARCH fit and detrending
-order >= 1, windows share their segments: ``scaling._shared_f2``
-detrends each once, in one pass over the segment lengths that updates
-the fit at every start of the series, and copies each window's
-segments out of those per-start values.  Per-window GARCH fits and order
-0 give every window its own profile: ``mfdfa``'s producer
-``scaling._series_f2`` takes the windows in order, in blocks of a fixed
-number of windows, so memory stays bounded however many windows there
-are.  Both producers live in ``scaling``, the one module that knows the
-segment layout.  The per-window GARCH fits of a block run as one
-batched search, each window's fit equal, bit for bit, to ``garch_fit``
-on that window alone.
+scales): a producer gives every window's F_2, then the fit and the
+measures run in blocks of ``_FIT_ROWS`` windows, so their temporaries
+stay a few times a block's size.  With one whole-sample GARCH fit and
+detrending order >= 1, windows share their segments:
+``scaling._shared_f2`` detrends each once, in one pass over the segment
+lengths that updates the fit at every start of the series, and sums
+each window's segments by one strided reduce per scale over those
+per-start values.  Per-window GARCH fits and order 0 give every window
+its own profile: ``mfdfa``'s producer ``scaling._series_f2`` and its
+F_q stage ``scaling._fluctuation_function`` take the windows in order,
+in blocks of a fixed number of windows, so memory stays bounded however
+many windows there are.  Both producers live in ``scaling``, the one
+module that knows the segment layout.  The per-window GARCH fits of a
+block run as one batched search, each window's fit equal, bit for bit,
+to ``garch_fit`` on that window alone.  A window's values do not depend
+on the windows computed with it, and a failed roll names its first bad
+window, found by bisection.
 """
 from __future__ import annotations
 
@@ -80,6 +82,9 @@ STAMP_CHOICES = ("end", "start", "center")
 # blocks of 32-96 windows take the same time, and 64 keeps a roll of
 # 41 windows (the per-window benchmark workload) in one search
 _BLOCK = 64
+# windows per block of the fit and the measures, whose temporaries are a
+# few times a block's F_2: a roll of the paper's size fits in one
+_FIT_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -221,36 +226,51 @@ class RegimeRun:
     n_windows: int
 
 
-def _window_columns(source, dates, config: RollingConfig, first: int = 0):
-    """Scaling fit and indicators of every window from its squared segment fluctuations.
+def _window_columns(fq, dates, config: RollingConfig, first: int = 0):
+    """Scaling fit and indicators of every window from its F_2, _FIT_ROWS windows at a time.
 
-    ``source`` is the (e, per-scale f2) pair of ``_shared_f2`` or
-    ``_series_f2``; its windows are the roll's windows ``first`` on, dated
-    by ``dates``.  Returns (hurst, stderr_hurst, r_squared, f0, f_sigma,
-    f_range, f_ratio), one array entry per window; raises the InputError
-    of ``mfdfa`` + ``liquidity_indicators`` on the first bad window,
-    prefixed with its number and date.
+    ``fq`` holds the F_2 of the roll's windows ``first`` on, one row
+    per window, dated by ``dates``.  Returns (hurst, stderr_hurst,
+    r_squared, f0, f_sigma, f_range, f_ratio) as the rows of one array,
+    one entry per window; raises the InputError of ``mfdfa`` +
+    ``liquidity_indicators`` on the first bad window, prefixed with its
+    number and date.
     """
     scales = np.asarray(config.scales())
-    (fq,), _ = _fluctuation_function(source, (2.0,), config.window)
 
     def columns(rows):
-        # mfdfa's order within one window: F_2 > 0, then the fit and
-        # liquidity_indicators' measures
-        _check_fluctuations(fq[rows])
-        hurst, intercept, r_squared, stderr = _fit_loglog(scales, fq[rows])
-        return (hurst, stderr, r_squared, *_indicator_rows(scales, fq[rows], hurst, intercept))
+        # each window's row contiguous, as it is alone, so that its sums
+        # run as they do alone; then mfdfa's order within one window: F_2 > 0,
+        # then the fit and liquidity_indicators' measures
+        block = np.ascontiguousarray(fq[rows])
+        _check_fluctuations(block)
+        hurst, intercept, r_squared, stderr = _fit_loglog(scales, block)
+        return (hurst, stderr, r_squared, *_indicator_rows(scales, block, hurst, intercept))
 
-    try:
-        return columns(slice(None))
-    except InputError:
-        # report the error of the first bad window, as each window alone would
-        for i in range(len(fq)):
+    out = np.empty((7, len(fq)))
+    for a in range(0, len(fq), _FIT_ROWS):
+        b = min(a + _FIT_ROWS, len(fq))
+        try:
+            out[:, a:b] = columns(slice(a, b))
+        except InputError:
+            # windows a..k-1 fail together exactly when one of them fails
+            # alone, so bisection finds the first bad window; its error is
+            # the one it gives alone
+            good, bad = a, b
+            while bad - good > 1:
+                mid = (good + bad) // 2
+                try:
+                    columns(slice(a, mid))
+                except InputError:
+                    bad = mid
+                else:
+                    good = mid
             try:
-                columns(i)
+                columns(good)
             except InputError as exc:
-                raise InputError(f"window {first + i} ({dates[first + i]}): {exc}") from exc
-        raise
+                raise InputError(f"window {first + good} ({dates[first + good]}): {exc}") from exc
+            raise
+    return out
 
 
 def _row_columns(
@@ -275,7 +295,8 @@ def _row_columns(
                     row /= np.sqrt(fit.h)
                 converged.append(isinstance(fit, GarchFit) and fit.converged)
         source = _series_f2(rows, config.scales(), config.detrend_order)
-        blocks.append(_window_columns(source, dates, config, first))
+        (fq,), _ = _fluctuation_function(source, (2.0,), config.window)
+        blocks.append(_window_columns(fq, dates, config, first))
     return [np.concatenate(column) for column in zip(*blocks)], converged
 
 
@@ -309,8 +330,8 @@ def roll(returns: ReturnSeries, config: RollingConfig = RollingConfig()) -> Roll
             # order 0 leaves a window's linear profile term in: no shared segments
             columns, _ = _row_columns(filtered, starts, dates, config, refit=False)
         else:
-            source = _shared_f2(filtered, starts, w, config.scales(), config.detrend_order)
-            columns = _window_columns(source, dates, config)
+            fq = _shared_f2(filtered, starts, w, config.scales(), config.detrend_order)
+            columns = _window_columns(fq, dates, config)
     return RollingResult(dates, *columns, converged)
 
 

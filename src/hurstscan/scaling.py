@@ -9,19 +9,20 @@ squared residuals across segments with a power mean of order q.  The
 average fluctuations F_q(s) follow a power law in s whose log-log slope
 is the generalized Hurst exponent H(q).
 
-``mfdfa`` and ``roll`` share one path.  A producer per source kind
-yields each scale's squared segment fluctuations: ``_series_f2`` for
-series with a profile of their own (``mfdfa``'s one series, a block of
-``roll``'s windows), ``_shared_f2`` for windows that share one series'
-segments.  ``_series_f2`` detrends each scale's segments in place in
-their profile by one projection.  ``_shared_f2`` makes one pass over
-the segment lengths 1..s_max that updates the fit at every start of
-the series by Givens rotations (``_start_f2``), then copies each
-window's fluctuations out of the per-start values.  One stage,
+``mfdfa`` and ``roll`` share one detrending rule, and two producers of
+squared segment fluctuations.  ``_series_f2`` serves series with a
+profile of their own (``mfdfa``'s one series, a block of ``roll``'s
+windows): it detrends each scale's segments in place in their profile
+by one projection and yields them, and one stage,
 ``_fluctuation_function``, takes the power means of consecutive scales
 in one call and scales F_q back to the series' units.  The power mean
 reduces every scale on its own, so F_q at a scale is the same, bit for
-bit, whichever other scales are asked for.
+bit, whichever other scales are asked for.  ``_shared_f2`` serves
+windows that share one series' segments, at q = 2 only: one pass over
+the segment lengths 1..s_max updates the fit at every start of the
+series by Givens rotations (``_start_f2``), and at each scale one
+strided reduce over those per-start values sums every window's
+segments, with no copy, so F_2 comes out for all windows at once.
 """
 from __future__ import annotations
 
@@ -341,48 +342,90 @@ def _start_f2(steps, scales, order: int):
             yield rss[: n - k] / (k + 1)
 
 
-def _shared_f2(values, starts, window: int, scales, order: int):
-    """The (e, per-scale f2) source of the windows of one series that share its segments.
+def _shared_f2(values, starts, window: int, scales, order: int) -> np.ndarray:
+    """F_2 of every window of one series that shares its segments, at every scale.
 
     The windows are ``window`` points long and begin at ``starts``,
     which step evenly; ``scales`` are consecutive and increasing, as
-    ``roll``'s are.
+    ``roll``'s are.  Returns a (windows x scales) array, F_2 in the
+    series' units: the transpose of one (scales x windows) buffer.
 
     Over one segment, a window's profile differs from the running sum
     of the values started at the segment's first point only by a
     constant plus a linear term.  Detrending of order >= 1 removes both,
     so a segment's squared fluctuation depends only on its absolute
     start and its scale, not on the window.  ``_start_f2`` computes it
-    once for every start, one scale after the other, and each scale's
-    values are copied out into each window's forward and backward
-    segments, in ``_scale_f2``'s order, through two strided views: one
-    forward, one backward with a negative stride.
+    once for every start, one scale after the other.  At q = 2, F_2 is
+    the root of the mean of a window's 2 * (window // s) segment values,
+    so each scale needs their sums only: one strided view of the
+    per-start values, (2, window // s, windows), holds each window's
+    forward segments in row 0 and its backward ones in row 1, and one
+    ``np.add.reduce`` over the first two axes sums them, with no copy.
+    Each sum adds non-negative terms, so nothing cancels.
 
-    Returns the series' exponent e of ``_unit_steps`` and an iterator
-    of one (windows x 2*(window // s)) array per scale, the
-    fluctuations of the series scaled by 2**-e.
+    numpy orders a reduction's loops by stride, so the window axis is
+    kept the innermost, the one of the smallest stride: the sums run on
+    a grid of starts whose spacing divides the step and is at most the
+    other strides, and take every window's terms in one order, whatever
+    the step and the number of windows.  A window whose largest value
+    lies below 2**-512, the q = 2 bound of ``_power_means``, is summed
+    again at unit scale and scaled back as there; after ``_unit_steps``
+    no value comes near the upper bound, 2**512.
     """
     steps, e = _unit_steps(values)
     marker = _run_marker(values)
-    first = int(starts[0])
-    step = int(starts[1] - first) if starts.size > 1 else 0
-
-    def per_scale():
-        for s, f2_at in zip(scales, _start_f2(steps, scales, order)):
-            if marker is not None:
-                _zero_flat(f2_at, marker, s, order, np.arange(f2_at.size))
-            shape, item = (starts.size, window // s), f2_at.itemsize
-            # the ndarray constructor: as_strided's generic path costs ten
-            # times as much, twice per scale
-            yield np.concatenate(
-                [
-                    np.ndarray(shape, float, f2_at, offset * item, (step * item, stride * item))
-                    for offset, stride in ((first, s), (first + window - s, -s))
-                ],
-                axis=1,
-            )
-
-    return e, per_scale()
+    first, count = int(starts[0]), starts.size
+    step = int(starts[1] - first) if count > 1 else 0
+    tiny = 1.0 / _power_bound((2.0,))
+    fq = np.empty((len(scales), count))
+    rescaled = []
+    for k, (s, f2_at) in enumerate(zip(scales, _start_f2(steps, scales, order))):
+        row = fq[k]
+        if marker is not None:
+            _zero_flat(f2_at, marker, s, order, np.arange(f2_at.size))
+        ns = window // s
+        back = window - ns * s
+        if count == 1:
+            # an axis of one window would be dropped, and the terms summed
+            # in another order: the window twice, at stride 0
+            grid, skip, rows = 0, 1, 2
+        else:
+            # the largest divisor of the step that is no larger than the
+            # view's other nonzero strides
+            limit = back or s
+            grid = step if step <= limit else max(d for d in range(1, limit + 1) if step % d == 0)
+            skip = step // grid
+            rows = (count - 1) * skip + 1
+        item = f2_at.itemsize
+        # the ndarray constructor: as_strided's generic path costs ten times
+        # as much, once per scale
+        view = np.ndarray(
+            (2, ns, rows), float, f2_at, first * item, (back * item, s * item, grid * item)
+        )
+        sums = row if rows == count else np.empty(rows)
+        np.add.reduce(view, axis=(0, 1), out=sums)
+        if sums is not row:
+            row[:] = sums[::skip][:count]
+        # twice the largest sum of 2 * ns values below the bound, so that
+        # no rounding hides a window whose values all lie below it
+        low_sum = 4 * ns * tiny
+        if np.minimum.reduce(row) < low_sum:
+            low = np.flatnonzero(row < low_sum)
+            offsets = np.concatenate([np.arange(ns) * s, back + np.arange(ns) * s])
+            terms = f2_at[first + step * low[:, None] + offsets]
+            largest = np.maximum.reduce(terms, axis=1)
+            far = largest < tiny
+            half = np.frexp(largest[far])[1] // 2
+            row[low[far]] = np.add.reduce(np.ldexp(terms[far], -2 * half[:, None]), axis=1)
+            rescaled.append((k, low[far], half))
+    fq /= [[2 * (window // s)] for s in scales]
+    np.sqrt(fq, out=fq)
+    for k, idx, half in rescaled:
+        fq[k, idx] = np.ldexp(fq[k, idx], half)
+    with np.errstate(over="ignore"):
+        # beyond the float range F_2 is inf, which the callers reject
+        np.ldexp(fq, e, out=fq)
+    return fq.T
 
 
 @functools.lru_cache(maxsize=8)
@@ -519,9 +562,12 @@ def _fit_loglog(scales, fq):
     dy = y - y_mean
     slope = np.sum(dx * dy, axis=-1, keepdims=True) / sxx
     intercept = y_mean - slope * x.mean()
-    resid = y - (intercept + slope * x)
-    ssr = np.sum(resid * resid, axis=-1)
-    sst = np.sum(dy * dy, axis=-1)
+    # in place, so that a block of rows holds at most three arrays of its size
+    resid = slope * x
+    resid += intercept
+    np.subtract(y, resid, out=resid)
+    ssr = np.sum(np.square(resid, out=resid), axis=-1)
+    sst = np.sum(np.square(dy, out=dy), axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         r_squared = np.where(sst > 0.0, 1.0 - ssr / sst, 1.0)
     stderr = np.sqrt(ssr / (x.size - 2) / sxx)

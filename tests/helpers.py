@@ -29,7 +29,14 @@ from hurstscan import (
     synthetic_dates,
 )
 from hurstscan.rolling import ROLLING_CSV_COLUMNS
-from hurstscan.scaling import _residual_f2, _run_marker, _segment_starts, _unit_steps, _zero_flat
+from hurstscan.scaling import (
+    _fluctuation_function,
+    _residual_f2,
+    _run_marker,
+    _segment_starts,
+    _unit_steps,
+    _zero_flat,
+)
 
 # filled by test_acceptance, printed by the conftest terminal-summary hook
 ACCEPTANCE_LINES: list[str] = []
@@ -206,14 +213,15 @@ def assert_results_close(got, want, rel: float = 1e-12) -> None:
 
 
 def per_scale_shared_f2(values, starts, window, scales, order):
-    """``scaling._shared_f2`` by a projection per scale and a gather per window.
+    """``scaling._shared_f2`` by a projection per scale, a gather per window and the power means.
 
-    The reference for the per-start recursion: at each scale s the
-    segments are ``cumsum(sliding_window_view(steps, s), axis=1)``, an
-    (n - s + 1) x s array detrended by ``_residual_f2`` in one matmul,
-    and each window's segments are gathered by fancy indexing.  The
-    arithmetic differs from the recursion's, so the two agree to
-    rounding, with the same exact zeros of ``_zero_flat``.
+    The reference for the per-start recursion and the strided sums: at
+    each scale s the segments are ``cumsum(sliding_window_view(steps, s),
+    axis=1)``, an (n - s + 1) x s array detrended by ``_residual_f2`` in
+    one matmul; each window's segments are gathered by fancy indexing,
+    and ``_fluctuation_function`` averages them at q = 2.  The arithmetic
+    differs from ``_shared_f2``'s, so the two agree to rounding, with the
+    same exact zeros of ``_zero_flat``.  Returns F_2, (windows x scales).
     """
     steps, e = _unit_steps(values)
     marker = _run_marker(values)
@@ -225,7 +233,8 @@ def per_scale_shared_f2(values, starts, window, scales, order):
             _zero_flat(f2_at, marker, s, order, np.arange(f2_at.size))
             yield f2_at[starts[:, None] + _segment_starts(window, s)]
 
-    return e, per_scale()
+    (fq,), _ = _fluctuation_function((e, per_scale()), (2.0,), window)
+    return fq
 
 
 def max_drawdown(

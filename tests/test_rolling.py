@@ -3,11 +3,13 @@ import functools
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +35,7 @@ from hurstscan import (
 )
 from hurstscan import rolling
 from hurstscan.rolling import ROLLING_CSV_COLUMNS, _shared_f2
-from hurstscan.scaling import _fluctuation_function
+from hurstscan.scaling import _fluctuation_function, _segment_starts, _start_f2, _unit_steps
 
 FAST = RollingConfig(window=500, step=100)
 
@@ -353,6 +355,63 @@ class TestRoll:
             reference_roll(series, config)
         assert str(kernel.value) == str(reference.value)
 
+    @given(
+        garch_mode=st.sampled_from(["whole-sample", "per-window"]),
+        windows=st.integers(1, 200),
+        zeros_at=st.floats(0.0, 1.0),
+        fit_rows=st.sampled_from([None, 7]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_first_bad_window_found_by_bisection(self, garch_mode, windows, zeros_at, fit_rows):
+        # a stretch of zero returns one window long makes the windows inside
+        # it flat.  Blocks of one window each search row by row; the default
+        # blocks bisect, which must name the same window with the same text
+        # as that search and as reference_roll, in at most about
+        # 2 log2(windows) + 3 checks.  Windows of 60 are too short to fit,
+        # so per-window mode keeps each window's raw returns
+        config = RollingConfig(window=60, s_min=3, s_max=15, garch_mode=garch_mode)
+        n = config.window + windows - 1
+        values = gen_garch(n, 1e-6, 0.08, 0.91, seed=8)
+        start = int(zeros_at * (n - config.window))
+        values[start : start + config.window] = 0.0
+        series = make_return_series(values)
+
+        def first_error(fit_rows):
+            checks = mock.patch.object(
+                rolling, "_check_fluctuations", wraps=rolling._check_fluctuations
+            )
+            with mock.patch.object(rolling, "_FIT_ROWS", fit_rows), checks as spy:
+                with pytest.raises(InputError) as error:
+                    roll(series, config)
+            return str(error.value), spy.call_count
+
+        row_by_row, _ = first_error(1)
+        got, checks = first_error(fit_rows or rolling._FIT_ROWS)
+        with pytest.raises(InputError) as reference:
+            reference_roll(series, config)
+        assert got == row_by_row == str(reference.value)
+        if fit_rows is None:
+            assert checks <= 2 * math.log2(windows) + 3
+
+    def test_fit_in_blocks_within_three_times_f2(self):
+        # the windows' F_2 is the one array of full size: the fit and the
+        # measures run _FIT_ROWS windows at a time, and a roll of the
+        # paper's size runs one block
+        config = RollingConfig()
+        fits = mock.patch.object(rolling, "_fit_loglog", wraps=rolling._fit_loglog)
+        with fits as spy:
+            roll(make_return_series(gen_garch(3000, 1e-6, 0.08, 0.91, seed=1)), config)
+        assert spy.call_count == 1
+        series = make_return_series(gen_fgn(30_000, 0.7, 0.01, seed=3))
+        f2_bytes = (len(series) - config.window + 1) * len(config.scales()) * 8
+        tracemalloc.start()
+        try:
+            roll(series, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * f2_bytes, peak / f2_bytes
+
     def test_overflow_in_a_later_block(self, monkeypatch):
         # windows of 60 are too short to fit, so each keeps its raw values;
         # in blocks of 5 the windows that reach the 1e160 tail are in block 2,
@@ -467,16 +526,14 @@ class TestRoll:
             with pytest.raises(InputError, match=r"R\(s\).*floating-point range"):
                 roll(make_return_series(values), config)
             # whole-sample GARCH filtering standardizes the returns first,
-            # so the shared-segment source is checked on its own: at unit
-            # size it holds the fluctuations of the unscaled series, times
-            # the square of the factor between the two unit scalings
+            # so the shared-segment source is checked on its own: it scales
+            # each series to unit size, so F_2 of the scaled series is 1e160
+            # times F_2 of the unscaled one, to rounding
             starts = np.arange(0, 141, 7)
             geometry = (config.window, config.scales(), config.detrend_order)
-            e, got = _shared_f2(values, starts, *geometry)
-            e_base, want = _shared_f2(base, starts, *geometry)
-            factor = np.ldexp(1e160, int(e_base[0] - e[0]))
-            for got_s, want_s in zip(got, want, strict=True):
-                np.testing.assert_allclose(got_s, want_s * factor**2, rtol=1e-12, atol=0)
+            got = _shared_f2(values, starts, *geometry)
+            want = _shared_f2(base, starts, *geometry)
+            np.testing.assert_allclose(got, want * 1e160, rtol=1e-12, atol=0)
 
 
 class TestSharedSource:
@@ -488,51 +545,105 @@ class TestSharedSource:
         window_extra=st.integers(0, 60),
         first=st.integers(0, 120),
         step=st.integers(1, 150),
+        past_s_max=st.booleans(),
         count=st.integers(1, 6),
         tail=st.integers(0, 40),
         flat_at=st.floats(0.0, 1.0),
         flat_len=st.sampled_from([0, 3, 12, 60]),
+        tiny_half=st.booleans(),
     )
-    # windows that start on multiples of s_min = 10, and one lone window
+    # windows that start on multiples of s_min = 10, one lone window, and
+    # a second half at 2**-300, whose windows' f2, about 2**-600 times the
+    # first half's, are summed at unit scale (at 2**-500 they would reach
+    # the subnormal range, where the detrending itself loses its digits)
     @example(
         seed=1, order=1, s_min_extra=7, scale_count=3, window_extra=0, first=20, step=30,
-        count=4, tail=0, flat_at=0.0, flat_len=0,
+        past_s_max=False, count=4, tail=0, flat_at=0.0, flat_len=0, tiny_half=False,
     )
     @example(
         seed=2, order=2, s_min_extra=0, scale_count=10, window_extra=7, first=0, step=1,
-        count=1, tail=0, flat_at=0.5, flat_len=12,
+        past_s_max=False, count=1, tail=5, flat_at=0.5, flat_len=12, tiny_half=False,
+    )
+    @example(
+        seed=3, order=1, s_min_extra=2, scale_count=20, window_extra=9, first=5, step=40,
+        past_s_max=True, count=6, tail=40, flat_at=0.0, flat_len=0, tiny_half=True,
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_projection_and_gather(
-        self, seed, order, s_min_extra, scale_count, window_extra, first, step, count, tail,
-        flat_at, flat_len,
+        self, seed, order, s_min_extra, scale_count, window_extra, first, step, past_s_max,
+        count, tail, flat_at, flat_len, tiny_half,
     ):
-        # per-start recursion and strided copies against a projection per
-        # scale and a fancy-index gather: the same layout, the same exact
-        # zeros, and the same values to rounding; steps reach past s_max.
-        # Each detrends to a few ulps of its profile, which is at most 2s
-        # in the unit-scaled steps' units, so a near-flat segment's tiny f2
-        # may differ far more than a few ulps of its own size
+        # the per-start recursion and the strided sums against a projection
+        # per scale, a fancy-index gather and the power means.  Tolerance,
+        # set from the arithmetic before any run: each segment detrends to
+        # a few ulps of its profile, which is at most s * m (m the window's
+        # largest unit-scaled step), so each f2 moves by at most
+        # 8 eps s m sqrt(f2) and F_2 = sqrt(sum / 2ns) by 4 eps s m; each
+        # sum of 2ns terms and the root round by (2ns + 1) eps relative.
+        # Doubled and scaled back by 2**e:
+        # |got - want| <= 2**e (8 eps s m) + 4 (ns + 1) eps want
         s_min = order + 2 + s_min_extra
         scales = range(s_min, s_min + scale_count)
         window = 4 * scales[-1] + window_extra
+        step += scales[-1] if past_s_max else 0
         starts = first + step * np.arange(count)
         n = int(starts[-1]) + window + tail
         rng = np.random.default_rng(seed)
-        values = rng.standard_normal(n) * np.exp(rng.normal(-4, 1))
+        if tiny_half:
+            values = rng.integers(-1000, 1001, n).astype(float)
+        else:
+            values = rng.standard_normal(n) * np.exp(rng.normal(-4, 1))
         # equal neighbours give flat segments, which _zero_flat sets to 0
         flat_start = int(flat_at * (n - flat_len))
         if flat_len:
             values[flat_start : flat_start + flat_len] = values[flat_start]
-        e, got = _shared_f2(values, starts, window, scales, order)
-        e_want, want = per_scale_shared_f2(values, starts, window, scales, order)
-        np.testing.assert_array_equal(e, e_want)
+        if tiny_half:
+            # whole numbers whose first half sums to exactly 0, so that the
+            # mean is as small as the second half, scaled by 2**-300
+            values[n // 2 - 1] -= values[: n // 2].sum()
+            values[n // 2 :] = np.ldexp(values[n // 2 :], -300)
+        got = _shared_f2(values, starts, window, scales, order)
+        want = per_scale_shared_f2(values, starts, window, scales, order)
+        assert got.shape == want.shape == (count, len(scales))
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        steps, e = _unit_steps(values)
+        m = np.abs(sliding_window_view(steps, window)[starts]).max(axis=1, keepdims=True)
         eps = np.finfo(float).eps
-        for s, got_s, want_s in zip(scales, got, want, strict=True):
-            assert got_s.shape == want_s.shape == (count, 2 * (window // s))
-            np.testing.assert_array_equal(got_s == 0.0, want_s == 0.0)
-            bound = 8 * eps * s * np.sqrt(np.maximum(got_s, want_s))
-            assert np.all(np.abs(got_s - want_s) <= bound), s
+        ns = window // np.asarray(scales)
+        bound = np.ldexp(8 * eps * np.asarray(scales) * m, e) + 4 * (ns + 1) * eps * want
+        assert np.all(np.abs(got - want) <= bound)
+        # each window's sums run in one order whatever the step and the
+        # window count: all the series' windows together give the same bits
+        every = _shared_f2(values, np.arange(n - window + 1), window, scales, order)
+        assert got.tobytes() == np.ascontiguousarray(every[starts]).tobytes()
+
+    @pytest.mark.parametrize("step", [1, 7, 60])
+    def test_sums_keep_the_digits_of_tiny_windows(self, step):
+        # the per-start values of _start_f2 summed by _shared_f2 and, for
+        # the same values, gathered per window into the power means.  The
+        # second half is 2**-530 times the first, which sums to exactly 0,
+        # so its windows' f2 lie near the subnormal range: a mean taken
+        # there would keep few digits, and only the rescaling of windows
+        # below 2**-512 keeps both within the rounding of 2ns sums
+        rng = np.random.default_rng(5)
+        values = rng.integers(-1000, 1001, 1200).astype(float)
+        values[599] -= values[:600].sum()
+        values[600:] = np.ldexp(values[600:], -530)
+        window, scales, order = 200, range(5, 51), 1
+        starts = np.arange(0, 1001, step)
+        steps, e = _unit_steps(values)
+
+        def gathered():
+            for s, f2_at in zip(scales, _start_f2(steps, scales, order)):
+                yield f2_at[starts[:, None] + _segment_starts(window, s)]
+
+        (want,), _ = _fluctuation_function((e, gathered()), (2.0,), window)
+        got = _shared_f2(values, starts, window, scales, order)
+        # at unit scale the tail's mean f2 is below the normal range, 2**-1022
+        assert np.ldexp(want.min(), -int(e[0])) < 2.0**-511
+        ns = window // np.asarray(scales)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got - want) <= 4 * (ns + 1) * eps * want)
 
     @pytest.mark.parametrize("k", [600, -600])
     def test_row_far_from_unit_scale(self, k):
@@ -542,9 +653,8 @@ class TestSharedSource:
         values[100:130] = values[100]
         starts = np.arange(0, 201, 3)
         geometry = (200, range(4, 51), 2)
-        want, _ = _fluctuation_function(_shared_f2(values, starts, *geometry), (2.0,), 200)
-        scaled = _shared_f2(np.ldexp(values, k), starts, *geometry)
-        got, _ = _fluctuation_function(scaled, (2.0,), 200)
+        want = _shared_f2(values, starts, *geometry)
+        got = _shared_f2(np.ldexp(values, k), starts, *geometry)
         assert got.tobytes() == np.ldexp(want, k).tobytes()
 
 
