@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InputError
-from .scaling import FluctuationProfile, ScalingFit, _float_fields
+from .scaling import FluctuationProfile, ScalingFit, _even_halves, _float_fields
 
 __all__ = ["LiquidityIndicators", "rescale", "liquidity_indicators"]
 
@@ -90,16 +90,12 @@ def _spread_rows(r):
 
     The squared deviations of a row far from unit scale would over- or
     underflow, so a row whose largest R(s) lies outside 2**+-256 is
-    scaled by the even power of two 2**-2k that puts its largest R(s)
-    in [0.5, 2), and its f_sigma and f_range by 2**2k after.  Powers of
-    two scale exactly; each row is decided on its own, and a row inside
-    the range keeps its bits.
+    scaled by 2**-2k, k from ``scaling._even_halves``, and its f_sigma
+    and f_range by 2**2k after.
     """
     if r.shape[-1] < 2:
         raise InputError("need at least 2 scales")
-    hi = r.max(axis=-1)
-    far = (hi > _SPREAD_BOUND) | (hi < 1.0 / _SPREAD_BOUND)
-    half = np.where(far, np.frexp(hi)[1] // 2, 0)
+    half = _even_halves(r.max(axis=-1), _SPREAD_BOUND)
     r = np.ldexp(r, -2 * half[..., None])
     hi, lo = r.max(axis=-1), r.min(axis=-1)
     dev = r - r.mean(axis=-1, keepdims=True)

@@ -26,7 +26,6 @@ segments, with no copy, so F_2 comes out for all windows at once.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
@@ -41,6 +40,20 @@ __all__ = ["FluctuationProfile", "ScalingFit", "fit_scaling", "mfdfa"]
 # a row's powers f2**(q/2) are left as they are while its largest term
 # lies within 2**+-_POWER_BITS: sums of such terms stay normal and finite
 _POWER_BITS = 512
+
+
+def _even_halves(largest, bound: float):
+    """The k of each group's rescale by 2**-2k: 0 while its largest value lies within bound**+-1.
+
+    Outside, k puts the group's largest value in [0.5, 2) after the
+    rescale.  An even power of two scales a group of squares exactly
+    while nothing leaves the normal range, and a result in the groups'
+    root units scales back by 2**k; so a group far from unit scale can
+    neither overflow nor sink below the normal range.  Each group is
+    decided on its own, and a group within the bound keeps its bits.
+    """
+    far = (largest > bound) | (largest < 1.0 / bound)
+    return np.where(far, np.frexp(largest)[1] // 2, 0)
 
 
 def _check_fluctuations(fq) -> None:
@@ -376,7 +389,7 @@ def _shared_f2(values, starts, window: int, scales, order: int) -> np.ndarray:
     marker = _run_marker(values)
     first, count = int(starts[0]), starts.size
     step = int(starts[1] - first) if count > 1 else 0
-    tiny = 1.0 / _power_bound((2.0,))
+    tiny = 2.0**-_POWER_BITS
     fq = np.empty((len(scales), count))
     rescaled = []
     for k, (s, f2_at) in enumerate(zip(scales, _start_f2(steps, scales, order))):
@@ -413,11 +426,10 @@ def _shared_f2(values, starts, window: int, scales, order: int) -> np.ndarray:
             low = np.flatnonzero(row < low_sum)
             offsets = np.concatenate([np.arange(ns) * s, back + np.arange(ns) * s])
             terms = f2_at[first + step * low[:, None] + offsets]
-            largest = np.maximum.reduce(terms, axis=1)
-            far = largest < tiny
-            half = np.frexp(largest[far])[1] // 2
-            row[low[far]] = np.add.reduce(np.ldexp(terms[far], -2 * half[:, None]), axis=1)
-            rescaled.append((k, low[far], half))
+            half = _even_halves(np.maximum.reduce(terms, axis=1), 1.0 / tiny)
+            far = half != 0
+            row[low[far]] = np.add.reduce(np.ldexp(terms[far], -2 * half[far, None]), axis=1)
+            rescaled.append((k, low[far], half[far]))
     fq /= [[2 * (window // s)] for s in scales]
     np.sqrt(fq, out=fq)
     for k, idx, half in rescaled:
@@ -426,15 +438,6 @@ def _shared_f2(values, starts, window: int, scales, order: int) -> np.ndarray:
         # beyond the float range F_2 is inf, which the callers reject
         np.ldexp(fq, e, out=fq)
     return fq.T
-
-
-@functools.lru_cache(maxsize=8)
-def _power_bound(qs) -> float:
-    """2**(2 * _POWER_BITS / max|q|), capped at 2**1000.
-
-    Every f2 within 2**+- that keeps each f2**(q/2) within 2**+-_POWER_BITS.
-    """
-    return 2.0 ** min(2.0 * _POWER_BITS / max(map(abs, qs)), 1000.0)
 
 
 def _power_means(f2, qs, starts):
@@ -450,12 +453,11 @@ def _power_means(f2, qs, starts):
 
     A group far from unit scale would over- or underflow in the power,
     so a group whose largest f2 lies outside 2**+-(2 * _POWER_BITS /
-    max|q|) is scaled by the even power of two 2**-2k that puts its
-    largest f2 in [0.5, 2), and its F_q by 2**k after.  Powers of two
-    scale exactly, so F_q of x * 2**k is 2**k times F_q of x up to the
-    rounding of the power.  Sums run by ``np.add.reduceat`` over each
-    group alone, and the scaling is decided for each group on its own,
-    so a group's F_q and zero flag are, bit for bit, what it gives
+    max|q|) is scaled by 2**-2k and its F_q by 2**k after, k from
+    ``_even_halves``; F_q of x * 2**k is then 2**k times F_q of x up to
+    the rounding of the power.  Sums run by ``np.add.reduceat`` over
+    each group alone, and the scaling is decided for each group on its
+    own, so a group's F_q and zero flag are, bit for bit, what it gives
     alone, whatever groups sit beside it.
     """
     # roll calls this once per scale, so its fixed cost counts: one array
@@ -470,12 +472,11 @@ def _power_means(f2, qs, starts):
         has_zero = np.logical_or.reduceat(f2 == 0.0, starts, axis=-1)
     else:
         has_zero = np.zeros((*f2.shape[:-1], starts.size), dtype=bool)
-    bound = _power_bound(qs)
+    # every f2 within bound**+-1 keeps each f2**(q/2) within 2**+-_POWER_BITS
+    bound = 2.0 ** min(2.0 * _POWER_BITS / max(map(abs, qs)), 1000.0)
     half = None
     if largest > bound or smallest < 1.0 / bound:
-        largest = np.maximum.reduceat(f2, starts, axis=-1)
-        far = (largest > bound) | (largest < 1.0 / bound)
-        half = np.where(far, np.frexp(largest)[1] // 2, 0)
+        half = _even_halves(np.maximum.reduceat(f2, starts, axis=-1), bound)
         f2 = np.ldexp(f2, -2 * np.repeat(half, n, axis=-1))
     with np.errstate(divide="ignore"):
         # at q = 2 the power is the identity, so f2 is summed as it is
