@@ -90,6 +90,12 @@ python -W error -m hurstscan.cli analyze huge.csv --returns --no-garch --s-min 3
 test "$status" -eq 1
 grep -qF "R(s) = F_2(s)^2 / s^(2H) leaves the floating-point range" huge.err
 if grep -q Traceback huge.err; then exit 1; fi
+# returns whose second half is 2**-200 times the first: each window of
+# a whole-sample roll keeps its own digits, as mfdfa's window does, so
+# none detrends to exact zeros and the roll exits 0
+python -c 'import hurstscan as h; v = h.gen_garch(1200, 1e-6, 0.08, 0.91, seed=3); v[600:] *= 2.0**-200; h.save_returns(h.ReturnSeries(h.synthetic_dates(v.size), v), "mixed.csv")'
+hurstscan roll mixed.csv --returns --window 200 --step 10 --s-min 5 --s-max 40 2> mixed.err
+if grep -q Traceback mixed.err; then exit 1; fi
 # 100,000 rows: the CSV reader crosses about 100 blocks
 hurstscan synth --kind fgn --n 100000 --h 0.7 --sigma 0.01 --out long.csv
 hurstscan analyze long.csv --returns --s-max 1000

@@ -29,8 +29,10 @@ many windows there are.  Both producers live in ``scaling``, the one
 module that knows the segment layout.  The per-window GARCH fits of a
 block run as one batched search, each window's fit equal, bit for bit,
 to ``garch_fit`` on that window alone.  A window's values do not depend
-on the windows computed with it, and a failed roll names its first bad
-window, found by bisection.
+on the windows computed with it, nor, bit for bit, on the scale of the
+rest of the series the windows slice (in whole-sample mode the filtered
+returns) while the squares stay normal floats, and a failed roll names
+its first bad window, found by bisection.
 """
 from __future__ import annotations
 

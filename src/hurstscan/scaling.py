@@ -45,12 +45,10 @@ _POWER_BITS = 512
 def _even_halves(largest, bound: float):
     """The k of each group's rescale by 2**-2k: 0 while its largest value lies within bound**+-1.
 
-    Outside, k puts the group's largest value in [0.5, 2) after the
-    rescale.  An even power of two scales a group of squares exactly
-    while nothing leaves the normal range, and a result in the groups'
-    root units scales back by 2**k; so a group far from unit scale can
-    neither overflow nor sink below the normal range.  Each group is
-    decided on its own, and a group within the bound keeps its bits.
+    Outside, k puts that value in [0.5, 2), and a result in the root
+    units scales back by 2**k.  Powers of two scale exactly in the
+    normal range, so a group keeps its bits within the bound and can
+    neither overflow nor sink below the normal range outside it.
     """
     far = (largest > bound) | (largest < 1.0 / bound)
     return np.where(far, np.frexp(largest)[1] // 2, 0)
@@ -149,8 +147,8 @@ class ScalingFit:
         return _float_fields(self)
 
 
-def _unit_steps(values):
-    """The demeaned values (last axis), each series first scaled to unit size, and the scale.
+def _unit_scaled(values):
+    """The values (last axis), each series scaled to unit size, and the scale.
 
     Each series (each row of a 2-d array) is scaled by the power of two
     2**-e that puts its largest |value| in [0.5, 1); e comes back with
@@ -166,9 +164,7 @@ def _unit_steps(values):
     if not np.all(np.isfinite(largest)):
         raise InputError("series contains non-finite values")
     e = np.frexp(largest)[1]
-    steps = np.ldexp(x, -e)
-    steps -= steps.mean(axis=-1, keepdims=True)
-    return steps, e
+    return np.ldexp(x, -e), e
 
 
 def _scale_f2(profiles, s: int, order: int) -> np.ndarray:
@@ -284,10 +280,12 @@ def _zero_flat(f2, marker, s: int, order: int, starts=None):
 def _series_f2(values, scales, order: int):
     """The (e, per-scale f2) source of series (last axis) that each have their own profile.
 
-    Each series is scaled to unit size on its own by 2**-e (``_unit_steps``)
-    and its profile cut as ``_scale_f2`` cuts it, one f2 array per scale.
+    Each series is scaled to unit size on its own by 2**-e (``_unit_scaled``)
+    and demeaned, and its profile cut as ``_scale_f2`` cuts it, one f2
+    array per scale.
     """
-    steps, e = _unit_steps(values)
+    steps, e = _unit_scaled(values)
+    steps -= steps.mean(axis=-1, keepdims=True)
     profiles = np.cumsum(steps, axis=-1)
     marker = _run_marker(values)
     return e, (_zero_flat(_scale_f2(profiles, s, order), marker, s, order) for s in scales)
@@ -298,8 +296,8 @@ def _start_f2(steps, scales, order: int):
 
     Yields, for each of ``scales`` (consecutive and increasing), one
     array of n - s + 1 values: entry a is the mean squared residual,
-    about its least-squares polynomial of the given order, of the
-    running sums of ``steps[a : a + s]`` taken left to right.
+    about its least-squares polynomial of the given order (>= 1), of the
+    running sums of ``steps[a : a + s] - steps[a]`` taken left to right.
 
     One pass grows every start's segment by one point at a time,
     vectorized over the starts.  A least-squares fit over a segment
@@ -313,10 +311,10 @@ def _start_f2(steps, scales, order: int):
     Every start has the same design row (1, k, ..., k**order) at its
     k-th point, so the triangle (d, u), the rotations and the weight are
     scalars; only the right-hand sides z and the remainder r are arrays.
-    The profile grows as ``profile += steps[k:]``: each segment's running
-    sum of its own steps, left to right, so no sum spans more than one
-    segment and its rounding is no larger than that of ``mfdfa``'s
-    per-window profile.
+    The profile grows as ``profile += steps[k:] - steps``: each segment's
+    running sum of its own steps less its first, a linear term that the
+    detrending removes, so no sum spans two segments and each rounds at
+    its segment's spread, as ``mfdfa``'s demeaned profile does.
     """
     n, p = steps.size, order + 1
     # zeros at the end let every start run to the largest scale; the
@@ -327,7 +325,8 @@ def _start_f2(steps, scales, order: int):
     d = [0.0] * p
     u = [[0.0] * p for _ in range(p)]
     for k in range(scales[-1]):
-        profile += padded[k : k + n]
+        np.subtract(padded[k : k + n], steps, out=t)
+        profile += t
         x = [float(k) ** i for i in range(p)]
         weight = 1.0
         np.subtract(profile, z[0], out=r)
@@ -355,6 +354,39 @@ def _start_f2(steps, scales, order: int):
             yield rss[: n - k] / (k + 1)
 
 
+def _window_sums(f2_at, first: int, step: int, count: int, ns: int, back: int, s: int):
+    """Each of ``count`` windows' sum of its 2 * ns segment values, added in one order for all.
+
+    Window j's values sit in ``f2_at`` at first + step * j plus s * i
+    (forward segments) and back + s * i (backward ones), i < ns, where
+    back < s or back = 0.  One strided view, (2, ns, windows), holds
+    them, and one ``np.add.reduce`` over its first two axes sums them
+    with no copy.  numpy orders a reduction's loops by stride, so the
+    window axis is kept the innermost, the one of the smallest stride:
+    the sums run on a grid of starts whose spacing divides the step and
+    is at most the other strides, and add every window's terms in one
+    order, whatever the step and the number of windows.
+    """
+    if count == 1:
+        # an axis of one window would be dropped, and the terms summed
+        # in another order: the window twice, at stride 0
+        grid, skip, rows = 0, 1, 2
+    else:
+        # the largest divisor of the step that is no larger than the
+        # view's other nonzero strides
+        limit = back or s
+        grid = step if step <= limit else max(d for d in range(1, limit + 1) if step % d == 0)
+        skip = step // grid
+        rows = (count - 1) * skip + 1
+    item = f2_at.itemsize
+    # the ndarray constructor: as_strided's generic path costs ten times
+    # as much, once per scale
+    view = np.ndarray(
+        (2, ns, rows), float, f2_at, first * item, (back * item, s * item, grid * item)
+    )
+    return np.add.reduce(view, axis=(0, 1))[::skip][:count]
+
+
 def _shared_f2(values, starts, window: int, scales, order: int) -> np.ndarray:
     """F_2 of every window of one series that shares its segments, at every scale.
 
@@ -366,74 +398,42 @@ def _shared_f2(values, starts, window: int, scales, order: int) -> np.ndarray:
     Over one segment, a window's profile differs from the running sum
     of the values started at the segment's first point only by a
     constant plus a linear term.  Detrending of order >= 1 removes both,
-    so a segment's squared fluctuation depends only on its absolute
-    start and its scale, not on the window.  ``_start_f2`` computes it
-    once for every start, one scale after the other.  At q = 2, F_2 is
-    the root of the mean of a window's 2 * (window // s) segment values,
-    so each scale needs their sums only: one strided view of the
-    per-start values, (2, window // s, windows), holds each window's
-    forward segments in row 0 and its backward ones in row 1, and one
-    ``np.add.reduce`` over the first two axes sums them, with no copy.
-    Each sum adds non-negative terms, so nothing cancels.
-
-    numpy orders a reduction's loops by stride, so the window axis is
-    kept the innermost, the one of the smallest stride: the sums run on
-    a grid of starts whose spacing divides the step and is at most the
-    other strides, and take every window's terms in one order, whatever
-    the step and the number of windows.  A window whose largest value
-    lies below 2**-512, the q = 2 bound of ``_power_means``, is summed
-    again at unit scale and scaled back as there; after ``_unit_steps``
-    no value comes near the upper bound, 2**512.
+    so a segment's squared fluctuation depends only on its own values:
+    the series is scaled to unit size (``_unit_scaled``) but not
+    demeaned, and ``_start_f2`` computes every start's value, one scale
+    after the other.  At q = 2, F_2 is the root of the mean of a
+    window's 2 * (window // s) segment values, whose sums of
+    non-negative terms ``_window_sums`` takes for all windows at once.
+    A window whose sum lies below the q = 2 bound of ``_power_means``
+    is summed again, in the same order, rescaled by ``_even_halves``.
+    So while the per-start values are normal floats, a window's F_2
+    keeps its bits whatever the scale of the rest of the series.
     """
-    steps, e = _unit_steps(values)
+    steps, e = _unit_scaled(values)
     marker = _run_marker(values)
     first, count = int(starts[0]), starts.size
     step = int(starts[1] - first) if count > 1 else 0
     tiny = 2.0**-_POWER_BITS
     fq = np.empty((len(scales), count))
-    rescaled = []
-    for k, (s, f2_at) in enumerate(zip(scales, _start_f2(steps, scales, order))):
-        row = fq[k]
+    for row, s, f2_at in zip(fq, scales, _start_f2(steps, scales, order)):
         if marker is not None:
             _zero_flat(f2_at, marker, s, order, np.arange(f2_at.size))
         ns = window // s
         back = window - ns * s
-        if count == 1:
-            # an axis of one window would be dropped, and the terms summed
-            # in another order: the window twice, at stride 0
-            grid, skip, rows = 0, 1, 2
-        else:
-            # the largest divisor of the step that is no larger than the
-            # view's other nonzero strides
-            limit = back or s
-            grid = step if step <= limit else max(d for d in range(1, limit + 1) if step % d == 0)
-            skip = step // grid
-            rows = (count - 1) * skip + 1
-        item = f2_at.itemsize
-        # the ndarray constructor: as_strided's generic path costs ten times
-        # as much, once per scale
-        view = np.ndarray(
-            (2, ns, rows), float, f2_at, first * item, (back * item, s * item, grid * item)
-        )
-        sums = row if rows == count else np.empty(rows)
-        np.add.reduce(view, axis=(0, 1), out=sums)
-        if sums is not row:
-            row[:] = sums[::skip][:count]
+        sums = _window_sums(f2_at, first, step, count, ns, back, s)
+        np.sqrt(sums / (2 * ns), out=row)
         # twice the largest sum of 2 * ns values below the bound, so that
         # no rounding hides a window whose values all lie below it
-        low_sum = 4 * ns * tiny
-        if np.minimum.reduce(row) < low_sum:
-            low = np.flatnonzero(row < low_sum)
-            offsets = np.concatenate([np.arange(ns) * s, back + np.arange(ns) * s])
-            terms = f2_at[first + step * low[:, None] + offsets]
-            half = _even_halves(np.maximum.reduce(terms, axis=1), 1.0 / tiny)
-            far = half != 0
-            row[low[far]] = np.add.reduce(np.ldexp(terms[far], -2 * half[far, None]), axis=1)
-            rescaled.append((k, low[far], half[far]))
-    fq /= [[2 * (window // s)] for s in scales]
-    np.sqrt(fq, out=fq)
-    for k, idx, half in rescaled:
-        fq[k, idx] = np.ldexp(fq[k, idx], half)
+        low = np.flatnonzero(sums < 4 * ns * tiny)
+        if low.size:
+            # their values, forward and backward segments interleaved and
+            # the window axis last, as the strides of the view above run
+            offsets = (s * np.arange(ns)[:, None] + [0, back]).reshape(-1, 1)
+            terms = f2_at[first + step * low + offsets]
+            half = _even_halves(np.maximum.reduce(terms, axis=0), 1.0 / tiny)
+            terms = np.ldexp(terms, -2 * half).ravel()
+            sums = _window_sums(terms, 0, 1, low.size, ns, low.size if back else 0, 2 * low.size)
+            row[low] = np.ldexp(np.sqrt(sums / (2 * ns)), half)
     with np.errstate(over="ignore"):
         # beyond the float range F_2 is inf, which the callers reject
         np.ldexp(fq, e, out=fq)
@@ -472,7 +472,6 @@ def _power_means(f2, qs, starts):
         has_zero = np.logical_or.reduceat(f2 == 0.0, starts, axis=-1)
     else:
         has_zero = np.zeros((*f2.shape[:-1], starts.size), dtype=bool)
-    # every f2 within bound**+-1 keeps each f2**(q/2) within 2**+-_POWER_BITS
     bound = 2.0 ** min(2.0 * _POWER_BITS / max(map(abs, qs)), 1000.0)
     half = None
     if largest > bound or smallest < 1.0 / bound:
@@ -493,8 +492,8 @@ def _power_means(f2, qs, starts):
 def _fluctuation_function(source, qs, length: int):
     """F_q(s) scaled back by 2**e, (q x series x scales), and a zero flag per series.
 
-    ``source`` is the (e, per-scale f2) pair of ``_series_f2`` or
-    ``_shared_f2``.  Consecutive scales go to one ``_power_means``
+    ``source`` is the (e, per-scale f2) pair of ``_series_f2``.
+    Consecutive scales go to one ``_power_means``
     call, one group each, once they hold ``length`` values over all
     series; a lone scale goes in uncopied.  Nothing is checked here.
     """

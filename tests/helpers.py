@@ -34,7 +34,7 @@ from hurstscan.scaling import (
     _residual_f2,
     _run_marker,
     _segment_starts,
-    _unit_steps,
+    _unit_scaled,
     _zero_flat,
 )
 
@@ -223,7 +223,7 @@ def per_scale_shared_f2(values, starts, window, scales, order):
     differs from ``_shared_f2``'s, so the two agree to rounding, with the
     same exact zeros of ``_zero_flat``.  Returns F_2, (windows x scales).
     """
-    steps, e = _unit_steps(values)
+    steps, e = _unit_scaled(values)
     marker = _run_marker(values)
 
     def per_scale():
@@ -235,6 +235,38 @@ def per_scale_shared_f2(values, starts, window, scales, order):
 
     (fq,), _ = _fluctuation_function((e, per_scale()), (2.0,), window)
     return fq
+
+
+def expected_f2(gamma, window: int, scales, order: int) -> np.ndarray:
+    """E[F_2(s)**2] of one window of a stationary Gaussian process, exact, one value per scale.
+
+    ``gamma`` holds the process' autocovariance at lags 0..window - 1.
+    The window's profile is y = L x, the running sum of the demeaned
+    values, so its covariance is C = L Sigma L^T with Sigma the Toeplitz
+    matrix of ``gamma``.  A segment's f2 is |P y_seg|**2 / s, with P the
+    projection that removes the polynomials of degree <= order (the
+    span of ``_detrend_basis(s, order)``, here from a QR factorization
+    of their Vandermonde matrix, so that no library arithmetic enters),
+    so its mean is tr(P C_seg P) / s.  F_2(s)**2 is the mean of the
+    window's 2 (window // s) segment f2, so its expectation is the mean
+    of theirs: exact at finite window and scale (Höll & Kantz, Eur.
+    Phys. J. B 88, 2015).
+    """
+    lag = np.abs(np.subtract.outer(np.arange(window), np.arange(window)))
+    cov = np.asarray(gamma, dtype=float)[lag]
+    running = np.tril(np.ones((window, window)))
+    # L = T (I - 1 1^T / w) with T the running sum: row i of T 1 1^T is i + 1
+    lmat = running - running.sum(axis=1, keepdims=True) / window
+    c = lmat @ cov @ lmat.T
+    out = []
+    for s in scales:
+        basis, _ = np.linalg.qr(np.vander(np.arange(s, dtype=float), order + 1))
+        idx = _segment_starts(window, s)[:, None] + np.arange(s)
+        blocks = c[idx[:, :, None], idx[:, None, :]]
+        # tr(P C P) = tr(C) - tr(B^T C B) for P = I - B B^T
+        kept = np.einsum("ia,kij,jb->kab", basis, blocks, basis).trace(axis1=1, axis2=2)
+        out.append(np.mean(np.trace(blocks, axis1=1, axis2=2) - kept) / s)
+    return np.array(out)
 
 
 def max_drawdown(

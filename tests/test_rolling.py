@@ -28,6 +28,7 @@ from hurstscan import (
     gen_fgn,
     gen_garch,
     ingest,
+    mfdfa,
     read_rolling_csv,
     roll,
     write_rolling_csv,
@@ -35,7 +36,7 @@ from hurstscan import (
 )
 from hurstscan import rolling
 from hurstscan.rolling import ROLLING_CSV_COLUMNS, _shared_f2
-from hurstscan.scaling import _fluctuation_function, _segment_starts, _start_f2, _unit_steps
+from hurstscan.scaling import _fluctuation_function, _segment_starts, _start_f2, _unit_scaled
 
 FAST = RollingConfig(window=500, step=100)
 
@@ -536,6 +537,18 @@ class TestRoll:
             np.testing.assert_allclose(got, want * 1e160, rtol=1e-12, atol=0)
 
 
+    def test_window_far_below_the_series_scale(self):
+        # a series whose second half is 2**-200 times its first: each
+        # window of the shared source keeps its own digits, as mfdfa's own
+        # window does, where one taken at the rounding of the whole
+        # series' mean detrends to exact zeros and fails the roll
+        values = gen_garch(1200, 1e-6, 0.08, 0.91, seed=3)
+        values[600:] *= 2.0**-200
+        series = make_return_series(values)
+        config = RollingConfig(window=200, step=10, s_min=5, s_max=40)
+        assert_results_close(roll(series, config), reference_roll(series, config))
+
+
 class TestSharedSource:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -606,7 +619,7 @@ class TestSharedSource:
         want = per_scale_shared_f2(values, starts, window, scales, order)
         assert got.shape == want.shape == (count, len(scales))
         np.testing.assert_array_equal(got == 0.0, want == 0.0)
-        steps, e = _unit_steps(values)
+        steps, e = _unit_scaled(values)
         m = np.abs(sliding_window_view(steps, window)[starts]).max(axis=1, keepdims=True)
         eps = np.finfo(float).eps
         ns = window // np.asarray(scales)
@@ -631,7 +644,7 @@ class TestSharedSource:
         values[600:] = np.ldexp(values[600:], -530)
         window, scales, order = 200, range(5, 51), 1
         starts = np.arange(0, 1001, step)
-        steps, e = _unit_steps(values)
+        steps, e = _unit_scaled(values)
 
         def gathered():
             for s, f2_at in zip(scales, _start_f2(steps, scales, order)):
@@ -644,6 +657,67 @@ class TestSharedSource:
         ns = window // np.asarray(scales)
         eps = np.finfo(float).eps
         assert np.all(np.abs(got - want) <= 4 * (ns + 1) * eps * want)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        order=st.sampled_from([1, 2, 3]),
+        s_min_extra=st.integers(0, 6),
+        scale_count=st.integers(3, 20),
+        window_extra=st.integers(0, 40),
+        step=st.integers(1, 30),
+        count=st.integers(1, 5),
+        head=st.integers(0, 60),
+        tail=st.integers(1, 60),
+        k=st.integers(-400, 400),
+    )
+    @example(
+        seed=4, order=3, s_min_extra=0, scale_count=20, window_extra=0, step=1, count=5,
+        head=30, tail=30, k=250,
+    )
+    @example(
+        seed=6, order=3, s_min_extra=6, scale_count=20, window_extra=40, step=29, count=5,
+        head=60, tail=60, k=400,
+    )
+    @example(
+        seed=5, order=1, s_min_extra=0, scale_count=3, window_extra=3, step=7, count=2,
+        head=0, tail=1, k=-250,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_window_blind_to_the_rest_of_the_series(
+        self, seed, order, s_min_extra, scale_count, window_extra, step, count, head, tail, k
+    ):
+        # unit-size windows among values 2**k times as large or as small:
+        # every segment sees only its own values, scaled to the series'
+        # unit size by a power of two, so each window's F_2 keeps its bits
+        # while the squares stay normal floats, as they do for |k| <= 400.
+        # Beyond k of about 255 the windows' sums fall below 2**-512 and
+        # are taken again rescaled, in the same order
+        s_min = order + 2 + s_min_extra
+        scales = range(s_min, s_min + scale_count)
+        window = 4 * scales[-1] + window_extra
+        starts = head + step * np.arange(count)
+        end = int(starts[-1]) + window
+        values = np.random.default_rng(seed).standard_normal(end + tail)
+        rest = values.copy()
+        rest[:head] = np.ldexp(rest[:head], k)
+        rest[end:] = np.ldexp(rest[end:], k)
+        want = _shared_f2(values, starts, window, scales, order)
+        got = _shared_f2(rest, starts, window, scales, order)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_series_far_from_zero_mean(self, order):
+        # returns 10**4 times their spread above zero: each segment's
+        # profile is its running sum less its first step, so it rounds at
+        # the segment's spread, as mfdfa's demeaned window does, not at
+        # the mean's size (3e-12 relative off without that level)
+        values = 1e4 + gen_fgn(900, 0.6, seed=2)
+        starts = np.arange(0, 401, 8)
+        scales = range(10, 51)
+        got = _shared_f2(values, starts, 500, scales, order)
+        for row, a in zip(got, starts):
+            (fp, _), = mfdfa(values[a : a + 500], scales, (2.0,), order).values()
+            np.testing.assert_allclose(row, fp.fq, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("k", [600, -600])
     def test_row_far_from_unit_scale(self, k):

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from helpers import naive_mfdfa, naive_segment_fluctuations
+from helpers import expected_f2, naive_mfdfa, naive_segment_fluctuations
 from hurstscan import FluctuationProfile, InputError, fit_scaling, gen_fgn, gen_garch, mfdfa
 from hurstscan import scaling
+from hurstscan.synth import fgn_autocovariance
 from hurstscan.scaling import (
     _check_qs,
     _check_scale_range,
@@ -19,15 +20,17 @@ from hurstscan.scaling import (
     _power_means,
     _residual_f2,
     _scale_f2,
+    _series_f2,
+    _shared_f2,
     _start_f2,
-    _unit_steps,
+    _unit_scaled,
 )
 
 
 def profile(x) -> np.ndarray:
     """The profile of ``x`` (running sum of the demeaned values) in the units of ``x``."""
-    steps, e = _unit_steps(x)
-    return np.ldexp(np.cumsum(steps), e)
+    scaled, e = _unit_scaled(x)
+    return np.ldexp(np.cumsum(scaled - scaled.mean()), e)
 
 
 def long_double_f2(segments, order: int) -> np.ndarray:
@@ -72,10 +75,10 @@ class TestBuildProfile:
         np.testing.assert_allclose(profile([5.0, 5.0, 5.0]), [0, 0, 0])
 
     def test_direct_arithmetic(self):
-        # 3 = 0.75 * 2**2: the steps are scaled by 2**-2 before they are demeaned
-        steps, e = _unit_steps([1.0, 2.0, 3.0])
+        # 3 = 0.75 * 2**2: the values are scaled by 2**-2 before they are demeaned
+        scaled, e = _unit_scaled([1.0, 2.0, 3.0])
         assert e.tolist() == [2]
-        assert steps.tolist() == [-0.25, 0.0, 0.25]
+        assert scaled.tolist() == [0.25, 0.5, 0.75]
         np.testing.assert_allclose(profile([1, 2, 3]), [-1, -1, 0])
 
     def test_too_short(self):
@@ -92,11 +95,11 @@ class TestBuildProfile:
     )
     def test_profile_closes(self, xs):
         # cumulative demeaned sum returns to zero at the end, in unit-size steps
-        steps, e = _unit_steps(xs)
-        scaled = np.ldexp(xs, -e)
+        scaled, e = _unit_scaled(xs)
+        assert scaled.tobytes() == np.ldexp(xs, -e).tobytes()
         assert np.all(np.abs(scaled) < 1.0)
         assert not np.any(xs) or np.abs(scaled).max() >= 0.5
-        assert abs(np.cumsum(steps)[-1]) <= 1e-9 * len(xs)
+        assert abs(np.cumsum(scaled - scaled.mean())[-1]) <= 1e-9 * len(xs)
 
 
 class TestAverageFluctuation:
@@ -349,9 +352,9 @@ class TestDetrendBasis:
 class TestStartF2:
     @LONG_DOUBLE
     def test_recursion_against_long_double(self):
-        # each start's segment grows one point at a time; its running sums,
-        # taken in double as the recursion takes them, are detrended in
-        # long double at three scales
+        # each start's segment grows one point at a time; its running sums
+        # less its first step, taken in double as the recursion takes
+        # them, are detrended in long double at three scales
         eps = np.finfo(float).eps
         noise = np.random.default_rng(2).standard_normal(2000)
         steps_by_profile = {
@@ -364,7 +367,8 @@ class TestStartF2:
             for order in (1, 2, 3):
                 got = dict(zip(scales, _start_f2(steps, scales, order)))
                 for s in (10, 23, 50):
-                    segments = np.cumsum(sliding_window_view(steps, s), axis=1)
+                    view = sliding_window_view(steps, s)
+                    segments = np.cumsum(view - view[:, :1], axis=1)
                     exact = long_double_f2(segments, order)
                     error = np.abs(got[s] - exact).astype(float)
                     # a backward-stable detrending errs by a few ulps of the
@@ -695,6 +699,36 @@ class TestMfdfaOracle:
             np.testing.assert_allclose(fp.fq, fq, rtol=1e-12, atol=0, err_msg=f"q={q}")
             assert fit.hurst == pytest.approx(hurst, rel=1e-12, abs=0), q
             assert fit.r_squared == pytest.approx(r_squared, rel=1e-12, abs=0), q
+
+
+class TestExpectedFluctuation:
+    # the mean F_2**2 of N independent Gaussian windows lies within K
+    # standard errors of expected_f2's exact curve at every scale; N and K
+    # were fixed before the first run
+    WINDOW, SCALES, N, K = 200, range(10, 51), 2000, 5.0
+
+    @pytest.mark.parametrize("producer", ["series", "shared"])
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("hurst", [0.5, 0.7])
+    def test_mean_f2_within_clt_band(self, hurst, order, producer):
+        # fGn at H = 0.5 is white noise.  The windows are the rows of
+        # Cholesky-coloured standard normals: each through _series_f2 on
+        # its own profile, or the rows end to end as one series whose
+        # windows _shared_f2 takes w apart, so that each is one row
+        w, scales = self.WINDOW, self.SCALES
+        gamma = fgn_autocovariance(np.arange(w), hurst)
+        lag = np.abs(np.subtract.outer(np.arange(w), np.arange(w)))
+        rows = np.random.default_rng(7).standard_normal((self.N, w))
+        rows = rows @ np.linalg.cholesky(gamma[lag]).T
+        if producer == "series":
+            (fq,), _ = _fluctuation_function(_series_f2(rows, scales, order), (2.0,), w)
+        else:
+            fq = _shared_f2(rows.ravel(), w * np.arange(self.N), w, scales, order)
+        f2 = fq**2
+        z = (f2.mean(axis=0) - expected_f2(gamma, w, scales, order)) / (
+            f2.std(axis=0, ddof=1) / np.sqrt(self.N)
+        )
+        assert np.all(np.abs(z) <= self.K), dict(zip(scales, np.round(z, 2)))
 
 
 class TestFluctuationProfileType:
