@@ -404,10 +404,10 @@ def _shared_f2(values, starts, window: int, scales, order: int) -> np.ndarray:
     after the other.  At q = 2, F_2 is the root of the mean of a
     window's 2 * (window // s) segment values, whose sums of
     non-negative terms ``_window_sums`` takes for all windows at once.
-    A window whose sum lies below the q = 2 bound of ``_power_means``
-    is summed again, in the same order, rescaled by ``_even_halves``.
-    So while the per-start values are normal floats, a window's F_2
-    keeps its bits whatever the scale of the rest of the series.
+    A window whose values lie below 2**-_POWER_BITS, the q = 2 bound of
+    ``_power_means``, is summed again, rescaled by ``_even_halves``, in
+    the same order: while the per-start values are normal floats, its
+    F_2 keeps its bits whatever the scale of the rest of the series.
     """
     steps, e = _unit_scaled(values)
     marker = _run_marker(values)
@@ -424,10 +424,10 @@ def _shared_f2(values, starts, window: int, scales, order: int) -> np.ndarray:
         np.sqrt(sums / (2 * ns), out=row)
         # twice the largest sum of 2 * ns values below the bound, so that
         # no rounding hides a window whose values all lie below it
-        low = np.flatnonzero(sums < 4 * ns * tiny)
-        if low.size:
+        if np.minimum.reduce(sums) < 4 * ns * tiny:
+            low = np.flatnonzero(sums < 4 * ns * tiny)
             # their values, forward and backward segments interleaved and
-            # the window axis last, as the strides of the view above run
+            # the window axis last, so _window_sums adds them in its order
             offsets = (s * np.arange(ns)[:, None] + [0, back]).reshape(-1, 1)
             terms = f2_at[first + step * low + offsets]
             half = _even_halves(np.maximum.reduce(terms, axis=0), 1.0 / tiny)

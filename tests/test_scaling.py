@@ -10,7 +10,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from helpers import expected_f2, naive_mfdfa, naive_segment_fluctuations
 from hurstscan import FluctuationProfile, InputError, fit_scaling, gen_fgn, gen_garch, mfdfa
 from hurstscan import scaling
-from hurstscan.synth import fgn_autocovariance
 from hurstscan.scaling import (
     _check_qs,
     _check_scale_range,
@@ -25,6 +24,7 @@ from hurstscan.scaling import (
     _start_f2,
     _unit_scaled,
 )
+from hurstscan.synth import fgn_autocovariance
 
 
 def profile(x) -> np.ndarray:
