@@ -15,24 +15,24 @@ type under the same row rules, so every result reads back.
 
 Every mode analyzes its windows in array passes over (windows x
 scales): a producer gives every window's F_2, then the fit and the
-measures run in blocks of ``_FIT_ROWS`` windows, so their temporaries
-stay a few times a block's size.  With one whole-sample GARCH fit and
-detrending order >= 1, windows share their segments:
-``scaling._shared_f2`` detrends each once, in one pass over the segment
-lengths that updates the fit at every start of the series, and sums
-each window's segments by one strided reduce per scale over those
-per-start values.  Per-window GARCH fits and order 0 give every window
-its own profile: ``mfdfa``'s producer ``scaling._series_f2`` and its
-F_q stage ``scaling._fluctuation_function`` take the windows in order,
-in blocks of a fixed number of windows, so memory stays bounded however
-many windows there are.  Both producers live in ``scaling``, the one
-module that knows the segment layout.  The per-window GARCH fits of a
-block run as one batched search, each window's fit equal, bit for bit,
-to ``garch_fit`` on that window alone.  A window's values do not depend
-on the windows computed with it, nor, bit for bit, on the scale of the
-rest of the series the windows slice (in whole-sample mode the filtered
-returns) while the squares stay normal floats, and a failed roll names
-its first bad window, found by bisection.
+measures run in blocks, so their temporaries stay a few times a
+block's size.  With one whole-sample GARCH fit and detrending order
+>= 1, windows share their segments: ``scaling._shared_f2`` detrends
+each once, in one pass over the segment lengths that updates the fit
+at every start of the series, and sums each window's segments by one
+strided reduce per scale over those per-start values; the windows are
+fitted ``_FIT_ROWS`` at a time.  Per-window GARCH fits and order 0 give
+every window its own profile: ``mfdfa``'s producer
+``scaling._series_fq`` takes the windows in order, ``_BLOCK`` at a
+time, and each block is fitted as it comes, so memory stays bounded
+however many windows there are.  Both producers live in ``scaling``,
+the one module that knows the segment layout.  The per-window GARCH
+fits of a block run as one batched search, each window's fit equal, bit
+for bit, to ``garch_fit`` on that window alone.  A window's values do
+not depend on the windows computed with it, nor, bit for bit, on the
+scale of the rest of the series the windows slice (in whole-sample mode
+the filtered returns) while the squares stay normal floats, and a
+failed roll names its first bad window, found by bisection.
 """
 from __future__ import annotations
 
@@ -61,9 +61,8 @@ from .scaling import (
     _check_fluctuations,
     _check_scale_range,
     _fit_loglog,
-    _fluctuation_function,
     _is_integer,
-    _series_f2,
+    _series_fq,
     _shared_f2,
 )
 
@@ -296,8 +295,7 @@ def _row_columns(
                 if isinstance(fit, GarchFit):
                     row /= np.sqrt(fit.h)
                 converged.append(isinstance(fit, GarchFit) and fit.converged)
-        source = _series_f2(rows, config.scales(), config.detrend_order)
-        (fq,), _ = _fluctuation_function(source, (2.0,), config.window)
+        (fq,), _ = _series_fq(rows, config.scales(), (2.0,), config.detrend_order)
         blocks.append(_window_columns(fq, dates, config, first))
     return [np.concatenate(column) for column in zip(*blocks)], converged
 

@@ -10,19 +10,18 @@ average fluctuations F_q(s) follow a power law in s whose log-log slope
 is the generalized Hurst exponent H(q).
 
 ``mfdfa`` and ``roll`` share one detrending rule, and two producers of
-squared segment fluctuations.  ``_series_f2`` serves series with a
-profile of their own (``mfdfa``'s one series, a block of ``roll``'s
-windows): it detrends each scale's segments in place in their profile
-by one projection and yields them, and one stage,
-``_fluctuation_function``, takes the power means of consecutive scales
-in one call and scales F_q back to the series' units.  The power mean
-reduces every scale on its own, so F_q at a scale is the same, bit for
-bit, whichever other scales are asked for.  ``_shared_f2`` serves
-windows that share one series' segments, at q = 2 only: one pass over
-the segment lengths 1..s_max updates the fit at every start of the
-series by Givens rotations (``_start_f2``), and at each scale one
-strided reduce over those per-start values sums every window's
-segments, with no copy, so F_2 comes out for all windows at once.
+F_q.  ``_series_fq`` serves series with a profile of their own
+(``mfdfa``'s one series, a block of ``roll``'s windows): it detrends
+each scale's segments in place in their profile by one projection,
+takes the power means of consecutive scales in one call and scales F_q
+back to the series' units.  The power mean reduces every scale on its
+own, so F_q at a scale is the same, bit for bit, whichever other scales
+are asked for.  ``_shared_f2`` serves windows that share one series'
+segments, at q = 2 only: one pass over the segment lengths 1..s_max
+updates the fit at every start of the series by Givens rotations
+(``_start_f2``), and at each scale one strided reduce over those
+per-start values sums every window's segments, with no copy, so F_2
+comes out for all windows at once.
 """
 from __future__ import annotations
 
@@ -277,20 +276,6 @@ def _zero_flat(f2, marker, s: int, order: int, starts=None):
     return f2
 
 
-def _series_f2(values, scales, order: int):
-    """The (e, per-scale f2) source of series (last axis) that each have their own profile.
-
-    Each series is scaled to unit size on its own by 2**-e (``_unit_scaled``)
-    and demeaned, and its profile cut as ``_scale_f2`` cuts it, one f2
-    array per scale.
-    """
-    steps, e = _unit_scaled(values)
-    steps -= steps.mean(axis=-1, keepdims=True)
-    profiles = np.cumsum(steps, axis=-1)
-    marker = _run_marker(values)
-    return e, (_zero_flat(_scale_f2(profiles, s, order), marker, s, order) for s in scales)
-
-
 def _start_f2(steps, scales, order: int):
     """Each scale's mean squared detrending residual of the segment at every start.
 
@@ -445,7 +430,7 @@ def _power_means(f2, qs, starts):
 
     ``starts`` are the groups' first positions, increasing from 0: a
     group runs up to the next start, the last one to the end of the
-    axis; ``_fluctuation_function`` passes consecutive scales end to end,
+    axis; ``_series_fq`` passes consecutive scales end to end,
     one group per scale.  Both results have ``f2``'s leading shape and
     one entry per group on the last axis.  Nothing is checked here; a
     zero f2 gives F_q = 0 for q > 0 and inf for q < 0, which the callers
@@ -489,33 +474,34 @@ def _power_means(f2, qs, starts):
     return fq, has_zero
 
 
-def _fluctuation_function(source, qs, length: int):
-    """F_q(s) scaled back by 2**e, (q x series x scales), and a zero flag per series.
+def _series_fq(values, scales, qs, order: int):
+    """F_q(s) of series (last axis) that each have their own profile, and a zero flag per series.
 
-    ``source`` is the (e, per-scale f2) pair of ``_series_f2``.
-    Consecutive scales go to one ``_power_means``
-    call, one group each, once they hold ``length`` values over all
-    series; a lone scale goes in uncopied.  Nothing is checked here.
+    Each series is scaled to unit size on its own by 2**-e
+    (``_unit_scaled``) and demeaned, and its profile is cut and
+    detrended as ``_scale_f2`` does it, with ``_zero_flat``'s exact
+    zeros.  Consecutive scales go to one ``_power_means`` call, one
+    group each, once they hold as many values as one series has, over
+    all series; a lone scale goes in uncopied.  Returns F_q scaled back
+    by 2**e, (q x series x scales), and whether any segment of each
+    series is exactly zero.  Nothing is checked here.
     """
-    e, f2_per_scale = source
+    steps, e = _unit_scaled(values)
+    steps -= steps.mean(axis=-1, keepdims=True)
+    profiles = np.cumsum(steps, axis=-1)
+    marker = _run_marker(values)
     fq, zero, run, size = [], [], [], 0
-
-    def reduce(run):
-        starts = np.cumsum([0, *(f2.shape[-1] for f2 in run[:-1])])
-        means, has_zero = _power_means(
-            run[0] if len(run) == 1 else np.concatenate(run, axis=-1), qs, starts
-        )
-        fq.append(np.stack(means))
-        zero.append(has_zero)
-
-    for f2 in f2_per_scale:
-        run.append(f2)
-        size += f2.size
-        if size >= length:
-            reduce(run)
+    for k, s in enumerate(scales, 1):
+        run.append(_zero_flat(_scale_f2(profiles, s, order), marker, s, order))
+        size += run[-1].size
+        if size >= steps.shape[-1] or k == len(scales):
+            starts = np.cumsum([0, *(f2.shape[-1] for f2 in run[:-1])])
+            means, has_zero = _power_means(
+                run[0] if len(run) == 1 else np.concatenate(run, axis=-1), qs, starts
+            )
+            fq.append(np.stack(means))
+            zero.append(has_zero)
             run, size = [], 0
-    if run:
-        reduce(run)
     with np.errstate(over="ignore"):
         # beyond the float range F_q is inf, which the callers reject
         fq = np.ldexp(np.concatenate(fq, axis=-1), e)
@@ -599,14 +585,13 @@ def mfdfa(
 
     Notes
     -----
-    The one-series case of ``roll``'s per-window path: ``_series_f2``
-    scales the series to unit size by an exact power of two and yields
-    each scale's 2*floor(T/s) squared fluctuations, and
-    ``_fluctuation_function`` averages runs of scales holding T or more
-    values in one power-mean call each (991 scales of 20,000 points take
-    about ten) and scales F_q back.  So a series anywhere in the normal
-    float range gives the H it gives at unit scale.  The negative-q rule
-    is checked over all scales.
+    The one-series case of ``roll``'s per-window path: ``_series_fq``
+    scales the series to unit size by an exact power of two, detrends
+    each scale's 2*floor(T/s) segments, averages runs of scales holding
+    T or more values in one power-mean call each (991 scales of 20,000
+    points take about ten) and scales F_q back.  So a series anywhere in
+    the normal float range gives the H it gives at unit scale.  The
+    negative-q rule is checked over all scales.
     """
     scale_list = list(scales)
     for s in scale_list:
@@ -622,7 +607,7 @@ def mfdfa(
     _check_scale_range(int(scale_arr[0]), int(scale_arr[-1]), order, x.size)
     if x.ndim != 1:
         raise InputError("series must be one-dimensional")
-    fq, has_zero = _fluctuation_function(_series_f2(x, scale_arr.tolist(), order), q_list, x.size)
+    fq, has_zero = _series_fq(x, scale_arr.tolist(), q_list, order)
     out: dict[float, tuple[FluctuationProfile, ScalingFit]] = {}
     for q, fq_q in zip(q_list, fq):
         _check_zero_rule(q, has_zero)

@@ -19,6 +19,7 @@ from helpers import (
     make_return_series,
     per_scale_shared_f2,
     reference_roll,
+    scale_means,
 )
 from hurstscan import (
     InputError,
@@ -36,7 +37,7 @@ from hurstscan import (
 )
 from hurstscan import rolling
 from hurstscan.rolling import ROLLING_CSV_COLUMNS, _shared_f2
-from hurstscan.scaling import _fluctuation_function, _segment_starts, _start_f2, _unit_scaled
+from hurstscan.scaling import _segment_starts, _start_f2, _unit_scaled
 
 FAST = RollingConfig(window=500, step=100)
 
@@ -646,7 +647,7 @@ class TestSharedSource:
             for s, f2_at in zip(scales, _start_f2(steps, scales, order)):
                 yield f2_at[starts[:, None] + _segment_starts(window, s)]
 
-        (want,), _ = _fluctuation_function((e, gathered()), (2.0,), window)
+        want = scale_means(gathered(), e)
         got = _shared_f2(values, starts, window, scales, order)
         # at unit scale the tail's mean f2 is below the normal range, 2**-1022
         assert np.ldexp(want.min(), -int(e[0])) < 2.0**-511

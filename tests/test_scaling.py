@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -15,11 +15,10 @@ from hurstscan.scaling import (
     _check_scale_range,
     _check_zero_rule,
     _detrend_basis,
-    _fluctuation_function,
     _power_means,
     _residual_f2,
     _scale_f2,
-    _series_f2,
+    _series_fq,
     _shared_f2,
     _start_f2,
     _unit_scaled,
@@ -204,49 +203,58 @@ class TestGroupedPowerMeans:
 
 
 @st.composite
-def f2_sources(draw):
-    """A series length T, a q set and a source: e and f2 per scale, 1-d or rows x segments."""
+def fq_series(draw):
+    """A series, 1-d or rows x T, with its scales, q set and order, for ``_series_fq``.
+
+    Each row lies anywhere in the float range, and some hold a run of
+    equal values, whose flat segments give exact zeros, or of values that
+    differ only in their last digits, whose segment f2 sit far below the
+    rest, so the power means rescale some groups of a call but not others.
+    """
     t = draw(st.integers(min_value=8, max_value=160))
-    scales = draw(st.lists(st.integers(2, t // 4), min_size=1, max_size=12, unique=True))
+    order = draw(st.integers(0, min(3, t // 4 - 2)))
+    scales = draw(st.lists(st.integers(order + 2, t // 4), min_size=1, max_size=12, unique=True))
     lead = draw(st.sampled_from([(), (1,), (3,), (7,)]))
-    n_rows = lead[0] if lead else 1
-    # rows far beyond _power_bound as well as at unit scale; some scales of
-    # a row sit elsewhere, so one call can hold both kinds of group
-    k = np.array(draw(st.lists(st.integers(-1000, 1000), min_size=n_rows, max_size=n_rows)))
-    e = np.array(draw(st.lists(st.integers(-60, 60), min_size=n_rows, max_size=n_rows)))
-    zeros = draw(st.sampled_from([0.0, 0.02, 0.3, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    f2s = []
-    for s in sorted(scales):
-        shape = (n_rows, 2 * (t // s))
-        k_s = np.where(rng.random(n_rows) < 0.5, k, rng.integers(-1000, 1001, n_rows))
-        f2 = np.ldexp(rng.uniform(0.01, 4.0, shape), k_s[:, None])
-        f2[rng.random(shape) < zeros] = 0.0
-        f2s.append(f2.reshape(*lead, -1))
-    qs = draw(st.sampled_from([(2.0,), (-2.0, 2.0), (-4.0, 2.0, 4.0), (-8.0, 0.5, 2.0)]))
-    return t, qs, e.reshape(*lead, 1) if lead else e, f2s
+    x = rng.standard_normal((*lead, t))
+    # the run covers one forward segment of the largest scale, which the
+    # smaller scales of its power-mean call may not see
+    s = max(scales)
+    a = s * draw(st.integers(0, t // s - 1))
+    noise = draw(st.sampled_from([None, 0.0, 2.0**-30, 2.0**-45]))
+    if noise is not None:
+        x[..., a : a + s] = x[..., a : a + 1] * (1.0 + noise * rng.standard_normal(s))
+    n_rows = lead[0] if lead else 1
+    k = draw(st.lists(st.integers(-1000, 1000), min_size=n_rows, max_size=n_rows))
+    x = np.ldexp(x, np.reshape(k, (*lead, 1)))
+    qs = draw(st.sampled_from([(2.0,), (-2.0, 2.0), (-4.0, 2.0, 4.0), (-8.0, 0.5, 2.0), (8.0, -8.0)]))
+    return x, sorted(scales), qs, order
 
 
-class TestFluctuationFunction:
-    @given(f2_sources())
+def flat_at_the_larger_scale():
+    """A series whose segment [60, 80) is flat at scale 20, while no segment of scale 17 is."""
+    x = np.random.default_rng(1).standard_normal(100)
+    x[60:80] = x[60]
+    return x, [17, 20], (-2.0, 2.0), 1
+
+
+class TestSeriesFq:
+    @given(fq_series())
+    @example(flat_at_the_larger_scale())
     @settings(max_examples=100, deadline=None)
-    def test_same_bits_at_any_run_length(self, drawn):
-        # one call per scale, runs of a series length, and one call for all
-        t, qs, e, f2s = drawn
-        total = sum(f2.size for f2 in f2s)
-        got = []
-        for length, calls in ((1, len(f2s)), (t, None), (total + 1, 1)):
-            with warnings.catch_warnings(), mock.patch.object(
-                scaling, "_power_means", wraps=_power_means
-            ) as spy:
-                warnings.simplefilter("error")
-                fq, has_zero = _fluctuation_function((e, iter(f2s)), qs, length)
-            if calls:
-                assert spy.call_count == calls, length
-            assert fq.shape == (len(qs), *e.shape[:-1], len(f2s))
-            got.append((fq.tobytes(), has_zero.tobytes()))
-        assert got[0] == got[1] == got[2]
-        np.testing.assert_array_equal(has_zero, (np.concatenate(f2s, axis=-1) == 0).any(axis=-1))
+    def test_each_scale_alone_or_all_at_once(self, drawn):
+        # F_q at a scale, bit for bit, whether its scale is asked for alone
+        # or shares power-mean calls with the others
+        x, scales, qs, order = drawn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fq, has_zero = _series_fq(x, scales, qs, order)
+            alone = [_series_fq(x, [s], qs, order) for s in scales]
+        assert fq.shape == (len(qs), *x.shape[:-1], len(scales))
+        for k, (fq_s, _) in enumerate(alone):
+            assert fq_s.shape == (*fq.shape[:-1], 1)
+            assert fq_s[..., 0].tobytes() == fq[..., k].tobytes(), scales[k]
+        np.testing.assert_array_equal(has_zero, np.logical_or.reduce([z for _, z in alone]))
 
 
 class TestSegmentFluctuations:
@@ -706,22 +714,30 @@ class TestExpectedFluctuation:
     # standard errors of expected_f2's exact curve at every scale; N and K
     # were fixed before the first run
     WINDOW, SCALES, N, K = 200, range(10, 51), 2000, 5.0
+    # autocovariances by lag: fGn (H = 0.5 is white noise), and white
+    # noise plus an AR(1) of time constant 20 carrying 30% of the variance
+    PROCESSES = {
+        "0.5": lambda k: fgn_autocovariance(k, 0.5),
+        "0.7": lambda k: fgn_autocovariance(k, 0.7),
+        "0.3": lambda k: fgn_autocovariance(k, 0.3),
+        "ar1": lambda k: np.where(k == 0, 1.0, 0.3 * np.exp(-k / 20.0)),
+    }
 
     @pytest.mark.parametrize("producer", ["series", "shared"])
-    @pytest.mark.parametrize("order", [1, 2])
-    @pytest.mark.parametrize("hurst", [0.5, 0.7])
-    def test_mean_f2_within_clt_band(self, hurst, order, producer):
-        # fGn at H = 0.5 is white noise.  The windows are the rows of
-        # Cholesky-coloured standard normals: each through _series_f2 on
-        # its own profile, or the rows end to end as one series whose
-        # windows _shared_f2 takes w apart, so that each is one row
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("process", PROCESSES)
+    def test_mean_f2_within_clt_band(self, process, order, producer):
+        # the windows are the rows of Cholesky-coloured standard normals:
+        # each through _series_fq on its own profile, or the rows end to
+        # end as one series whose windows _shared_f2 takes w apart, so
+        # that each is one row
         w, scales = self.WINDOW, self.SCALES
-        gamma = fgn_autocovariance(np.arange(w), hurst)
+        gamma = self.PROCESSES[process](np.arange(w))
         lag = np.abs(np.subtract.outer(np.arange(w), np.arange(w)))
         rows = np.random.default_rng(7).standard_normal((self.N, w))
         rows = rows @ np.linalg.cholesky(gamma[lag]).T
         if producer == "series":
-            (fq,), _ = _fluctuation_function(_series_f2(rows, scales, order), (2.0,), w)
+            (fq,), _ = _series_fq(rows, scales, (2.0,), order)
         else:
             fq = _shared_f2(rows.ravel(), w * np.arange(self.N), w, scales, order)
         f2 = fq**2
