@@ -20,8 +20,11 @@ block's size.  With one whole-sample GARCH fit and detrending order
 >= 1, windows share their segments: ``scaling._shared_f2`` detrends
 each once, in one pass over the segment lengths that updates the fit
 at every start of the series, and sums each window's segments by one
-strided reduce per scale over those per-start values; the windows are
-fitted ``_FIT_ROWS`` at a time.  Per-window GARCH fits and order 0 give
+strided reduce per scale over those per-start values.  A window whose
+per-start values lose digits below the normal range, or underflow to
+0, and a degenerate window take F_2 from their own values instead,
+through ``mfdfa``'s producer.  The windows are fitted ``_FIT_ROWS`` at
+a time.  Per-window GARCH fits and order 0 give
 every window its own profile: ``mfdfa``'s producer
 ``scaling._series_fq`` takes the windows in order, ``_BLOCK`` at a
 time, and each block is fitted as it comes, so memory stays bounded

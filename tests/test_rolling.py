@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import functools
 import json
@@ -19,13 +20,13 @@ from helpers import (
     make_return_series,
     per_scale_shared_f2,
     reference_roll,
-    scale_means,
 )
 from hurstscan import (
     InputError,
     RollingConfig,
     RollingResult,
     detect_regimes,
+    garch_fit,
     gen_fgn,
     gen_garch,
     ingest,
@@ -37,7 +38,7 @@ from hurstscan import (
 )
 from hurstscan import rolling
 from hurstscan.rolling import ROLLING_CSV_COLUMNS, _shared_f2
-from hurstscan.scaling import _segment_starts, _start_f2, _unit_scaled
+from hurstscan.scaling import _series_fq, _unit_scaled
 
 FAST = RollingConfig(window=500, step=100)
 
@@ -548,6 +549,43 @@ class TestRoll:
         config = RollingConfig(window=200, step=10, s_min=5, s_max=40)
         assert_results_close(roll(series, config), reference_roll(series, config))
 
+    @pytest.mark.parametrize(
+        "head, tail, problem",
+        [(0, -560, "R(s)"), (0, -540, "R(s)"), (250, -300, None), (250, -270, None)],
+    )
+    def test_window_below_the_normal_range(self, head, tail, problem):
+        # the two halves at 2**head and 2**tail times unit size, each
+        # window filtered by h = 1 in both paths.  Relative to the series'
+        # largest value the tail's per-start f2 lie near 2**(2 (tail -
+        # head)), where their squares lose digits (-270) or underflow to
+        # 0 (-300, -540, -560): those windows take F_2 from their own
+        # values, so the roll fails with reference_roll's text, or
+        # analyzes all 101 windows as it does
+        values = gen_garch(1200, 1e-6, 0.08, 0.91, seed=3)
+        values /= values.std()
+        values[:600] *= 2.0**head
+        values[600:] *= 2.0**tail
+        series = make_return_series(values)
+        config = RollingConfig(window=200, step=10, s_min=5, s_max=40)
+
+        def unit_variance(returns):
+            return dataclasses.replace(garch_fit(returns), h=np.ones(len(returns)))
+
+        with mock.patch("hurstscan.rolling.garch_fit", unit_variance), mock.patch(
+            "helpers.garch_fit", unit_variance
+        ):
+            if problem:
+                with pytest.raises(InputError) as want:
+                    reference_roll(series, config)
+                assert problem in str(want.value)
+                with pytest.raises(InputError) as got:
+                    roll(series, config)
+                assert str(got.value) == str(want.value)
+            else:
+                got = roll(series, config)
+                assert len(got) == 101
+                assert_results_close(got, reference_roll(series, config))
+
 
 class TestSharedSource:
     @given(
@@ -630,30 +668,23 @@ class TestSharedSource:
 
     @pytest.mark.parametrize("step", [1, 7, 60])
     def test_sums_keep_the_digits_of_tiny_windows(self, step):
-        # the per-start values of _start_f2 summed by _shared_f2 and, for
-        # the same values, gathered per window into the power means.  The
-        # second half is 2**-530 times the first, so its windows' f2 lie
-        # near the subnormal range: a mean taken there would keep few
-        # digits, and only the rescaling of windows below 2**-512 keeps
-        # both within the rounding of 2ns sums
+        # the second half is 2**-530 times the first, so the per-start f2
+        # of its windows lie in the subnormal range, where their squares
+        # keep few digits and a mean taken from them fewer still; those
+        # windows take F_2 from their own values, so every window agrees
+        # with _series_fq on that window alone
         rng = np.random.default_rng(5)
         values = rng.integers(-1000, 1001, 1200).astype(float)
         values[600:] = np.ldexp(values[600:], -530)
         window, scales, order = 200, range(5, 51), 1
         starts = np.arange(0, 1001, step)
-        steps, e = _unit_scaled(values)
-
-        def gathered():
-            for s, f2_at in zip(scales, _start_f2(steps, scales, order)):
-                yield f2_at[starts[:, None] + _segment_starts(window, s)]
-
-        want = scale_means(gathered(), e)
         got = _shared_f2(values, starts, window, scales, order)
+        rows = sliding_window_view(values, window)[starts]
+        (want,), _ = _series_fq(rows, scales, (2.0,), order)
         # at unit scale the tail's mean f2 is below the normal range, 2**-1022
+        _, e = _unit_scaled(values)
         assert np.ldexp(want.min(), -int(e[0])) < 2.0**-511
-        ns = window // np.asarray(scales)
-        eps = np.finfo(float).eps
-        assert np.all(np.abs(got - want) <= 4 * (ns + 1) * eps * want)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
