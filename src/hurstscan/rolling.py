@@ -23,19 +23,19 @@ at every start of the series, and sums each window's segments by one
 strided reduce per scale over those per-start values.  A window whose
 per-start values lose digits below the normal range, or underflow to
 0, and a degenerate window take F_2 from their own values instead,
-through ``mfdfa``'s producer.  The windows are fitted ``_FIT_ROWS`` at
-a time.  Per-window GARCH fits and order 0 give
-every window its own profile: ``mfdfa``'s producer
-``scaling._series_fq`` takes the windows in order, ``_BLOCK`` at a
-time, and each block is fitted as it comes, so memory stays bounded
-however many windows there are.  Both producers live in ``scaling``,
-the one module that knows the segment layout.  The per-window GARCH
-fits of a block run as one batched search, each window's fit equal, bit
-for bit, to ``garch_fit`` on that window alone.  A window's values do
-not depend on the windows computed with it, nor, bit for bit, on the
-scale of the rest of the series the windows slice (in whole-sample mode
-the filtered returns) while the squares stay normal floats, and a
-failed roll names its first bad window, found by bisection.
+through ``mfdfa``'s producer.  The shared source's windows are fitted
+``_FIT_ROWS`` at a time.  Per-window GARCH fits and order 0 give every
+window its own profile: ``scaling._series_fq`` takes the windows in
+order, ``_BLOCK`` at a time, and each block is fitted as it comes, so
+memory stays bounded however many windows there are.  Both producers
+live in ``scaling``, the one module that knows the segment layout.  The
+per-window GARCH fits of a block run as one batched search, each
+window's fit equal, bit for bit, to ``garch_fit`` on that window alone.
+A window's values do not depend on the windows computed with it, nor,
+bit for bit, on the scale of the rest of the series the windows slice
+(in whole-sample mode the filtered returns) while the squares stay
+normal floats, and a failed roll names its first bad window, found by
+bisection.
 """
 from __future__ import annotations
 

@@ -398,13 +398,12 @@ def _shared_f2(values, starts, window: int, scales, order: int) -> np.ndarray:
     after the other.  At q = 2, F_2 is the root of the mean of a
     window's 2 * (window // s) segment values, whose sums of
     non-negative terms ``_window_sums`` takes for all windows at once.
-    Powers of two scale sums, quotients and roots exactly in the normal
-    range, so while a window's per-start values and its mean are normal
-    floats, its F_2 keeps its bits whatever the scale of the rest of the
-    series.  Further below, where the squares that ``_start_f2`` sums
-    lose digits or underflow to 0, and in a degenerate window, F_2 at
-    unit scale is below 2**-485: such a window, and only such, takes its
-    F_2 from ``_series_fq`` on its own values, as ``mfdfa`` does.
+    While a window's per-start values are normal floats its F_2 keeps
+    its bits whatever the scale of the rest of the series.  Below, where
+    ``_start_f2``'s squares lose digits or underflow to 0, and in a
+    degenerate window, F_2 at unit scale is below 2**-485; such windows
+    take F_2 from ``_series_fq`` on their own values, as ``mfdfa`` does,
+    in order up to the first that stays 0, where ``roll`` fails.
     """
     steps, e = _unit_scaled(values)
     marker = _run_marker(values)
@@ -429,6 +428,10 @@ def _shared_f2(values, starts, window: int, scales, order: int) -> np.ndarray:
         at = low[a : a + 64]
         (own,), _ = _series_fq(x[starts[at, None] + np.arange(window)], scales, (2.0,), order)
         fq[:, at] = own.T
+        if not own.all():
+            # a window that stays degenerate, where roll fails: the ones
+            # after it are left as they are
+            break
     return fq.T
 
 

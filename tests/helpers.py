@@ -212,15 +212,6 @@ def assert_results_close(got, want, rel: float = 1e-12) -> None:
         assert bad.size == 0, [(k, key, x[k], y[k]) for k in bad[:3]]
 
 
-def scale_means(per_scale, e) -> np.ndarray:
-    """F_2 of windows, (windows x scales), from each scale's (windows x segments) f2.
-
-    One ``_power_means`` call per scale, q = 2, scaled back by 2**e.
-    """
-    fq = [_power_means(f2, (2.0,), [0])[0][0][:, 0] for f2 in per_scale]
-    return np.ldexp(np.stack(fq, axis=-1), e)
-
-
 def per_scale_shared_f2(values, starts, window, scales, order):
     """``scaling._shared_f2`` by a projection per scale, a gather per window and the power means.
 
@@ -228,21 +219,21 @@ def per_scale_shared_f2(values, starts, window, scales, order):
     each scale s the segments are ``cumsum(sliding_window_view(steps, s),
     axis=1)``, an (n - s + 1) x s array detrended by ``_residual_f2`` in
     one matmul; each window's segments are gathered by fancy indexing,
-    and ``scale_means`` averages them at q = 2.  The arithmetic differs
+    and ``_power_means`` averages them at q = 2.  The arithmetic differs
     from ``_shared_f2``'s, so the two agree to rounding, with the same
     exact zeros of ``_zero_flat``.  Returns F_2, (windows x scales).
     """
     steps, e = _unit_scaled(values)
     marker = _run_marker(values)
-
-    def per_scale():
-        for s in scales:
-            segments = np.cumsum(sliding_window_view(steps, s), axis=1)
-            f2_at = _residual_f2(segments, order)
-            _zero_flat(f2_at, marker, s, order, np.arange(f2_at.size))
-            yield f2_at[starts[:, None] + _segment_starts(window, s)]
-
-    return scale_means(per_scale(), e)
+    fq = []
+    for s in scales:
+        segments = np.cumsum(sliding_window_view(steps, s), axis=1)
+        f2_at = _residual_f2(segments, order)
+        _zero_flat(f2_at, marker, s, order, np.arange(f2_at.size))
+        gathered = f2_at[starts[:, None] + _segment_starts(window, s)]
+        (mean,), _ = _power_means(gathered, (2.0,), [0])
+        fq.append(mean[:, 0])
+    return np.ldexp(np.stack(fq, axis=-1), e)
 
 
 def expected_f2(gamma, window: int, scales, order: int) -> np.ndarray:

@@ -586,6 +586,23 @@ class TestRoll:
                 assert len(got) == 101
                 assert_results_close(got, reference_roll(series, config))
 
+    def test_flat_tail_recomputes_one_block(self):
+        # the last 500 returns are 0, so the 301 windows within them are
+        # degenerate; the shared source recomputes the first 64 of them from
+        # their own values, finds them still 0 and stops there, where the
+        # roll fails with reference_roll's text
+        values = gen_garch(1200, 1e-6, 0.08, 0.91, seed=3)
+        values[700:] = 0.0
+        series = make_return_series(values)
+        config = RollingConfig(window=200, step=1, s_min=5, s_max=40)
+        with pytest.raises(InputError, match="degenerate") as want:
+            reference_roll(series, config)
+        spy = mock.patch("hurstscan.scaling._series_fq", wraps=_series_fq)
+        with spy as calls, pytest.raises(InputError) as got:
+            roll(series, config)
+        assert str(got.value) == str(want.value)
+        assert calls.call_count == 1
+
 
 class TestSharedSource:
     @given(
