@@ -60,8 +60,15 @@ test "$status" -eq 1
 test ! -e negq
 if grep -q Traceback negq.err; then exit 1; fi
 hurstscan roll fgn.csv --returns --step 100 --garch-mode per-window
-hurstscan roll fgn.csv --returns --step 10 --garch-mode per-window
-hurstscan roll fgn.csv --returns --step 10 --detrend-order 0
+# the own-values loop serves these windows, and a window's row does not
+# depend on the step: the step-50 per-window roll is every 5th row of
+# the step-10 one, and the step-10 order-0 roll every 10th of step 1's
+hurstscan roll fgn.csv --returns --step 10 --garch-mode per-window --out-dir pw10
+hurstscan roll fgn.csv --returns --step 50 --garch-mode per-window --out-dir pw50
+awk 'NR==1 || (NR-2) % 5 == 0' pw10/fgn.rolling.csv | cmp - pw50/fgn.rolling.csv
+hurstscan roll fgn.csv --returns --step 10 --detrend-order 0 --out-dir o0s10
+hurstscan roll fgn.csv --returns --step 1 --detrend-order 0 --out-dir o0s1
+awk 'NR==1 || (NR-2) % 10 == 0' o0s1/fgn.rolling.csv | cmp - o0s10/fgn.rolling.csv
 # s_max = window // 4: the whole-sample recursion's longest segments,
 # which reach its zero padding at the last starts
 hurstscan roll fgn.csv --returns --step 7 --s-max 125 --detrend-order 2

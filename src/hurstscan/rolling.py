@@ -13,29 +13,29 @@ same cells, which a result formats once with the CSV dialect of
 ``ingest``, and ``read_rolling_csv`` reads a CSV back into the same
 type under the same row rules, so every result reads back.
 
-Every mode analyzes its windows in array passes over (windows x
-scales): a producer gives every window's F_2, then the fit and the
-measures run in blocks, so their temporaries stay a few times a
-block's size.  With one whole-sample GARCH fit and detrending order
->= 1, windows share their segments: ``scaling._shared_f2`` detrends
-each once, in one pass over the segment lengths that updates the fit
-at every start of the series, and sums each window's segments by one
-strided reduce per scale over those per-start values.  A window whose
-per-start values lose digits below the normal range, or underflow to
-0, and a degenerate window take F_2 from their own values instead,
-through ``mfdfa``'s producer.  The shared source's windows are fitted
-``_FIT_ROWS`` at a time.  Per-window GARCH fits and order 0 give every
-window its own profile: ``scaling._series_fq`` takes the windows in
-order, ``_BLOCK`` at a time, and each block is fitted as it comes, so
-memory stays bounded however many windows there are.  Both producers
-live in ``scaling``, the one module that knows the segment layout.  The
-per-window GARCH fits of a block run as one batched search, each
-window's fit equal, bit for bit, to ``garch_fit`` on that window alone.
-A window's values do not depend on the windows computed with it, nor,
-bit for bit, on the scale of the rest of the series the windows slice
-(in whole-sample mode the filtered returns) while the squares stay
-normal floats, and a failed roll names its first bad window, found by
-bisection.
+Every mode fills one (windows x scales) array with every window's F_2
+and then fits it once, ``_window_columns``, whose fit and measures run
+``_FIT_ROWS`` windows at a time, so their temporaries stay a few times
+a block's size.  F_2 comes from two producers in ``scaling``, the one
+module that knows the segment layout.  With one whole-sample GARCH fit
+and detrending order >= 1, windows share their segments:
+``scaling._shared_f2`` detrends each once, in one pass over the
+segment lengths that updates the fit at every start of the series, and
+sums each window's segments by one strided reduce per scale over those
+per-start values.  It returns the windows it cannot serve: those whose
+per-start values lose digits below the normal range or underflow to 0,
+degenerate ones, and at order 0 every window, whose profile keeps the
+window mean's linear term.  Those windows, and in per-window GARCH
+mode every window, take F_2 from their own values in one loop,
+``_own_f2``: ``_BLOCK`` windows at a time in date order, through
+``mfdfa``'s producer ``scaling._series_fq``, stopping after the first
+block whose F_2 fails the roll.  The per-window GARCH fits of a block
+run as one batched search, each window's fit equal, bit for bit, to
+``garch_fit`` on that window alone.  A window's values do not depend
+on the windows computed with it, nor, bit for bit, on the scale of the
+rest of the series the windows slice (in whole-sample mode the filtered
+returns) while the squares stay normal floats, and a failed roll names
+its first bad window, found by bisection.
 """
 from __future__ import annotations
 
@@ -82,7 +82,7 @@ __all__ = [
 
 GARCH_MODES = ("whole-sample", "per-window")
 STAMP_CHOICES = ("end", "start", "center")
-# windows per block of a per-row source, and so per batched GARCH search:
+# windows per block of the own-values loop, and so per batched GARCH search:
 # blocks of 32-96 windows take the same time, and 64 keeps a roll of
 # 41 windows (the per-window benchmark workload) in one search
 _BLOCK = 64
@@ -230,15 +230,14 @@ class RegimeRun:
     n_windows: int
 
 
-def _window_columns(fq, dates, config: RollingConfig, first: int = 0):
+def _window_columns(fq, dates, config: RollingConfig):
     """Scaling fit and indicators of every window from its F_2, _FIT_ROWS windows at a time.
 
-    ``fq`` holds the F_2 of the roll's windows ``first`` on, one row
-    per window, dated by ``dates``.  Returns (hurst, stderr_hurst,
-    r_squared, f0, f_sigma, f_range, f_ratio) as the rows of one array,
-    one entry per window; raises the InputError of ``mfdfa`` +
-    ``liquidity_indicators`` on the first bad window, prefixed with its
-    number and date.
+    ``fq`` holds the F_2 of the roll's windows, one row per window,
+    dated by ``dates``.  Returns (hurst, stderr_hurst, r_squared, f0,
+    f_sigma, f_range, f_ratio) as the rows of one array, one entry per
+    window; raises the InputError of ``mfdfa`` + ``liquidity_indicators``
+    on the first bad window, prefixed with its number and date.
     """
     scales = np.asarray(config.scales())
 
@@ -272,35 +271,40 @@ def _window_columns(fq, dates, config: RollingConfig, first: int = 0):
             try:
                 columns(good)
             except InputError as exc:
-                raise InputError(f"window {first + good} ({dates[first + good]}): {exc}") from exc
+                raise InputError(f"window {good} ({dates[good]}): {exc}") from exc
             raise
     return out
 
 
-def _row_columns(
-    values: np.ndarray, starts: np.ndarray, dates, config: RollingConfig, refit: bool
-):
-    """``_window_columns`` of windows that each get their own profile, _BLOCK windows at a time.
+def _own_f2(fq, values, starts, own, config: RollingConfig, converged) -> None:
+    """Fill the rows ``own`` of ``fq`` with F_2 from the windows' own values, _BLOCK at a time.
 
-    The windows of ``values`` that begin at ``starts``, dated by
-    ``dates``, are cut and analyzed block by block, in order, so the
-    first bad window raises first.  With ``refit`` each block's windows
-    are GARCH-fitted by one batched search and divided by their own
-    sqrt(h); a window whose fit raises keeps its raw values.  Returns the seven columns and, with
-    ``refit``, each window's ``garch_converged`` flag.
+    The windows of ``values`` numbered ``own`` (increasing) begin at
+    ``starts[own]``; they are cut and taken through ``_series_fq``
+    block by block, in date order.  In per-window mode each block's
+    windows are first GARCH-fitted by one batched search and divided by
+    their own sqrt(h), and ``converged`` gets each window's flag; a
+    window whose fit raises keeps its raw values.  The loop stops after
+    the first block that holds an F_2 which ``_check_fluctuations``
+    rejects: the roll fails at that window or before it, and the rows
+    after are left as they are.
     """
-    blocks, converged = [], []
-    for first in range(0, starts.size, _BLOCK):
+    windows = sliding_window_view(values, config.window)
+    for a in range(0, own.size, _BLOCK):
+        at = own[a : a + _BLOCK]
         # fancy indexing copies: the block's rows are filtered in place
-        rows = sliding_window_view(values, config.window)[starts[first : first + _BLOCK]]
-        if refit:
-            for row, fit in zip(rows, _fit_rows(rows)):
+        rows = windows[starts[at]]
+        if config.garch_mode == "per-window":
+            for k, row, fit in zip(at, rows, _fit_rows(rows)):
                 if isinstance(fit, GarchFit):
                     row /= np.sqrt(fit.h)
-                converged.append(isinstance(fit, GarchFit) and fit.converged)
-        (fq,), _ = _series_fq(rows, config.scales(), (2.0,), config.detrend_order)
-        blocks.append(_window_columns(fq, dates, config, first))
-    return [np.concatenate(column) for column in zip(*blocks)], converged
+                converged[k] = isinstance(fit, GarchFit) and fit.converged
+        (block,), _ = _series_fq(rows, config.scales(), (2.0,), config.detrend_order)
+        fq[at] = block
+        try:
+            _check_fluctuations(block)
+        except InputError:
+            break
 
 
 def roll(returns: ReturnSeries, config: RollingConfig = RollingConfig()) -> RollingResult:
@@ -324,18 +328,16 @@ def roll(returns: ReturnSeries, config: RollingConfig = RollingConfig()) -> Roll
     dates = [returns.dates[i] for i in (starts + offset).tolist()]
 
     if config.garch_mode == "per-window":
-        columns, converged = _row_columns(returns.values, starts, dates, config, refit=True)
+        values = returns.values
+        fq, own = np.empty((starts.size, len(config.scales()))), np.arange(starts.size)
+        converged = np.zeros(starts.size, dtype=bool)
     else:
         fit = garch_fit(returns.values)
-        filtered = garch_filter(returns, fit)
+        values = garch_filter(returns, fit)
+        fq, own = _shared_f2(values, starts, w, config.scales(), config.detrend_order)
         converged = np.full(starts.size, fit.converged)
-        if config.detrend_order == 0:
-            # order 0 leaves a window's linear profile term in: no shared segments
-            columns, _ = _row_columns(filtered, starts, dates, config, refit=False)
-        else:
-            fq = _shared_f2(filtered, starts, w, config.scales(), config.detrend_order)
-            columns = _window_columns(fq, dates, config)
-    return RollingResult(dates, *columns, converged)
+    _own_f2(fq, values, starts, own, config, converged)
+    return RollingResult(dates, *_window_columns(fq, dates, config), converged)
 
 
 def detect_regimes(results: RollingResult, threshold: float) -> list[RegimeRun]:

@@ -21,7 +21,9 @@ segments, at q = 2 only: one pass over the segment lengths 1..s_max
 updates the fit at every start of the series by Givens rotations
 (``_start_f2``), and at each scale one strided reduce over those
 per-start values sums every window's segments, with no copy, so F_2
-comes out for all windows at once.
+comes out for all windows at once.  It names the windows it cannot
+serve (far below the series' scale, degenerate, or at order 0 all),
+and ``roll`` takes those through ``_series_fq``.
 """
 from __future__ import annotations
 
@@ -381,13 +383,15 @@ def _window_sums(f2_at, first: int, step: int, count: int, ns: int, back: int, s
     return np.add.reduce(view, axis=(0, 1))[::skip][:count]
 
 
-def _shared_f2(values, starts, window: int, scales, order: int) -> np.ndarray:
-    """F_2 of every window of one series that shares its segments, at every scale.
+def _shared_f2(values, starts, window: int, scales, order: int):
+    """F_2 of every window of one series that shares its segments, and the windows it cannot serve.
 
     The windows are ``window`` points long and begin at ``starts``,
     which step evenly; ``scales`` are consecutive and increasing, as
     ``roll``'s are.  Returns a (windows x scales) array, F_2 in the
-    series' units: the transpose of one (scales x windows) buffer.
+    series' units (the transpose of one (scales x windows) buffer), and
+    the numbers of the windows, in order, whose F_2 must come from their
+    own values instead; their rows hold no usable F_2.
 
     Over one segment, a window's profile differs from the running sum
     of the values started at the segment's first point only by a
@@ -401,13 +405,17 @@ def _shared_f2(values, starts, window: int, scales, order: int) -> np.ndarray:
     While a window's per-start values are normal floats its F_2 keeps
     its bits whatever the scale of the rest of the series.  Below, where
     ``_start_f2``'s squares lose digits or underflow to 0, and in a
-    degenerate window, F_2 at unit scale is below 2**-485; such windows
-    take F_2 from ``_series_fq`` on their own values, as ``mfdfa`` does,
-    in order up to the first that stays 0, where ``roll`` fails.
+    degenerate window, F_2 at unit scale is below 2**-485: such windows
+    are returned as the ones to serve from their own values.  Order 0
+    leaves the window mean's linear term in each profile, so no segment
+    is shared and every window is returned.
     """
+    count = starts.size
+    if order == 0:
+        return np.empty((count, len(scales))), np.arange(count)
     steps, e = _unit_scaled(values)
     marker = _run_marker(values)
-    first, count = int(starts[0]), starts.size
+    first = int(starts[0])
     step = int(starts[1] - first) if count > 1 else 0
     fq = np.empty((len(scales), count))
     for row, s, f2_at in zip(fq, scales, _start_f2(steps, scales, order)):
@@ -421,18 +429,7 @@ def _shared_f2(values, starts, window: int, scales, order: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         # beyond the float range F_2 is inf, which the callers reject
         np.ldexp(fq, e, out=fq)
-    x = np.asarray(values, dtype=float)
-    for a in range(0, low.size, 64):
-        # such windows, and degenerate ones, 64 at a time: F_2 from their
-        # own values alone, as mfdfa gives it
-        at = low[a : a + 64]
-        (own,), _ = _series_fq(x[starts[at, None] + np.arange(window)], scales, (2.0,), order)
-        fq[:, at] = own.T
-        if not own.all():
-            # a window that stays degenerate, where roll fails: the ones
-            # after it are left as they are
-            break
-    return fq.T
+    return fq.T, low
 
 
 def _power_means(f2, qs, starts):
@@ -616,9 +613,9 @@ def mfdfa(
         raise InputError("empty scale set")
     q_list = _check_qs(qs)
     x = np.asarray(series, dtype=float)
-    _check_scale_range(int(scale_arr[0]), int(scale_arr[-1]), order, x.size)
     if x.ndim != 1:
         raise InputError("series must be one-dimensional")
+    _check_scale_range(int(scale_arr[0]), int(scale_arr[-1]), order, x.size)
     fq, has_zero = _series_fq(x, scale_arr.tolist(), q_list, order)
     out: dict[float, tuple[FluctuationProfile, ScalingFit]] = {}
     for q, fq_q in zip(q_list, fq):

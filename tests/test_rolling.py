@@ -289,7 +289,12 @@ class TestRoll:
             values[flat_start : flat_start + flat_len] = values[flat_start]
         series = make_return_series(values)
         try:
-            with mock.patch("hurstscan.rolling._shared_f2", per_scale_shared_f2):
+            # the per-scale sums with no window served from its own values
+            shared = mock.patch(
+                "hurstscan.rolling._shared_f2",
+                lambda *args: (per_scale_shared_f2(*args), np.arange(0)),
+            )
+            with shared:
                 want = roll(series, config)
         except InputError as exc:
             with pytest.raises(InputError) as got:
@@ -398,13 +403,8 @@ class TestRoll:
 
     def test_fit_in_blocks_within_three_times_f2(self):
         # the windows' F_2 is the one array of full size: the fit and the
-        # measures run _FIT_ROWS windows at a time, and a roll of the
-        # paper's size runs one block
+        # measures run _FIT_ROWS windows at a time
         config = RollingConfig()
-        fits = mock.patch.object(rolling, "_fit_loglog", wraps=rolling._fit_loglog)
-        with fits as spy:
-            roll(make_return_series(gen_garch(3000, 1e-6, 0.08, 0.91, seed=1)), config)
-        assert spy.call_count == 1
         series = make_return_series(gen_fgn(30_000, 0.7, 0.01, seed=3))
         f2_bytes = (len(series) - config.window + 1) * len(config.scales()) * 8
         tracemalloc.start()
@@ -534,8 +534,8 @@ class TestRoll:
             # times F_2 of the unscaled one, to rounding
             starts = np.arange(0, 141, 7)
             geometry = (config.window, config.scales(), config.detrend_order)
-            got = _shared_f2(values, starts, *geometry)
-            want = _shared_f2(base, starts, *geometry)
+            got, _ = _shared_f2(values, starts, *geometry)
+            want, _ = _shared_f2(base, starts, *geometry)
             np.testing.assert_allclose(got, want * 1e160, rtol=1e-12, atol=0)
 
     def test_window_far_below_the_series_scale(self):
@@ -588,20 +588,69 @@ class TestRoll:
 
     def test_flat_tail_recomputes_one_block(self):
         # the last 500 returns are 0, so the 301 windows within them are
-        # degenerate; the shared source recomputes the first 64 of them from
-        # their own values, finds them still 0 and stops there, where the
-        # roll fails with reference_roll's text
+        # degenerate; the shared source leaves them to the own-values loop,
+        # which computes the first _BLOCK of them, finds them still 0 and
+        # stops there, where the roll fails with reference_roll's text
         values = gen_garch(1200, 1e-6, 0.08, 0.91, seed=3)
         values[700:] = 0.0
         series = make_return_series(values)
         config = RollingConfig(window=200, step=1, s_min=5, s_max=40)
         with pytest.raises(InputError, match="degenerate") as want:
             reference_roll(series, config)
-        spy = mock.patch("hurstscan.scaling._series_fq", wraps=_series_fq)
+        spy = mock.patch("hurstscan.rolling._series_fq", wraps=_series_fq)
         with spy as calls, pytest.raises(InputError) as got:
             roll(series, config)
         assert str(got.value) == str(want.value)
         assert calls.call_count == 1
+
+    @pytest.mark.parametrize(
+        "garch_mode, order, step",
+        [("whole-sample", 1, 1), ("whole-sample", 2, 1), ("whole-sample", 0, 6),
+         ("per-window", 1, 6), ("per-window", 0, 6)],
+    )
+    def test_own_values_loop_stops_after_the_failing_block(self, garch_mode, order, step):
+        # returns 600..699 at 2**-550 times the rest, then 0: the windows
+        # that take F_2 from their own values are the shared source's ones
+        # below 2**-485 (windows 599 on, at step 1) or, at order 0 and in
+        # per-window mode, every window.  Either way the first degenerate
+        # window (699 or 117) lies in the second block of _BLOCK such
+        # windows: the loop computes that block and stops, of 7 or 3, and
+        # the roll fails with reference_roll's text
+        values = gen_garch(1200, 1e-6, 0.08, 0.91, seed=3)
+        values /= values.std()
+        values[:600] *= 2.0**250
+        values[600:] *= 2.0**-300
+        values[700:] = 0.0
+        series = make_return_series(values)
+        config = RollingConfig(
+            window=200, step=step, s_min=5, s_max=40, detrend_order=order, garch_mode=garch_mode
+        )
+
+        def unit_variance(returns):
+            return dataclasses.replace(garch_fit(returns), h=np.ones(len(returns)))
+
+        fit = unit_variance if garch_mode == "whole-sample" else garch_fit
+        with mock.patch("hurstscan.rolling.garch_fit", fit), mock.patch("helpers.garch_fit", fit):
+            with pytest.raises(InputError, match="degenerate") as want:
+                reference_roll(series, config)
+            spy = mock.patch("hurstscan.rolling._series_fq", wraps=_series_fq)
+            with spy as calls, pytest.raises(InputError) as got:
+                roll(series, config)
+        assert str(got.value) == str(want.value)
+        assert calls.call_count == 2
+
+    @pytest.mark.parametrize(
+        "garch_mode, order", [("per-window", 1), ("whole-sample", 0), ("whole-sample", 1)]
+    )
+    def test_one_fit_pass(self, garch_mode, order):
+        # every mode fills one F_2 array and fits it in one pass: a roll of
+        # the paper's size is one block of _FIT_ROWS
+        config = RollingConfig(detrend_order=order, garch_mode=garch_mode)
+        series = make_return_series(gen_garch(3000, 1e-6, 0.08, 0.91, seed=1))
+        fits = mock.patch.object(rolling, "_fit_loglog", wraps=rolling._fit_loglog)
+        with fits as spy:
+            roll(series, config)
+        assert spy.call_count == 1
 
 
 class TestSharedSource:
@@ -668,7 +717,7 @@ class TestSharedSource:
         if tiny_half:
             # whole numbers whose second half is scaled by 2**-300
             values[n // 2 :] = np.ldexp(values[n // 2 :], -300)
-        got = _shared_f2(values, starts, window, scales, order)
+        got, _ = _shared_f2(values, starts, window, scales, order)
         want = per_scale_shared_f2(values, starts, window, scales, order)
         assert got.shape == want.shape == (count, len(scales))
         np.testing.assert_array_equal(got == 0.0, want == 0.0)
@@ -680,28 +729,53 @@ class TestSharedSource:
         assert np.all(np.abs(got - want) <= bound)
         # each window's sums run in one order whatever the step and the
         # window count: all the series' windows together give the same bits
-        every = _shared_f2(values, np.arange(n - window + 1), window, scales, order)
+        every, _ = _shared_f2(values, np.arange(n - window + 1), window, scales, order)
         assert got.tobytes() == np.ascontiguousarray(every[starts]).tobytes()
 
     @pytest.mark.parametrize("step", [1, 7, 60])
     def test_sums_keep_the_digits_of_tiny_windows(self, step):
         # the second half is 2**-530 times the first, so the per-start f2
         # of its windows lie in the subnormal range, where their squares
-        # keep few digits and a mean taken from them fewer still; those
-        # windows take F_2 from their own values, so every window agrees
-        # with _series_fq on that window alone
+        # keep few digits and a mean taken from them fewer still; the
+        # shared source leaves those windows to the roll's own-values loop,
+        # after which every window agrees with _series_fq on that window alone
         rng = np.random.default_rng(5)
         values = rng.integers(-1000, 1001, 1200).astype(float)
         values[600:] = np.ldexp(values[600:], -530)
-        window, scales, order = 200, range(5, 51), 1
+        config = RollingConfig(window=200, step=step, s_min=5, s_max=50)
+        window, scales, order = config.window, config.scales(), config.detrend_order
         starts = np.arange(0, 1001, step)
-        got = _shared_f2(values, starts, window, scales, order)
+        got, own = _shared_f2(values, starts, window, scales, order)
+        rolling._own_f2(got, values, starts, own, config, None)
         rows = sliding_window_view(values, window)[starts]
         (want,), _ = _series_fq(rows, scales, (2.0,), order)
         # at unit scale the tail's mean f2 is below the normal range, 2**-1022
         _, e = _unit_scaled(values)
         assert np.ldexp(want.min(), -int(e[0])) < 2.0**-511
+        assert own.size > 0
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_windows_served_from_their_own_values(self):
+        # none on the paper series; every window at order 0, whose profile
+        # keeps the window mean's linear term; with a tail at 2**-560 times
+        # unit size, exactly the windows whose own F_2 lies below 2**-485
+        # at the series' unit size
+        paper = gen_garch(3000, 1e-6, 0.08, 0.91, seed=1)
+        starts = np.arange(2501)
+        _, own = _shared_f2(paper, starts, 500, range(10, 51), 1)
+        assert own.size == 0
+        _, own = _shared_f2(paper, starts, 500, range(10, 51), 0)
+        assert own.tolist() == starts.tolist()
+        values = gen_garch(1200, 1e-6, 0.08, 0.91, seed=3)
+        values /= values.std()
+        values[600:] *= 2.0**-560
+        starts, scales = np.arange(0, 1001, 10), range(5, 41)
+        _, own = _shared_f2(values, starts, 200, scales, 1)
+        (fq,), _ = _series_fq(sliding_window_view(values, 200)[starts], scales, (2.0,), 1)
+        _, e = _unit_scaled(values)
+        below = np.ldexp(fq.min(axis=1), -int(e[0])) < 2.0**-485
+        assert own.size > 0
+        assert own.tolist() == np.flatnonzero(below).tolist()
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -734,9 +808,7 @@ class TestSharedSource:
         # unit-size windows among values 2**k times as large or as small:
         # every segment sees only its own values, scaled to the series'
         # unit size by a power of two, so each window's F_2 keeps its bits
-        # while the squares stay normal floats, as they do for |k| <= 400.
-        # Beyond k of about 255 the windows' sums fall below 2**-512 and
-        # are taken again rescaled, in the same order
+        # while the squares stay normal floats, as they do for |k| <= 400
         s_min = order + 2 + s_min_extra
         scales = range(s_min, s_min + scale_count)
         window = 4 * scales[-1] + window_extra
@@ -746,8 +818,8 @@ class TestSharedSource:
         rest = values.copy()
         rest[:head] = np.ldexp(rest[:head], k)
         rest[end:] = np.ldexp(rest[end:], k)
-        want = _shared_f2(values, starts, window, scales, order)
-        got = _shared_f2(rest, starts, window, scales, order)
+        want, _ = _shared_f2(values, starts, window, scales, order)
+        got, _ = _shared_f2(rest, starts, window, scales, order)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("order", [1, 2, 3])
@@ -759,7 +831,7 @@ class TestSharedSource:
         values = 1e4 + gen_fgn(900, 0.6, seed=2)
         starts = np.arange(0, 401, 8)
         scales = range(10, 51)
-        got = _shared_f2(values, starts, 500, scales, order)
+        got, _ = _shared_f2(values, starts, 500, scales, order)
         for row, a in zip(got, starts):
             fp, _ = mfdfa(values[a : a + 500], scales, (2.0,), order)[2.0]
             np.testing.assert_allclose(row, fp.fq, rtol=1e-12, atol=0)
@@ -772,8 +844,8 @@ class TestSharedSource:
         values[100:130] = values[100]
         starts = np.arange(0, 201, 3)
         geometry = (200, range(4, 51), 2)
-        want = _shared_f2(values, starts, *geometry)
-        got = _shared_f2(np.ldexp(values, k), starts, *geometry)
+        want, _ = _shared_f2(values, starts, *geometry)
+        got, _ = _shared_f2(np.ldexp(values, k), starts, *geometry)
         assert got.tobytes() == np.ldexp(want, k).tobytes()
 
 

@@ -527,6 +527,13 @@ class TestMfdfa:
         with pytest.raises(InputError, match=r"scales 3\.\.20 out of range \[4, 100\]"):
             mfdfa(x, range(3, 21), order=2)
 
+    @pytest.mark.parametrize("series", [np.ones((2, 10)), np.float64(1.0)])
+    def test_series_shape_checked_before_the_scale_range(self, series):
+        # a 2-d or 0-d series is no series: its size is no series length
+        # for the scale range to be checked against
+        with pytest.raises(InputError, match="^series must be one-dimensional$"):
+            mfdfa(series, range(10, 51))
+
     @pytest.mark.parametrize("c", [0.0, 0.1, 7.0, 0.3, 0.001])
     def test_constant_series_degenerate_for_every_order(self, c):
         # demeaning a constant leaves rounding noise, which must not be fitted
@@ -739,7 +746,8 @@ class TestExpectedFluctuation:
         if producer == "series":
             (fq,), _ = _series_fq(rows, scales, (2.0,), order)
         else:
-            fq = _shared_f2(rows.ravel(), w * np.arange(self.N), w, scales, order)
+            fq, own = _shared_f2(rows.ravel(), w * np.arange(self.N), w, scales, order)
+            assert own.size == 0
         f2 = fq**2
         z = (f2.mean(axis=0) - expected_f2(gamma, w, scales, order)) / (
             f2.std(axis=0, ddof=1) / np.sqrt(self.N)
