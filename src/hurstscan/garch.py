@@ -10,11 +10,14 @@ MAX_PERSISTENCE, 0 <= alpha / (alpha + beta) <= 1, so every point it
 evaluates is a valid, covariance-stationary GarchParams.  The search
 runs on a stack of series at once, one row each: each block of windows
 of a rolling analysis is fitted by one batched search, and ``garch_fit``
-is its one-row case.  Every row takes the same steps, with the same
-rounding, whichever rows share its batch.  The batch keeps its shape from the
-first iteration to the last: a row that converges or fails its line
-search leaves by holding every coordinate, so its step is 0 and its
-state no longer changes, and no rows are compacted.  Dividing returns
+is its one-row case.  The block is handled as arrays throughout: one
+row-wise pass checks every row and scales it by its sample variance,
+and each Newton step decides every row's concavity by one stacked
+eigendecomposition.  Every row takes the same steps, with the same
+rounding, whichever rows share its batch.  The batch keeps its shape
+from the first iteration to the last: a row that converges or fails its
+line search leaves by holding every coordinate, so its step is 0 and
+its state no longer changes, and no rows are compacted.  Dividing returns
 by the fitted sqrt(h_t) standardizes volatility across time, which is
 what makes fluctuation levels comparable between different periods.
 """
@@ -208,14 +211,22 @@ def _variance_paths(r2, omega, alpha, matrices, h1):
 
 
 def variance_path(returns, params: GarchParams, h1: float) -> np.ndarray:
-    """Conditional-variance recursion h_t = omega + alpha*r_{t-1}^2 + beta*h_{t-1}."""
+    """Conditional-variance recursion h_t = omega + alpha*r_{t-1}^2 + beta*h_{t-1}.
+
+    Raises NumericalError if a squared return overflows, which the scan
+    would otherwise carry as NaN.
+    """
     r = _return_values(returns)
     if r.size == 0:
         raise InputError("need at least 1 return")
     if not 0.0 < h1 < math.inf:
         raise InputError(f"initial variance h1 must be positive and finite, got {h1}")
+    with np.errstate(over="ignore"):
+        r2 = r * r
+    if not np.all(np.isfinite(r2)):
+        raise NumericalError("squared returns overflow the floating-point range")
     matrices = _scan_matrices(np.full(1, params.beta), r.size)
-    return _variance_paths((r * r)[None], params.omega, params.alpha, matrices, h1)[0]
+    return _variance_paths(r2[None], params.omega, params.alpha, matrices, h1)[0]
 
 
 def _gaussian_loglik(r2, h):
@@ -229,8 +240,9 @@ def _gaussian_loglik(r2, h):
 def garch_loglik(returns, params: GarchParams, h1: float) -> float:
     """Gaussian log-likelihood of the returns under the given parameters.
 
-    The recursion starts at h_1 = h1.  Raises NumericalError if the
-    evaluation overflows to a non-finite value.
+    The recursion starts at h_1 = h1.  Raises NumericalError if a
+    squared return overflows (see variance_path), or if the evaluation
+    overflows to a non-finite value.
     """
     r = _return_values(returns)
     if r.size < 2:
@@ -324,37 +336,33 @@ def _box_derivatives(score, hess, x):
     return (jac_t @ score[..., None])[..., 0], box_hess
 
 
-def _positive_definite(matrices) -> bool:
-    """Whether the Cholesky factorization of a matrix, or of every matrix of a stack, succeeds."""
-    try:
-        np.linalg.cholesky(matrices)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _ascent_steps(grad, hess, free):
     """Newton step on each row's free coordinates, and whether -H is positive definite there.
 
     A held coordinate gets the identity's row and column in -H and a
     gradient of 0, so one stacked solve gives every row's step, exactly
     0 on its held coordinates; a row that holds every coordinate gets a
-    step of 0 and counts as concave.  Where -H is not positive definite
-    on the free coordinates, its eigenvalues are replaced by their moduli
-    (at least 1e-10 of the largest), so the step still ascends and moves
-    away from a saddle along directions of negative curvature.
+    step of 0 and counts as concave.  One stacked eigendecomposition
+    decides every row: -H is positive definite where its least
+    eigenvalue is.  Where it is not, its eigenvalues are replaced by
+    their moduli (at least 1e-10 of the largest), so the step still
+    ascends and moves away from a saddle along directions of negative
+    curvature.  A row whose -H is not finite counts as not concave and
+    gets a NaN step, so its search cannot converge.  The eigenvalues of
+    a matrix do not depend on the others in the stack, and a concave
+    row's matrix goes into the solve unchanged.
     """
     held = ~free
     curvature = np.where(held[:, :, None] | held[:, None, :], np.eye(3), -hess)
-    concave = np.ones(len(grad), dtype=bool)
-    if not _positive_definite(curvature):
-        # the stack failed: decide each matrix on its own
-        concave = np.array([_positive_definite(c) for c in curvature])
-        lam, vec = np.linalg.eigh(curvature[~concave])
-        lam = np.abs(lam)
-        lam = np.maximum(lam, 1e-10 * lam.max(axis=-1, keepdims=True))
-        curvature[~concave] = (vec * lam[:, None, :]) @ vec.transpose(0, 2, 1)
+    # eigh rejects a whole stack that holds a non-finite matrix
+    finite = np.isfinite(curvature).all(axis=(1, 2))
+    lam, vec = np.linalg.eigh(np.where(finite[:, None, None], curvature, np.eye(3)))
+    concave = finite & (lam[:, 0] > 0.0)
+    lam, vec = np.abs(lam[~concave]), vec[~concave]
+    lam = np.maximum(lam, 1e-10 * lam.max(axis=-1, keepdims=True))
+    curvature[~concave] = (vec * lam[:, None, :]) @ vec.transpose(0, 2, 1)
     step = np.linalg.solve(curvature, np.where(free, grad, 0.0)[..., None])[..., 0]
+    step[~finite] = np.nan
     step[held] = 0.0  # the eigenvalue repair leaves rounding residue there
     return step, concave
 
@@ -459,24 +467,33 @@ def _newton(z2, alpha, beta):
     return x, loglik, converged, iterations
 
 
-def _scaled_squares(r: np.ndarray) -> tuple[float, np.ndarray]:
-    """h_1 and (r / sqrt(h_1))**2 of one series, or the error garch_fit raises for it.
+def _scaled_squares(r: np.ndarray) -> tuple:
+    """Each row's h_1 and (r / sqrt(h_1))**2, and the error garch_fit raises for it, or None.
 
-    h_1 is the sample variance of the returns.  The search runs on
-    returns in units of sqrt(h_1), where neither the steps nor the
-    tolerances depend on the scale of the returns.
+    r is (rows x n).  h_1 is the sample variance of a row's returns.
+    The search runs on returns in units of sqrt(h_1), where neither the
+    steps nor the tolerances depend on the scale of the returns.  The
+    checks run in garch_fit's order: too short, then constant, then a
+    variance out of the float range.  A row that fails one gets z2 of 0.
     """
-    if r.size < MIN_FIT_LENGTH:
-        raise InputError(
-            f"need at least {MIN_FIT_LENGTH} returns to fit GARCH, got {r.size}"
-        )
-    if np.ptp(r) == 0.0:
-        raise InputError("degenerate input: all returns identical")
+    rows, n = r.shape
+    if n < MIN_FIT_LENGTH:
+        text = f"need at least {MIN_FIT_LENGTH} returns to fit GARCH, got {n}"
+        return np.ones(rows), np.zeros(r.shape), [InputError(text) for _ in range(rows)]
     with np.errstate(over="ignore"):
-        h1 = float(np.var(r, ddof=1))
-    if not 0.0 < h1 < math.inf:
-        raise NumericalError(f"sample variance of the returns out of floating-point range: {h1}")
-    return h1, (r / math.sqrt(h1)) ** 2
+        constant = np.ptp(r, axis=1) == 0.0
+        h1 = np.var(r, axis=1, ddof=1)
+    usable = ~constant & (0.0 < h1) & (h1 < math.inf)
+    errors = [
+        None
+        if ok
+        else InputError("degenerate input: all returns identical")
+        if flat
+        else NumericalError(f"sample variance of the returns out of floating-point range: {v}")
+        for ok, flat, v in zip(usable.tolist(), constant.tolist(), h1.tolist())
+    ]
+    # a row that fails is divided by inf, which gives 0 without a warning
+    return h1, (r / np.sqrt(np.where(usable, h1, np.inf))[:, None]) ** 2, errors
 
 
 def _fit_rows(r: np.ndarray) -> list:
@@ -489,14 +506,8 @@ def _fit_rows(r: np.ndarray) -> list:
     the memory of a fit grows with the rows it is given: a caller with
     many rows passes them in blocks.
     """
-    fits: list = [None] * len(r)
-    h1, z2 = np.empty(len(r)), np.empty(r.shape)
-    for i, row in enumerate(r):
-        try:
-            h1[i], z2[i] = _scaled_squares(row)
-        except (InputError, NumericalError) as exc:
-            fits[i] = exc
-    rows = np.array([i for i, fit in enumerate(fits) if fit is None], dtype=int)
+    h1, z2, fits = _scaled_squares(r)
+    rows = np.flatnonzero([fit is None for fit in fits])
     if rows.size == 0:
         return fits
     h1, z2 = h1[rows], z2[rows]

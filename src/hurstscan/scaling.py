@@ -488,10 +488,10 @@ def _series_fq(values, scales, qs, order: int):
     (``_unit_scaled``) and demeaned, and its profile is cut and
     detrended as ``_scale_f2`` does it, with ``_zero_flat``'s exact
     zeros.  Consecutive scales go to one ``_power_means`` call, one
-    group each, once they hold as many values as one series has, over
-    all series; a lone scale goes in uncopied.  Returns F_q scaled back
-    by 2**e, (q x series x scales), and whether any segment of each
-    series is exactly zero.  Nothing is checked here.
+    group each, once they hold, per series, as many values as a series
+    has; a lone scale goes in uncopied.  Returns F_q scaled back by
+    2**e, (q x series x scales), and whether any segment of each series
+    is exactly zero.  Nothing is checked here.
     """
     steps, e = _unit_scaled(values)
     steps -= steps.mean(axis=-1, keepdims=True)
@@ -500,7 +500,7 @@ def _series_fq(values, scales, qs, order: int):
     fq, zero, run, size = [], [], [], 0
     for k, s in enumerate(scales, 1):
         run.append(_zero_flat(_scale_f2(profiles, s, order), marker, s, order))
-        size += run[-1].size
+        size += run[-1].shape[-1]
         if size >= steps.shape[-1] or k == len(scales):
             starts = np.cumsum([0, *(f2.shape[-1] for f2 in run[:-1])])
             means, has_zero = _power_means(

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hurstscan import (
     variance_path,
 )
 from hurstscan.garch import (
+    MIN_FIT_LENGTH,
     START_ALPHA,
     START_BETA,
     _ascent_steps,
@@ -83,6 +85,15 @@ class TestVariancePath:
                 variance_path(THREE_STEP_RETURNS, THREE_STEP_PARAMS, h1=h1)
             with pytest.raises(InputError, match="h1 must be positive and finite"):
                 garch_loglik(THREE_STEP_RETURNS, THREE_STEP_PARAMS, h1=h1)
+
+    def test_needs_one_return(self):
+        with pytest.raises(InputError, match="need at least 1 return"):
+            variance_path(np.array([]), THREE_STEP_PARAMS, h1=0.01)
+
+    def test_overflowing_squares_rejected_without_warning(self):
+        # the recursion's value is +inf there: the scan would give NaN
+        with pytest.raises(NumericalError, match="squared returns overflow"):
+            variance_path(np.full(10, 1e200), GarchParams(1e-6, 0.08, 0.91), h1=1.0)
 
     @given(
         st.lists(st.floats(min_value=-5, max_value=5), min_size=2, max_size=200),
@@ -207,18 +218,37 @@ class TestAnalyticDerivatives:
         self.assert_close((score[0], hess[0]), self.finite_differences(loglik, x), x)
 
 
+def ascent_problems(rows, seed):
+    """Gradients, Hessians and free masks of `rows` random Newton steps.
+
+    Well-conditioned -H = Q diag(lam) Q^T: the first half concave, the
+    second with curvature of either sign; random held coordinates.
+    """
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((rows, 3, 3)))[0]
+    lam = rng.uniform(0.5, 2.0, (rows, 3))
+    lam[rows // 2 :] *= rng.choice([-1.0, 1.0], (rows - rows // 2, 3))
+    hess = -(q * lam[:, None, :]) @ q.transpose(0, 2, 1)
+    return rng.standard_normal((rows, 3)), hess, rng.random((rows, 3)) < 0.6
+
+
+def cholesky_concave(grad, hess, free):
+    """Whether the Cholesky factorization of each row's -H on its free block succeeds."""
+    decisions = []
+    for h, f in zip(hess, free):
+        try:
+            np.linalg.cholesky(-h[np.ix_(f, f)])
+        except np.linalg.LinAlgError:
+            decisions.append(False)
+        else:
+            decisions.append(True)
+    return np.array(decisions)
+
+
 class TestAscentSteps:
     def test_held_coordinates_step_zero_free_ones_solve_their_block(self):
-        # well-conditioned -H = Q diag(lam) Q^T: the first half concave, the
-        # second with curvature of either sign; random held coordinates
-        rng = np.random.default_rng(3)
         rows = 400
-        q = np.linalg.qr(rng.standard_normal((rows, 3, 3)))[0]
-        lam = rng.uniform(0.5, 2.0, (rows, 3))
-        lam[rows // 2 :] *= rng.choice([-1.0, 1.0], (rows - rows // 2, 3))
-        hess = -(q * lam[:, None, :]) @ q.transpose(0, 2, 1)
-        grad = rng.standard_normal((rows, 3))
-        free = rng.random((rows, 3)) < 0.6
+        grad, hess, free = ascent_problems(rows, 3)
         step, concave = _ascent_steps(grad, hess, free)
         assert np.all(step[~free] == 0.0)
         for k in range(rows):
@@ -237,6 +267,74 @@ class TestAscentSteps:
         assert 0 < concave.sum() < rows
         assert (~free).all(axis=1).any() and free.all(axis=1).any()
 
+    def test_non_finite_curvature_steps_nan_and_leaves_the_others_alone(self):
+        # two concave and two non-concave rows, all coordinates free, turn
+        # NaN or +-inf in one entry each
+        grad, hess, free = ascent_problems(60, 4)
+        free[::2] = True
+        want_step, want_concave = _ascent_steps(grad, hess, free)
+        flipped = np.flatnonzero(~want_concave[::2])[:2] * 2
+        bad = np.zeros(60, dtype=bool)
+        bad[[6, 8, *flipped]] = True
+        hess[6, 0, 1], hess[8, 2, 2] = np.nan, np.inf
+        hess[flipped[0], 1, 1], hess[flipped[1], 0, 2] = -np.inf, np.nan
+        step, concave = _ascent_steps(grad, hess, free)
+        assert want_concave[[6, 8]].all() and len(flipped) == 2
+        assert not concave[bad].any() and np.isnan(step[bad]).all()
+        np.testing.assert_array_equal(step[~bad], want_step[~bad])
+        np.testing.assert_array_equal(concave[~bad], want_concave[~bad])
+
+    def test_non_finite_curvature_leaves_the_search_unconverged(self, monkeypatch):
+        # row 1's Hessian turns NaN at the first step; it stops there,
+        # unconverged, and rows 0 and 2 end exactly as they do alone
+        rows = np.stack([gen_garch(500, 1e-6, 0.08, 0.91, seed=seed) for seed in range(3)])
+        z2 = _scaled_squares(rows)[1]
+        alone = [_newton(z2[[k]], START_ALPHA, START_BETA) for k in (0, 2)]
+        real = hurstscan.garch._natural_derivatives
+        calls = []
+
+        def poisoned(*args):
+            score, hess = real(*args)
+            if not calls:
+                hess[1, 0, 0] = np.nan
+            calls.append(None)
+            return score, hess
+
+        monkeypatch.setattr(hurstscan.garch, "_natural_derivatives", poisoned)
+        x, loglik, converged, iterations = _newton(z2, START_ALPHA, START_BETA)
+        # its line search rejects the NaN step: it keeps its start point
+        assert not converged[1] and iterations[1] == 0
+        start = [1.0 - START_ALPHA - START_BETA, START_ALPHA + START_BETA]
+        np.testing.assert_array_equal(x[1, :2], start)
+        for k, (want_x, want_ll, want_converged, want_iterations) in zip((0, 2), alone):
+            np.testing.assert_array_equal(x[k], want_x[0])
+            assert (loglik[k], converged[k], iterations[k]) == (
+                want_ll[0],
+                want_converged[0],
+                want_iterations[0],
+            )
+            assert converged[k]
+
+    def test_concavity_decided_as_cholesky_decides_it(self, monkeypatch):
+        # every Newton step of fits on GARCH windows, white noise and fGn:
+        # the least eigenvalue's sign against the Cholesky factorization
+        real = hurstscan.garch._ascent_steps
+        seen = []
+
+        def spy(grad, hess, free):
+            step, concave = real(grad, hess, free)
+            seen.append((concave, cholesky_concave(grad, hess, free)))
+            return step, concave
+
+        monkeypatch.setattr(hurstscan.garch, "_ascent_steps", spy)
+        series = gen_garch(1000, 1e-6, 0.08, 0.91, seed=0)
+        _fit_rows(sliding_window_view(series, 500)[::25])
+        for r in (series, gen_fgn(2000, 0.7, 0.01, 0), gen_white(1000, 0.01, 1)):
+            garch_fit(r)
+        eigen, cholesky = (np.concatenate(part) for part in zip(*seen))
+        np.testing.assert_array_equal(eigen, cholesky)
+        assert 0 < eigen.sum() < eigen.size
+
 
 class TestGarchLoglik:
     def test_zero_returns_unit_variance(self):
@@ -254,6 +352,10 @@ class TestGarchLoglik:
     def test_needs_two_returns(self):
         with pytest.raises(InputError):
             garch_loglik(np.array([0.1]), THREE_STEP_PARAMS, h1=0.01)
+
+    def test_overflowing_squares_rejected_without_warning(self):
+        with pytest.raises(NumericalError, match="squared returns overflow"):
+            garch_loglik(np.full(10, 1e200), GarchParams(1e-6, 0.08, 0.91), h1=1.0)
 
 
 class TestGarchFit:
@@ -424,6 +526,17 @@ class TestGarchFit:
         with pytest.raises(InputError):
             garch_fit(np.random.default_rng(0).normal(size=99))
 
+    def test_returns_must_be_one_dimensional(self):
+        with pytest.raises(InputError, match="returns must be one-dimensional"):
+            garch_fit(np.ones((2, 300)))
+
+    def test_non_finite_returns_rejected(self):
+        r = gen_garch(300, 1e-6, 0.08, 0.91, seed=1).copy()
+        for bad in (np.nan, np.inf):
+            r[150] = bad
+            with pytest.raises(InputError, match="returns contain non-finite values"):
+                garch_fit(r)
+
     def test_accepts_return_series_objects(self):
         series = make_return_series(gen_garch(600, 0.1, 0.1, 0.8, seed=1))
         fit = garch_fit(series)
@@ -458,9 +571,74 @@ def assert_same_fit(got, want):
 
 def takes_restart(row):
     """Whether the search from the default start ends at alpha = 0."""
-    _, z2 = _scaled_squares(row)
-    x = _newton(z2[None], START_ALPHA, START_BETA)[0]
+    _, z2, _ = _scaled_squares(row[None])
+    x = _newton(z2, START_ALPHA, START_BETA)[0]
     return _natural_params(x)[1][0] == 0.0
+
+
+def scaled_squares_alone(row):
+    """One row's h_1 and z2 by the rule garch_fit applies to a series alone, or its error."""
+    if row.size < MIN_FIT_LENGTH:
+        return InputError(f"need at least {MIN_FIT_LENGTH} returns to fit GARCH, got {row.size}")
+    if np.ptp(row) == 0.0:
+        return InputError("degenerate input: all returns identical")
+    with np.errstate(over="ignore"):
+        h1 = float(np.var(row, ddof=1))
+    if not 0.0 < h1 < math.inf:
+        return NumericalError(f"sample variance of the returns out of floating-point range: {h1}")
+    return h1, (row / math.sqrt(h1)) ** 2
+
+
+ROW_KINDS = {
+    "garch": lambda n, seed: gen_garch(n, 1e-6, 0.08, 0.91, seed=seed),
+    "white": lambda n, seed: gen_white(n, 0.01, seed),
+    "fgn": lambda n, seed: gen_fgn(n, 0.7, 0.01, seed),
+    "constant": lambda n, seed: np.full(n, 0.01 * (seed + 1)),
+    "overflow": lambda n, seed: gen_white(n, 1e160, seed),  # variance beyond the float range
+    "underflow": lambda n, seed: gen_white(n, 1e-170, seed),  # variance below it
+    "huge": lambda n, seed: gen_white(n, 1e150, seed),
+    "tiny": lambda n, seed: gen_white(n, 1e-150, seed),
+}
+
+
+class TestScaledSquares:
+    @given(
+        kinds=st.lists(st.sampled_from(sorted(ROW_KINDS)), min_size=1, max_size=12),
+        n=st.sampled_from([MIN_FIT_LENGTH - 1, MIN_FIT_LENGTH, 500]),
+        seed=st.integers(0, 50),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_equals_the_rule_row_by_row(self, kinds, n, seed):
+        rows = np.stack([ROW_KINDS[kind](n, seed + k) for k, kind in enumerate(kinds)])
+        h1, z2, errors = _scaled_squares(rows)
+        assert len(h1) == len(z2) == len(errors) == len(rows)
+        for k, row in enumerate(rows):
+            want = scaled_squares_alone(row)
+            if isinstance(want, Exception):
+                assert type(errors[k]) is type(want) and str(errors[k]) == str(want)
+                continue
+            assert errors[k] is None
+            assert h1[k] == want[0]
+            np.testing.assert_array_equal(z2[k], want[1])
+
+    def test_every_error_kind_in_one_block(self):
+        rows = np.stack([ROW_KINDS[kind](500, 1) for kind in sorted(ROW_KINDS)])
+        _, _, errors = _scaled_squares(rows)
+        got = {kind: type(error).__name__ for kind, error in zip(sorted(ROW_KINDS), errors)}
+        assert got == {
+            "constant": "InputError",
+            "fgn": "NoneType",
+            "garch": "NoneType",
+            "huge": "NoneType",
+            "overflow": "NumericalError",
+            "tiny": "NoneType",
+            "underflow": "NumericalError",
+            "white": "NoneType",
+        }
+        _, _, errors = _scaled_squares(rows[:, :MIN_FIT_LENGTH - 1])
+        assert {str(error) for error in errors} == {
+            f"need at least {MIN_FIT_LENGTH} returns to fit GARCH, got {MIN_FIT_LENGTH - 1}"
+        }
 
 
 class TestBatchedFit:
@@ -478,6 +656,20 @@ class TestBatchedFit:
         )
         fits = list(_fit_rows(rows))
         assert len(fits) == len(rows) == 164
+        for got, row in zip(fits, rows):
+            assert_same_fit(got, fit_alone(row))
+
+    def test_block_with_set_aside_rows_equals_garch_fit(self):
+        # a per-window block of paper windows, with constant, overflowing
+        # and too-small rows between them, in one batched search
+        windows = sliding_window_view(gen_garch(1000, 1e-6, 0.08, 0.91, seed=1), 500)[::8]
+        rows = windows.copy()
+        rows[3] = 0.02
+        rows[10] *= 1e160
+        rows[20] *= 1e-170
+        fits = list(_fit_rows(rows))
+        assert len(fits) == len(rows) == 63
+        assert [k for k, fit in enumerate(fits) if isinstance(fit, Exception)] == [3, 10, 20]
         for got, row in zip(fits, rows):
             assert_same_fit(got, fit_alone(row))
 

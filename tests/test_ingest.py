@@ -2,6 +2,7 @@ import datetime as dt
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,43 @@ class TestLoadPrices:
         path = write(tmp_path, "2000-01-03,100\n2000-01-04,105\n")
         series = load_prices(path, CsvLayout(date_col=0, value_col=1, header=False))
         np.testing.assert_allclose(series.values, [100.0, 105.0])
+
+
+class TestValidationMessages:
+    # each raises its InputError cleanly, with warnings as errors
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (
+                lambda: CsvLayout(date_col="date", value_col=1, header=False),
+                "columns must be integer positions when there is no header",
+            ),
+            (
+                lambda: ReturnSeries(synthetic_dates(2), np.zeros(3)),
+                "dates and values must have equal length",
+            ),
+            (lambda: ReturnSeries((), np.zeros(0)), "empty series"),
+            (
+                lambda: ReturnSeries(synthetic_dates(3), np.array([0.0, np.nan, 0.0])),
+                "values contain non-finite entries",
+            ),
+            (lambda: synthetic_dates(0), "n must be at least 1"),
+        ],
+    )
+    def test_raises(self, make, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=f"^{message}$"):
+                make()
+
+    @pytest.mark.parametrize("load", [load_prices, load_returns])
+    def test_header_only_file_has_no_data_rows(self, tmp_path, load):
+        path = write(tmp_path, "date,close,value\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError) as exc:
+                load(path)
+        assert str(exc.value) == f"{path}: no data rows"
 
 
 class TestFirstUnordered:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hurstscan import (
     FluctuationProfile,
     InputError,
+    LiquidityIndicators,
     ScalingFit,
     fit_scaling,
     gen_fgn,
@@ -249,6 +250,12 @@ class TestIndicators:
         assert ind.f_range == pytest.approx(
             (ind.f_ratio - 1.0) * rescale(fp, fit).min(), rel=1e-12
         )
+
+    def test_inconsistent_values_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="^inconsistent indicator values$"):
+                LiquidityIndicators(-1.0, 0.0, 0.0, 1.0)
 
     def test_json_fields(self):
         fp = exact_profile(1.0, 0.5)

@@ -128,6 +128,20 @@ class TestRollingConfig:
         with pytest.raises(InputError, match=f"{field} must be an integer"):
             RollingConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"step": 0}, "step must be at least 1"),
+            ({"window": 100, "s_min": 11, "s_max": 25}, r"window must be at least 10 \* s_min"),
+            ({"stamp": "middle"}, r"stamp must be one of \('end', 'start', 'center'\)"),
+        ],
+    )
+    def test_field_rules_name_the_field(self, fields, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=f"^{message}$"):
+                RollingConfig(**fields)
+
     def test_numpy_integers_accepted(self):
         config = RollingConfig(window=np.int64(800), step=np.int32(5), detrend_order=np.int64(0))
         assert config.s_max == 80
@@ -446,17 +460,19 @@ class TestRoll:
         assert str(kernel.value) == str(reference.value)
 
     def test_garch_failure_flagged_not_fatal(self, monkeypatch):
-        # the failure is injected where the batched fit checks each row
+        # the failure is injected where the batched fit checks its rows
         import hurstscan.garch as garch_mod
 
         series = make_return_series(gen_garch(600, 0.1, 0.1, 0.8, seed=7))
         real_check = garch_mod._scaled_squares
         bad_first = series.values[:500]
 
-        def flaky_check(row):
-            if np.array_equal(row, bad_first):
-                raise InputError("forced failure for this window")
-            return real_check(row)
+        def flaky_check(rows):
+            h1, z2, errors = real_check(rows)
+            for k, row in enumerate(rows):
+                if np.array_equal(row, bad_first):
+                    errors[k] = InputError("forced failure for this window")
+            return h1, z2, errors
 
         monkeypatch.setattr(garch_mod, "_scaled_squares", flaky_check)
         config = RollingConfig(window=500, step=100, garch_mode="per-window")

@@ -640,6 +640,17 @@ class TestMfdfaFlushGroups:
         assert len(calls) == 10
         assert sum(zero.size for zero in calls) == len(self.SCALES)
 
+    def test_a_block_of_series_flushes_as_one_series_does(self, monkeypatch):
+        # the batch rule counts each series' own values: a block of series
+        # makes mfdfa's ten calls, and each series gets its F_q alone
+        block = np.stack([gen_fgn(2000, h, seed=11) for h in (0.4, 0.6, 0.8)])
+        alone = [_series_fq(x, self.SCALES, self.QS, 1)[0] for x in block]
+        calls = self.record_flushes(monkeypatch)
+        fq, _ = _series_fq(block, self.SCALES, self.QS, 1)
+        assert len(calls) == 10
+        for k, want in enumerate(alone):
+            assert fq[:, k].tobytes() == want.tobytes(), k
+
     @pytest.mark.parametrize("seed", range(4))
     def test_scale_free_of_the_other_scales(self, seed):
         # F_q at a scale, bit for bit, whichever scales share its flushes
@@ -755,7 +766,42 @@ class TestExpectedFluctuation:
         assert np.all(np.abs(z) <= self.K), dict(zip(scales, np.round(z, 2)))
 
 
+UNEQUAL = "scales and fq must be 1-d arrays of equal length"
+
+
+class TestValidationMessages:
+    # each raises its InputError cleanly, with warnings as errors
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda x: mfdfa(x, range(10, 51), qs=[]), "empty q set"),
+            (lambda x: mfdfa(x, range(10, 51), order=-1), "polynomial order must be non-negative"),
+            (lambda x: mfdfa(x, []), "empty scale set"),
+            (
+                lambda x: mfdfa(np.where(np.arange(x.size) == 7, np.nan, x), range(10, 51)),
+                "series contains non-finite values",
+            ),
+            (lambda x: FluctuationProfile(2.0, [], []), "empty scale set"),
+            (lambda x: FluctuationProfile(2.0, [10, 11], [1.0]), UNEQUAL),
+            (lambda x: FluctuationProfile(2.0, [[10, 11]], [[1.0, 1.0]]), UNEQUAL),
+        ],
+    )
+    def test_raises(self, make, message):
+        x = gen_fgn(500, 0.6, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=f"^{message}$"):
+                make(x)
+
+
 class TestFluctuationProfileType:
+    def test_to_dict(self):
+        fp = FluctuationProfile(2.0, np.array([10, 11]), np.array([0.5, 0.625]))
+        d = fp.to_dict()
+        assert d == {"q": 2.0, "scales": [10, 11], "fq": [0.5, 0.625]}
+        assert [type(s) for s in d["scales"]] == [int, int]
+        assert [type(f) for f in d["fq"]] == [float, float]
+
     def test_rejects_unsorted_scales(self):
         with pytest.raises(InputError):
             FluctuationProfile(2.0, np.array([10, 10, 12]), np.array([1.0, 1.0, 1.0]))
