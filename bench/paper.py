@@ -40,8 +40,7 @@ import tempfile
 import time
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent
-REFERENCE = HERE.parent / "perfbench" / "reference.py"
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
 ROLL_FLAGS = ["--window", "500", "--step", "1", "--s-min", "10", "--s-max", "50"]
 STAGE_TIMES = (
     "not recorded: stage times need the run record of ROADMAP item 1, "
