@@ -155,6 +155,9 @@ def child(row: str, src: str, calls: int) -> dict:
     sys.path.insert(0, src)
     import hurstscan
 
+    if Path(src) not in Path(hurstscan.__file__).resolve().parents:
+        raise SystemExit(f"hurstscan was imported from {hurstscan.__file__}, not from {src}")
+
     spec = importlib.util.spec_from_file_location("perfbench_reference", REFERENCE)
     reference = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(reference)
@@ -185,7 +188,6 @@ def child(row: str, src: str, calls: int) -> dict:
         "wall_rel_iqr": rel[2] - rel[0],
         "peak_rss_mb": peak,
         "rss_rise_mb": peak - before,
-        "hurstscan": str(Path(hurstscan.__file__).resolve().parent),
         "environment": _environment(),
     }
 
@@ -219,7 +221,7 @@ def main(argv=None) -> int:
         Path(args.result).write_text(json.dumps(child(args.child, str(src), args.calls)))
         return 0
 
-    source = {"src": str(src), **_commit(src)}
+    source = _commit(src)
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         result = Path(tmp) / "row.json"
