@@ -6,7 +6,7 @@ Runs every row of ROWS against the hurstscan in ``--src`` and writes the
 rows under ``--label`` into ``--out``, replacing that label's earlier
 rows and keeping the others, so one file can hold a parent and a change
 measured on the same host.  Each row runs in its own interpreter: it
-builds its input, makes one warm-up call, then ``--calls`` timed calls.
+builds its input, makes one warm-up call, then CALLS timed calls.
 Right before each timed call it times the fixed work of
 ``perfbench/reference.py`` (imported from its file, not modified), so
 ``wall_rel`` (wall time over reference time) compares across hosts and
@@ -41,6 +41,7 @@ import time
 from pathlib import Path
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+CALLS = 5
 ROLL_FLAGS = ["--window", "500", "--step", "1", "--s-min", "10", "--s-max", "50"]
 STAGE_TIMES = (
     "not recorded: stage times need the run record of ROADMAP item 1, "
@@ -150,7 +151,7 @@ def _environment() -> dict:
     }
 
 
-def child(row: str, src: str, calls: int) -> dict:
+def child(row: str, src: str) -> dict:
     """Run one row in this interpreter and return its record."""
     sys.path.insert(0, src)
     import hurstscan
@@ -167,7 +168,7 @@ def child(row: str, src: str, calls: int) -> dict:
         before = _rss_mb()
         call(tmp / "warm-up")
         walls, references = [], []
-        for k in range(calls):
+        for k in range(CALLS):
             references.append(reference.run())
             t0 = time.perf_counter()
             call(tmp / f"call-{k}")
@@ -178,7 +179,7 @@ def child(row: str, src: str, calls: int) -> dict:
     return {
         "row": row,
         "what": ROWS[row][0],
-        "calls": calls,
+        "calls": CALLS,
         "warm_up_calls": 1,
         "wall_s": walls,
         "wall_median_s": median,
@@ -209,26 +210,22 @@ def main(argv=None) -> int:
     parser.add_argument("--src", required=True, help="the src/ directory of a checkout")
     parser.add_argument("--label", required=True, help="name of this set of rows, e.g. parent")
     parser.add_argument("--out", required=True, help="JSON file to add the rows to")
-    parser.add_argument("--calls", type=int, default=5, help="timed calls per row (default 5)")
-    parser.add_argument("--rows", nargs="*", choices=list(ROWS), default=list(ROWS))
     parser.add_argument("--child", choices=list(ROWS), help=argparse.SUPPRESS)
     parser.add_argument("--result", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.calls < 3:
-        parser.error("--calls must be at least 3")
     src = Path(args.src).resolve()
     if args.child:
-        Path(args.result).write_text(json.dumps(child(args.child, str(src), args.calls)))
+        Path(args.result).write_text(json.dumps(child(args.child, str(src))))
         return 0
 
     source = _commit(src)
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         result = Path(tmp) / "row.json"
-        for row in args.rows:
+        for row in ROWS:
             command = [sys.executable, str(Path(__file__).resolve()), "--child", row]
             command += ["--src", str(src), "--label", args.label, "--out", args.out]
-            command += ["--calls", str(args.calls), "--result", str(result)]
+            command += ["--result", str(result)]
             # the CLI's messages are not the report: shown only on failure
             done = subprocess.run(command, capture_output=True, text=True, check=False)
             if done.returncode != 0:
