@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +31,17 @@ GARCH_BURN_IN = 500
 
 
 def fgn_autocovariance(k, hurst: float, sigma: float = 1.0) -> np.ndarray:
-    """Autocovariance of fractional Gaussian noise at integer lags k."""
+    """Autocovariance of fractional Gaussian noise at integer lags k.
+
+    Beyond lag 1 the direct sum of three powers cancels, so there it is
+    k**2H / 2 times (1 + 1/k)**2H - 1 plus (1 - 1/k)**2H - 1 by expm1.
+    """
     k = np.abs(np.asarray(k, dtype=float))
     h2 = 2.0 * hurst
-    return 0.5 * sigma**2 * ((k + 1) ** h2 - 2 * k**h2 + np.abs(k - 1) ** h2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = k**h2 * (np.expm1(h2 * np.log1p(1.0 / k)) + np.expm1(h2 * np.log1p(-1.0 / k)))
+    near = (k + 1) ** h2 - 2 * k**h2 + np.abs(k - 1) ** h2
+    return (0.5 * np.where(k > 1, far, near) * sigma**2)[()]
 
 
 def _check_size(n: int, sigma: float = 1.0, min_n: int = 1) -> None:
@@ -73,28 +79,20 @@ def _check_finite(x: np.ndarray, cause: str) -> np.ndarray:
 def gen_fgn(n: int, hurst: float, sigma: float = 1.0, seed: int = 0) -> np.ndarray:
     """Exact fractional Gaussian noise by circulant embedding (Davies-Harte).
 
-    The target autocovariance is embedded in a circulant matrix of size
-    >= 2n (rounded up to a power of two), whose eigenvalues come from a
-    single FFT of the first row; the sample is then a weighted inverse
-    FFT of independent Gaussians.  For fGn the embedding is positive
-    semi-definite in theory; tiny negative eigenvalues from roundoff are
-    clipped, and anything worse triggers a doubling of the embedding.
+    The target autocovariance is embedded in the minimal circulant matrix,
+    of size 2n rounded up to a power of two, whose eigenvalues come from a
+    single FFT of the first row; the sample is then a weighted inverse FFT
+    of independent Gaussians.  For fGn this embedding is non-negative
+    definite for every H (Craigmile, J. Time Ser. Anal. 2003, H <= 1/2;
+    Dietrich and Newsam, SIAM J. Sci. Comput. 1997, H >= 1/2): negative
+    eigenvalues from roundoff are clipped, and anything worse raises.
     """
     _check_fgn_params(n, hurst, sigma)
     rng = np.random.default_rng(seed)
     m = 1 << int(np.ceil(np.log2(2 * n)))
-    for _ in range(3):
-        lam = _embedding_eigenvalues(m, hurst, sigma)
-        tol = 1e-12 * lam.max()
-        if lam.min() >= -tol:
-            break
-        warnings.warn(
-            f"circulant embedding of size {m} not positive semi-definite "
-            f"(min eigenvalue {lam.min():.3e}); enlarging embedding"
-        )
-        m *= 2
-    else:
-        raise NumericalError("circulant embedding not positive semi-definite")
+    lam = _embedding_eigenvalues(m, hurst, sigma)
+    if lam.min() < -1e-12 * lam.max():
+        raise NumericalError(f"circulant embedding of size {m} not non-negative definite")
     lam = np.clip(lam, 0.0, None)
 
     half = m // 2

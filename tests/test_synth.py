@@ -1,4 +1,5 @@
 import warnings
+from decimal import Decimal, localcontext
 from functools import partial
 
 import numpy as np
@@ -55,6 +56,23 @@ class TestAutocovariance:
             fgn_autocovariance(k, 0.7, sigma=3.0), 9.0 * fgn_autocovariance(k, 0.7)
         )
 
+    @pytest.mark.parametrize("hurst", [0.01, 0.3, 0.49, 0.51, 0.7, 0.95, 0.999999])
+    def test_long_lags_match_a_50_digit_evaluation(self, hurst):
+        # the direct sum of three powers cancels at long lags: up to 4e-2 off at lag 2**21
+        lags = np.unique(np.r_[0:20, np.geomspace(20, 2**21, 100).astype(int), 2**21])
+        with localcontext() as ctx:
+            ctx.prec = 50
+            h2 = Decimal(2.0 * hurst)
+            exact = [
+                float(((k + 1) ** h2 - 2 * k**h2 + abs(k - 1) ** h2) / 2)
+                for k in map(Decimal, lags.tolist())
+            ]
+        np.testing.assert_allclose(fgn_autocovariance(lags, hurst), exact, rtol=1e-7, atol=0)
+
+    def test_scalar_lag_gives_a_scalar(self):
+        assert np.ndim(fgn_autocovariance(5, 0.7)) == 0
+        assert fgn_autocovariance(5, 0.7) == fgn_autocovariance(np.array([5]), 0.7)[0]
+
 
 class TestGenFgn:
     def test_deterministic_in_seed(self):
@@ -96,6 +114,21 @@ class TestGenFgn:
         for bad in (0.0, 1.0, 1.2, -0.3):
             with pytest.raises(InputError):
                 gen_fgn(1000, bad)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 1000, 4097, 65537])
+    def test_minimal_embedding_serves_every_hurst(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for hurst in [*np.round(np.arange(0.01, 1.0, 0.01), 2), 0.999999]:
+                x = gen_fgn(n, hurst, seed=1)
+                assert x.shape == (n,) and np.all(np.isfinite(x))
+
+    @pytest.mark.parametrize("n, hurst", [(40_000, 0.999999), (600_000, 0.97)])
+    def test_long_and_near_one_series_need_no_larger_embedding(self, n, hurst):
+        # with the cancelling autocovariance both failed after three doublings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(gen_fgn(n, hurst, seed=2)))
 
     def test_dfa_closure(self):
         # the central oracle loop: generate at known H, recover it by DFA
