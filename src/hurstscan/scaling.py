@@ -38,21 +38,25 @@ from .ingest import _FLOAT, _INT, _write_table
 
 __all__ = ["FluctuationProfile", "ScalingFit", "fit_scaling", "mfdfa"]
 
-# a row's powers f2**(q/2) are left as they are while its largest term
+# a row's powers f2**(q/2) are left as they are while its dominant term
 # lies within 2**+-_POWER_BITS: sums of such terms stay normal and finite
 _POWER_BITS = 512
+# a rescaled row's dominant f2 lies in [0.5, 2), so its power lies within
+# 2**+-(|q| / 2): up to 2**+-1000, which leaves room for 2**22 terms
+_MAX_ABS_Q = 2000.0
 
 
-def _even_halves(largest, bound: float):
-    """The k of each group's rescale by 2**-2k: 0 while its largest value lies within bound**+-1.
+def _even_halves(anchor, bound: float):
+    """The k of each group's rescale by 2**-2k: 0 while its anchor value lies within bound**+-1.
 
-    Outside, k puts that value in [0.5, 2), and a result in the root
-    units scales back by 2**k.  Powers of two scale exactly in the
-    normal range, so a group keeps its bits within the bound and can
-    neither overflow nor sink below the normal range outside it.
+    The anchor is the value that dominates the group's result.  Outside
+    the bound, k puts it in [0.5, 2), and a result in the root units
+    scales back by 2**k.  Powers of two scale exactly in the normal
+    range, so a group keeps its bits within the bound and can neither
+    overflow nor sink below the normal range outside it.
     """
-    far = (largest > bound) | (largest < 1.0 / bound)
-    return np.where(far, np.frexp(largest)[1] // 2, 0)
+    far = (anchor > bound) | (anchor < 1.0 / bound)
+    return np.where(far, np.frexp(anchor)[1] // 2, 0)
 
 
 def _check_fluctuations(fq) -> None:
@@ -69,7 +73,7 @@ def _check_fluctuations(fq) -> None:
 
 
 def _check_qs(qs) -> tuple[float, ...]:
-    """The moment orders as floats, in first-seen order without repeats: finite, q != 0."""
+    """The moment orders as floats, in first-seen order without repeats: 0 < |q| <= 2000."""
     q_set = tuple(dict.fromkeys(map(float, qs)))
     if not q_set:
         raise InputError("empty q set")
@@ -77,6 +81,8 @@ def _check_qs(qs) -> tuple[float, ...]:
         raise InputError("q = 0 is not supported")
     if not all(map(math.isfinite, q_set)):
         raise InputError(f"q must be finite, got {list(q_set)}")
+    if max(map(abs, q_set)) > _MAX_ABS_Q:
+        raise InputError(f"|q| must be at most {_MAX_ABS_Q:g}, got {list(q_set)}")
     return q_set
 
 
@@ -443,14 +449,16 @@ def _power_means(f2, qs, starts):
     zero f2 gives F_q = 0 for q > 0 and inf for q < 0, which the callers
     reject with ``_check_zero_rule`` and ``_check_fluctuations``.
 
-    A group far from unit scale would over- or underflow in the power,
-    so a group whose largest f2 lies outside 2**+-(2 * _POWER_BITS /
-    max|q|) is scaled by 2**-2k and its F_q by 2**k after, k from
-    ``_even_halves``; F_q of x * 2**k is then 2**k times F_q of x up to
-    the rounding of the power.  Sums run by ``np.add.reduceat`` over
-    each group alone, and the scaling is decided for each group on its
-    own, so a group's F_q and zero flag are, bit for bit, what it gives
-    alone, whatever groups sit beside it.
+    A group far from unit scale would over- or underflow in the power.
+    The power is dominated by the group's largest f2 for q > 0 and by
+    its smallest for q < 0, so for each sign of q a group whose dominant
+    f2 lies outside 2**+-(2 * _POWER_BITS / max|q|) is scaled by 2**-2k
+    and its F_q by 2**k after, k from ``_even_halves``; F_q of x * 2**k
+    is then 2**k times F_q of x up to the rounding of the power, and the
+    other terms can only shrink in the power.  Sums run by
+    ``np.add.reduceat`` over each group alone, and the scaling is decided
+    for each group on its own, so a group's F_q and zero flag are, bit
+    for bit, what it gives alone, whatever groups sit beside it.
     """
     # roll calls this once per scale, so its fixed cost counts: one array
     # of the group bounds gives the starts and the sizes
@@ -465,19 +473,25 @@ def _power_means(f2, qs, starts):
     else:
         has_zero = np.zeros((*f2.shape[:-1], starts.size), dtype=bool)
     bound = 2.0 ** min(2.0 * _POWER_BITS / max(map(abs, qs)), 1000.0)
-    half = None
-    if largest > bound or smallest < 1.0 / bound:
-        half = _even_halves(np.maximum.reduceat(f2, starts, axis=-1), bound)
-        f2 = np.ldexp(f2, -2 * np.repeat(half, n, axis=-1))
-    with np.errstate(divide="ignore"):
-        # at q = 2 the power is the identity, so f2 is summed as it is
-        fq = [
-            (np.add.reduceat(f2 if q == 2.0 else np.power(f2, q / 2.0), starts, axis=-1) / n)
-            ** (1.0 / q)
-            for q in qs
-        ]
-    if half is not None:
-        fq = [np.ldexp(fq_q, half) for fq_q in fq]
+    far = largest > bound or smallest < 1.0 / bound
+    # each sign of q: the per-group halves (None when no group is far) and f2 scaled by them
+    scaled = {}
+    fq = []
+    for q in qs:
+        positive = q > 0
+        if positive not in scaled:
+            half, x = None, f2
+            if far:
+                dominant = (np.maximum if positive else np.minimum).reduceat(f2, starts, axis=-1)
+                half = _even_halves(dominant, bound)
+                x = np.ldexp(f2, -2 * np.repeat(half, n, axis=-1))
+            scaled[positive] = half, x
+        half, x = scaled[positive]
+        with np.errstate(divide="ignore"):
+            # at q = 2 the power is the identity, so f2 is summed as it is
+            sums = np.add.reduceat(x if q == 2.0 else np.power(x, q / 2.0), starts, axis=-1)
+            fq_q = (sums / n) ** (1.0 / q)
+        fq.append(fq_q if half is None else np.ldexp(fq_q, half))
     return fq, has_zero
 
 
@@ -584,7 +598,8 @@ def mfdfa(
     scales : sequence of int
         Segment lengths; the series must be at least 4 times the largest.
     qs : iterable of float
-        Moment orders; each must be finite and q = 0 is rejected.
+        Moment orders, 0 < |q| <= 2000: beyond that the power means of
+        a group's f2 can leave the float range.
     order : int
         Detrending polynomial order (1 = linear).
 

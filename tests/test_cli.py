@@ -225,7 +225,12 @@ class TestAnalyze:
         assert "must include 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "q, message", [("0", "q = 0 is not supported"), ("nan", "q must be finite")]
+        "q, message",
+        [
+            ("0", "q = 0 is not supported"),
+            ("nan", "q must be finite"),
+            ("2100", "|q| must be at most 2000"),
+        ],
     )
     def test_q_rule_checked_before_the_set_needs_two(self, workdir, capsys, q, message):
         path = synth_fgn(workdir, n=2000)

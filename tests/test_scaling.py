@@ -238,6 +238,43 @@ def flat_at_the_larger_scale():
     return x, [17, 20], (-2.0, 2.0), 1
 
 
+class TestLargeOrders:
+    SERIES = {
+        "garch": lambda: gen_garch(3000, 1e-6, 0.08, 0.91, seed=1),
+        "fgn": lambda: gen_fgn(20000, 0.7, 0.01, seed=3),
+    }
+
+    @pytest.mark.parametrize("name", ["garch", "fgn"])
+    @pytest.mark.parametrize("q", [-400.0, 2000.0, -2000.0])
+    def test_matches_log_space_power_means(self, name, q):
+        # each q's power is ruled by the smallest f2 for q < 0 and the largest
+        # for q > 0; the rescale anchored on the largest overflowed at q = -400
+        x = self.SERIES[name]()
+        scales = range(10, 100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fp, fit = mfdfa(x, scales, (q,))[q]
+        assert np.isfinite(fit.hurst)
+        for s, got in zip(scales, fp.fq):
+            log_f2 = np.log(_scale_f2(profile(x), s, 1))
+            log_mean = np.logaddexp.reduce(q / 2 * log_f2) - np.log(log_f2.size)
+            assert got == pytest.approx(np.exp(log_mean / q), rel=1e-10, abs=0), s
+
+    @pytest.mark.parametrize("q", [2000.0000000000002, -2000.0000000000002, 2100.0])
+    def test_orders_past_the_limit_rejected(self, q):
+        x = gen_garch(3000, 1e-6, 0.08, 0.91, seed=1)
+        with pytest.raises(InputError, match=r"\|q\| must be at most 2000"):
+            mfdfa(x, range(10, 100), (2.0, q))
+
+    def test_each_sign_as_alone(self):
+        # a group far below unit scale: q > 0 keeps the rescale by its largest
+        # f2, and q < 0 alone moves to its smallest
+        f2 = np.ldexp(_scale_f2(profile(gen_fgn(600, 0.6, seed=4)), 10, 1), -700)
+        both, _ = _power_means(f2, (-8.0, 8.0), (0,))
+        assert both[1].tobytes() == _power_means(f2, (8.0,), (0,))[0][0].tobytes()
+        assert both[0].tobytes() == _power_means(f2, (-8.0,), (0,))[0][0].tobytes()
+
+
 class TestSeriesFq:
     @given(fq_series())
     @example(flat_at_the_larger_scale())
@@ -447,6 +484,15 @@ class TestMfdfa:
                 assert fit.log_intercept - want.log_intercept == pytest.approx(
                     np.log(k), abs=1e-9
                 ), (k, q)
+
+    def test_fluctuations_beyond_the_float_range_rejected(self):
+        # every value of x * 2**1020 is finite, but F_2 at the large scales is not
+        x = gen_fgn(2000, 0.9, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(mfdfa(np.ldexp(x, 1018), range(10, 501))[2.0][1].hurst)
+            with pytest.raises(InputError, match=r"F_q\(s\) leaves the floating-point range"):
+                mfdfa(np.ldexp(x, 1020), range(10, 501))
 
     @given(
         seed=st.integers(0, 2**16),
