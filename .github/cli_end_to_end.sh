@@ -60,9 +60,10 @@ test "$status" -eq 1
 test ! -e negq
 if grep -q Traceback negq.err; then exit 1; fi
 hurstscan roll fgn.csv --returns --step 100 --garch-mode per-window
-# the own-values loop serves these windows, and a window's row does not
-# depend on the step: the step-50 per-window roll is every 5th row of
-# the step-10 one, and the step-10 order-0 roll every 10th of step 1's
+# a window's row does not depend on the step: the step-50 per-window
+# roll (the own-values loop) is every 5th row of the step-10 one, and
+# the step-10 order-0 roll (the shared source and its slope term) every
+# 10th of step 1's
 hurstscan roll fgn.csv --returns --step 10 --garch-mode per-window --out-dir pw10
 hurstscan roll fgn.csv --returns --step 50 --garch-mode per-window --out-dir pw50
 awk 'NR==1 || (NR-2) % 5 == 0' pw10/fgn.rolling.csv | cmp - pw50/fgn.rolling.csv
@@ -80,11 +81,14 @@ awk 'NR==1 || (NR-2) % 37 == 0' s1/fgn.rolling.csv | cmp - s37/fgn.rolling.csv
 # segments, detrended without a warning
 python -W error -m hurstscan.cli roll flat.csv --returns --detrend-order 3 --out-dir flat3
 # one window of the whole file: roll averages many scales per power-mean
-# call, as analyze does, and must give analyze's q = 2 fit and measures
-hurstscan analyze fgn.csv --returns --out-dir one
-for mode in whole-sample per-window; do
-  hurstscan roll fgn.csv --returns --window 2000 --s-max 50 --garch-mode "$mode" --out-dir "$mode"
-  python -c 'import json, sys, hurstscan as h; r = h.read_rolling_csv(sys.argv[3] + "/fgn.rolling.csv"); fit, = (f for f in json.load(open(sys.argv[1])) if f["q"] == 2.0); want = {"hurst": fit["hurst"], **json.load(open(sys.argv[2]))}; bad = {k: (getattr(r, k)[0], v) for k, v in want.items() if not abs(getattr(r, k)[0] - v) <= 1e-12 * abs(v)}; assert len(r) == 1 and not bad, bad' one/fgn.scaling.json one/fgn.indicators.json "$mode"
+# call, as analyze does, and must give analyze's q = 2 fit and measures;
+# at order 0 the whole-sample roll adds each segment's slope term
+for order in 1 0; do
+  hurstscan analyze fgn.csv --returns --detrend-order "$order" --out-dir "one$order"
+  for mode in whole-sample per-window; do
+    hurstscan roll fgn.csv --returns --window 2000 --s-max 50 --detrend-order "$order" --garch-mode "$mode" --out-dir "$mode$order"
+    python -c 'import json, sys, hurstscan as h; r = h.read_rolling_csv(sys.argv[3] + "/fgn.rolling.csv"); fit, = (f for f in json.load(open(sys.argv[1])) if f["q"] == 2.0); want = {"hurst": fit["hurst"], **json.load(open(sys.argv[2]))}; bad = {k: (getattr(r, k)[0], v) for k, v in want.items() if not abs(getattr(r, k)[0] - v) <= 1e-12 * abs(v)}; assert len(r) == 1 and not bad, bad' "one$order/fgn.scaling.json" "one$order/fgn.indicators.json" "$mode$order"
+  done
 done
 # three per-window windows up to scale 400
 hurstscan roll fgn.csv --returns --window 1990 --step 4 --s-max 400 --q=2 --garch-mode per-window

@@ -1,6 +1,7 @@
 """Time the paper's workload row by row, one fresh interpreter per row.
+Its wall_rel compares only rows measured in one session.
 
-    python bench/paper.py --src <checkout>/src --label parent --out bench/BENCH_29.json
+    python bench/paper.py --src <checkout>/src --label parent --out bench/BENCH_31.json
 
 Runs every row of ROWS against the hurstscan in ``--src`` and writes the
 rows under ``--label`` into ``--out``, replacing that label's earlier
@@ -8,17 +9,22 @@ rows and keeping the others, so one file can hold a parent and a change
 measured on the same host.  Each row runs in its own interpreter: it
 builds its input, makes one warm-up call, then CALLS timed calls.
 Right before each timed call it times the fixed work of
-``perfbench/reference.py`` (imported from its file, not modified), so
-``wall_rel`` (wall time over reference time) compares across hosts and
-across drifts of one host's speed.  It records the peak ``ru_maxrss``
-and its rise over the process before the first call, the python, numpy
-and BLAS versions, and the commit of ``--src``.
+``perfbench/reference.py`` (imported from its file, not modified), and
+``wall_rel`` is wall time over reference time.  That reference does not
+track this workload's speed: between two sessions that ran the same
+``src/``, raw times fell 35-45% and the reference's 55%.  So only a
+parent and a change measured in one session compare, by ``wall_rel`` or
+by raw time, and no row compares with another file's.  It records the
+peak ``ru_maxrss`` and its rise over the process before the first call,
+the python, numpy and BLAS versions, and the commit of ``--src``.
 
 Rows (paper series: ``gen_garch(3000, 1e-6, 0.08, 0.91, seed=1)``,
 window 500, step 1, scales 10..50; long series:
 ``gen_fgn(100_000, 0.7, 0.01, seed=3)``):
 
 - ``roll-per-window`` and ``roll-whole``: ``roll()`` on the paper series;
+- ``roll-order0``: whole-sample ``roll()`` on the paper series at
+  detrending order 0;
 - ``roll-long``: whole-sample ``roll()`` on the long series;
 - ``mfdfa-20k``: ``mfdfa`` on ``gen_fgn(20_000, 0.7, 0.01, seed=3)``,
   scales 10..1000, q in {-4, -2, 2, 4};
@@ -63,11 +69,13 @@ def _long():
     return ReturnSeries(synthetic_dates(values.size), values)
 
 
-def _roll(make, mode):
+def _roll(make, mode, order=1):
     from hurstscan import RollingConfig, roll
 
     series = make()
-    config = RollingConfig(window=500, step=1, s_min=10, s_max=50, garch_mode=mode)
+    config = RollingConfig(
+        window=500, step=1, s_min=10, s_max=50, detrend_order=order, garch_mode=mode
+    )
     return lambda tmp: roll(series, config)
 
 
@@ -102,6 +110,10 @@ ROWS = {
     "roll-whole": (
         "roll() whole-sample, paper series",
         lambda tmp: _roll(_paper, "whole-sample"),
+    ),
+    "roll-order0": (
+        "roll() whole-sample, detrending order 0, paper series",
+        lambda tmp: _roll(_paper, "whole-sample", order=0),
     ),
     "roll-long": (
         "roll() whole-sample, long series",
@@ -241,7 +253,7 @@ def main(argv=None) -> int:
 
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
-    data["about"] = __doc__.split("\n\n")[0]
+    data["about"] = " ".join(__doc__.split("\n\n")[0].split())
     data["command"] = "python bench/paper.py --src <checkout>/src --label <label> --out <file>"
     data["stage_times"] = STAGE_TIMES
     kept = [r for r in data.get("rows", []) if r["label"] != args.label]

@@ -18,15 +18,14 @@ and then fits it once, ``_window_columns``, whose fit and measures run
 ``_FIT_ROWS`` windows at a time, so their temporaries stay a few times
 a block's size.  F_2 comes from two producers in ``scaling``, the one
 module that knows the segment layout.  With one whole-sample GARCH fit
-and detrending order >= 1, windows share their segments:
-``scaling._shared_f2`` detrends each once, in one pass over the
-segment lengths that updates the fit at every start of the series, and
-sums each window's segments by one strided reduce per scale over those
-per-start values.  It returns the windows it cannot serve: those whose
-per-start values lose digits below the normal range or underflow to 0,
-degenerate ones, and at order 0 every window, whose profile keeps the
-window mean's linear term.  Those windows, and in per-window GARCH
-mode every window, take F_2 from their own values in one loop,
+windows share their segments: ``scaling._shared_f2`` detrends each
+once, in one pass over the segment lengths that updates the fit at
+every start of the series, and sums each window's segments by one
+strided reduce per scale over those per-start values.  It returns the
+windows it cannot serve, degenerate ones and those whose per-start
+values lose digits below the normal range or underflow to 0.  Those
+windows, and in per-window GARCH mode every window, take F_2 from
+their own values in one loop,
 ``_own_f2``: ``_BLOCK`` windows at a time in date order, through
 ``mfdfa``'s producer ``scaling._series_fq``, stopping after the first
 block whose F_2 fails the roll.  The per-window GARCH fits of a block

@@ -22,8 +22,8 @@ updates the fit at every start of the series by Givens rotations
 (``_start_f2``), and at each scale one strided reduce over those
 per-start values sums every window's segments, with no copy, so F_2
 comes out for all windows at once.  It names the windows it cannot
-serve (far below the series' scale, degenerate, or at order 0 all),
-and ``roll`` takes those through ``_series_fq``.
+serve (far below the series' scale, or degenerate), and ``roll`` takes
+those through ``_series_fq``.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import InputError
 from .ingest import _FLOAT, _INT, _write_table
@@ -265,13 +266,22 @@ def _segment_starts(length: int, s: int) -> np.ndarray:
 
 
 def _run_marker(x) -> np.ndarray | None:
-    """marker[..., t]: how many of x[..., 1..t+1] differ from their predecessor.
+    """marker[..., t]: how many of x[..., 1..t] differ from their predecessor.
 
-    One per series (or row of series), read by ``_zero_flat`` at every
-    scale; None when no two neighbours are equal, so nothing is flat.
+    One per series (or row of series), read by ``_constant``; None when
+    no two neighbours are equal, so no run of values is constant.
     """
     changes = x[..., 1:] != x[..., :-1]
-    return None if changes.all() else np.cumsum(changes, axis=-1)
+    if changes.all():
+        return None
+    marker = np.zeros(x.shape, dtype=np.intp)
+    np.cumsum(changes, axis=-1, out=marker[..., 1:])
+    return marker
+
+
+def _constant(marker, first, last):
+    """Whether x[..., first..last] are all equal, for each pair of positions, by x's run marker."""
+    return marker[..., last] == marker[..., first]
 
 
 def _zero_flat(f2, marker, s: int, order: int, starts=None):
@@ -285,21 +295,25 @@ def _zero_flat(f2, marker, s: int, order: int, starts=None):
     if marker is None:
         return f2
     if starts is None:
-        starts = _segment_starts(marker.shape[-1] + 1, s)
-    flat = marker[..., -1:] == 0
+        starts = _segment_starts(marker.shape[-1], s)
+    flat = _constant(marker, [0], [-1])
     if order >= 1:
-        flat = flat | (marker[..., starts + s - 2] == marker[..., starts])
+        flat = flat | _constant(marker, starts + 1, starts + s - 1)
     f2[np.broadcast_to(flat, f2.shape)] = 0.0
     return f2
 
 
 def _start_f2(steps, scales, order: int):
-    """Each scale's mean squared detrending residual of the segment at every start.
+    """Each scale's mean squared detrending residual, and straight-line slope, at every start.
 
-    Yields, for each of ``scales`` (consecutive and increasing), one
-    array of n - s + 1 values: entry a is the mean squared residual,
-    about its least-squares polynomial of the given order (>= 1), of the
-    running sums of ``steps[a : a + s] - steps[a]`` taken left to right.
+    Yields, for each of ``scales`` (consecutive and increasing), two
+    arrays of n - s + 1 values.  Entry a of the first is the mean
+    squared residual, about its least-squares polynomial of the given
+    order (>= 1; ``_shared_f2`` builds order 0 on order 1), of the
+    running sums of ``steps[a : a + s] - steps[a]`` taken left to right;
+    entry a of the second is the slope of those sums' least-squares
+    line: the triangle's z[1], which the rotations of any later
+    polynomial term leave as they find it.
 
     One pass grows every start's segment by one point at a time,
     vectorized over the starts.  A least-squares fit over a segment
@@ -353,7 +367,7 @@ def _start_f2(steps, scales, order: int):
             t *= weight
             rss += t
         if k + 1 >= scales[0]:
-            yield rss[: n - k] / (k + 1)
+            yield rss[: n - k] / (k + 1), z[1, : n - k].copy()
 
 
 def _window_sums(f2_at, first: int, step: int, count: int, ns: int, back: int, s: int):
@@ -389,6 +403,25 @@ def _window_sums(f2_at, first: int, step: int, count: int, ns: int, back: int, s
     return np.add.reduce(view, axis=(0, 1))[::skip][:count]
 
 
+def _slope_squares(slope, steps, means, first: int, step: int, ns: int, back: int, s: int):
+    """Each window's sum of (b' + (x_a - m))**2 over its 2 * ns segments, one segment at a time.
+
+    The windows and their segments are laid out as ``_window_sums`` has
+    them; ``slope`` holds b' and ``steps`` x_a at every start a, and
+    ``means`` each window's m.  Each of the 2 * ns segment positions is
+    one strided slice over the windows, so the work holds a few arrays
+    of one value per window, and every window adds its terms in one order.
+    """
+    count = means.size
+    total, t = np.zeros(count), np.empty(count)
+    for a in (*range(first, first + ns * s, s), *range(first + back, first + back + ns * s, s)):
+        at = slice(a, a + step * (count - 1) + 1, step or 1)
+        np.subtract(steps[at], means, out=t)
+        t += slope[at]
+        total += np.square(t, out=t)
+    return total
+
+
 def _shared_f2(values, starts, window: int, scales, order: int):
     """F_2 of every window of one series that shares its segments, and the windows it cannot serve.
 
@@ -405,30 +438,48 @@ def _shared_f2(values, starts, window: int, scales, order: int):
     so a segment's squared fluctuation depends only on its own values:
     the series is scaled to unit size (``_unit_scaled``) but not
     demeaned, and ``_start_f2`` computes every start's value, one scale
-    after the other.  At q = 2, F_2 is the root of the mean of a
-    window's 2 * (window // s) segment values, whose sums of
-    non-negative terms ``_window_sums`` takes for all windows at once.
-    While a window's per-start values are normal floats its F_2 keeps
-    its bits whatever the scale of the rest of the series.  Below, where
-    ``_start_f2``'s squares lose digits or underflow to 0, and in a
-    degenerate window, F_2 at unit scale is below 2**-485: such windows
-    are returned as the ones to serve from their own values.  Order 0
-    leaves the window mean's linear term in each profile, so no segment
-    is shared and every window is returned.
+    after the other.  Order 0 keeps the linear term.  With the running
+    sums split into their line a + b i and a residual orthogonal to 1
+    and i, the window's profile over the segment is a constant plus
+    (b - m) i and that residual, m the window's mean, so
+
+        f2_0(window, segment) = f2_1(segment) + (s**2 - 1) / 12 * (b - m)**2.
+
+    ``_start_f2``'s slope b' is that of the steps less the first, x_a,
+    so b - m is taken as b' + (x_a - m), where m is rounded as ``mfdfa``
+    rounds it, or is the value of a constant window, whose rounded mean
+    often is not.  At q = 2, F_2 is the root of the mean of a window's
+    2 * (window // s) segment values, whose sums ``_window_sums`` and
+    ``_slope_squares`` take for all windows at once.  While a window's
+    per-start values are normal floats its F_2 keeps its bits whatever
+    the scale of the rest of the series.  Below, where ``_start_f2``'s
+    squares lose digits or underflow to 0, and in a degenerate window,
+    F_2 at unit scale is below 2**-485: such windows are returned as the
+    ones to serve from their own values.
     """
     count = starts.size
-    if order == 0:
-        return np.empty((count, len(scales))), np.arange(count)
     steps, e = _unit_scaled(values)
     marker = _run_marker(values)
     first = int(starts[0])
     step = int(starts[1] - first) if count > 1 else 0
-    fq = np.empty((len(scales), count))
-    for row, s, f2_at in zip(fq, scales, _start_f2(steps, scales, order)):
+    if order == 0:
+        # the window axis' stride is never below the values', so each
+        # window's mean sums in the order of one series' mean
+        means = sliding_window_view(steps, window)[first :: step or 1][:count].mean(axis=-1)
         if marker is not None:
-            _zero_flat(f2_at, marker, s, order, np.arange(f2_at.size))
-        ns = window // s
-        sums = _window_sums(f2_at, first, step, count, ns, window - ns * s, s)
+            constant = _constant(marker, starts, starts + window - 1)
+            means[constant] = steps[starts[constant]]
+    fq = np.empty((len(scales), count))
+    # order 0 adds its slope term to the order-1 fit
+    fit_order = max(order, 1)
+    for row, s, (f2_at, slope) in zip(fq, scales, _start_f2(steps, scales, fit_order)):
+        if marker is not None:
+            _zero_flat(f2_at, marker, s, fit_order, np.arange(f2_at.size))
+        ns, back = window // s, window % s
+        sums = _window_sums(f2_at, first, step, count, ns, back, s)
+        if order == 0:
+            squares = _slope_squares(slope, steps, means, first, step, ns, back, s)
+            sums += (s * s - 1) / 12 * squares
         np.sqrt(sums / (2 * ns), out=row)
     # a mean f2 below 2**-970, 2**52 times the smallest normal float
     low = np.flatnonzero(np.minimum.reduce(fq, axis=0) < 2.0**-485)
@@ -451,14 +502,14 @@ def _power_means(f2, qs, starts):
 
     A group far from unit scale would over- or underflow in the power.
     The power is dominated by the group's largest f2 for q > 0 and by
-    its smallest for q < 0, so for each sign of q a group whose dominant
-    f2 lies outside 2**+-(2 * _POWER_BITS / max|q|) is scaled by 2**-2k
-    and its F_q by 2**k after, k from ``_even_halves``; F_q of x * 2**k
-    is then 2**k times F_q of x up to the rounding of the power, and the
-    other terms can only shrink in the power.  Sums run by
-    ``np.add.reduceat`` over each group alone, and the scaling is decided
-    for each group on its own, so a group's F_q and zero flag are, bit
-    for bit, what it gives alone, whatever groups sit beside it.
+    its smallest for q < 0, so for each q a group whose dominant f2 lies
+    outside 2**+-(2 * _POWER_BITS / |q|) is scaled by 2**-2k and its F_q
+    by 2**k after, k from ``_even_halves``; F_q of x * 2**k is then 2**k
+    times F_q of x up to the rounding of the power, and the other terms
+    can only shrink in the power.  Sums run by ``np.add.reduceat`` over
+    each group alone, and the scaling is decided for each group and q on
+    its own, so a group's F_q and zero flag are, bit for bit, what it
+    gives alone, whatever groups and other q sit beside it.
     """
     # roll calls this once per scale, so its fixed cost counts: one array
     # of the group bounds gives the starts and the sizes
@@ -472,21 +523,15 @@ def _power_means(f2, qs, starts):
         has_zero = np.logical_or.reduceat(f2 == 0.0, starts, axis=-1)
     else:
         has_zero = np.zeros((*f2.shape[:-1], starts.size), dtype=bool)
-    bound = 2.0 ** min(2.0 * _POWER_BITS / max(map(abs, qs)), 1000.0)
-    far = largest > bound or smallest < 1.0 / bound
-    # each sign of q: the per-group halves (None when no group is far) and f2 scaled by them
-    scaled = {}
     fq = []
     for q in qs:
-        positive = q > 0
-        if positive not in scaled:
-            half, x = None, f2
-            if far:
-                dominant = (np.maximum if positive else np.minimum).reduceat(f2, starts, axis=-1)
-                half = _even_halves(dominant, bound)
-                x = np.ldexp(f2, -2 * np.repeat(half, n, axis=-1))
-            scaled[positive] = half, x
-        half, x = scaled[positive]
+        # the per-group halves (None when no group is far) and f2 scaled by them
+        half, x = None, f2
+        bound = 2.0 ** min(2.0 * _POWER_BITS / abs(q), 1000.0)
+        if largest > bound or smallest < 1.0 / bound:
+            dominant = (np.maximum if q > 0 else np.minimum).reduceat(f2, starts, axis=-1)
+            half = _even_halves(dominant, bound)
+            x = np.ldexp(f2, -2 * np.repeat(half, n, axis=-1))
         with np.errstate(divide="ignore"):
             # at q = 2 the power is the identity, so f2 is summed as it is
             sums = np.add.reduceat(x if q == 2.0 else np.power(x, q / 2.0), starts, axis=-1)

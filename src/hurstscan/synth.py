@@ -35,7 +35,9 @@ def fgn_autocovariance(k, hurst: float, sigma: float = 1.0) -> np.ndarray:
 
     Beyond lag 1 the direct sum of three powers cancels, so there it is
     k**2H / 2 times (1 + 1/k)**2H - 1 plus (1 - 1/k)**2H - 1 by expm1.
+    hurst and sigma follow ``gen_fgn``'s rules.
     """
+    _check_fgn_params(hurst, sigma)
     k = np.abs(np.asarray(k, dtype=float))
     h2 = 2.0 * hurst
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -52,8 +54,8 @@ def _check_size(n: int, sigma: float = 1.0, min_n: int = 1) -> None:
         raise InputError(f"sigma must be positive and finite, got {sigma}")
 
 
-def _check_fgn_params(n: int, hurst: float, sigma: float) -> None:
-    """fGn's parameters: hurst in (0, 1), and sigma**2, its variance, a finite normal float."""
+def _check_fgn_params(hurst: float, sigma: float, n: int = 2) -> None:
+    """fGn's parameters: hurst in (0, 1), sigma**2 (its variance) a finite normal float, n >= 2."""
     if not 0.0 < hurst < 1.0:
         raise InputError(f"hurst must be in (0, 1), got {hurst}")
     _check_size(n, sigma, min_n=2)
@@ -87,7 +89,7 @@ def gen_fgn(n: int, hurst: float, sigma: float = 1.0, seed: int = 0) -> np.ndarr
     Dietrich and Newsam, SIAM J. Sci. Comput. 1997, H >= 1/2): negative
     eigenvalues from roundoff are clipped, and anything worse raises.
     """
-    _check_fgn_params(n, hurst, sigma)
+    _check_fgn_params(hurst, sigma, n)
     rng = np.random.default_rng(seed)
     m = 1 << int(np.ceil(np.log2(2 * n)))
     lam = _embedding_eigenvalues(m, hurst, sigma)
@@ -192,7 +194,7 @@ class GeneratorSpec:
         if missing:
             raise InputError(f"{self.kind} requires {', '.join(missing)}")
         if self.kind == "fgn":
-            _check_fgn_params(self.n, self.hurst, self.sigma)
+            _check_fgn_params(self.hurst, self.sigma, self.n)
         elif self.kind == "gaussian-white":
             _check_size(self.n, self.sigma)
         else:

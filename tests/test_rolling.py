@@ -221,6 +221,31 @@ class TestRoll:
             reference_roll(series, config)
         assert str(kernel.value) == str(reference.value)
 
+    def test_constant_windows_rejected_at_order_zero(self):
+        # 300 returns of 0.55, each window of 200 filtered by h = 1: the
+        # mean of 200 such values is not 0.55 in floating point, so without
+        # its constant-window rule the shared source would give the windows
+        # inside the run a rounding-sized F_2 where mfdfa finds them
+        # degenerate
+        values = gen_garch(1200, 1e-6, 0.08, 0.91, seed=3)
+        values /= values.std()
+        values[600:900] = 0.55
+        assert np.full(200, 0.55).mean() != 0.55
+        series = make_return_series(values)
+        config = RollingConfig(window=200, step=10, s_min=5, s_max=40, detrend_order=0)
+
+        def unit_variance(returns):
+            return dataclasses.replace(garch_fit(returns), h=np.ones(len(returns)))
+
+        with mock.patch("hurstscan.rolling.garch_fit", unit_variance), mock.patch(
+            "helpers.garch_fit", unit_variance
+        ):
+            with pytest.raises(InputError, match="degenerate") as want:
+                reference_roll(series, config)
+            with pytest.raises(InputError) as got:
+                roll(series, config)
+        assert str(got.value) == str(want.value)
+
     def test_flat_stretch_same_rule_on_both_paths(self):
         # twelve zero returns: segments inside them have a straight-line profile
         values = gen_garch(1200, omega=1e-6, alpha=0.08, beta=0.91, seed=3)
@@ -503,8 +528,8 @@ class TestRoll:
         # example k = 266 (about 1e80) R(s) is about 1e160, where unscaled
         # squared deviations would overflow f_sigma.  Per-window windows
         # are too short to fit, so they stay unfiltered; whole-sample
-        # filtering is the identity here, so the shared source and order
-        # 0's per-row source see x * 2**k itself
+        # filtering is the identity here, so the shared source sees
+        # x * 2**k itself
         garch_mode, order = case
         values = gen_garch(200, 1e-6, 0.08, 0.91, seed=8)
         config = RollingConfig(
@@ -627,11 +652,13 @@ class TestRoll:
     def test_own_values_loop_stops_after_the_failing_block(self, garch_mode, order, step):
         # returns 600..699 at 2**-550 times the rest, then 0: the windows
         # that take F_2 from their own values are the shared source's ones
-        # below 2**-485 (windows 599 on, at step 1) or, at order 0 and in
-        # per-window mode, every window.  Either way the first degenerate
-        # window (699 or 117) lies in the second block of _BLOCK such
-        # windows: the loop computes that block and stops, of 7 or 3, and
-        # the roll fails with reference_roll's text
+        # below 2**-485 (windows 599 on at step 1, 100 on at step 6) or,
+        # in per-window mode, every window.  The first degenerate window
+        # (699 at step 1, 117 at step 6) lies in the second block of
+        # _BLOCK such windows, or in the first of the shared source's at
+        # step 6: the loop computes that block and stops, of 7, 3 or 2,
+        # and the roll fails with reference_roll's text
+        blocks = 1 if (garch_mode, step) == ("whole-sample", 6) else 2
         values = gen_garch(1200, 1e-6, 0.08, 0.91, seed=3)
         values /= values.std()
         values[:600] *= 2.0**250
@@ -653,7 +680,7 @@ class TestRoll:
             with spy as calls, pytest.raises(InputError) as got:
                 roll(series, config)
         assert str(got.value) == str(want.value)
-        assert calls.call_count == 2
+        assert calls.call_count == blocks
 
     @pytest.mark.parametrize(
         "garch_mode, order", [("per-window", 1), ("whole-sample", 0), ("whole-sample", 1)]
@@ -772,30 +799,29 @@ class TestSharedSource:
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     def test_windows_served_from_their_own_values(self):
-        # none on the paper series; every window at order 0, whose profile
-        # keeps the window mean's linear term; with a tail at 2**-560 times
-        # unit size, exactly the windows whose own F_2 lies below 2**-485
-        # at the series' unit size
+        # none on the paper series, at order 0 as at order 1; with a tail
+        # at 2**-560 times unit size, exactly the windows whose own F_2
+        # lies below 2**-485 at the series' unit size
         paper = gen_garch(3000, 1e-6, 0.08, 0.91, seed=1)
         starts = np.arange(2501)
-        _, own = _shared_f2(paper, starts, 500, range(10, 51), 1)
-        assert own.size == 0
-        _, own = _shared_f2(paper, starts, 500, range(10, 51), 0)
-        assert own.tolist() == starts.tolist()
+        for order in (0, 1):
+            _, own = _shared_f2(paper, starts, 500, range(10, 51), order)
+            assert own.size == 0, order
         values = gen_garch(1200, 1e-6, 0.08, 0.91, seed=3)
         values /= values.std()
         values[600:] *= 2.0**-560
         starts, scales = np.arange(0, 1001, 10), range(5, 41)
-        _, own = _shared_f2(values, starts, 200, scales, 1)
-        (fq,), _ = _series_fq(sliding_window_view(values, 200)[starts], scales, (2.0,), 1)
-        _, e = _unit_scaled(values)
-        below = np.ldexp(fq.min(axis=1), -int(e[0])) < 2.0**-485
-        assert own.size > 0
-        assert own.tolist() == np.flatnonzero(below).tolist()
+        for order in (0, 1):
+            _, own = _shared_f2(values, starts, 200, scales, order)
+            (fq,), _ = _series_fq(sliding_window_view(values, 200)[starts], scales, (2.0,), order)
+            _, e = _unit_scaled(values)
+            below = np.ldexp(fq.min(axis=1), -int(e[0])) < 2.0**-485
+            assert own.size > 0
+            assert own.tolist() == np.flatnonzero(below).tolist(), order
 
     @given(
         seed=st.integers(0, 2**32 - 1),
-        order=st.sampled_from([1, 2, 3]),
+        order=st.sampled_from([0, 1, 2, 3]),
         s_min_extra=st.integers(0, 6),
         scale_count=st.integers(3, 20),
         window_extra=st.integers(0, 40),
@@ -817,13 +843,18 @@ class TestSharedSource:
         seed=5, order=1, s_min_extra=0, scale_count=3, window_extra=3, step=7, count=2,
         head=0, tail=1, k=-250,
     )
+    @example(
+        seed=7, order=0, s_min_extra=0, scale_count=20, window_extra=13, step=3, count=5,
+        head=40, tail=40, k=-250,
+    )
     @settings(max_examples=60, deadline=None)
     def test_window_blind_to_the_rest_of_the_series(
         self, seed, order, s_min_extra, scale_count, window_extra, step, count, head, tail, k
     ):
         # unit-size windows among values 2**k times as large or as small:
-        # every segment sees only its own values, scaled to the series'
-        # unit size by a power of two, so each window's F_2 keeps its bits
+        # every segment, and at order 0 the window's mean, sees only its
+        # own values, scaled to the series' unit size by a power of two,
+        # so each window's F_2 keeps its bits
         # while the squares stay normal floats, as they do for |k| <= 400
         s_min = order + 2 + s_min_extra
         scales = range(s_min, s_min + scale_count)
@@ -838,19 +869,22 @@ class TestSharedSource:
         got, _ = _shared_f2(rest, starts, window, scales, order)
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_series_far_from_zero_mean(self, order):
-        # returns 10**4 times their spread above zero: each segment's
-        # profile is its running sum less its first step, so it rounds at
-        # the segment's spread, as mfdfa's demeaned window does, not at
-        # the mean's size (3e-12 relative off without that level)
-        values = 1e4 + gen_fgn(900, 0.6, seed=2)
+        # returns 10**4 or 10**6 times their spread above zero: each
+        # segment's profile is its running sum less its first step, so it
+        # rounds at the segment's spread, as mfdfa's demeaned window does,
+        # not at the mean's size (3e-12 relative off without that level).
+        # At order 0 the slope term b' + (x_a - m) cancels only in x_a - m,
+        # whose m is the window's mean as mfdfa rounds it
         starts = np.arange(0, 401, 8)
         scales = range(10, 51)
-        got, _ = _shared_f2(values, starts, 500, scales, order)
-        for row, a in zip(got, starts):
-            fp, _ = mfdfa(values[a : a + 500], scales, (2.0,), order)[2.0]
-            np.testing.assert_allclose(row, fp.fq, rtol=1e-12, atol=0)
+        for level in (1e4, 1e6):
+            values = level + gen_fgn(900, 0.6, seed=2)
+            got, _ = _shared_f2(values, starts, 500, scales, order)
+            for row, a in zip(got, starts):
+                fp, _ = mfdfa(values[a : a + 500], scales, (2.0,), order)[2.0]
+                np.testing.assert_allclose(row, fp.fq, rtol=1e-12, atol=0, err_msg=str(level))
 
     @pytest.mark.parametrize("k", [600, -600])
     def test_row_far_from_unit_scale(self, k):

@@ -266,6 +266,24 @@ class TestLargeOrders:
         with pytest.raises(InputError, match=r"\|q\| must be at most 2000"):
             mfdfa(x, range(10, 100), (2.0, q))
 
+    @given(
+        name=st.sampled_from(["garch", "fgn"]),
+        qs=st.lists(
+            st.floats(-2000.0, 2000.0).filter(lambda q: q != 0.0), min_size=2, max_size=4,
+            unique=True,
+        ),
+    )
+    @example(name="garch", qs=[-3.0, 400.0])
+    @settings(max_examples=25, deadline=None)
+    def test_each_order_as_alone(self, name, qs):
+        # each q's bound and rescale follow from that q alone: with one bound
+        # for the set, F_-3 moved at 78 of 90 scales once q = 400 was asked too
+        x = self.SERIES[name]()
+        results = mfdfa(x, range(10, 100), qs)
+        for q in qs:
+            alone, _ = mfdfa(x, range(10, 100), (q,))[q]
+            assert results[q][0].fq.tobytes() == alone.fq.tobytes(), q
+
     def test_each_sign_as_alone(self):
         # a group far below unit scale: q > 0 keeps the rescale by its largest
         # f2, and q < 0 alone moves to its smallest
@@ -399,7 +417,8 @@ class TestStartF2:
     def test_recursion_against_long_double(self):
         # each start's segment grows one point at a time; its running sums
         # less its first step, taken in double as the recursion takes
-        # them, are detrended in long double at three scales
+        # them, are detrended and fitted by a line in long double at three
+        # scales.  The slope is the same, bit for bit, at every order
         eps = np.finfo(float).eps
         noise = np.random.default_rng(2).standard_normal(2000)
         steps_by_profile = {
@@ -409,17 +428,27 @@ class TestStartF2:
         }
         scales = range(10, 51)
         for name, steps in steps_by_profile.items():
+            lines = {}
             for order in (1, 2, 3):
                 got = dict(zip(scales, _start_f2(steps, scales, order)))
                 for s in (10, 23, 50):
+                    f2, slope = got[s]
+                    assert slope.tobytes() == lines.setdefault(s, slope).tobytes(), (order, s)
                     view = sliding_window_view(steps, s)
                     segments = np.cumsum(view - view[:, :1], axis=1)
                     exact = long_double_f2(segments, order)
-                    error = np.abs(got[s] - exact).astype(float)
+                    error = np.abs(f2 - exact).astype(float)
                     # a backward-stable detrending errs by a few ulps of the
                     # profile: its residuals cancel a trend that much larger
                     size = np.sqrt(exact * np.mean(segments**2, axis=-1)).astype(float)
                     assert np.all(error <= 8 * eps * size), (name, order, s)
+                    # and the line drawn by the slope, at the segment's ends
+                    # (s - 1) / 2 from its centre, by a few ulps of the profile
+                    centred = np.arange(s, dtype=np.longdouble) - np.longdouble(s - 1) / 2
+                    exact_slope = (segments @ centred) / (centred @ centred)
+                    slope_error = np.abs(slope - exact_slope).astype(float)
+                    spread = np.sqrt(np.mean(segments**2, axis=-1))
+                    assert np.all(slope_error * (s - 1) / 2 <= 8 * eps * spread), (name, order, s)
                     if name == "white steps":
                         relative = error / exact.astype(float)
                         assert relative.max() <= 1e-13, (order, s)

@@ -69,6 +69,20 @@ class TestAutocovariance:
             ]
         np.testing.assert_allclose(fgn_autocovariance(lags, hurst), exact, rtol=1e-7, atol=0)
 
+    @pytest.mark.parametrize(
+        "hurst, sigma, message",
+        [(0.7, 1e200, "fgn sigma out of range"), (-0.2, 1.0, "hurst must be in"),
+         (1.5, 1.0, "hurst must be in")],
+    )
+    def test_parameters_checked_as_gen_fgn_checks_them(self, hurst, sigma, message):
+        # once a bare OverflowError, [-inf, inf, ...] with a warning, and values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=message):
+                fgn_autocovariance([0, 1, 5], hurst, sigma)
+            with pytest.raises(InputError, match=message):
+                gen_fgn(100, hurst, sigma)
+
     def test_scalar_lag_gives_a_scalar(self):
         assert np.ndim(fgn_autocovariance(5, 0.7)) == 0
         assert fgn_autocovariance(5, 0.7) == fgn_autocovariance(np.array([5]), 0.7)[0]
