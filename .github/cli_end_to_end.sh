@@ -24,6 +24,33 @@ if grep -q Traceback late.err; then exit 1; fi
 status=0
 hurstscan analyze fgn.csv --returns --garch --no-garch || status=$?
 test "$status" -eq 1
+# an fgn series without --h exits 1 naming the missing parameter, and
+# writes nothing
+status=0
+hurstscan synth --kind fgn --n 100 --out-dir noh 2> noh.err || status=$?
+test "$status" -eq 1
+grep -q "fgn requires hurst" noh.err
+if grep -q Traceback noh.err; then exit 1; fi
+test ! -e noh
+# each kind's manifest config: kind, n, seed, then the kind's parameters
+# as floats, sigma defaulting to 1.0
+hurstscan synth --kind fgn --n 100 --seed 3 --h 0.6 --out-dir config
+hurstscan synth --kind gaussian-white --n 100 --seed 3 --sigma 2.5 --out-dir config
+hurstscan synth --kind garch --n 100 --seed 3 --omega 1e-6 --alpha 0.08 --beta 0.91 --out-dir config
+python - <<'PY'
+import json
+
+want = {
+    "fgn": {"kind": "fgn", "n": 100, "seed": 3, "hurst": 0.6, "sigma": 1.0},
+    "gaussian_white": {"kind": "gaussian-white", "n": 100, "seed": 3, "sigma": 2.5},
+    "garch": {"kind": "garch", "n": 100, "seed": 3, "omega": 1e-6, "alpha": 0.08, "beta": 0.91},
+}
+for stem, config in want.items():
+    with open(f"config/{stem}_n100_seed3.synth.manifest.json") as fh:
+        manifest = json.load(fh)
+    got = json.dumps(manifest["config"])
+    assert got == json.dumps(config) and manifest["seed"] == 3, (stem, got)
+PY
 # a byte that is not UTF-8 (Windows-1252 "e acute") in a price fails as
 # that line's unparsable cell
 printf 'date,close\n2000-01-03,100.0\n2000-01-04,101.0\n2000-01-05,10\xe9.0\n' > latin.csv

@@ -1,13 +1,16 @@
 """Time the paper's workload row by row, one fresh interpreter per row.
-Its wall_rel compares only rows measured in one session.
+Each row makes timed calls until they have taken 2 s, and at least 5,
+and records their number in ``calls``.  Its wall_rel compares only rows
+measured in one session.
 
-    python bench/paper.py --src <checkout>/src --label parent --out bench/BENCH_31.json
+    python bench/paper.py --src <checkout>/src --label parent --out bench/BENCH_32.json
 
 Runs every row of ROWS against the hurstscan in ``--src`` and writes the
 rows under ``--label`` into ``--out``, replacing that label's earlier
 rows and keeping the others, so one file can hold a parent and a change
 measured on the same host.  Each row runs in its own interpreter: it
-builds its input, makes one warm-up call, then CALLS timed calls.
+builds its input, makes one warm-up call, then timed calls until they
+have taken BUDGET_S of wall time, and at least MIN_CALLS of them.
 Right before each timed call it times the fixed work of
 ``perfbench/reference.py`` (imported from its file, not modified), and
 ``wall_rel`` is wall time over reference time.  That reference does not
@@ -47,7 +50,9 @@ import time
 from pathlib import Path
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
-CALLS = 5
+# timed calls per row: until they have taken BUDGET_S, and at least MIN_CALLS
+BUDGET_S = 2.0
+MIN_CALLS = 5
 ROLL_FLAGS = ["--window", "500", "--step", "1", "--s-min", "10", "--s-max", "50"]
 STAGE_TIMES = (
     "not recorded: stage times need the run record of ROADMAP item 1, "
@@ -180,10 +185,10 @@ def child(row: str, src: str) -> dict:
         before = _rss_mb()
         call(tmp / "warm-up")
         walls, references = [], []
-        for k in range(CALLS):
+        while len(walls) < MIN_CALLS or sum(walls) < BUDGET_S:
             references.append(reference.run())
             t0 = time.perf_counter()
-            call(tmp / f"call-{k}")
+            call(tmp / f"call-{len(walls)}")
             walls.append(time.perf_counter() - t0)
         peak = _rss_mb()
     q1, median, q3 = _quartiles(walls)
@@ -191,7 +196,9 @@ def child(row: str, src: str) -> dict:
     return {
         "row": row,
         "what": ROWS[row][0],
-        "calls": CALLS,
+        "calls": len(walls),
+        "budget_s": BUDGET_S,
+        "min_calls": MIN_CALLS,
         "warm_up_calls": 1,
         "wall_s": walls,
         "wall_median_s": median,

@@ -52,7 +52,7 @@ from .rolling import (
     write_rolling_jsonl,
 )
 from .scaling import _check_qs, mfdfa
-from .synth import _KINDS, GeneratorSpec, generate
+from .synth import _KINDS
 
 OUT_DIR_ENV = "HURSTSCAN_OUT_DIR"
 
@@ -241,16 +241,32 @@ def cmd_roll(args) -> _Run:
 def cmd_synth(args) -> _Run:
     if not args.dates and args.start_date is not None:
         raise InputError("--start-date needs dates; it has no effect with --no-dates")
-    # every GeneratorSpec field has a flag of its own name
-    spec = GeneratorSpec(**{f.name: getattr(args, f.name) for f in fields(GeneratorSpec)})
-    columns, header = [(_FLOAT, generate(spec))], ("value",)
+    if args.seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {args.seed!r}")
+    generator, names = _KINDS[args.kind]
+    # each generator flag's dest is its parameter's name, and sigma defaults to 1.0
+    given = {
+        name: getattr(args, name)
+        for _, kind_names in _KINDS.values()
+        for name in kind_names
+        if getattr(args, name) is not None
+    }
+    unused = [name for name in given if name not in names]
+    if unused:
+        raise InputError(f"{args.kind} does not take {', '.join(unused)}")
+    params = {name: given.get(name, 1.0 if name == "sigma" else None) for name in names}
+    missing = [name for name, value in params.items() if value is None]
+    if missing:
+        raise InputError(f"{args.kind} requires {', '.join(missing)}")
+    columns, header = [(_FLOAT, generator(args.n, seed=args.seed, **params))], ("value",)
     if args.dates:
         dates = synthetic_dates(args.n, args.start_date or SYNTHETIC_START)
         columns, header = [(_DATE, dates), *columns], ("date", *header)
 
     name = args.out or f"{args.kind.replace('-', '_')}_n{args.n}_seed{args.seed}.csv"
     outputs = {"series": (name, partial(_write_table, columns=columns, header=header))}
-    return _Run(Path(name).stem, [], spec.to_dict(), outputs, seed=args.seed)
+    config = {"kind": args.kind, "n": args.n, "seed": args.seed, **params}
+    return _Run(Path(name).stem, [], config, outputs, seed=args.seed)
 
 
 def cmd_report(args) -> _Run:
@@ -349,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--kind", choices=list(_KINDS), required=True, help="generator")
     p_synth.add_argument("--n", type=int, required=True, help="series length")
     p_synth.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
-    # each generator flag's dest is its GeneratorSpec field
+    # each generator flag's dest is the name of its generator parameter
     p_synth.add_argument(
         "--h", dest="hurst", type=float, default=None, help="Hurst exponent (fgn only)"
     )

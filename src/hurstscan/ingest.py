@@ -39,11 +39,15 @@ __all__ = [
     "ReturnSeries",
     "load_prices",
     "load_returns",
-    "save_prices",
     "save_returns",
     "log_returns",
     "synthetic_dates",
 ]
+
+
+def _is_integer(value) -> bool:
+    """The one rule for whole-number parameters: an int or numpy integer, not a bool or a float."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -303,11 +307,6 @@ def load_returns(path, layout: CsvLayout = CsvLayout(value_col="value")) -> Retu
     return ReturnSeries(dates=dates, values=values)
 
 
-def save_prices(series: PriceSeries, path) -> None:
-    """Write a price series as ``date,close`` rows; round-trips bit-identically."""
-    _write_table(path, [(_DATE, series.dates), (_FLOAT, series.values)], ("date", "close"))
-
-
 def save_returns(series: ReturnSeries, path) -> None:
     """Write a return series as ``date,value`` rows."""
     _write_table(path, [(_DATE, series.dates), (_FLOAT, series.values)], ("date", "value"))
@@ -323,6 +322,8 @@ def log_returns(prices: PriceSeries) -> ReturnSeries:
 
 def synthetic_dates(n: int, start: dt.date = SYNTHETIC_START) -> tuple[dt.date, ...]:
     """n consecutive calendar dates, for series that have no natural calendar."""
+    if not _is_integer(n):
+        raise InputError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise InputError("n must be at least 1")
     if (dt.date.max - start).days < n - 1:

@@ -55,6 +55,7 @@ from .ingest import (
     ReturnSeries,
     _check_rule,
     _first_unordered,
+    _is_integer,
     _read_table,
     _write_cells,
 )
@@ -63,7 +64,6 @@ from .scaling import (
     _check_fluctuations,
     _check_scale_range,
     _fit_loglog,
-    _is_integer,
     _series_fq,
     _shared_f2,
 )

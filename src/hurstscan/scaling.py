@@ -35,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import InputError
-from .ingest import _FLOAT, _INT, _write_table
+from .ingest import _FLOAT, _INT, _is_integer, _write_table
 
 __all__ = ["FluctuationProfile", "ScalingFit", "fit_scaling", "mfdfa"]
 
@@ -85,11 +85,6 @@ def _check_qs(qs) -> tuple[float, ...]:
     if max(map(abs, q_set)) > _MAX_ABS_Q:
         raise InputError(f"|q| must be at most {_MAX_ABS_Q:g}, got {list(q_set)}")
     return q_set
-
-
-def _is_integer(value) -> bool:
-    """The one rule for whole-number parameters: an int or a numpy integer, never a float."""
-    return isinstance(value, (int, np.integer))
 
 
 def _check_scale_range(s_min: int, s_max: int, order: int, length: int) -> None:

@@ -1,31 +1,27 @@
 """Seeded reference generators: fractional Gaussian noise, white noise, GARCH(1,1).
 
-Every generator is a pure function of its arguments including the seed
-(numpy PCG64 streams).  For reproducible parallel generation give each
-task its own seed, or split one seed with
-``np.random.SeedSequence(seed).spawn(k)`` and pass the children's
+Every generator checks its own arguments, and a bad one raises
+InputError: n must be an integer (a float or a bool is not), sigma
+positive and finite, and the GARCH parameters must pass
+``GarchParams``' checks.  The ``synth`` command calls the generators
+through ``_KINDS``.  Every generator is a pure function of its
+arguments including the seed (numpy PCG64 streams).  For reproducible
+parallel generation give each task its own seed, or split one seed
+with ``np.random.SeedSequence(seed).spawn(k)`` and pass the children's
 ``generate_state`` values as seeds.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import InputError, NumericalError
 from .garch import GarchParams
-from .scaling import _is_integer
+from .ingest import _is_integer
 
-__all__ = [
-    "GeneratorSpec",
-    "fgn_autocovariance",
-    "gen_fgn",
-    "gen_white",
-    "gen_garch",
-    "generate",
-]
+__all__ = ["fgn_autocovariance", "gen_fgn", "gen_white", "gen_garch"]
 
 GARCH_BURN_IN = 500
 
@@ -47,7 +43,9 @@ def fgn_autocovariance(k, hurst: float, sigma: float = 1.0) -> np.ndarray:
 
 
 def _check_size(n: int, sigma: float = 1.0, min_n: int = 1) -> None:
-    """Length and noise scale of every generator: n >= min_n, sigma positive and finite."""
+    """Length and noise scale of every generator: integer n >= min_n, sigma positive and finite."""
+    if not _is_integer(n):
+        raise InputError(f"n must be an integer, got {n!r}")
     if not n >= min_n:
         raise InputError(f"n must be at least {min_n}")
     if not (sigma > 0 and math.isfinite(sigma)):
@@ -147,67 +145,9 @@ def gen_garch(n: int, omega: float, alpha: float, beta: float, seed: int = 0) ->
     return _check_finite(r[GARCH_BURN_IN:], f"omega {omega}")
 
 
-# each kind's generator and the parameters it takes, in the order the spec records them
+# each kind's generator and its parameters, in the order synth's manifest records them
 _KINDS = {
     "fgn": (gen_fgn, ("hurst", "sigma")),
     "gaussian-white": (gen_white, ("sigma",)),
     "garch": (gen_garch, ("omega", "alpha", "beta")),
 }
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Declarative description of a synthetic series: kind, length, parameters, seed.
-
-    kind is one of "fgn" (needs hurst, optional sigma), "gaussian-white"
-    (optional sigma) or "garch" (needs omega, alpha, beta); a parameter
-    the kind does not take is rejected.  sigma defaults to 1.0.
-    """
-
-    kind: str
-    n: int
-    seed: int = 0
-    hurst: float | None = None
-    sigma: float | None = None
-    omega: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InputError(f"unknown generator kind: {self.kind!r}")
-        if not _is_integer(self.n):
-            raise InputError(f"n must be an integer, got {self.n!r}")
-        if not (_is_integer(self.seed) and self.seed >= 0):
-            raise InputError(f"seed must be a non-negative integer, got {self.seed!r}")
-        names = _KINDS[self.kind][1]
-        if "sigma" in names and self.sigma is None:
-            object.__setattr__(self, "sigma", 1.0)
-        unused = [
-            name
-            for name in ("hurst", "sigma", "omega", "alpha", "beta")
-            if name not in names and getattr(self, name) is not None
-        ]
-        if unused:
-            raise InputError(f"{self.kind} does not take {', '.join(unused)}")
-        missing = [name for name in names if getattr(self, name) is None]
-        if missing:
-            raise InputError(f"{self.kind} requires {', '.join(missing)}")
-        if self.kind == "fgn":
-            _check_fgn_params(self.hurst, self.sigma, self.n)
-        elif self.kind == "gaussian-white":
-            _check_size(self.n, self.sigma)
-        else:
-            _check_size(self.n)
-            GarchParams(self.omega, self.alpha, self.beta)
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "n": int(self.n), "seed": int(self.seed)}
-        out.update((name, float(getattr(self, name))) for name in _KINDS[self.kind][1])
-        return out
-
-
-def generate(spec: GeneratorSpec) -> np.ndarray:
-    """Realize a GeneratorSpec as a numpy array."""
-    generator, names = _KINDS[spec.kind]
-    return generator(spec.n, seed=spec.seed, **{name: getattr(spec, name) for name in names})

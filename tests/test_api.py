@@ -21,7 +21,6 @@ PUBLIC = [
     "ReturnSeries",
     "load_prices",
     "load_returns",
-    "save_prices",
     "save_returns",
     "log_returns",
     "synthetic_dates",
@@ -46,12 +45,10 @@ PUBLIC = [
     "write_rolling_csv",
     "write_rolling_jsonl",
     "read_rolling_csv",
-    "GeneratorSpec",
     "fgn_autocovariance",
     "gen_fgn",
     "gen_white",
     "gen_garch",
-    "generate",
 ]
 
 
@@ -60,6 +57,13 @@ def test_package_all_is_the_public_list():
     assert len(set(PUBLIC)) == len(PUBLIC)
     for name in PUBLIC:
         assert hasattr(hurstscan, name), name
+
+
+def test_names_that_served_only_the_cli_or_the_tests_are_gone():
+    # the synth command does the spec's work itself, and tests write price files directly
+    for name in ("GeneratorSpec", "generate", "save_prices"):
+        assert not hasattr(hurstscan, name), name
+    assert len(PUBLIC) == 36
 
 
 def test_package_all_joins_the_module_lists():

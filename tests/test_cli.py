@@ -57,6 +57,40 @@ class TestSynth:
         digest = hashlib.sha256((workdir / "fgn.csv").read_bytes()).hexdigest()
         assert manifest["outputs"]["series"]["sha256"] == digest
 
+    @pytest.mark.parametrize(
+        "params, config",
+        [
+            (["--kind", "fgn", "--h", "0.6"],
+             {"kind": "fgn", "n": 100, "seed": 3, "hurst": 0.6, "sigma": 1.0}),
+            (["--kind", "gaussian-white", "--sigma", "2.5"],
+             {"kind": "gaussian-white", "n": 100, "seed": 3, "sigma": 2.5}),
+            (["--kind", "garch", "--omega", "1e-6", "--alpha", "0.08", "--beta", "0.91"],
+             {"kind": "garch", "n": 100, "seed": 3, "omega": 1e-6, "alpha": 0.08, "beta": 0.91}),
+        ],
+        ids=["fgn", "gaussian-white", "garch"],
+    )
+    def test_manifest_config_and_seed(self, workdir, params, config):
+        assert run(["synth", *params, "--n", "100", "--seed", "3", "--out", "s.csv"]) == 0
+        manifest = json.loads((workdir / "s.synth.manifest.json").read_text())
+        assert (manifest["config"], manifest["seed"]) == (config, 3)
+        assert list(manifest["config"]) == list(config)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (["--kind", "fgn"], "fgn requires hurst"),
+            (["--kind", "garch", "--omega", "1e-6"], "garch requires alpha, beta"),
+            (["--kind", "gaussian-white", "--h", "0.6", "--alpha", "0.1"],
+             "gaussian-white does not take hurst, alpha"),
+        ],
+    )
+    def test_missing_or_foreign_parameter_exits_one_without_output(
+        self, workdir, capsys, params, message
+    ):
+        assert run(["synth", *params, "--n", "100"]) == 1
+        assert capsys.readouterr().err == f"hurstscan: error: {message}\n"
+        assert list(workdir.iterdir()) == []
+
     def test_hurst_out_of_range_exits_one(self, workdir, capsys):
         assert run(["synth", "--kind", "fgn", "--h", "1.2", "--n", "100"]) == 1
         assert "hurst" in capsys.readouterr().err

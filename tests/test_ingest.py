@@ -18,17 +18,20 @@ from hurstscan import (
     load_prices,
     load_returns,
     log_returns,
-    save_prices,
     save_returns,
     synthetic_dates,
 )
-from hurstscan.ingest import _first_unordered
+from hurstscan.ingest import _DATE, _FLOAT, _first_unordered, _write_table
 
 
 def write(tmp_path, text, name="prices.csv"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def write_prices(series, path):
+    _write_table(path, [(_DATE, series.dates), (_FLOAT, series.values)], ("date", "close"))
 
 
 def make_prices(values, start=dt.date(2000, 1, 3)):
@@ -139,6 +142,10 @@ class TestValidationMessages:
                 "values contain non-finite entries",
             ),
             (lambda: synthetic_dates(0), "n must be at least 1"),
+            # once a bare TypeError from range
+            (lambda: synthetic_dates(3.0), r"n must be an integer, got 3\.0"),
+            (lambda: synthetic_dates(True), "n must be an integer, got True"),
+            (lambda: synthetic_dates("3"), "n must be an integer, got '3'"),
         ],
     )
     def test_raises(self, make, message):
@@ -181,7 +188,7 @@ class TestRoundTrip:
     def test_prices_bit_identical(self, tmp_path):
         series = make_prices([100.0, 105.13000000000001, 1e-3, 98765.4321])
         path = tmp_path / "out.csv"
-        save_prices(series, path)
+        write_prices(series, path)
         again = load_prices(path)
         assert again.dates == series.dates
         np.testing.assert_array_equal(again.values, series.values)
@@ -219,7 +226,7 @@ class TestRoundTrip:
         dates = [start + dt.timedelta(days=sum(gaps[: i + 1])) for i in range(len(values))]
         series = PriceSeries(dates=dates, values=values)
         path = tmp_path_factory.mktemp("rt") / "prices.csv"
-        save_prices(series, path)
+        write_prices(series, path)
         again = load_prices(path)
         assert again.dates == series.dates
         np.testing.assert_array_equal(again.values, series.values)
@@ -415,6 +422,7 @@ class TestSeriesTypes:
         dates = synthetic_dates(4)
         assert dates[0] == dt.date(2000, 1, 3)
         assert all((b - a).days == 1 for a, b in zip(dates, dates[1:]))
+        assert synthetic_dates(np.int64(4)) == dates
 
     def test_synthetic_dates_past_the_last_date_rejected(self):
         start = dt.date(9999, 12, 1)

@@ -122,6 +122,9 @@ class TestRollingConfig:
             ("detrend_order", 1.5),
             ("step", "2"),
             ("window", None),
+            # a bool is no whole number: step=True was once stored as True
+            ("step", True),
+            ("detrend_order", False),
         ],
     )
     def test_whole_number_fields_must_be_integers(self, field, value):

@@ -590,6 +590,9 @@ class TestMfdfa:
             ([10.5, 20.7, 30.9], 1, r"scales must be integers, got 10\.5"),
             (["10", "20", "30"], 1, r"scales must be integers, got '10'"),
             ([10, 20, 30], 1.5, r"order must be an integer, got 1\.5"),
+            # order=True once ran as order 1
+            ([10, 20, 30], True, r"order must be an integer, got True"),
+            ([True, 20, 30], 1, r"scales must be integers, got True"),
         ],
     )
     def test_non_integer_scales_and_order_rejected(self, scales, order, message):

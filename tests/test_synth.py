@@ -1,3 +1,4 @@
+import re
 import warnings
 from decimal import Decimal, localcontext
 from functools import partial
@@ -8,15 +9,15 @@ import pytest
 from helpers import lag1_autocorr
 from hurstscan import (
     GarchParams,
-    GeneratorSpec,
     InputError,
     fgn_autocovariance,
     gen_fgn,
     gen_garch,
     gen_white,
-    generate,
+    load_returns,
     mfdfa,
 )
+from hurstscan.cli import build_parser, cmd_synth
 
 
 def exact_mean_se(n: int, hurst: float, sigma: float = 1.0) -> float:
@@ -188,32 +189,51 @@ class TestGenGarch:
             gen_garch(1000, omega=-1.0, alpha=0.1, beta=0.8, seed=0)
 
 
+# a parameter's synth flag, where it differs from the parameter's name
+FLAGS = {"hurst": "h"}
+
+
+def synth_spec(kind, n, seed=0, **params):
+    """The run of ``synth`` for one generator spec: a kind, n, a seed and the kind's parameters."""
+    flags = [f"--{FLAGS.get(name, name)}={value}" for name, value in params.items()]
+    argv = ["synth", f"--kind={kind}", f"--n={n}", f"--seed={seed}", *flags]
+    return cmd_synth(build_parser().parse_args(argv))
+
+
+def synth_values(run, tmp_path):
+    path = tmp_path / run.outputs["series"][0]
+    run.outputs["series"][1](path)
+    return load_returns(path).values
+
+
 class TestGeneratorSpec:
-    def test_dispatch_matches_direct_calls(self):
+    # what synth takes as a generator spec and realizes through the generators;
+    # n and seed follow the generators' own rules
+    def test_dispatch_matches_direct_calls(self, tmp_path):
         np.testing.assert_array_equal(
-            generate(GeneratorSpec(kind="fgn", n=512, seed=4, hurst=0.7)),
+            synth_values(synth_spec("fgn", 512, seed=4, hurst=0.7), tmp_path),
             gen_fgn(512, 0.7, seed=4),
         )
         np.testing.assert_array_equal(
-            generate(GeneratorSpec(kind="gaussian-white", n=512, seed=4, sigma=1.5)),
+            synth_values(synth_spec("gaussian-white", 512, seed=4, sigma=1.5), tmp_path),
             gen_white(512, sigma=1.5, seed=4),
         )
         np.testing.assert_array_equal(
-            generate(GeneratorSpec(kind="garch", n=512, seed=4, omega=0.1, alpha=0.1, beta=0.8)),
+            synth_values(synth_spec("garch", 512, seed=4, omega=0.1, alpha=0.1, beta=0.8), tmp_path),
             gen_garch(512, 0.1, 0.1, 0.8, seed=4),
         )
 
     def test_fgn_requires_hurst(self):
-        with pytest.raises(InputError):
-            GeneratorSpec(kind="fgn", n=100, seed=0)
+        with pytest.raises(InputError, match="^fgn requires hurst$"):
+            synth_spec("fgn", 100)
 
     def test_fgn_rejects_hurst_out_of_range(self):
-        with pytest.raises(InputError):
-            GeneratorSpec(kind="fgn", n=100, seed=0, hurst=1.2)
+        with pytest.raises(InputError, match="hurst must be in"):
+            synth_spec("fgn", 100, hurst=1.2)
 
     def test_garch_requires_stationary_params(self):
         with pytest.raises(InputError):
-            GeneratorSpec(kind="garch", n=100, seed=0, omega=0.1, alpha=0.6, beta=0.5)
+            synth_spec("garch", 100, omega=0.1, alpha=0.6, beta=0.5)
 
     @pytest.mark.parametrize(
         "kind, extra",
@@ -225,34 +245,49 @@ class TestGeneratorSpec:
     )
     def test_parameters_of_other_kinds_rejected(self, kind, extra):
         with pytest.raises(InputError, match="does not take"):
-            GeneratorSpec(kind=kind, n=100, **extra)
+            synth_spec(kind, 100, **extra)
 
     def test_sigma_defaults_to_one(self):
-        assert GeneratorSpec(kind="gaussian-white", n=10).to_dict()["sigma"] == 1.0
-        assert GeneratorSpec(kind="fgn", n=10, hurst=0.6).sigma == 1.0
+        assert synth_spec("gaussian-white", 10).config["sigma"] == 1.0
+        assert synth_spec("fgn", 10, hurst=0.6).config["sigma"] == 1.0
 
-    def test_unknown_kind(self):
-        with pytest.raises(InputError):
-            GeneratorSpec(kind="brownian", n=100, seed=0)
+    def test_unknown_kind(self, capsys):
+        with pytest.raises(SystemExit, match="^1$"):
+            synth_spec("brownian", 100)
+        assert "invalid choice: 'brownian'" in capsys.readouterr().err
 
     def test_bad_length(self):
-        with pytest.raises(InputError):
-            GeneratorSpec(kind="fgn", n=0, seed=0, hurst=0.5)
+        with pytest.raises(InputError, match="^n must be at least 2$"):
+            synth_spec("fgn", 1, hurst=0.5)
+        for make in (partial(gen_fgn, hurst=0.5), gen_white, partial(gen_garch, **GARCH_OK)):
+            with pytest.raises(InputError, match="^n must be at least"):
+                make(0)
 
-    @pytest.mark.parametrize("n", [10.5, 10.0, "10", None])
+    @pytest.mark.parametrize("n", [10.5, 10.0, "10", None, True])
     def test_length_must_be_integer(self, n):
-        with pytest.raises(InputError, match="n must be an integer"):
-            GeneratorSpec(kind="gaussian-white", n=n)
+        # each once failed inside numpy with a TypeError, or ran: gen_garch(True, ...)
+        for make in (partial(gen_fgn, hurst=0.5), gen_white, partial(gen_garch, **GARCH_OK)):
+            with pytest.raises(InputError, match=re.escape(f"n must be an integer, got {n!r}")):
+                make(n)
 
     def test_numpy_integer_length_and_seed_accepted(self):
-        spec = GeneratorSpec(kind="gaussian-white", n=np.int64(10), seed=np.uint32(3))
-        np.testing.assert_array_equal(generate(spec), gen_white(10, seed=3))
+        n, seed = np.int64(10), np.uint32(3)
+        np.testing.assert_array_equal(gen_white(n, seed=seed), gen_white(10, seed=3))
+        np.testing.assert_array_equal(gen_fgn(n, 0.6, seed=seed), gen_fgn(10, 0.6, seed=3))
+        np.testing.assert_array_equal(
+            gen_garch(n, **GARCH_OK, seed=seed), gen_garch(10, **GARCH_OK, seed=3)
+        )
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
-    def test_seed_must_be_non_negative_integer(self, seed):
-        with pytest.raises(InputError, match="seed must be a non-negative integer"):
-            GeneratorSpec(kind="gaussian-white", n=10, seed=seed)
-
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3.0", None])
+    def test_seed_must_be_non_negative_integer(self, seed, capsys):
+        if seed == -1:
+            with pytest.raises(InputError, match="^seed must be a non-negative integer, got -1$"):
+                synth_spec("gaussian-white", 10, seed=seed)
+            return
+        # --seed parses integers only: anything else is a usage error
+        with pytest.raises(SystemExit, match="^1$"):
+            synth_spec("gaussian-white", 10, seed=seed)
+        assert f"argument --seed: invalid int value: '{seed}'" in capsys.readouterr().err
 
 
 GARCH_OK = {"omega": 1e-6, "alpha": 0.08, "beta": 0.9}
@@ -263,9 +298,10 @@ GENERATORS = [
     ("gen_garch", partial(gen_garch, 100), GARCH_OK),
     ("gen_white", partial(gen_white, 100), {"sigma": 1.0}),
     ("gen_fgn", partial(gen_fgn, 100), {"hurst": 0.6, "sigma": 1.0}),
-    ("GeneratorSpec-fgn", partial(GeneratorSpec, "fgn", 100), {"hurst": 0.6, "sigma": 1.0}),
-    ("GeneratorSpec-white", partial(GeneratorSpec, "gaussian-white", 100), {"sigma": 1.0}),
-    ("GeneratorSpec-garch", partial(GeneratorSpec, "garch", 100), GARCH_OK),
+    # synth's generator specs, through the synth command
+    ("GeneratorSpec-fgn", partial(synth_spec, "fgn", 100), {"hurst": 0.6, "sigma": 1.0}),
+    ("GeneratorSpec-white", partial(synth_spec, "gaussian-white", 100), {"sigma": 1.0}),
+    ("GeneratorSpec-garch", partial(synth_spec, "garch", 100), GARCH_OK),
 ]
 
 
@@ -286,7 +322,7 @@ def test_non_finite_parameters_rejected(make, kwargs):
 class TestFloatRange:
     @pytest.mark.parametrize("sigma", [1e300, 1e160, 1e-160, 1e-300])
     def test_fgn_sigma_whose_square_is_not_normal_rejected(self, sigma):
-        for make in (partial(gen_fgn, 100, 0.6), partial(GeneratorSpec, "fgn", 100, hurst=0.6)):
+        for make in (partial(gen_fgn, 100, 0.6), partial(synth_spec, "fgn", 100, hurst=0.6)):
             with pytest.raises(InputError, match=r"fgn sigma out of range \[1.49e-154, 1.34e\+154\]"):
                 make(sigma=sigma)
 
