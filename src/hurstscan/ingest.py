@@ -176,11 +176,12 @@ def _join(chunks: dict) -> dict:
     }
 
 
-def _check_rule(path, parsed, lines, rule) -> None:
-    """Fail naming the first row of the parsed columns that breaks ``rule``."""
-    broken = rule(parsed) if rule else None
-    if broken:
-        raise InputError(f"{path}:{lines[broken[0]]}: {broken[1]}")
+def _raise_first(path, lines, *found) -> None:
+    """Fail naming the line of the earliest (row index, why) found; a None finds nothing."""
+    found = [problem for problem in found if problem]
+    if found:
+        k, why = min(found)
+        raise InputError(f"{path}:{lines[k]}: {why}")
 
 
 def _nonblank_rows(reader, lines):
@@ -191,39 +192,18 @@ def _nonblank_rows(reader, lines):
             yield row
 
 
-def _parse_block(path, rows, first, columns, chunks, lines, rule):
-    """Append each column of one block of rows, parsed by its kind, to ``chunks``.
-
-    ``first`` is the index of the block's first row in the file.  A bad
-    row fails naming its line, after the rows before it, earlier blocks
-    included, are checked against ``rule``: a rule they break comes
-    first in the file.
-    """
-    try:
-        parsed = {label: kind.parse([r[at] for r in rows]) for label, (at, kind) in columns.items()}
-    except (IndexError, ValueError):
-        # name the first bad line: look row by row
-        problems = (_cell_problem(row, columns) for row in rows)
-        k, problem = next((k, problem) for k, problem in enumerate(problems) if problem)
-        if k:
-            _parse_block(path, rows[:k], first, columns, chunks, lines, rule)
-        if first + k:
-            _check_rule(path, _join(chunks), lines, rule)
-        raise InputError(f"{path}:{lines[first + k]}: {problem}") from None
-    for label, values in parsed.items():
-        chunks[label].append(values)
+def _parse_rows(rows, columns) -> dict:
+    """Each column of the rows, parsed by its kind; a short row or a bad cell raises."""
+    return {label: kind.parse([row[at] for row in rows]) for label, (at, kind) in columns.items()}
 
 
-def _read_table(path, columns: dict, header: bool = True, rule=None):
-    """The columns of a CSV file by label, each parsed by its kind, and each row's line.
+def _read_table(path, columns: dict, header: bool = True):
+    """The columns of a CSV file by label, each parsed by its kind, each row's line and the bad row.
 
-    ``columns`` maps a label to (column name or position, kind).
-    ``rule`` takes the parsed columns and returns the index of the first
-    row that breaks it and why, or None.  A file with a short row or a
-    bad cell fails naming its first bad line: that row, or an earlier row
-    that breaks the rule.  A file that parses whole comes back unchecked
-    against the rule, which the caller applies once, with ``_check_rule``
-    to name the line.
+    ``columns`` maps a label to (column name or position, kind).  Reading
+    stops at the first short row or bad cell: the columns hold the rows
+    before it, and it comes back as (row index, why), or None when every
+    row parses, for the caller to fail with ``_raise_first``.
 
     Rows are read and parsed ``_BLOCK_ROWS`` at a time.  What stays in
     memory per row is its parsed values and its line number, held in one
@@ -237,7 +217,7 @@ def _read_table(path, columns: dict, header: bool = True, rule=None):
     except FileNotFoundError:
         raise InputError(f"file not found: {path}") from None
     chunks = {label: [] for label in columns}
-    lines = array("q")
+    lines, bad = array("q"), None
     with fh:
         reader = csv.reader(fh)
         if header:
@@ -250,11 +230,20 @@ def _read_table(path, columns: dict, header: bool = True, rule=None):
                 for label, (at, kind) in columns.items()
             }
         rows = _nonblank_rows(reader, lines)
-        while block := list(islice(rows, _BLOCK_ROWS)):
-            _parse_block(path, block, len(lines) - len(block), columns, chunks, lines, rule)
+        while bad is None and (block := list(islice(rows, _BLOCK_ROWS))):
+            try:
+                parsed = _parse_rows(block, columns)
+            except (IndexError, ValueError):
+                # find the first bad row, looking row by row, and keep the rows before it
+                problems = (_cell_problem(row, columns) for row in block)
+                k, why = next((k, why) for k, why in enumerate(problems) if why)
+                bad = (len(lines) - len(block) + k, why)
+                parsed = _parse_rows(block[:k], columns)
+            for label, values in parsed.items():
+                chunks[label].append(values)
     if not lines:
         raise InputError(f"{path}: no data rows")
-    return _join(chunks), lines
+    return _join(chunks), lines, bad
 
 
 def _write_table(path, columns, header=None) -> None:
@@ -277,7 +266,8 @@ def _write_cells(path, cells, header=None, row_format=None) -> None:
 def _read_dated_values(path, layout: CsvLayout):
     """Dates, values and line numbers of a series file in date order; duplicate dates fail."""
     columns = {"date": (layout.date_col, _DATE), "value": (layout.value_col, _FLOAT)}
-    parsed, lines = _read_table(path, columns, layout.header)
+    parsed, lines, bad = _read_table(path, columns, layout.header)
+    _raise_first(path, lines, bad)
     dates, values = parsed["date"], parsed["value"]
     if _first_unordered(dates) is None:
         # already in order, as every file hurstscan writes: nothing to sort
@@ -287,7 +277,7 @@ def _read_dated_values(path, layout: CsvLayout):
     # sorted, so the first date not later than the one before repeats it
     k = _first_unordered(dates)
     if k is not None:
-        raise InputError(f"{path}:{lines[k]}: duplicate date {dates[k].isoformat()}")
+        _raise_first(path, lines, (k, f"duplicate date {dates[k].isoformat()}"))
     return dates, values[order], lines
 
 
@@ -297,7 +287,7 @@ def load_prices(path, layout: CsvLayout = CsvLayout()) -> PriceSeries:
     bad = np.flatnonzero(values <= 0)
     if bad.size:
         k = int(bad[0])
-        raise InputError(f"{path}:{lines[k]}: non-positive price {values[k].item()!r}")
+        _raise_first(path, lines, (k, f"non-positive price {values[k].item()!r}"))
     return PriceSeries(dates=dates, values=values)
 
 

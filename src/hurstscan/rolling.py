@@ -53,9 +53,9 @@ from .ingest import (
     _FLAG,
     _FLOAT,
     ReturnSeries,
-    _check_rule,
     _first_unordered,
     _is_integer,
+    _raise_first,
     _read_table,
     _write_cells,
 )
@@ -298,7 +298,7 @@ def _own_f2(fq, values, starts, own, config: RollingConfig, converged) -> None:
                 if isinstance(fit, GarchFit):
                     row /= np.sqrt(fit.h)
                 converged[k] = isinstance(fit, GarchFit) and fit.converged
-        (block,), _ = _series_fq(rows, config.scales(), (2.0,), config.detrend_order)
+        (block,) = _series_fq(rows, config.scales(), (2.0,), config.detrend_order)
         fq[at] = block
         try:
             _check_fluctuations(block)
@@ -379,10 +379,13 @@ def read_rolling_csv(path) -> RollingResult:
     ``false``, or a row that breaks a rule of ``_first_bad_row``.
     """
     columns = {col: (col, kind) for col, kind in _KINDS.items()}
-    parsed, lines = _read_table(path, columns, rule=_first_bad_row)
-    try:
-        return RollingResult(**parsed)
-    except InputError:
-        # the result names the window that breaks a rule; name its line
-        _check_rule(path, parsed, lines, _first_bad_row)
-        raise
+    parsed, lines, bad = _read_table(path, columns)
+    if bad is None:
+        try:
+            return RollingResult(**parsed)
+        except InputError:
+            # the result names the window that breaks a rule; name its line
+            _raise_first(path, lines, _first_bad_row(parsed))
+            raise
+    # the rows before the bad one can break a rule first
+    _raise_first(path, lines, _first_bad_row(parsed), bad)

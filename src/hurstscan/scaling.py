@@ -485,15 +485,16 @@ def _shared_f2(values, starts, window: int, scales, order: int):
 
 
 def _power_means(f2, qs, starts):
-    """F_q for each q of each group of ``f2``'s last axis, and whether that group holds a zero.
+    """F_q for each q of each group of ``f2``'s last axis, one array per q.
 
     ``starts`` are the groups' first positions, increasing from 0: a
     group runs up to the next start, the last one to the end of the
     axis; ``_series_fq`` passes consecutive scales end to end,
-    one group per scale.  Both results have ``f2``'s leading shape and
-    one entry per group on the last axis.  Nothing is checked here; a
-    zero f2 gives F_q = 0 for q > 0 and inf for q < 0, which the callers
-    reject with ``_check_zero_rule`` and ``_check_fluctuations``.
+    one group per scale.  Each array has ``f2``'s leading shape and
+    one entry per group on the last axis.  Nothing is checked here.  A
+    group of zeros gives F_q = 0 for every q, and one zero in a group
+    gives F_q = 0 for every q < 0, where its power is inf: mfdfa's
+    negative-q rule reads that 0, and ``_check_fluctuations`` rejects it.
 
     A group far from unit scale would over- or underflow in the power.
     The power is dominated by the group's largest f2 for q > 0 and by
@@ -503,21 +504,17 @@ def _power_means(f2, qs, starts):
     times F_q of x up to the rounding of the power, and the other terms
     can only shrink in the power.  Sums run by ``np.add.reduceat`` over
     each group alone, and the scaling is decided for each group and q on
-    its own, so a group's F_q and zero flag are, bit for bit, what it
-    gives alone, whatever groups and other q sit beside it.
+    its own, so a group's F_q is, bit for bit, what it gives alone,
+    whatever groups and other q sit beside it.
     """
     # roll calls this once per scale, so its fixed cost counts: one array
     # of the group bounds gives the starts and the sizes
     bounds = np.array((*starts, f2.shape[-1]))
     starts, n = bounds[:-1], bounds[1:] - bounds[:-1]
-    # whole-array extremes, which on ordinary data show that no f2 is zero
-    # and no group is far from unit scale
+    # whole-array extremes, which on ordinary data show that no group is
+    # far from unit scale
     smallest = np.minimum.reduce(f2, axis=None)
     largest = np.maximum.reduce(f2, axis=None)
-    if smallest == 0.0:
-        has_zero = np.logical_or.reduceat(f2 == 0.0, starts, axis=-1)
-    else:
-        has_zero = np.zeros((*f2.shape[:-1], starts.size), dtype=bool)
     fq = []
     for q in qs:
         # the per-group halves (None when no group is far) and f2 scaled by them
@@ -532,11 +529,11 @@ def _power_means(f2, qs, starts):
             sums = np.add.reduceat(x if q == 2.0 else np.power(x, q / 2.0), starts, axis=-1)
             fq_q = (sums / n) ** (1.0 / q)
         fq.append(fq_q if half is None else np.ldexp(fq_q, half))
-    return fq, has_zero
+    return fq
 
 
 def _series_fq(values, scales, qs, order: int):
-    """F_q(s) of series (last axis) that each have their own profile, and a zero flag per series.
+    """F_q(s) of series (last axis) that each have their own profile.
 
     Each series is scaled to unit size on its own by 2**-e
     (``_unit_scaled``) and demeaned, and its profile is cut and
@@ -544,35 +541,26 @@ def _series_fq(values, scales, qs, order: int):
     zeros.  Consecutive scales go to one ``_power_means`` call, one
     group each, once they hold, per series, as many values as a series
     has; a lone scale goes in uncopied.  Returns F_q scaled back by
-    2**e, (q x series x scales), and whether any segment of each series
-    is exactly zero.  Nothing is checked here.
+    2**e, (q x series x scales).  Nothing is checked here: at q < 0 an
+    exactly-zero segment makes F_q exactly 0 at its scale.
     """
     steps, e = _unit_scaled(values)
     steps -= steps.mean(axis=-1, keepdims=True)
     profiles = np.cumsum(steps, axis=-1)
     marker = _run_marker(values)
-    fq, zero, run, size = [], [], [], 0
+    fq, run, size = [], [], 0
     for k, s in enumerate(scales, 1):
         run.append(_zero_flat(_scale_f2(profiles, s, order), marker, s, order))
         size += run[-1].shape[-1]
         if size >= steps.shape[-1] or k == len(scales):
             starts = np.cumsum([0, *(f2.shape[-1] for f2 in run[:-1])])
-            means, has_zero = _power_means(
-                run[0] if len(run) == 1 else np.concatenate(run, axis=-1), qs, starts
-            )
-            fq.append(np.stack(means))
-            zero.append(has_zero)
+            joined = run[0] if len(run) == 1 else np.concatenate(run, axis=-1)
+            fq.append(np.stack(_power_means(joined, qs, starts)))
             run, size = [], 0
     with np.errstate(over="ignore"):
         # beyond the float range F_q is inf, which the callers reject
         fq = np.ldexp(np.concatenate(fq, axis=-1), e)
-    return fq, np.concatenate(zero, axis=-1).any(axis=-1)
-
-
-def _check_zero_rule(q: float, has_zero) -> None:
-    """Negative q cannot average an exactly-zero segment fluctuation."""
-    if q < 0 and np.any(has_zero):
-        raise InputError("zero segment fluctuation with negative q")
+    return fq
 
 
 def fit_scaling(fp: FluctuationProfile) -> ScalingFit:
@@ -671,10 +659,13 @@ def mfdfa(
     if x.ndim != 1:
         raise InputError("series must be one-dimensional")
     _check_scale_range(int(scale_arr[0]), int(scale_arr[-1]), order, x.size)
-    fq, has_zero = _series_fq(x, scale_arr.tolist(), q_list, order)
+    fq = _series_fq(x, scale_arr.tolist(), q_list, order)
     out: dict[float, tuple[FluctuationProfile, ScalingFit]] = {}
     for q, fq_q in zip(q_list, fq):
-        _check_zero_rule(q, has_zero)
+        # a negative power of an exactly-zero segment fluctuation is inf,
+        # which sends F_q to exactly 0
+        if q < 0 and np.any(fq_q == 0.0):
+            raise InputError("zero segment fluctuation with negative q")
         fp = FluctuationProfile(q=q, scales=scale_arr, fq=fq_q)
         out[q] = (fp, fit_scaling(fp))
     return out

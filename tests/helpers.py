@@ -231,7 +231,7 @@ def per_scale_shared_f2(values, starts, window, scales, order):
         f2_at = _residual_f2(segments, order)
         _zero_flat(f2_at, marker, s, order, np.arange(f2_at.size))
         gathered = f2_at[starts[:, None] + _segment_starts(window, s)]
-        (mean,), _ = _power_means(gathered, (2.0,), [0])
+        (mean,) = _power_means(gathered, (2.0,), [0])
         fq.append(mean[:, 0])
     return np.ldexp(np.stack(fq, axis=-1), e)
 

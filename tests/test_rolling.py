@@ -794,7 +794,7 @@ class TestSharedSource:
         got, own = _shared_f2(values, starts, window, scales, order)
         rolling._own_f2(got, values, starts, own, config, None)
         rows = sliding_window_view(values, window)[starts]
-        (want,), _ = _series_fq(rows, scales, (2.0,), order)
+        (want,) = _series_fq(rows, scales, (2.0,), order)
         # at unit scale the tail's mean f2 is below the normal range, 2**-1022
         _, e = _unit_scaled(values)
         assert np.ldexp(want.min(), -int(e[0])) < 2.0**-511
@@ -816,7 +816,7 @@ class TestSharedSource:
         starts, scales = np.arange(0, 1001, 10), range(5, 41)
         for order in (0, 1):
             _, own = _shared_f2(values, starts, 200, scales, order)
-            (fq,), _ = _series_fq(sliding_window_view(values, 200)[starts], scales, (2.0,), order)
+            (fq,) = _series_fq(sliding_window_view(values, 200)[starts], scales, (2.0,), order)
             _, e = _unit_scaled(values)
             below = np.ldexp(fq.min(axis=1), -int(e[0])) < 2.0**-485
             assert own.size > 0

@@ -13,7 +13,6 @@ from hurstscan import scaling
 from hurstscan.scaling import (
     _check_qs,
     _check_scale_range,
-    _check_zero_rule,
     _detrend_basis,
     _power_means,
     _residual_f2,
@@ -61,9 +60,10 @@ LONG_DOUBLE = pytest.mark.skipif(
 def power_mean(f2, q: float) -> float:
     """F_q of one group of squared segment fluctuations, under mfdfa's rules for q."""
     (q,) = _check_qs((q,))
-    (fq,), has_zero = _power_means(np.asarray(f2, dtype=float), (q,), (0,))
-    _check_zero_rule(q, has_zero)
-    return float(fq[0])
+    ((fq,),) = _power_means(np.asarray(f2, dtype=float), (q,), (0,))
+    if q < 0 and fq == 0.0:
+        raise InputError("zero segment fluctuation with negative q")
+    return float(fq)
 
 
 class TestBuildProfile:
@@ -160,37 +160,34 @@ class TestGroupedPowerMeans:
     @pytest.mark.parametrize("seed", range(6))
     def test_each_group_as_alone(self, seed):
         # any choice and order of groups, repeats included: each group's F_q
-        # and zero flag bit for bit as when it is reduced on its own
+        # bit for bit as when it is reduced on its own
         groups = self.groups()
         rng = np.random.default_rng(seed)
         chosen = [groups[k] for k in rng.choice(len(groups), size=rng.integers(1, 12))]
         starts = np.cumsum([0] + [g.size for g in chosen[:-1]])
-        means, zero = _power_means(np.concatenate(chosen), self.QS, starts)
-        assert zero.shape == (len(chosen),)
+        means = _power_means(np.concatenate(chosen), self.QS, starts)
+        assert [m.shape for m in means] == [(len(chosen),)] * len(self.QS)
         for j, group in enumerate(chosen):
-            alone, alone_zero = _power_means(group, self.QS, (0,))
+            alone = _power_means(group, self.QS, (0,))
             assert [m[j] for m in means] == [a[0] for a in alone], j
-            assert zero[j] == alone_zero[0], j
 
     def test_rows_of_groups(self):
         # a 2-d f2: groups along the last axis of every row
         groups = self.groups()
         rows = np.stack([np.concatenate(groups), np.concatenate(groups[::-1])[::-1]])
         starts = np.cumsum([0] + [g.size for g in groups[:-1]])
-        means, zero = _power_means(rows, self.QS, starts)
-        assert zero.shape == (2, len(groups))
+        means = _power_means(rows, self.QS, starts)
+        assert [m.shape for m in means] == [(2, len(groups))] * len(self.QS)
         for i, row in enumerate(rows):
-            alone, alone_zero = _power_means(row, self.QS, starts)
+            alone = _power_means(row, self.QS, starts)
             assert [m[i].tobytes() for m in means] == [a.tobytes() for a in alone]
-            assert zero[i].tolist() == alone_zero.tolist()
 
     def test_rescaled_zero_and_single_groups(self):
         groups = self.groups()
         starts = np.cumsum([0] + [g.size for g in groups[:-1]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            means, zero = _power_means(np.concatenate(groups), self.QS, starts)
-        assert zero.tolist() == [False, False, False, False, True, False, False]
+            means = _power_means(np.concatenate(groups), self.QS, starts)
         for q, fq in zip(self.QS, means):
             # 2**600 in f2 is 2**300 in F_q
             assert fq[2] == pytest.approx(np.ldexp(fq[1], 300), rel=1e-14, abs=0), q
@@ -198,8 +195,9 @@ class TestGroupedPowerMeans:
             assert fq[5] == pytest.approx(np.sqrt(groups[5][0]), rel=1e-15, abs=0), q
             assert fq[6] == pytest.approx(np.sqrt(groups[6][0]), rel=1e-15, abs=0), q
             assert np.isfinite(fq[3]) and fq[3] > 0.0, q
-            # a zero segment sends q < 0 to 0, which mfdfa rejects
-            assert (fq[4] == 0.0) == (q < 0), q
+            # a zero segment sends q < 0, and only q < 0, to exactly 0, which
+            # mfdfa rejects: the one group that holds a zero
+            assert (fq == 0.0).tolist() == [q < 0 and j == 4 for j in range(len(groups))], q
 
 
 @st.composite
@@ -288,9 +286,9 @@ class TestLargeOrders:
         # a group far below unit scale: q > 0 keeps the rescale by its largest
         # f2, and q < 0 alone moves to its smallest
         f2 = np.ldexp(_scale_f2(profile(gen_fgn(600, 0.6, seed=4)), 10, 1), -700)
-        both, _ = _power_means(f2, (-8.0, 8.0), (0,))
-        assert both[1].tobytes() == _power_means(f2, (8.0,), (0,))[0][0].tobytes()
-        assert both[0].tobytes() == _power_means(f2, (-8.0,), (0,))[0][0].tobytes()
+        both = _power_means(f2, (-8.0, 8.0), (0,))
+        assert both[1].tobytes() == _power_means(f2, (8.0,), (0,))[0].tobytes()
+        assert both[0].tobytes() == _power_means(f2, (-8.0,), (0,))[0].tobytes()
 
 
 class TestSeriesFq:
@@ -303,13 +301,12 @@ class TestSeriesFq:
         x, scales, qs, order = drawn
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fq, has_zero = _series_fq(x, scales, qs, order)
+            fq = _series_fq(x, scales, qs, order)
             alone = [_series_fq(x, [s], qs, order) for s in scales]
         assert fq.shape == (len(qs), *x.shape[:-1], len(scales))
-        for k, (fq_s, _) in enumerate(alone):
+        for k, fq_s in enumerate(alone):
             assert fq_s.shape == (*fq.shape[:-1], 1)
             assert fq_s[..., 0].tobytes() == fq[..., k].tobytes(), scales[k]
-        np.testing.assert_array_equal(has_zero, np.logical_or.reduce([z for _, z in alone]))
 
 
 class TestSegmentFluctuations:
@@ -561,11 +558,11 @@ class TestMfdfa:
         f2 = _scale_f2(profile(gen_fgn(600, 0.6, seed=4)), 10, 1)
         rows = np.stack([np.ldexp(f2, 2 * k) for k in (0, 300, -300, 5, -450)])
         qs = (-8.0, 2.0, 4.0)
-        means, _ = _power_means(rows, qs, (0,))
+        means = _power_means(rows, qs, (0,))
         for i, row in enumerate(rows):
-            alone, _ = _power_means(row, qs, (0,))
+            alone = _power_means(row, qs, (0,))
             assert [m[i, 0] for m in means] == [a[0] for a in alone]
-        assert means[1][0, 0] == _power_means(f2, (2.0,), (0,))[0][0][0]
+        assert means[1][0, 0] == _power_means(f2, (2.0,), (0,))[0][0]
 
     def test_shuffle_destroys_persistence(self):
         x = gen_fgn(10000, 0.8, seed=9)
@@ -700,14 +697,14 @@ class TestMfdfaFlushGroups:
 
     @staticmethod
     def record_flushes(monkeypatch):
-        """The zero flags, one per group, of each ``_power_means`` call from here on."""
+        """F_q by q, one entry per group, of each ``_power_means`` call from here on."""
         calls = []
         real = scaling._power_means
 
         def recording(f2, qs, starts):
-            means, zero = real(f2, qs, starts)
-            calls.append(zero.copy())
-            return means, zero
+            means = real(f2, qs, starts)
+            calls.append({q: fq.copy() for q, fq in zip(qs, means)})
+            return means
 
         monkeypatch.setattr(scaling, "_power_means", recording)
         return calls
@@ -716,15 +713,15 @@ class TestMfdfaFlushGroups:
         calls = self.record_flushes(monkeypatch)
         mfdfa(self.series(), self.SCALES, self.QS)
         assert len(calls) == 10
-        assert sum(zero.size for zero in calls) == len(self.SCALES)
+        assert sum(fq[2.0].size for fq in calls) == len(self.SCALES)
 
     def test_a_block_of_series_flushes_as_one_series_does(self, monkeypatch):
         # the batch rule counts each series' own values: a block of series
         # makes mfdfa's ten calls, and each series gets its F_q alone
         block = np.stack([gen_fgn(2000, h, seed=11) for h in (0.4, 0.6, 0.8)])
-        alone = [_series_fq(x, self.SCALES, self.QS, 1)[0] for x in block]
+        alone = [_series_fq(x, self.SCALES, self.QS, 1) for x in block]
         calls = self.record_flushes(monkeypatch)
-        fq, _ = _series_fq(block, self.SCALES, self.QS, 1)
+        fq = _series_fq(block, self.SCALES, self.QS, 1)
         assert len(calls) == 10
         for k, want in enumerate(alone):
             assert fq[:, k].tobytes() == want.tobytes(), k
@@ -746,7 +743,7 @@ class TestMfdfaFlushGroups:
         full = mfdfa(x, self.SCALES, self.QS)
         calls = self.record_flushes(monkeypatch)
         part = mfdfa(x, range(4, 453), self.QS)
-        assert len(calls) == 10 and calls[-1].size == 1
+        assert len(calls) == 10 and calls[-1][2.0].size == 1
         for q in self.QS:
             assert part[q][0].fq.tobytes() == full[q][0].fq[:449].tobytes(), q
 
@@ -763,9 +760,13 @@ class TestMfdfaFlushGroups:
         for qs in (self.QS, (2.0, -2.0)):
             with pytest.raises(InputError, match="zero segment fluctuation with negative q"):
                 mfdfa(x, self.SCALES, qs)
-        flags = np.concatenate(calls[: len(calls) // 2]).tolist()
-        assert flags == flat_scale_flags(x, self.SCALES)
-        assert any(zero.any() for zero in calls[1 : len(calls) // 2]) == later
+        # F_q at q < 0 is exactly 0 at the scales that hold a flat segment,
+        # and only there, in both runs; at q > 0 it stays positive
+        for run, q in ((calls[: len(calls) // 2], -4.0), (calls[len(calls) // 2 :], -2.0)):
+            zeros = [fq[q] == 0.0 for fq in run]
+            assert np.concatenate(zeros).tolist() == flat_scale_flags(x, self.SCALES), q
+            assert any(zero.any() for zero in zeros[1:]) == later, q
+            assert all(np.all(fq[2.0] > 0.0) for fq in run), q
         mfdfa(x, self.SCALES, (2.0, 4.0))
 
 
@@ -833,7 +834,7 @@ class TestExpectedFluctuation:
         rows = np.random.default_rng(7).standard_normal((self.N, w))
         rows = rows @ np.linalg.cholesky(gamma[lag]).T
         if producer == "series":
-            (fq,), _ = _series_fq(rows, scales, (2.0,), order)
+            (fq,) = _series_fq(rows, scales, (2.0,), order)
         else:
             fq, own = _shared_f2(rows.ravel(), w * np.arange(self.N), w, scales, order)
             assert own.size == 0
