@@ -76,6 +76,20 @@ test "$status" -eq 1
 grep -q "zero segment fluctuation with negative q" flat.err
 hurstscan roll fgn.csv --returns --step 100
 hurstscan report fgn.rolling.csv
+# a rolling CSV whose line 3 repeats line 2's date and whose line 6 holds
+# a bad flag fails naming line 3, the first bad line, and writes nothing
+python - <<'PY'
+lines = open("fgn.rolling.csv").read().splitlines()
+lines[2] = lines[1].split(",")[0] + "," + lines[2].split(",", 1)[1]
+lines[5] = lines[5].rsplit(",", 1)[0] + ",maybe"
+open("unordered.rolling.csv", "w").write("\n".join(lines) + "\n")
+PY
+status=0
+hurstscan report unordered.rolling.csv --out-dir unordered 2> unordered.err || status=$?
+test "$status" -eq 1
+grep -q "unordered.rolling.csv:3: date " unordered.err
+if grep -q Traceback unordered.err; then exit 1; fi
+test ! -e unordered
 # roll computes q = 2 only: --q 2 changes no byte, and any other q is a
 # usage error that writes nothing
 hurstscan roll fgn.csv --returns --step 100 --q 2 --out-dir q2
@@ -139,6 +153,15 @@ if grep -q Traceback huge.err; then exit 1; fi
 python -c 'import hurstscan as h; v = h.gen_garch(1200, 1e-6, 0.08, 0.91, seed=3); v[600:] *= 2.0**-200; h.save_returns(h.ReturnSeries(h.synthetic_dates(v.size), v), "mixed.csv")'
 hurstscan roll mixed.csv --returns --window 200 --step 10 --s-min 5 --s-max 40 2> mixed.err
 if grep -q Traceback mixed.err; then exit 1; fi
+# returns at 1e-160 times unit size: their sample variance, about
+# 1e-320, is not a normal float, so the GARCH fit exits 2 and writes nothing
+python -c 'import hurstscan as h; r = h.gen_garch(1000, 1e-6, 0.08, 0.91, seed=2); r = r / r.std() * 1e-160; h.save_returns(h.ReturnSeries(h.synthetic_dates(r.size), r), "subnormal.csv")'
+status=0
+hurstscan analyze subnormal.csv --returns --garch --out-dir subnormal 2> subnormal.err || status=$?
+test "$status" -eq 2
+grep -q "out of floating-point range" subnormal.err
+if grep -q Traceback subnormal.err; then exit 1; fi
+test ! -e subnormal
 # 100,000 rows: the CSV reader crosses about 100 blocks
 hurstscan synth --kind fgn --n 100000 --h 0.7 --sigma 0.01 --out long.csv
 hurstscan analyze long.csv --returns --s-max 1000

@@ -52,7 +52,7 @@ from .rolling import (
     write_rolling_jsonl,
 )
 from .scaling import _check_qs, mfdfa
-from .synth import _KINDS
+from .synth import _KINDS, _check_seed
 
 OUT_DIR_ENV = "HURSTSCAN_OUT_DIR"
 
@@ -241,8 +241,7 @@ def cmd_roll(args) -> _Run:
 def cmd_synth(args) -> _Run:
     if not args.dates and args.start_date is not None:
         raise InputError("--start-date needs dates; it has no effect with --no-dates")
-    if args.seed < 0:
-        raise InputError(f"seed must be a non-negative integer, got {args.seed!r}")
+    _check_seed(args.seed)
     generator, names = _KINDS[args.kind]
     # each generator flag's dest is its parameter's name, and sigma defaults to 1.0
     given = {

@@ -54,6 +54,7 @@ OMEGA_FLOOR = 1e-12  # lower bound of omega / h_1, keeps omega > 0
 MAX_PERSISTENCE = 1.0 - 1e-8
 ARMIJO = 1e-4
 MIN_STEP = 2.0**-40
+_SMALLEST_NORMAL = np.finfo(float).tiny  # 2.2e-308: the least sample variance fitted
 
 
 @dataclass(frozen=True)
@@ -474,7 +475,9 @@ def _scaled_squares(r: np.ndarray) -> tuple:
     The search runs on returns in units of sqrt(h_1), where neither the
     steps nor the tolerances depend on the scale of the returns.  The
     checks run in garch_fit's order: too short, then constant, then a
-    variance out of the float range.  A row that fails one gets z2 of 0.
+    variance that is not a normal float: below the smallest one it keeps
+    few digits, and the fit on it reports success with wrong ones.  A
+    row that fails one gets z2 of 0.
     """
     rows, n = r.shape
     if n < MIN_FIT_LENGTH:
@@ -483,7 +486,7 @@ def _scaled_squares(r: np.ndarray) -> tuple:
     with np.errstate(over="ignore"):
         constant = np.ptp(r, axis=1) == 0.0
         h1 = np.var(r, axis=1, ddof=1)
-    usable = ~constant & (0.0 < h1) & (h1 < math.inf)
+    usable = ~constant & (_SMALLEST_NORMAL <= h1) & (h1 < math.inf)
     errors = [
         None
         if ok
@@ -551,7 +554,8 @@ def _fit_rows(r: np.ndarray) -> list:
 def garch_fit(returns) -> GarchFit:
     """Fit GARCH(1,1) by maximizing the Gaussian log-likelihood.
 
-    h_1 is set to the sample variance of the returns.  The search is a
+    h_1 is set to the sample variance of the returns, which must be a
+    normal float, or NumericalError is raised.  The search is a
     projected Newton method with the exact score and Hessian in
     x = (omega / h_1, pi = alpha + beta, s = alpha / pi) over the box
     [OMEGA_FLOOR, inf) x [0, MAX_PERSISTENCE] x [0, 1], started at

@@ -15,7 +15,10 @@ rejected; missing trading days are simply absent rows.
 The reader parses a file in blocks of ``_BLOCK_ROWS`` rows and drops a
 block's cell texts before it reads the next, so what a long file keeps
 in memory per row is its parsed values (a date object and a float for
-a series) and its line number in one integer array, not its text.
+a series) and its line number in one integer array, not its text.  It
+stops at the first short row or bad cell and returns the rows before
+it with that row; the loader that owns a row rule applies it to those
+rows, and ``_raise_first`` names the earliest bad line found.
 """
 from __future__ import annotations
 

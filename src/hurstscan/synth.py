@@ -2,13 +2,15 @@
 
 Every generator checks its own arguments, and a bad one raises
 InputError: n must be an integer (a float or a bool is not), sigma
-positive and finite, and the GARCH parameters must pass
-``GarchParams``' checks.  The ``synth`` command calls the generators
-through ``_KINDS``.  Every generator is a pure function of its
-arguments including the seed (numpy PCG64 streams).  For reproducible
-parallel generation give each task its own seed, or split one seed
-with ``np.random.SeedSequence(seed).spawn(k)`` and pass the children's
-``generate_state`` values as seeds.
+positive and finite, the GARCH parameters must pass ``GarchParams``'
+checks, and the seed must be a non-negative integer (``_check_seed``;
+None, a float or a bool is not one).  The ``synth`` command calls the
+generators through ``_KINDS``.  Every generator is a pure function of
+its arguments including the seed (numpy PCG64 streams).  For
+reproducible parallel generation give each task its own seed, or split
+one seed into k::
+
+    seeds = [child.generate_state(1)[0] for child in np.random.SeedSequence(seed).spawn(k)]
 """
 from __future__ import annotations
 
@@ -52,6 +54,12 @@ def _check_size(n: int, sigma: float = 1.0, min_n: int = 1) -> None:
         raise InputError(f"sigma must be positive and finite, got {sigma}")
 
 
+def _check_seed(seed) -> None:
+    """The seed of every generator and of ``synth``: a non-negative integer, numpy's included."""
+    if not (_is_integer(seed) and seed >= 0):
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _check_fgn_params(hurst: float, sigma: float, n: int = 2) -> None:
     """fGn's parameters: hurst in (0, 1), sigma**2 (its variance) a finite normal float, n >= 2."""
     if not 0.0 < hurst < 1.0:
@@ -88,6 +96,7 @@ def gen_fgn(n: int, hurst: float, sigma: float = 1.0, seed: int = 0) -> np.ndarr
     eigenvalues from roundoff are clipped, and anything worse raises.
     """
     _check_fgn_params(hurst, sigma, n)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     m = 1 << int(np.ceil(np.log2(2 * n)))
     lam = _embedding_eigenvalues(m, hurst, sigma)
@@ -121,6 +130,7 @@ def _embedding_eigenvalues(m: int, hurst: float, sigma: float) -> np.ndarray:
 def gen_white(n: int, sigma: float = 1.0, seed: int = 0) -> np.ndarray:
     """IID Gaussian noise with standard deviation sigma."""
     _check_size(n, sigma)
+    _check_seed(seed)
     with np.errstate(over="ignore"):
         x = sigma * np.random.default_rng(seed).standard_normal(n)
     return _check_finite(x, f"sigma {sigma}")
@@ -135,6 +145,7 @@ def gen_garch(n: int, omega: float, alpha: float, beta: float, seed: int = 0) ->
     """
     _check_size(n)
     h = GarchParams(omega, alpha, beta).unconditional_variance
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n + GARCH_BURN_IN)
     r = np.empty(n + GARCH_BURN_IN)

@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -357,6 +358,11 @@ class TestGarchLoglik:
         with pytest.raises(NumericalError, match="squared returns overflow"):
             garch_loglik(np.full(10, 1e200), GarchParams(1e-6, 0.08, 0.91), h1=1.0)
 
+    def test_non_finite_loglik_rejected_without_warning(self):
+        # squares of 1e300 are finite, but r**2 / h at h = 1e-300 is not
+        with pytest.raises(NumericalError, match="^log-likelihood evaluation produced a non-finite"):
+            garch_loglik([1e150, 1e150], GarchParams(1e-300, 0.0, 0.0), h1=1e-300)
+
 
 class TestGarchFit:
     def test_recovers_simulated_parameters(self):
@@ -480,6 +486,21 @@ class TestGarchFit:
         with pytest.raises(NumericalError, match="sample variance"):
             garch_fit(r * 1e160)
 
+    def test_subnormal_variance_is_numerical_error(self):
+        # at 1e-160 times unit size the sample variance, about 1e-320, is a
+        # subnormal float with few digits: a fit on it reported
+        # converged=True with alpha off by 4.9e-6 relative.  At 1e-150 it is
+        # normal, and the fit is the unit-scale one up to rounding
+        r = gen_garch(1000, 1e-6, 0.08, 0.91, seed=2)
+        r /= r.std()
+        message = r"^sample variance of the returns out of floating-point range: 1\.0\d*e-320$"
+        with pytest.raises(NumericalError, match=message):
+            garch_fit(r * 1e-160)
+        base, fit = garch_fit(r), garch_fit(r * 1e-150)
+        assert fit.converged and fit.iterations == base.iterations
+        assert fit.params.alpha == pytest.approx(base.params.alpha, rel=1e-12)
+        assert fit.params.beta == pytest.approx(base.params.beta, rel=1e-12)
+
     def test_reports_its_own_path_and_likelihood(self):
         r = gen_garch(600, 1e-6, 0.05, 0.94, seed=2)
         fit = garch_fit(r)
@@ -584,7 +605,7 @@ def scaled_squares_alone(row):
         return InputError("degenerate input: all returns identical")
     with np.errstate(over="ignore"):
         h1 = float(np.var(row, ddof=1))
-    if not 0.0 < h1 < math.inf:
+    if not sys.float_info.min <= h1 < math.inf:
         return NumericalError(f"sample variance of the returns out of floating-point range: {h1}")
     return h1, (row / math.sqrt(h1)) ** 2
 
@@ -596,6 +617,7 @@ ROW_KINDS = {
     "constant": lambda n, seed: np.full(n, 0.01 * (seed + 1)),
     "overflow": lambda n, seed: gen_white(n, 1e160, seed),  # variance beyond the float range
     "underflow": lambda n, seed: gen_white(n, 1e-170, seed),  # variance below it
+    "subnormal": lambda n, seed: gen_white(n, 1e-160, seed),  # variance a subnormal float
     "huge": lambda n, seed: gen_white(n, 1e150, seed),
     "tiny": lambda n, seed: gen_white(n, 1e-150, seed),
 }
@@ -631,6 +653,7 @@ class TestScaledSquares:
             "garch": "NoneType",
             "huge": "NoneType",
             "overflow": "NumericalError",
+            "subnormal": "NumericalError",
             "tiny": "NoneType",
             "underflow": "NumericalError",
             "white": "NoneType",

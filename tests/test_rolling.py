@@ -518,6 +518,32 @@ class TestRoll:
         assert not results.garch_converged.any()
         assert_results_close(results, reference_roll(series, config))
 
+    def test_window_with_subnormal_variance_keeps_raw_returns(self):
+        # returns from 700 on at 1e-160 times unit size: the windows inside
+        # that tail have a subnormal sample variance, whose fit raises, so
+        # each keeps its raw returns and is flagged False.  In raw units
+        # their R(s) is subnormal too, so the roll fails at the first of
+        # them, with reference_roll's text
+        values = gen_garch(1300, 1e-6, 0.08, 0.91, seed=2)
+        values /= values.std()
+        values[700:] *= 1e-160
+        config = RollingConfig(window=500, step=100, garch_mode="per-window")
+        starts = np.arange(0, 801, 100)
+        fq = np.empty((starts.size, len(config.scales())))
+        converged = np.ones(starts.size, dtype=bool)
+        rolling._own_f2(fq, values, starts, np.arange(starts.size), config, converged)
+        tail = starts >= 700
+        assert not converged[tail].any() and converged[0]
+        rows = sliding_window_view(values, config.window)[starts[tail]]
+        (raw,) = _series_fq(rows, config.scales(), (2.0,), config.detrend_order)
+        assert fq[tail].tobytes() == raw.tobytes()
+        series = make_return_series(values)
+        with pytest.raises(InputError, match=r"^window 7 .*R\(s\)") as got:
+            roll(series, config)
+        with pytest.raises(InputError) as want:
+            reference_roll(series, config)
+        assert str(got.value) == str(want.value)
+
     @given(
         case=st.sampled_from([("per-window", 1), ("whole-sample", 0), ("whole-sample", 1)]),
         k=st.integers(-1100, 1100),

@@ -17,6 +17,7 @@ from hurstscan import (
     load_returns,
     mfdfa,
 )
+from hurstscan import synth
 from hurstscan.cli import build_parser, cmd_synth
 
 
@@ -288,6 +289,26 @@ class TestGeneratorSpec:
         with pytest.raises(SystemExit, match="^1$"):
             synth_spec("gaussian-white", 10, seed=seed)
         assert f"argument --seed: invalid int value: '{seed}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "a", None, True, np.int64(-1)])
+    def test_generators_take_non_negative_integer_seeds(self, seed):
+        # -1 once failed inside numpy with a bare ValueError, 1.5 and "a"
+        # with a TypeError; None drew a new series on every call, and True
+        # ran as seed 1
+        message = "^" + re.escape(f"seed must be a non-negative integer, got {seed!r}") + "$"
+        for make in (partial(gen_fgn, hurst=0.5), gen_white, partial(gen_garch, **GARCH_OK)):
+            with pytest.raises(InputError, match=message):
+                make(10, seed=seed)
+
+    def test_docstring_recipe_splits_one_seed(self):
+        # the module docstring's recipe gives k seeds that every generator takes
+        recipe = synth.__doc__.split("::")[1].strip()
+        runs = []
+        for _ in range(2):
+            scope = {"np": np, "seed": 7, "k": 3}
+            exec(recipe, scope)
+            runs.append([gen_fgn(64, 0.6, seed=s).tobytes() for s in scope["seeds"]])
+        assert runs[0] == runs[1] and len(set(runs[0])) == 3
 
 
 GARCH_OK = {"omega": 1e-6, "alpha": 0.08, "beta": 0.9}
