@@ -205,8 +205,9 @@ def _read_table(path, columns: dict, header: bool = True):
 
     ``columns`` maps a label to (column name or position, kind).  Reading
     stops at the first short row or bad cell: the columns hold the rows
-    before it, and it comes back as (row index, why), or None when every
-    row parses, for the caller to fail with ``_raise_first``.
+    before it, and it comes back as (row index, why), its line at
+    ``lines[index]``, or None when every row parses, for the caller to
+    fail with ``_raise_first``.
 
     Rows are read and parsed ``_BLOCK_ROWS`` at a time.  What stays in
     memory per row is its parsed values and its line number, held in one
