@@ -74,6 +74,12 @@ status=0
 hurstscan analyze flat.csv --returns --no-garch --q=-2 --q=2 2> flat.err || status=$?
 test "$status" -eq 1
 grep -q "zero segment fluctuation with negative q" flat.err
+# and up to scale 400, where order 1 takes the large scales' segments
+# from prefix moments: their flat segments are exact zeros too
+status=0
+hurstscan analyze flat.csv --returns --no-garch --q=-2 --q=2 --s-max 400 2> flat400.err || status=$?
+test "$status" -eq 1
+grep -q "zero segment fluctuation with negative q" flat400.err
 hurstscan roll fgn.csv --returns --step 100
 hurstscan report fgn.rolling.csv
 # a rolling CSV whose line 3 repeats line 2's date and whose line 6 holds
@@ -123,12 +129,18 @@ awk 'NR==1 || (NR-2) % 37 == 0' s1/fgn.rolling.csv | cmp - s37/fgn.rolling.csv
 python -W error -m hurstscan.cli roll flat.csv --returns --detrend-order 3 --out-dir flat3
 # one window of the whole file: roll averages many scales per power-mean
 # call, as analyze does, and must give analyze's q = 2 fit and measures;
-# at order 0 the whole-sample roll adds each segment's slope term
-for order in 1 0; do
-  hurstscan analyze fgn.csv --returns --detrend-order "$order" --out-dir "one$order"
-  for mode in whole-sample per-window; do
-    hurstscan roll fgn.csv --returns --window 2000 --s-max 50 --detrend-order "$order" --garch-mode "$mode" --out-dir "$mode$order"
-    python -c 'import json, sys, hurstscan as h; r = h.read_rolling_csv(sys.argv[3] + "/fgn.rolling.csv"); fit, = (f for f in json.load(open(sys.argv[1])) if f["q"] == 2.0); want = {"hurst": fit["hurst"], **json.load(open(sys.argv[2]))}; bad = {k: (getattr(r, k)[0], v) for k, v in want.items() if not abs(getattr(r, k)[0] - v) <= 1e-12 * abs(v)}; assert len(r) == 1 and not bad, bad' "one$order/fgn.scaling.json" "one$order/fgn.indicators.json" "$mode$order"
+# at order 0 the whole-sample roll adds each segment's slope term.  Up
+# to scale 500, order 1 takes its large scales from prefix moments in
+# analyze (one series) and in the per-window roll (a block of windows),
+# which the whole-sample roll's Givens updates check independently
+for smax in 50 500; do
+  for order in 1 0; do
+    one="one$order-$smax"
+    hurstscan analyze fgn.csv --returns --detrend-order "$order" --s-max "$smax" --out-dir "$one"
+    for mode in whole-sample per-window; do
+      hurstscan roll fgn.csv --returns --window 2000 --s-max "$smax" --detrend-order "$order" --garch-mode "$mode" --out-dir "$mode$order-$smax"
+      python -c 'import json, sys, hurstscan as h; r = h.read_rolling_csv(sys.argv[3] + "/fgn.rolling.csv"); fit, = (f for f in json.load(open(sys.argv[1])) if f["q"] == 2.0); want = {"hurst": fit["hurst"], **json.load(open(sys.argv[2]))}; bad = {k: (getattr(r, k)[0], v) for k, v in want.items() if not abs(getattr(r, k)[0] - v) <= 1e-12 * abs(v)}; assert len(r) == 1 and not bad, bad' "$one/fgn.scaling.json" "$one/fgn.indicators.json" "$mode$order-$smax"
+    done
   done
 done
 # three per-window windows up to scale 400

@@ -11,12 +11,20 @@ is the generalized Hurst exponent H(q).
 
 ``mfdfa`` and ``roll`` share one detrending rule, and two producers of
 F_q.  ``_series_fq`` serves series with a profile of their own
-(``mfdfa``'s one series, a block of ``roll``'s windows): it detrends
-each scale's segments in place in their profile by one projection,
-takes the power means of consecutive scales in one call and scales F_q
-back to the series' units.  The power mean reduces every scale on its
-own, so F_q at a scale is the same, bit for bit, whichever other scales
-are asked for.  ``_shared_f2`` serves windows that share one series'
+(``mfdfa``'s one series, a block of ``roll``'s windows).  Below
+``_MOMENT_SCALE``, and at every scale for orders other than 1, it
+detrends each scale's segments in place in their profile by one
+projection.  At order 1 from ``_MOMENT_SCALE`` up it takes each
+segment's residual sum from differences of double-double prefix sums
+of y, k*y and y**2 (``_moment_f2``).  A projection passes over the
+whole profile at every scale, while the moments cost a fixed amount
+per segment, of which a scale has 2T/s, so the constant sits where the
+two costs cross, whatever T is.  Each segment's moment arithmetic is
+elementwise, so its bits depend on nothing beside it.  It then takes
+the power means of consecutive scales in one call and scales F_q back
+to the series' units.  The power mean reduces every scale on its own,
+so F_q at a scale is the same, bit for bit, whichever other scales are
+asked for.  ``_shared_f2`` serves windows that share one series'
 segments, at q = 2 only: one pass over the segment lengths 1..s_max
 updates the fit at every start of the series by Givens rotations
 (``_start_f2``), and at each scale one strided reduce over those
@@ -45,6 +53,15 @@ _POWER_BITS = 512
 # a rescaled row's dominant f2 lies in [0.5, 2), so its power lies within
 # 2**+-(|q| / 2): up to 2**+-1000, which leaves room for 2**22 terms
 _MAX_ABS_Q = 2000.0
+# order-1 scales from which _series_fq takes segment f2 from prefix moments
+# (_moment_f2), not by projection: a projection of one scale passes over
+# all 2T profile values, about 60 us at T = 20,000 whatever s is, the
+# moments cost a fixed ~200 ns per segment, of which a scale has 2T/s,
+# so the two cross near s = 90 whatever T is (timings flat from 96 to 256)
+_MOMENT_SCALE = 96
+# segments, times series, per chunk of the moment kernel: its temporaries
+# stay a few tens of kB each
+_MOMENT_CHUNK = 4096
 
 
 def _even_halves(anchor, bound: float):
@@ -58,6 +75,25 @@ def _even_halves(anchor, bound: float):
     """
     far = (anchor > bound) | (anchor < 1.0 / bound)
     return np.where(far, np.frexp(anchor)[1] // 2, 0)
+
+
+def _in_units(fq, e):
+    """F_q at unit scale times 2**e, in place: inf wherever that leaves the float range.
+
+    Above the largest float the product is inf; one below the smallest
+    would round to 0, an exactly zero fluctuation's value, so it is set
+    to inf too.  ``_check_fluctuations`` then names the range either
+    way, and only an F_q that is 0 at unit scale is 0.
+    """
+    # the smallest value times the smallest 2**e bounds every product from
+    # below: while that is positive nothing underflows, and no mask is built
+    floor = np.ldexp(np.minimum.reduce(fq, axis=None), np.min(e))
+    nonzero = None if floor > 0.0 else fq != 0.0
+    with np.errstate(over="ignore"):
+        np.ldexp(fq, e, out=fq)
+    if nonzero is not None:
+        fq[nonzero & (fq == 0.0)] = np.inf
+    return fq
 
 
 def _check_fluctuations(fq) -> None:
@@ -254,10 +290,168 @@ def _residual_f2(segments, order: int) -> np.ndarray:
     return np.einsum("...i,...i->...", residuals, residuals) / s
 
 
+def _two_sum(a, b):
+    """a + b as (s, e): s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _renormalized(s, e):
+    """s + e as a pair whose head is the rounded sum (Fast2Sum).
+
+    Exact while |e| <= |s|; past that, as where two heads cancel, the
+    tail is off by about a rounding of e.
+    """
+    head = s + e
+    return head, e - (head - s)
+
+
+def _split(a):
+    """a as two halves of at most 26 bits each, a = high + low (Veltkamp)."""
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _two_product(a, b):
+    """a * b as (p, e): p = fl(a * b) and p + e = a * b exactly (Dekker's TwoProduct).
+
+    Exact while the factors and their half products stay clear of
+    over- and underflow.
+    """
+    p = a * b
+    a1, a2 = _split(a)
+    b1, b2 = _split(b)
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _dd_sum(x, y):
+    """The sum of two double-double pairs (head, tail)."""
+    s, e = _two_sum(x[0], y[0])
+    return _renormalized(s, e + (x[1] + y[1]))
+
+
+def _dd_product(x, y):
+    """The product of two double-double pairs (head, tail)."""
+    p, e = _two_product(x[0], y[0])
+    return _renormalized(p, e + (x[0] * y[1] + x[1] * y[0]))
+
+
+def _dd_quotient(x, d):
+    """The double-double pair x divided by the float d."""
+    q = x[0] / d
+    p, e = _two_product(q, d)
+    return _renormalized(q, ((x[0] - p) - e + x[1]) / d)
+
+
+def _prefix_moments(profiles):
+    """Running sums of y, k*y and y**2 along the last axis of the profiles y, as double-double pairs.
+
+    k is each value's position in its profile.  Returns three pairs
+    (head, tail) of arrays (..., T + 1): entry j holds the sum over
+    positions below j, so any run of positions sums as the difference
+    of two entries.  Each term is first taken exactly as a pair
+    (``_two_product``).  ``np.cumsum`` adds the heads left to right, so
+    each step rounds fl(head + term), whose error is the TwoSum error of
+    the two; those errors and the terms' tails sum in a second
+    ``np.cumsum`` (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 2005,
+    at every prefix).  Head plus tail is then the running sum up to
+    about eps**2 * T times its size.
+    """
+    t = profiles.shape[-1]
+    table = []
+    for term, tail in (
+        (profiles, 0.0),
+        _two_product(np.arange(t, dtype=float), profiles),
+        _two_product(profiles, profiles),
+    ):
+        head = np.zeros((*profiles.shape[:-1], t + 1))
+        np.cumsum(term, axis=-1, out=head[..., 1:])
+        _, error = _two_sum(head[..., :-1], term)
+        error += tail
+        low = np.zeros_like(head)
+        np.cumsum(error, axis=-1, out=low[..., 1:])
+        table.append((head, low))
+    return table
+
+
+def _moment_f2(table, starts, lengths):
+    """Mean squared residual about its least-squares line of each profile segment, from prefix moments.
+
+    Segment j covers the ``lengths[j]`` positions from ``starts[j]`` of
+    each profile of ``_prefix_moments``' table; the result has the
+    table's leading shape and one entry per segment.  Each segment's
+    sums M0 of y, M1 of k*y and M2 of y**2 are differences of table
+    entries.  With c its centre position and S_tt = s (s**2 - 1) / 12
+    the sum of the squared positions about c, S_yy = M2 - M0**2 / s,
+    S_ty = M1 - c M0 and the residual sum of squares is
+    S_yy - S_ty**2 / S_tt.  Those
+    differences cancel the profile's level and trend, so they run in
+    double-double arithmetic, and only the residual sum is rounded to a
+    float, clamped at 0.  S_tt is exact for s < 2**17.  Every step is
+    elementwise, so a segment's bits depend on nothing beside it.
+    """
+    ends = starts + lengths
+    m0, m1, m2 = (
+        _dd_sum(
+            (np.take(h, ends, axis=-1), np.take(l, ends, axis=-1)),
+            (-np.take(h, starts, axis=-1), -np.take(l, starts, axis=-1)),
+        )
+        for h, l in table
+    )
+    s = lengths.astype(float)
+    centre = starts + (s - 1.0) / 2.0
+    p, e = _dd_product(m0, (centre, 0.0))
+    cross = _dd_sum(m1, (-p, -e))
+    level = _dd_quotient(_dd_product(m0, m0), s)
+    tilt = _dd_quotient(_dd_product(cross, cross), s * (s * s - 1.0) / 12.0)
+    p, e = _dd_sum(level, tilt)
+    rss, _ = _dd_sum(m2, (-p, -e))
+    return np.maximum(rss, 0.0) / s
+
+
+def _run_moment_f2(table, marker, length: int, scales):
+    """``_moment_f2`` of every segment of a run of scales, end to end, ``_MOMENT_CHUNK`` at a time.
+
+    The segments are numbered as ``_run_segments`` numbers them, and
+    each chunk's positions and lengths are built for that chunk alone;
+    each chunk gets ``_zero_flat``'s exact zeros.
+    """
+    scales = np.asarray(scales)
+    total = int(np.sum(2 * (length // scales)))
+    lead = table[0][0].shape[:-1]
+    f2 = np.empty((*lead, total))
+    step = max(1, _MOMENT_CHUNK // math.prod(lead))
+    for a in range(0, total, step):
+        starts, lengths = _run_segments(length, scales, np.arange(a, min(a + step, total)))
+        chunk = f2[..., a : a + starts.size]
+        chunk[...] = _moment_f2(table, starts, lengths)
+        _zero_flat(chunk, marker, lengths, 1, starts)
+    return f2
+
+
 def _segment_starts(length: int, s: int) -> np.ndarray:
     """First profile position of each segment of a series, in ``_scale_f2``'s order."""
-    k = np.arange(length // s)
-    return np.concatenate([k * s, length - (k + 1) * s])
+    return _run_segments(length, [s], np.arange(2 * (length // s)))[0]
+
+
+def _run_segments(length: int, scales, at):
+    """First profile position and length of segments ``at`` of a run of scales (increasing).
+
+    The run's segments are numbered end to end: each scale's in
+    ``_scale_f2``'s order, floor(length/s) forward from the head, then
+    as many backward from the tail, the j-th covering
+    [length - (j+1)*s, length - j*s).
+    """
+    scales = np.asarray(scales)
+    counts = 2 * (length // scales)
+    ends = np.cumsum(counts)
+    k = np.searchsorted(ends, at, side="right")
+    s, m = scales[k], counts[k] // 2
+    # the segment's number within its scale
+    i = at - ends[k] + 2 * m
+    return np.where(i < m, i * s, length - (i - m + 1) * s), s
 
 
 def _run_marker(x) -> np.ndarray | None:
@@ -279,13 +473,14 @@ def _constant(marker, first, last):
     return marker[..., last] == marker[..., first]
 
 
-def _zero_flat(f2, marker, s: int, order: int, starts=None):
+def _zero_flat(f2, marker, s, order: int, starts=None):
     """Set f2 = 0 exactly, in place, on segments whose profile detrending removes.
 
     Over x[a+1] = ... = x[a+s-1] the profile of the segment starting at
     a is a straight line, which order >= 1 removes up to rounding noise
     that would pass for a tiny fluctuation.  A constant series is flat
-    for every order.  ``starts`` default to ``_segment_starts``'.
+    for every order.  ``starts`` default to ``_segment_starts``'; an
+    array ``s`` gives each segment's own length.
     """
     if marker is None:
         return f2
@@ -478,10 +673,7 @@ def _shared_f2(values, starts, window: int, scales, order: int):
         np.sqrt(sums / (2 * ns), out=row)
     # a mean f2 below 2**-970, 2**52 times the smallest normal float
     low = np.flatnonzero(np.minimum.reduce(fq, axis=0) < 2.0**-485)
-    with np.errstate(over="ignore"):
-        # beyond the float range F_2 is inf, which the callers reject
-        np.ldexp(fq, e, out=fq)
-    return fq.T, low
+    return _in_units(fq, e).T, low
 
 
 def _power_means(f2, qs, starts):
@@ -536,31 +728,47 @@ def _series_fq(values, scales, qs, order: int):
     """F_q(s) of series (last axis) that each have their own profile.
 
     Each series is scaled to unit size on its own by 2**-e
-    (``_unit_scaled``) and demeaned, and its profile is cut and
-    detrended as ``_scale_f2`` does it, with ``_zero_flat``'s exact
-    zeros.  Consecutive scales go to one ``_power_means`` call, one
-    group each, once they hold, per series, as many values as a series
-    has; a lone scale goes in uncopied.  Returns F_q scaled back by
-    2**e, (q x series x scales).  Nothing is checked here: at q < 0 an
-    exactly-zero segment makes F_q exactly 0 at its scale.
+    (``_unit_scaled``) and demeaned, and its profile is cut as
+    ``_scale_f2`` cuts it.  Consecutive scales go to one
+    ``_power_means`` call, one group each, once they hold, per series,
+    as many values as a series has.  Within a call, order-1 scales from
+    ``_MOMENT_SCALE`` up take their f2 from prefix moments: one table
+    per call of this function (``_prefix_moments``), and all of the
+    call's such segments together, ``_MOMENT_CHUNK`` at a time
+    (``_run_moment_f2``).  The other scales are detrended by
+    ``_scale_f2``'s projection, one scale at a time, and a lone
+    projected scale goes in uncopied; ``_MOMENT_SCALE`` sits where the
+    two kernels' costs cross.  Both get ``_zero_flat``'s exact zeros.
+    ``scales`` increase, as ``mfdfa``'s and ``roll``'s do.
+    Returns F_q scaled back by 2**e (``_in_units``), (q x series x
+    scales).  Nothing is checked here: at q < 0 an exactly-zero segment
+    makes F_q exactly 0 at its scale, and an F_q that leaves the float
+    range when scaled back is inf.
     """
     steps, e = _unit_scaled(values)
     steps -= steps.mean(axis=-1, keepdims=True)
     profiles = np.cumsum(steps, axis=-1)
     marker = _run_marker(values)
+    t = profiles.shape[-1]
+    table = None
     fq, run, size = [], [], 0
     for k, s in enumerate(scales, 1):
-        run.append(_zero_flat(_scale_f2(profiles, s, order), marker, s, order))
-        size += run[-1].shape[-1]
-        if size >= steps.shape[-1] or k == len(scales):
-            starts = np.cumsum([0, *(f2.shape[-1] for f2 in run[:-1])])
-            joined = run[0] if len(run) == 1 else np.concatenate(run, axis=-1)
-            fq.append(np.stack(_power_means(joined, qs, starts)))
-            run, size = [], 0
-    with np.errstate(over="ignore"):
-        # beyond the float range F_q is inf, which the callers reject
-        fq = np.ldexp(np.concatenate(fq, axis=-1), e)
-    return fq
+        run.append(s)
+        size += 2 * (t // s)
+        if size < t and k < len(scales):
+            continue
+        # the run's scales are increasing: the projected ones come first
+        small = [r for r in run if order != 1 or r < _MOMENT_SCALE]
+        f2 = [_zero_flat(_scale_f2(profiles, r, order), marker, r, order) for r in small]
+        if len(small) < len(run):
+            if table is None:
+                table = _prefix_moments(profiles)
+            f2.append(_run_moment_f2(table, marker, t, run[len(small) :]))
+        starts = np.cumsum([0, *(2 * (t // r) for r in run[:-1])])
+        joined = f2[0] if len(f2) == 1 else np.concatenate(f2, axis=-1)
+        fq.append(np.stack(_power_means(joined, qs, starts)))
+        run, size = [], 0
+    return _in_units(np.concatenate(fq, axis=-1), e)
 
 
 def fit_scaling(fp: FluctuationProfile) -> ScalingFit:
@@ -639,11 +847,15 @@ def mfdfa(
     -----
     The one-series case of ``roll``'s per-window path: ``_series_fq``
     scales the series to unit size by an exact power of two, detrends
-    each scale's 2*floor(T/s) segments, averages runs of scales holding
-    T or more values in one power-mean call each (991 scales of 20,000
-    points take about ten) and scales F_q back.  So a series anywhere in
-    the normal float range gives the H it gives at unit scale.  The
-    negative-q rule is checked over all scales.
+    each scale's 2*floor(T/s) segments (at order 1, by prefix moments
+    from ``_MOMENT_SCALE`` = 96 up and by projection below; at other
+    orders by projection), averages runs of scales holding T or more values in
+    one power-mean call each (991 scales of 20,000 points take ten) and
+    scales F_q back.  So a series anywhere in the normal float range
+    gives the H it gives at unit scale.  The negative-q rule is checked
+    over all scales, on F_q at unit scale: an F_q that only falls below
+    the float range once scaled back fails as leaving the range, not as
+    a zero segment fluctuation.
     """
     scale_list = list(scales)
     for s in scale_list:
@@ -663,7 +875,8 @@ def mfdfa(
     out: dict[float, tuple[FluctuationProfile, ScalingFit]] = {}
     for q, fq_q in zip(q_list, fq):
         # a negative power of an exactly-zero segment fluctuation is inf,
-        # which sends F_q to exactly 0
+        # which sends F_q to exactly 0; one that underflows when scaled
+        # back is inf (_in_units), so 0 here is 0 at unit scale
         if q < 0 and np.any(fq_q == 0.0):
             raise InputError("zero segment fluctuation with negative q")
         fp = FluctuationProfile(q=q, scales=scale_arr, fq=fq_q)

@@ -11,12 +11,17 @@ from helpers import expected_f2, naive_mfdfa, naive_segment_fluctuations
 from hurstscan import FluctuationProfile, InputError, fit_scaling, gen_fgn, gen_garch, mfdfa
 from hurstscan import scaling
 from hurstscan.scaling import (
+    _MOMENT_SCALE,
     _check_qs,
     _check_scale_range,
     _detrend_basis,
+    _moment_f2,
     _power_means,
+    _prefix_moments,
     _residual_f2,
+    _run_moment_f2,
     _scale_f2,
+    _segment_starts,
     _series_fq,
     _shared_f2,
     _start_f2,
@@ -208,8 +213,10 @@ def fq_series(draw):
     equal values, whose flat segments give exact zeros, or of values that
     differ only in their last digits, whose segment f2 sit far below the
     rest, so the power means rescale some groups of a call but not others.
+    Some series are long enough for scales from ``_MOMENT_SCALE`` up, so
+    that at order 1 a call takes segments from both kernels.
     """
-    t = draw(st.integers(min_value=8, max_value=160))
+    t = draw(st.integers(8, 160) | st.integers(4 * _MOMENT_SCALE, 1200))
     order = draw(st.integers(0, min(3, t // 4 - 2)))
     scales = draw(st.lists(st.integers(order + 2, t // 4), min_size=1, max_size=12, unique=True))
     lead = draw(st.sampled_from([(), (1,), (3,), (7,)]))
@@ -309,6 +316,16 @@ class TestSeriesFq:
             assert fq_s[..., 0].tobytes() == fq[..., k].tobytes(), scales[k]
 
 
+    def test_moment_chunks_free(self, monkeypatch):
+        # the moment kernel works segment by segment: chunks of any size,
+        # across scales and rows, give the same bits
+        x = np.stack([gen_fgn(2000, h, seed=5) for h in (0.4, 0.8)])
+        scales = range(_MOMENT_SCALE - 6, 501)
+        want = _series_fq(x, scales, (-4.0, 2.0), 1)
+        monkeypatch.setattr(scaling, "_MOMENT_CHUNK", 50)
+        assert _series_fq(x, scales, (-4.0, 2.0), 1).tobytes() == want.tobytes()
+
+
 class TestSegmentFluctuations:
     def test_matches_naive_normal_equations(self):
         rng = np.random.default_rng(7)
@@ -360,16 +377,40 @@ class TestSegmentFluctuations:
 
     @given(
         st.lists(
-            st.floats(min_value=-1e4, max_value=1e4), min_size=16, max_size=120
+            st.floats(min_value=-1e4, max_value=1e4), min_size=16, max_size=480
         ),
-        st.integers(min_value=3, max_value=30),
+        st.integers(min_value=3, max_value=120),
     )
     @settings(max_examples=60)
     def test_nonnegative(self, xs, s):
         if s > len(xs) // 4:
             s = len(xs) // 4
-        f2 = _scale_f2(np.cumsum(xs), s, 1)
+        prof = np.cumsum(xs)
+        f2 = _scale_f2(prof, s, 1)
         assert np.all(f2 >= 0.0)
+        # the moment kernel clamps each residual sum at 0
+        starts = _segment_starts(len(xs), s)
+        moments = _moment_f2(_prefix_moments(prof), starts, np.full(starts.size, s))
+        assert np.all(moments >= 0.0)
+
+    @given(
+        t=st.integers(400, 3000),
+        scales=st.lists(
+            st.integers(_MOMENT_SCALE - 40, _MOMENT_SCALE + 300), min_size=1, max_size=8, unique=True
+        ),
+        lead=st.sampled_from([(), (1,), (3,)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_moments_agree_with_projection(self, t, scales, lead, seed):
+        # the two order-1 kernels on one profile, across the threshold that
+        # picks between them: each segment's f2, in the power means' order
+        scales = sorted({min(s, t // 4) for s in scales})
+        steps, _ = _unit_scaled(np.random.default_rng(seed).standard_normal((*lead, t)))
+        prof = np.cumsum(steps - steps.mean(axis=-1, keepdims=True), axis=-1)
+        moments = _run_moment_f2(_prefix_moments(prof), None, t, scales)
+        projected = np.concatenate([_scale_f2(prof, s, 1) for s in scales], axis=-1)
+        np.testing.assert_allclose(moments, projected, rtol=1e-13, atol=0)
 
 
 class TestDetrendBasis:
@@ -407,6 +448,32 @@ class TestDetrendBasis:
             # the worst segment is set by the cancellation in its own residual
             assert new.max() <= 1.01 * old.max(), order
             assert np.sqrt(np.mean(new**2)) <= np.sqrt(np.mean(old**2)), order
+
+    @LONG_DOUBLE
+    @pytest.mark.parametrize(
+        "name, steps",
+        [
+            ("random walk", lambda: np.random.default_rng(1).standard_normal(20_000)),
+            ("fgn H = 0.9", lambda: gen_fgn(20_000, 0.9, seed=2)),
+        ],
+    )
+    def test_moments_no_less_accurate_than_projection(self, name, steps):
+        # the double-double moments cancel the profile's level and trend
+        # without rounding them: about one rounding of the result
+        profile = np.cumsum(steps())
+        table = _prefix_moments(profile)
+        new, old = [], []
+        for s in (96, 100, 150, 333, 1000, 2500, 5000):
+            ns = profile.size // s
+            segments = profile[: ns * s].reshape(ns, s)
+            exact = long_double_f2(segments, 1)
+            moments = _moment_f2(table, s * np.arange(ns), np.full(ns, s))
+            new.append(np.abs(moments - exact) / exact)
+            old.append(np.abs(_residual_f2(segments, 1) - exact) / exact)
+        new, old = (np.concatenate(err).astype(float) for err in (new, old))
+        assert new.max() <= old.max(), name
+        assert np.sqrt(np.mean(new**2)) <= np.sqrt(np.mean(old**2)), name
+        assert new.max() <= 4 * np.finfo(float).eps, name
 
 
 class TestStartF2:
@@ -615,6 +682,26 @@ class TestMfdfa:
         for order in (0, 1, 2):
             with pytest.raises(InputError, match="degenerate"):
                 mfdfa(np.full(500, c), range(10, 51), order=order)
+
+    def test_underflowing_fluctuations_leave_the_range(self):
+        # 400 points at 2**-1055, all subnormal: F_-4 at unit scale is
+        # positive at scales 11..59 but goes below the smallest float at
+        # the smallest scales once scaled back, where it read as a zero
+        # segment fluctuation
+        rng = np.random.default_rng(112)
+        x = rng.standard_normal(400)
+        x[178:275] = x[178] * (1 + 1e-6 * rng.standard_normal(97))
+        x = np.ldexp(x, -1055)
+        for qs in ((2.0, -4.0), (-4.0, 2.0)):
+            with pytest.raises(InputError, match=r"F_q\(s\) leaves the floating-point range"):
+                mfdfa(x, range(11, 60), qs)
+        assert np.isfinite(mfdfa(x, range(11, 60), (2.0,))[2.0][1].hurst)
+        # the subnormal values keep about 19 bits, fewer than the run's
+        # noise: x[200..209] are equal, so the segment of scale 10 from
+        # 200 is flat, a true zero
+        assert np.all(x[200:210] == x[200])
+        with pytest.raises(InputError, match="zero segment fluctuation with negative q"):
+            mfdfa(x, range(10, 60), (2.0, -4.0))
 
     def test_flat_stretch_segments_are_exactly_zero(self):
         x = np.random.default_rng(5).normal(size=400)
